@@ -51,17 +51,46 @@ func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int,
 		// y ← y + alpha*A*x: accumulate columns (AXPY form).
 		ix := startIdx(n, incX)
 		if incY == 1 {
+			// Four columns per pass over y: each y[i] still takes its adds
+			// in column order, so the result is bit-identical to the
+			// one-column loop with a quarter of the y traffic. A group with
+			// a zero coefficient goes one column at a time, skipping the
+			// zero as the reference BLAS does (so 0·Inf and 0·NaN in A
+			// never reach y).
 			yv := y[:m]
-			for j := 0; j < n; j++ {
+			for j := 0; j < n; {
+				if j+4 <= n {
+					t0 := alpha * x[ix]
+					t1 := alpha * x[ix+incX]
+					t2 := alpha * x[ix+2*incX]
+					t3 := alpha * x[ix+3*incX]
+					if t0 != 0 && t1 != 0 && t2 != 0 && t3 != 0 {
+						c0 := a[j*lda:][:len(yv)]
+						c1 := a[(j+1)*lda:][:len(yv)]
+						c2 := a[(j+2)*lda:][:len(yv)]
+						c3 := a[(j+3)*lda:][:len(yv)]
+						for i := range yv {
+							s := yv[i]
+							s += t0 * c0[i]
+							s += t1 * c1[i]
+							s += t2 * c2[i]
+							s += t3 * c3[i]
+							yv[i] = s
+						}
+						j += 4
+						ix += 4 * incX
+						continue
+					}
+				}
 				t := alpha * x[ix]
 				ix += incX
-				if t == 0 {
-					continue
+				if t != 0 {
+					col := a[j*lda : j*lda+m]
+					for i := range col {
+						yv[i] += t * col[i]
+					}
 				}
-				col := a[j*lda : j*lda+m]
-				for i := range col {
-					yv[i] += t * col[i]
-				}
+				j++
 			}
 			return
 		}

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -91,6 +92,95 @@ func TestDgemvBetaZeroOverwritesNaN(t *testing.T) {
 }
 
 func nan() float64 { var z float64; return z / z }
+
+// columnGemvN is the one-column-at-a-time NoTrans update y += alpha·A·x
+// (unit y stride) with the reference BLAS zero-skip: the loop Dgemv's
+// four-column pass must reproduce bit for bit.
+func columnGemvN(m, n int, alpha float64, a []float64, lda int, x []float64, incX int, y []float64) {
+	ix := startIdx(n, incX)
+	for j := 0; j < n; j++ {
+		t := alpha * x[ix]
+		ix += incX
+		if t == 0 {
+			continue
+		}
+		for i := 0; i < m; i++ {
+			y[i] += t * a[j*lda+i]
+		}
+	}
+}
+
+// TestDgemvNoTransBitwise pins the four-column NoTrans pass to the
+// one-column loop bit for bit: every n mod 4 remainder, a zero coefficient
+// at each of the four positions of a group, NaN/Inf in A (behind zero and
+// nonzero coefficients) and in x, and positive and negative x strides.
+func TestDgemvNoTransBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	inf := math.Inf(1)
+	type poison struct {
+		name  string
+		apply func(a []float64, lda int, x []float64, incX int)
+	}
+	xAt := func(j, n, incX int) int { return startIdx(n, incX) + j*incX }
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13} {
+		m := 11
+		lda := m + 2
+		poisons := []poison{{"none", func([]float64, int, []float64, int) {}}}
+		for z := 0; z < 4 && z < n; z++ {
+			z := z
+			poisons = append(poisons,
+				poison{"zero x", func(_ []float64, _ int, x []float64, incX int) { x[xAt(z, n, incX)] = 0 }},
+				poison{"zero x, Inf in A", func(a []float64, lda int, x []float64, incX int) {
+					x[xAt(z, n, incX)] = 0
+					a[z*lda+3] = inf
+				}},
+				poison{"zero x, NaN in A", func(a []float64, lda int, x []float64, incX int) {
+					x[xAt(z, n, incX)] = 0
+					a[z*lda] = nan()
+				}},
+			)
+		}
+		poisons = append(poisons,
+			poison{"NaN in A", func(a []float64, lda int, _ []float64, _ int) { a[(n-1)*lda+5] = nan() }},
+			poison{"Inf in A", func(a []float64, lda int, _ []float64, _ int) { a[2] = -inf }},
+			poison{"Inf in x", func(_ []float64, _ int, x []float64, incX int) { x[xAt(n/2, n, incX)] = inf }},
+			poison{"NaN in x", func(_ []float64, _ int, x []float64, incX int) { x[xAt(n-1, n, incX)] = nan() }},
+		)
+		for _, incX := range []int{1, 2, -1, -3} {
+			for _, alpha := range []float64{1, -0.75} {
+				for _, p := range poisons {
+					a := randMat(rng, m, n, lda)
+					x := make([]float64, 1+(n-1)*abs(incX))
+					for i := range x {
+						x[i] = 2*rng.Float64() - 1
+					}
+					p.apply(a, lda, x, incX)
+					y0 := make([]float64, m)
+					for i := range y0 {
+						y0[i] = 2*rng.Float64() - 1
+					}
+					got := append([]float64(nil), y0...)
+					want := append([]float64(nil), y0...)
+					Dgemv(NoTrans, m, n, alpha, a, lda, x, incX, 1, got, 1)
+					columnGemvN(m, n, alpha, a, lda, x, incX, want)
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("n=%d incX=%d alpha=%g %s: y[%d] = %x, want %x",
+								n, incX, alpha, p.name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
 
 func TestDgerAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))

@@ -32,9 +32,10 @@ import (
 // not just through Default().
 
 // microImpl describes one register micro-kernel: its tile shape, the ISA
-// it needs, and the two entry points the macro kernel calls. full computes
-// a complete mr×nr tile; edge handles ragged boundary tiles (and is always
-// scalar — fringes are a vanishing fraction of the flops).
+// it needs, and the entry points the macro kernel calls. full computes a
+// complete mr×nr tile; edge handles ragged boundary tiles by running the
+// same tile over the zero-padded panels (the scalar tile's own edge scatter,
+// simdEdge for the SIMD tiles).
 type microImpl struct {
 	// mr, nr are the register-tile dimensions. The Ã packing layout is
 	// mr-row micro-panels and B̃ is nr-column micro-panels, so the packers

@@ -18,14 +18,15 @@ package kernel
 //     destination with its own ±1 coefficient (times the call's alpha).
 //     One destination degenerates to the unfused sweep; two full SIMD
 //     tiles use the dual-scatter assembly tile when the ISA provides one;
-//     everything else captures the tile product exactly in a register-tile
-//     buffer and scatters it scalar per destination.
+//     every other tile, full or ragged, runs the full tile over the
+//     zero-padded panels into a register-tile buffer and scatters the
+//     valid elements scalar per destination.
 //
 // Bitwise contract: coefficients are ±1 in the Strassen tables, and both
 // negation and ±1 multiplication are exact in IEEE-754, so a fused pack
 // produces bit-for-bit the panel an unfused add/sub-then-pack would, with
 // one rounding per added term in term order; and the tile-buffer capture
-// (zeroed buffer, alpha = 1) holds the accumulator exactly, so the scalar
+// (−0.0 buffer, alpha = 1) holds the accumulator exactly, so the scalar
 // multi-destination scatter rounds exactly like a direct single-destination
 // write-out at alpha·coeff. A Compat instance therefore matches the
 // unfused Compat kernel bit for bit per destination (see fused_test.go);
@@ -110,8 +111,7 @@ func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []
 	prof := phase.Active()
 	var acct fusedAcct
 
-	var packedA, packedB int64
-	var fullTiles, edgeTiles int64
+	var packedA, packedB, tiles int64
 	var t0 time.Time
 	for jc := 0; jc < n; jc += ncE {
 		nb := n - jc
@@ -149,8 +149,7 @@ func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []
 				if prof != nil {
 					acct.macro(mi, int64(time.Since(t0)), mb, nb, kb, ft, et, len(dests))
 				}
-				fullTiles += ft
-				edgeTiles += et
+				tiles += ft + et
 			}
 		}
 	}
@@ -162,12 +161,7 @@ func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []
 	k.fusedMulAdds.Add(1)
 	k.packAWords.Add(packedA)
 	k.packBWords.Add(packedB)
-	if mi.isa != "scalar" {
-		k.simdTiles.Add(fullTiles)
-		k.scalarTiles.Add(edgeTiles)
-	} else {
-		k.scalarTiles.Add(fullTiles + edgeTiles)
-	}
+	k.countTiles(mi, tiles)
 }
 
 // packAFused packs the mb×kb block with top-left (ic, pc) of the fused
@@ -358,10 +352,11 @@ func packBFused(nr int, dst []float64, op Operand, pc, jc, kb, nb int) {
 // macroKernelFused sweeps the packed panels once and accumulates every
 // register tile into all destinations. One destination is the unfused
 // sweep at alpha·coeff; two destinations on a full tile use the ISA's
-// dual-scatter tile when present; otherwise the tile product is captured
-// exactly (zeroed buffer, alpha = 1 — adding an accumulator to zero is
-// exact) and scattered scalar per destination, which preserves the
-// single-destination rounding per destination.
+// dual-scatter tile when present; otherwise the full tile runs over the
+// zero-padded panels into a −0.0 buffer at alpha = 1 (an exact capture of
+// the accumulators, ragged tiles included) and the valid elements are
+// scattered scalar per destination, which preserves the single-destination
+// rounding per destination.
 func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, jc, mb, nb, kb int, alpha float64) (fullTiles, edgeTiles int64) {
 	if len(dests) == 1 {
 		d := dests[0]
@@ -382,22 +377,20 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 			}
 			ap := apack[(ip/mr)*(mr*kb):]
 			full := rows == mr && cols == nr
+			if full {
+				fullTiles++
+			} else {
+				edgeTiles++
+			}
 			if full && len(dests) == 2 && mi.dual != nil {
 				d0, d1 := dests[0], dests[1]
 				c0 := d0.Data[(jc+jp)*d0.Ld+ic+ip:]
 				c1 := d1.Data[(jc+jp)*d1.Ld+ic+ip:]
 				mi.dual(ap, bp, c0, d0.Ld, c1, d1.Ld, kb, alpha*d0.Coeff, alpha*d1.Coeff)
-				fullTiles++
 				continue
 			}
-			clear(buf[:mr*nr])
-			if full {
-				mi.full(ap, bp, buf[:], mr, kb, 1)
-				fullTiles++
-			} else {
-				mi.edge(ap, bp, buf[:], mr, rows, cols, kb, 1)
-				edgeTiles++
-			}
+			buf = negZeroTile
+			mi.full(ap, bp, buf[:], mr, kb, 1)
 			for _, d := range dests {
 				ad := alpha * d.Coeff
 				cd := d.Data[(jc+jp)*d.Ld+ic+ip:]
@@ -416,29 +409,24 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 
 // fusedAcct is phaseAcct's counterpart for FusedMulAdd: fused packing
 // replaces the pack_a/pack_b phases, the sweep still splits micro/fringe
-// by FLOP share, and the extra destinations' accumulation traffic is
+// by tile count, and the extra destinations' accumulation traffic is
 // carved out into the fused write-out phase (so KernelMicro stays
 // comparable to the unfused kernel's).
 type fusedAcct struct {
-	packNS                  int64
-	microNS, fringeNS       int64
-	microFlops, fringeFlops int64
-	microBytes, fringeBytes int64
-	writeNS                 int64
-	writeFlops, writeBytes  int64
+	sweepAcct
+	packNS                 int64
+	writeNS                int64
+	writeFlops, writeBytes int64
 }
 
 // macro folds one fused sweep over an mb×nb×kb block with nd destinations.
 func (a *fusedAcct) macro(mi *microImpl, ns int64, mb, nb, kb int, ft, et int64, nd int) {
-	total := 2 * int64(mb) * int64(nb) * int64(kb)
-	full := ft * 2 * int64(mi.mr) * int64(mi.nr) * int64(kb)
-	edge := total - full
-	tileBytes := 8 * (int64(mi.mr)*int64(kb) + int64(mi.nr)*int64(kb) + 2*int64(mi.mr)*int64(mi.nr))
 	if nd > 1 {
 		// Each extra destination costs one multiply-add per product element
 		// per sweep and one C read+write (16 bytes) per element; its time
-		// share is apportioned by FLOPs like the micro/fringe split.
+		// share is apportioned by FLOPs against the sweep's own.
 		e := int64(nd - 1)
+		total := 2 * int64(mb) * int64(nb) * int64(kb)
 		wFlops := e * 2 * int64(mb) * int64(nb)
 		wBytes := e * 16 * int64(mb) * int64(nb)
 		wNS := ns * wFlops / (total + wFlops)
@@ -447,17 +435,7 @@ func (a *fusedAcct) macro(mi *microImpl, ns int64, mb, nb, kb int, ft, et int64,
 		a.writeNS += wNS
 		ns -= wNS
 	}
-	a.microFlops += full
-	a.fringeFlops += edge
-	a.microBytes += ft * tileBytes
-	a.fringeBytes += et * tileBytes
-	if edge <= 0 || total <= 0 {
-		a.microNS += ns
-		return
-	}
-	mNS := ns * full / total
-	a.microNS += mNS
-	a.fringeNS += ns - mNS
+	a.sweepAcct.macro(mi, ns, mb, nb, kb, ft, et)
 }
 
 // flush records the call's totals. Fused packing reads every term once and
@@ -467,10 +445,7 @@ func (a *fusedAcct) flush(p *phase.Profiler, aTerms, bTerms int, packedA, packed
 	flops := int64(aTerms-1)*packedA + int64(bTerms-1)*packedB
 	bytes := int64(aTerms+1)*8*packedA + int64(bTerms+1)*8*packedB
 	p.Add(phase.KernelFusedPack, a.packNS, flops, bytes)
-	p.Add(phase.KernelMicro, a.microNS, a.microFlops, a.microBytes)
-	if a.fringeFlops > 0 || a.fringeNS > 0 {
-		p.Add(phase.KernelFringe, a.fringeNS, a.fringeFlops, a.fringeBytes)
-	}
+	a.sweepAcct.flush(p)
 	if a.writeFlops > 0 || a.writeNS > 0 {
 		p.Add(phase.KernelFusedWriteout, a.writeNS, a.writeFlops, a.writeBytes)
 	}

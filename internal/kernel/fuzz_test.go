@@ -30,7 +30,7 @@ func FuzzKernel(f *testing.F) {
 			t.Skip()
 		}
 		// Vary the blocking and dispatch mode so block-boundary logic and
-		// the SIMD/scalar tail split are fuzzed too. ModeSIMD degrades to
+		// the full/ragged tile split are fuzzed too. ModeSIMD degrades to
 		// the scalar tile on hosts without a vector unit, so every case is
 		// valid everywhere.
 		var k *Packed

@@ -6,8 +6,8 @@
 // Huang et al., "Implementing Strassen's Algorithm with BLIS"
 // (arXiv:1605.01078): a GotoBLAS loop nest (NC/KC/MC blocking), operands
 // repacked into contiguous zero-padded panels, and an unrolled MR×NR
-// register kernel with edge-case handlers, covering alpha and all four
-// transpose combinations.
+// register kernel that also serves the ragged edge tiles over that
+// padding, covering alpha and all four transpose combinations.
 //
 // The register tile is dispatched at runtime (see dispatch.go): hosts with
 // AVX2+FMA (amd64) or AdvSIMD (arm64) run a hand-written 8×4 assembly tile
@@ -122,11 +122,23 @@ func (k *Packed) Counters() (mulAdds, packAWords, packBWords int64) {
 }
 
 // TileCounters reports how many register-tile invocations ran on the SIMD
-// micro-kernel versus the scalar one (full tiles dispatch; ragged fringe
-// tiles always run the scalar tail). internal/obs snapshots these so a
-// silently mis-dispatched host shows up as scalar-heavy traffic.
+// micro-kernel versus the scalar one. Every tile of a call, ragged fringe
+// tiles included, runs the dispatched tile, so on a SIMD host any scalar
+// count comes from scalar-pinned instances (Compat, ModeScalar) or a
+// mis-dispatch. internal/obs snapshots these so a silently mis-dispatched
+// host shows up as scalar-heavy traffic.
 func (k *Packed) TileCounters() (simd, scalar int64) {
 	return k.simdTiles.Load(), k.scalarTiles.Load()
+}
+
+// countTiles credits n register-tile invocations to the counter of the
+// tile that ran them.
+func (k *Packed) countTiles(mi *microImpl, n int64) {
+	if mi.isa != "scalar" {
+		k.simdTiles.Add(n)
+	} else {
+		k.scalarTiles.Add(n)
+	}
 }
 
 // blocks resolves the effective (MC, KC, NC) for the active micro-kernel.
@@ -205,8 +217,7 @@ func (k *Packed) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float
 	prof := phase.Active()
 	var acct phaseAcct
 
-	var packedA, packedB int64
-	var fullTiles, edgeTiles int64
+	var packedA, packedB, tiles int64
 	var t0 time.Time
 	for jc := 0; jc < n; jc += ncE {
 		nb := n - jc
@@ -244,8 +255,7 @@ func (k *Packed) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float
 				if prof != nil {
 					acct.macro(mi, int64(time.Since(t0)), mb, nb, kb, ft, et)
 				}
-				fullTiles += ft
-				edgeTiles += et
+				tiles += ft + et
 			}
 		}
 	}
@@ -257,20 +267,15 @@ func (k *Packed) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float
 	k.mulAdds.Add(1)
 	k.packAWords.Add(packedA)
 	k.packBWords.Add(packedB)
-	if mi.isa != "scalar" {
-		k.simdTiles.Add(fullTiles)
-		k.scalarTiles.Add(edgeTiles)
-	} else {
-		k.scalarTiles.Add(fullTiles + edgeTiles)
-	}
+	k.countTiles(mi, tiles)
 }
 
 // macroKernel sweeps the packed panels with the register micro-kernel:
 // for each nr-wide B̃ micro-panel (kept hot in L1), stream the Ã panel's
 // mr-row micro-panels from L2 through the register tile. Full tiles run
-// the impl's fast path (the SIMD tile when dispatched); ragged boundary
-// tiles run its scalar edge handler. Returns the tile counts for the
-// dispatch counters.
+// the impl's full tile; ragged boundary tiles run its edge handler, which
+// computes the same tile over the zero-padded panels and writes out only
+// the valid elements. Returns the full and edge tile counts.
 func macroKernel(mi *microImpl, apack, bpack []float64, c []float64, ldc int, ic, jc, mb, nb, kb int, alpha float64) (fullTiles, edgeTiles int64) {
 	mr, nr := mi.mr, mi.nr
 	for jp := 0; jp < nb; jp += nr {

@@ -1,5 +1,7 @@
 package kernel
 
+import "math"
+
 // The register micro-kernel. MR×NR accumulators live in registers across
 // the whole KC-deep update; the k loop is unrolled by two, which measured
 // ~1.3x over the straight loop on the development host (the unroll halves
@@ -174,33 +176,12 @@ func microTile(ap, bp []float64, c []float64, ldc int, rows, cols, kb int, alpha
 	}
 }
 
-// microTileEdge8x4 is the scalar tail for the 8×4 SIMD packed layout: it
-// computes the ragged rows×cols prefix of a full tile over micro-panels
-// packed for SIMDTileMR×SIMDTileNR. The zero padding the packers write
-// into ragged panels accumulates into scratch lanes the scatter discards,
-// exactly like the scalar tile's edge path. Fringe tiles are an O(n²)
-// sliver of an O(n³) computation, so this path stays simple rather than
-// unrolled.
-func microTileEdge8x4(ap, bp, c []float64, ldc, rows, cols, kb int, alpha float64) {
-	var acc [SIMDTileNR][SIMDTileMR]float64
-	// Length-guarded head-reslicing: the loop condition proves the array
-	// pointer conversions in range, so the k loop runs bounds-check free.
-	av, bv := ap[:kb*SIMDTileMR], bp[:kb*SIMDTileNR]
-	for len(av) >= SIMDTileMR && len(bv) >= SIMDTileNR {
-		a := (*[SIMDTileMR]float64)(av)
-		b := (*[SIMDTileNR]float64)(bv)
-		for j, bj := range b {
-			col := &acc[j]
-			for i := range a {
-				col[i] += a[i] * bj
-			}
-		}
-		av, bv = av[SIMDTileMR:], bv[SIMDTileNR:]
+// negZeroTile is a SIMD register tile of −0.0, the exact additive identity
+// (x + −0 is x bit for bit, signed zeros included): a tile captured into a
+// copy of it at alpha = 1 holds the accumulators exactly.
+var negZeroTile = func() (t [SIMDTileMR * SIMDTileNR]float64) {
+	for i := range t {
+		t[i] = math.Copysign(0, -1)
 	}
-	for s := 0; s < cols; s++ {
-		col := c[s*ldc : s*ldc+rows : s*ldc+rows]
-		for r := range col {
-			col[r] += alpha * acc[s][r]
-		}
-	}
-}
+	return t
+}()

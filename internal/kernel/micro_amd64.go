@@ -1,8 +1,8 @@
 package kernel
 
 // AVX2+FMA 8×4 micro-kernel glue. The assembly routine (micro_amd64.s)
-// computes full register tiles only; ragged edges fall back to the
-// generic scalar tail over the same packed layout.
+// computes full register tiles; ragged edges run the same routine over the
+// zero-padded panels through simdEdge (micro_simd.go).
 
 //go:noescape
 func microTile8x4AVX2(kb int, alpha float64, ap, bp, c *float64, ldc int)
@@ -10,10 +10,10 @@ func microTile8x4AVX2(kb int, alpha float64, ap, bp, c *float64, ldc int)
 //go:noescape
 func microTile8x4AVX2Dual(kb int, alpha0, alpha1 float64, ap, bp, c0 *float64, ldc0 int, c1 *float64, ldc1 int)
 
-// avx2Full adapts the assembly tile to the microImpl signature. The slice
+// simdFull adapts the assembly tile to the microImpl signature. The slice
 // prefix re-slicings compile to bounds checks that document (and enforce)
 // the contract the macro kernel already guarantees.
-func avx2Full(ap, bp, c []float64, ldc, kb int, alpha float64) {
+func simdFull(ap, bp, c []float64, ldc, kb int, alpha float64) {
 	if kb <= 0 {
 		return
 	}
@@ -46,8 +46,8 @@ func newSIMDImpl() *microImpl {
 		mr:   SIMDTileMR,
 		nr:   SIMDTileNR,
 		isa:  "avx2+fma",
-		full: avx2Full,
-		edge: microTileEdge8x4,
+		full: simdFull,
+		edge: simdEdge,
 		dual: avx2Dual,
 	}
 }

@@ -5,8 +5,8 @@ package kernel
 //go:noescape
 func microTile8x4NEON(kb int, alpha float64, ap, bp, c *float64, ldc int)
 
-// neonFull adapts the assembly tile to the microImpl signature.
-func neonFull(ap, bp, c []float64, ldc, kb int, alpha float64) {
+// simdFull adapts the assembly tile to the microImpl signature.
+func simdFull(ap, bp, c []float64, ldc, kb int, alpha float64) {
 	if kb <= 0 {
 		return
 	}
@@ -26,7 +26,7 @@ func newSIMDImpl() *microImpl {
 		mr:   SIMDTileMR,
 		nr:   SIMDTileNR,
 		isa:  "neon",
-		full: neonFull,
-		edge: microTileEdge8x4,
+		full: simdFull,
+		edge: simdEdge,
 	}
 }

@@ -7,8 +7,8 @@ package kernel
 // register tile (scalar 4×4 or SIMD 8×4), which is why the packers take
 // mr/nr as parameters; the used values get unrolled fast paths. Ragged
 // final panels are zero-padded so the micro-kernel never branches on panel
-// height; padded lanes accumulate into scratch accumulators that the edge
-// scatter discards.
+// height: a ragged tile runs the full register tile, and its padded lanes
+// accumulate into scratch accumulators that the edge write-out discards.
 //
 // Packing is what makes the four transpose cases uniform (the packers read
 // through op(A)/op(B); one micro-kernel serves all cases) and what turns

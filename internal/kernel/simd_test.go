@@ -117,11 +117,11 @@ func TestSIMDDegenerateArgs(t *testing.T) {
 	}
 }
 
-// TestSIMDFringeTail verifies the scalar tail really handles the fringes:
-// a shape one short of the tile in both dimensions must produce SIMD full
-// tiles AND scalar edge tiles, counted by the dispatch counters, and the
-// NaN canaries past m must survive (the tail must scatter only valid
-// rows/cols even though the packed panel is zero-padded).
+// TestSIMDFringeTail verifies that ragged tiles run the SIMD tile: a shape
+// one short of the tile in both dimensions must count all nine tiles as
+// SIMD (a scalar tile on a SIMD host is a mis-dispatch), match the oracle,
+// and leave the NaN canaries past m and past n untouched — the tile runs
+// over zero-padded panels, but only the valid rows/cols are written out.
 func TestSIMDFringeTail(t *testing.T) {
 	if !HasSIMD() {
 		t.Skipf("host has no SIMD micro-kernel (ISA %s)", SIMDISA())
@@ -132,17 +132,153 @@ func TestSIMDFringeTail(t *testing.T) {
 	ldc := m + 3
 	a := fill(rng, m, kk, m)
 	b := fill(rng, kk, n, kk)
-	got := fill(rng, m, n, ldc)
+	got := fill(rng, m, n+1, ldc)
+	for i := 0; i < m; i++ {
+		got[n*ldc+i] = math.NaN() // column n: canaries past n
+	}
 	want := append([]float64(nil), got...)
 	k.MulAdd(blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, got, ldc)
 	blas.NaiveKernel{}.MulAdd(blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, want, ldc)
 	if d := maxAbsDiff(t, got, want, m, n, ldc); d > 1e-12 {
 		t.Fatalf("fringe shape m=%d n=%d: max diff %g", m, n, d)
 	}
-	checkPadding(t, got, m, n, ldc)
-	simd, scalar := k.TileCounters()
-	if simd == 0 || scalar == 0 {
-		t.Fatalf("fringe shape must exercise both paths: simd=%d scalar=%d tiles", simd, scalar)
+	checkPadding(t, got, m, n+1, ldc)
+	checkPadding(t, got[n*ldc:], 0, 1, ldc)
+	if simd, scalar := k.TileCounters(); simd != 9 || scalar != 0 {
+		t.Fatalf("fringe shape: simd=%d scalar=%d tiles, want 9 and 0", simd, scalar)
+	}
+}
+
+// TestRaggedTilePositionIndependent: an element must round the same whether
+// its register tile is full or ragged. For every fringe offset dm < 8,
+// dn < 4, all transposes and α ∈ {1, −1.25}, the leading m×n block of an
+// (m+dm)×(n+dn) product must equal the m×n product bit for bit. m×n is
+// ragged in both dimensions, so its last tile row and column move between
+// ragged tiles of every size and full tiles as dm and dn grow. Both the
+// dispatched tile and the scalar tile are checked, through MulAdd and
+// through FusedMulAdd with one and three destinations.
+func TestRaggedTilePositionIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	m, n, kk := 2*SIMDTileMR+1, SIMDTileNR+1, 19
+	for _, mode := range []Mode{ModeAuto, ModeScalar} {
+		k := &Packed{Mode: mode}
+		for _, ta := range transposes {
+			for _, tb := range transposes {
+				for _, alpha := range []float64{1, -1.25} {
+					for dm := 0; dm < SIMDTileMR; dm++ {
+						for dn := 0; dn < SIMDTileNR; dn++ {
+							checkPositionIndependent(t, k, rng, ta, tb, m, n, dm, dn, kk, alpha)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkPositionIndependent runs one (dm, dn) case of
+// TestRaggedTilePositionIndependent. The m×n call reads the same operand
+// storage as the large one (op(A)'s leading m rows and op(B)'s leading n
+// columns sit at the same offsets under the large call's leading
+// dimensions).
+func checkPositionIndependent(t *testing.T, k *Packed, rng *rand.Rand, ta, tb blas.Transpose, m, n, dm, dn, kk int, alpha float64) {
+	t.Helper()
+	bm, bn := m+dm, n+dn
+	ar, ac := opDims(ta.IsTrans(), bm, kk)
+	br, bc := opDims(tb.IsTrans(), kk, bn)
+	a := fill(rng, ar, ac, ar)
+	b := fill(rng, br, bc, br)
+	c0 := fill(rng, bm, bn, bm)
+	big := append([]float64(nil), c0...)
+	small := append([]float64(nil), c0...)
+	k.MulAdd(ta, tb, bm, bn, kk, alpha, a, ar, b, br, big, bm)
+	k.MulAdd(ta, tb, m, n, kk, alpha, a, ar, b, br, small, bm)
+	requireLeadingBlockEqual(t, "MulAdd", big, small, m, n, bm, dm, dn)
+
+	// Fused: two-term operands over the same storage, 1 and 3 destinations.
+	a2, b2 := fill(rng, ar, ac, ar), fill(rng, br, bc, br)
+	aOp := Operand{Ld: ar, Trans: ta.IsTrans(), Terms: []Term{{Data: a, Coeff: 1}, {Data: a2, Coeff: -1}}}
+	bOp := Operand{Ld: br, Trans: tb.IsTrans(), Terms: []Term{{Data: b, Coeff: -1}, {Data: b2, Coeff: 1}}}
+	for _, coeffs := range [][]float64{{-1}, {1, -1, 1}} {
+		bigD := make([]Dest, len(coeffs))
+		smallD := make([]Dest, len(coeffs))
+		for i, g := range coeffs {
+			bigD[i] = Dest{Data: append([]float64(nil), c0...), Ld: bm, Coeff: g}
+			smallD[i] = Dest{Data: append([]float64(nil), c0...), Ld: bm, Coeff: g}
+		}
+		k.FusedMulAdd(bm, bn, kk, alpha, aOp, bOp, bigD)
+		k.FusedMulAdd(m, n, kk, alpha, aOp, bOp, smallD)
+		for i := range coeffs {
+			requireLeadingBlockEqual(t, "FusedMulAdd", bigD[i].Data, smallD[i].Data, m, n, bm, dm, dn)
+		}
+	}
+}
+
+func requireLeadingBlockEqual(t *testing.T, what string, big, small []float64, m, n, ld, dm, dn int) {
+	t.Helper()
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			if g, w := math.Float64bits(small[j*ld+i]), math.Float64bits(big[j*ld+i]); g != w {
+				t.Fatalf("%s dm=%d dn=%d: (%d,%d) is %x in the %d×%d call but %x in the %d×%d call",
+					what, dm, dn, i, j, g, m, n, w, m+dm, n+dn)
+			}
+		}
+	}
+}
+
+// TestSignedZeroWriteOut: with C = −0 and an exact-zero product, every
+// element — interior or ragged tile, single- or multi-destination — must
+// end as −0 + α·(+0) rounds: +0 for α = 1, −0 for α = −1.25. A ragged-tile
+// or buffered write-out that rounds differently from the interior scatter
+// shows up as a flipped sign bit.
+func TestSignedZeroWriteOut(t *testing.T) {
+	m, n, kk := SIMDTileMR+3, SIMDTileNR+2, 5
+	negZero := math.Copysign(0, -1)
+	a := make([]float64, m*kk)
+	for i := range a {
+		if i%3 == 0 {
+			a[i] = negZero
+		}
+	}
+	b := make([]float64, kk*n)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	for _, mode := range []Mode{ModeAuto, ModeScalar} {
+		k := &Packed{Mode: mode}
+		for _, alpha := range []float64{1, -1.25} {
+			for _, coeffs := range [][]float64{nil, {1}, {1, -1, 1}} {
+				dests := []Dest{{Coeff: 1}}
+				if coeffs != nil {
+					dests = make([]Dest, len(coeffs))
+					for i, g := range coeffs {
+						dests[i].Coeff = g
+					}
+				}
+				for i := range dests {
+					dests[i].Ld = m
+					dests[i].Data = make([]float64, m*n)
+					for j := range dests[i].Data {
+						dests[i].Data[j] = negZero
+					}
+				}
+				if coeffs == nil {
+					k.MulAdd(blas.NoTrans, blas.NoTrans, m, n, kk, alpha, a, m, b, kk, dests[0].Data, m)
+				} else {
+					k.FusedMulAdd(m, n, kk, alpha, Operand{Ld: m, Terms: []Term{{Data: a, Coeff: 1}}},
+						Operand{Ld: kk, Terms: []Term{{Data: b, Coeff: 1}}}, dests)
+				}
+				for di, d := range dests {
+					want := math.Float64bits(negZero + alpha*d.Coeff*0)
+					for j, v := range d.Data {
+						if math.Float64bits(v) != want {
+							t.Fatalf("mode=%v alpha=%g dests=%v dst %d: element %d is %x, want %x",
+								mode, alpha, coeffs, di, j, math.Float64bits(v), want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -58,7 +58,7 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, threads int, transA, transB bl
 	prof := phase.Active()
 	var acct phaseAcct // pack_b runs on the calling goroutine
 	var packedB int64
-	var packedA, fullTiles, edgeTiles atomic.Int64
+	var packedA, tiles atomic.Int64
 	var t0 time.Time
 	for jc := 0; jc < n; jc += ncE {
 		nb := n - jc
@@ -89,7 +89,7 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, threads int, transA, transB bl
 				d.Add(func(w *sched.Worker) {
 					apack := ar.AllocUninit(mcE * kcE)
 					var cacct phaseAcct
-					var aWords, ft, et int64
+					var aWords, nt int64
 					var ct0 time.Time
 					for blk := lo; blk < hi; blk++ {
 						ic := blk * mcE
@@ -110,16 +110,14 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, threads int, transA, transB bl
 						if prof != nil {
 							cacct.macro(mi, int64(time.Since(ct0)), mb, nb, kb, f, e)
 						}
-						ft += f
-						et += e
+						nt += f + e
 					}
 					ar.Free(apack)
 					if prof != nil {
 						cacct.flush(prof, aWords, 0)
 					}
 					packedA.Add(aWords)
-					fullTiles.Add(ft)
-					edgeTiles.Add(et)
+					tiles.Add(nt)
 				})
 			}
 			// Barrier per (jc, pc): the next KC step accumulates into the
@@ -135,12 +133,7 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, threads int, transA, transB bl
 	k.mulAdds.Add(1)
 	k.packAWords.Add(packedA.Load())
 	k.packBWords.Add(packedB)
-	if mi.isa != "scalar" {
-		k.simdTiles.Add(fullTiles.Load())
-		k.scalarTiles.Add(edgeTiles.Load())
-	} else {
-		k.scalarTiles.Add(fullTiles.Load() + edgeTiles.Load())
-	}
+	k.countTiles(mi, tiles.Load())
 }
 
 // LeafWorkspaceParallel is LeafWorkspace under MulAddTasks with the given

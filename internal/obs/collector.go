@@ -230,8 +230,9 @@ type KernelStats struct {
 type isaKernel interface{ ISA() string }
 
 // tileCountersKernel is the optional structural interface for kernels that
-// count register-tile invocations by dispatch path (SIMD fast path vs
-// scalar tail); a scalar-heavy ratio on a SIMD host flags a mis-dispatch.
+// count register-tile invocations by the tile that ran them (SIMD vs
+// scalar). Ragged fringe tiles run the dispatched tile too, so on a SIMD
+// host any scalar count from an auto-dispatched kernel flags a mis-dispatch.
 type tileCountersKernel interface {
 	TileCounters() (simd, scalar int64)
 }

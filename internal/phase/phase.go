@@ -45,7 +45,9 @@ const (
 	// KernelMicro is the register-tile loop over full MR×NR tiles — the
 	// only phase whose FLOPs run at the machine's vector peak.
 	KernelMicro
-	// KernelFringe is the ragged-boundary tile work (scalar edge handler).
+	// KernelFringe is the ragged-boundary tile work: the same register
+	// tile run over zero-padded panels, writing out only the valid
+	// elements. Its share of a sweep's time is its share of the tiles.
 	KernelFringe
 	// StrassenAddSub is the Winograd stage (1)/(2) S/T sum formation on
 	// A- and B-shaped operands.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/blas"
@@ -103,18 +104,18 @@ func TestSchedBitForBitAcrossWorkerCounts(t *testing.T) {
 
 // cancelingCriterion cancels a context after the recursion has consulted
 // it a fixed number of times — a deterministic way to expire a deadline
-// mid-execution, independent of wall-clock speed.
+// mid-execution, independent of wall-clock speed. DAG workers consult it
+// concurrently, so the count is atomic.
 type cancelingCriterion struct {
 	inner  Criterion
 	cancel context.CancelFunc
-	after  int
-	seen   int
+	after  int64
+	seen   atomic.Int64
 }
 
 func (c *cancelingCriterion) Name() string { return "canceling" }
 func (c *cancelingCriterion) Recurse(m, k, n int) bool {
-	c.seen++
-	if c.seen == c.after {
+	if c.seen.Add(1) == c.after {
 		c.cancel()
 	}
 	return c.inner.Recurse(m, k, n)
