@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/experiments"
+	"repro/internal/sched"
 	"repro/internal/strassen"
 )
 
@@ -272,8 +273,12 @@ func BenchmarkParallelStrassen(b *testing.B) {
 	c := NewMatrix(m, m)
 	for _, par := range []int{0, 2, 4, 7} {
 		cfg := DefaultConfig(nil)
-		cfg.Parallel = par
-		b.Run(fmt.Sprintf("products=%d", par), func(b *testing.B) {
+		if par > 0 {
+			rt := sched.New(par, 1)
+			defer rt.Close()
+			cfg.Sched = rt
+		}
+		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				DGEFMM(cfg, NoTrans, NoTrans, m, m, m, 1,
 					a.Data, a.Stride, bb.Data, bb.Stride, 0, c.Data, c.Stride)

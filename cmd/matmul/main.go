@@ -31,6 +31,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/strassen"
 )
 
@@ -47,7 +48,7 @@ func main() {
 		tb         = flag.Bool("tb", false, "use Bᵀ")
 		alpha      = flag.Float64("alpha", 1, "alpha scalar")
 		trace      = flag.Bool("trace", false, "print a recursion trace summary")
-		par        = flag.Int("parallel", 0, "run up to this many of the 7 products concurrently")
+		par        = flag.Int("parallel", 0, "run the recursion's products on a work-stealing runtime with this many workers")
 		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot (JSON) to this file when done")
 		traceOut   = flag.String("trace-out", "", "write the recorded spans (Chrome trace-event JSON) to this file when done")
 		httpAddr   = flag.String("http", "", "serve live expvar/pprof/metrics endpoints on this address (e.g. :6060)")
@@ -115,7 +116,11 @@ func main() {
 	}
 	cfg.Algo = *algoFlag
 	slog.Info("fast algorithm", "selection", cfg.AlgoSelection())
-	cfg.Parallel = *par
+	if *par > 1 {
+		rt := sched.New(*par, 1)
+		defer rt.Close()
+		cfg.Sched = rt
+	}
 	var tracer *strassen.CountTracer
 	if *trace {
 		tracer = strassen.NewCountTracer()

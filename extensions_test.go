@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // Tests of the public API for the extension features (DESIGN.md §7).
@@ -170,8 +172,10 @@ func TestPublicParallelConfig(t *testing.T) {
 	c2 := NewMatrix(m, m)
 	Multiply(nil, c1, NoTrans, NoTrans, 1, a, b, 0)
 	cfg := DefaultConfig(nil)
-	cfg.Parallel = 4
-	cfg.ParallelLevels = 2
+	rt := sched.New(4, 1)
+	defer rt.Close()
+	cfg.Sched = rt
+	cfg.SchedLevels = 2
 	Multiply(cfg, c2, NoTrans, NoTrans, 1, a, b, 0)
 	if !c1.EqualApprox(c2, 1e-10) {
 		t.Fatal("parallel config changes the result")

@@ -16,14 +16,13 @@
 //   - Shape bucketing: calls with the same (op(A), op(B), m, n, k, β-class)
 //     share one strassen.Plan, so the cutoff decisions, peel schedule and
 //     recursion depth are derived once and replayed by table lookup.
-//   - Core budgeting: the pool divides GOMAXPROCS between inter-call
-//     workers and intra-call parallelism (Config.Parallel and
-//     blas.ParallelKernel worker counts are scaled down) so the two levels
-//     of concurrency do not oversubscribe the machine. With a work-stealing
-//     runtime attached (Options.Sched or Config.Sched) the budget is
-//     structural instead: every call executes as a task DAG on the runtime,
-//     whose worker count caps tasks in flight regardless of how many pool
-//     workers submit concurrently.
+//   - Core budgeting: with a work-stealing runtime attached (Options.Sched
+//     or Config.Sched) the budget is structural: every call executes as a
+//     task DAG on the runtime, whose worker count caps tasks in flight
+//     regardless of how many pool workers submit concurrently. Without
+//     one, the pool divides GOMAXPROCS between inter-call workers and a
+//     blas.ParallelKernel's worker count so the two levels of concurrency
+//     do not oversubscribe the machine.
 //
 // Observability: give Options.Collector an obs.Collector and the pool
 // maintains a queue-depth gauge ("batch.queue_depth"), a call counter
@@ -118,8 +117,8 @@ type Options struct {
 	// Execute blocks while the queue is full, providing backpressure.
 	QueueDepth int
 	// Config is the base DGEFMM configuration every call runs under. The
-	// pool copies it and re-budgets its intra-call parallelism (Parallel,
-	// ParallelKernel workers) against the worker count; per-worker kernels
+	// pool copies it and re-budgets a ParallelKernel's workers against the
+	// worker count; per-worker kernels
 	// and trackers replace Kernel and Tracker. Nil selects the defaults.
 	Config *strassen.Config
 	// Collector, if non-nil, receives the pool's metrics and the worker
@@ -260,8 +259,8 @@ func NewPool(opts *Options) *Pool {
 	// Core budget. With a task runtime (Options.Sched or Config.Sched) the
 	// budget is structural: calls run as tasks on the runtime, which never
 	// has more tasks in flight than workers, so pool workers are pure
-	// submitters and no per-call scaling is needed. Without one, the
-	// legacy split applies: threads per call = GOMAXPROCS / workers, so
+	// submitters and no per-call scaling is needed. Without one, a
+	// column-parallel kernel gets GOMAXPROCS / workers threads per call, so
 	// inter-call and intra-call parallelism together never exceed the
 	// machine.
 	if o.Sched != nil {
@@ -271,14 +270,6 @@ func NewPool(opts *Options) *Pool {
 	perCall := runtime.GOMAXPROCS(0) / workers
 	if perCall < 1 {
 		perCall = 1
-	}
-	if p.sched == nil {
-		if p.base.Parallel > perCall {
-			p.base.Parallel = perCall
-		}
-		if p.base.Parallel <= 1 {
-			p.base.Parallel, p.base.ParallelLevels = 0, 0
-		}
 	}
 	p.kern = p.base.Kernel
 	if p.kern == nil {

@@ -434,12 +434,12 @@ func TestMultiplyConvenienceAndCollector(t *testing.T) {
 // workers × per-call threads never exceeds GOMAXPROCS.
 func TestPoolCoreBudget(t *testing.T) {
 	pk := &blas.ParallelKernel{Workers: 8, Base: blas.NaiveKernel{}}
-	cfg := &strassen.Config{Kernel: pk, Criterion: strassen.Simple{Tau: 8}, Parallel: 8}
+	cfg := &strassen.Config{Kernel: pk, Criterion: strassen.Simple{Tau: 8}}
 	pool := NewPool(&Options{Workers: 4, Config: cfg})
 	defer pool.Close()
 	// With GOMAXPROCS likely ≤ 4 here, per-call budget is 1: the parallel
-	// kernel must be unwrapped and Config.Parallel disabled. Verify by
-	// behavior: the batch still computes correctly.
+	// kernel must be unwrapped. Verify by behavior: the batch still
+	// computes correctly.
 	rng := rand.New(rand.NewSource(71))
 	calls, seq, cb, cs := buildCalls([]caseSpec{
 		{64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0},

@@ -125,10 +125,11 @@ func AblationParallel(w io.Writer, sc Scale) []AblationRow {
 	seq := configFor(kern)
 	rows = append(rows, AblationRow{Name: "sequential", Seconds: timeConfig(seq, m, 1, 0, 293)})
 
+	rt2 := sched.New(2, 293)
+	defer rt2.Close()
 	par := configFor(kern)
-	par.Parallel = 4
-	par.ParallelLevels = 1
-	rows = append(rows, AblationRow{Name: "task-parallel products (4)", Seconds: timeConfig(par, m, 1, 0, 293)})
+	par.Sched = rt2
+	rows = append(rows, AblationRow{Name: "work-stealing DAG runtime (2)", Seconds: timeConfig(par, m, 1, 0, 293)})
 
 	rt := sched.New(4, 293)
 	defer rt.Close()

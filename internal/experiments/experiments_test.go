@@ -224,7 +224,7 @@ func TestAblationsQuick(t *testing.T) {
 		t.Fatal("peeling rows")
 	}
 	if rows := AblationParallel(io.Discard, quick); len(rows) != 4 {
-		t.Fatal("parallel rows: want sequential, task-parallel, DAG runtime, column-parallel")
+		t.Fatal("parallel rows: want sequential, DAG runtime (2), DAG runtime (4), column-parallel")
 	}
 	rows := AblationKernels(io.Discard, quick)
 	if len(rows) != len(blas.KernelNames()) {

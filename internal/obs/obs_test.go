@@ -191,8 +191,10 @@ func TestParallelSpanTreeComplete(t *testing.T) {
 	col := NewCollector()
 	cfg := strassen.DefaultConfig(blas.KernelByName("blocked"))
 	cfg.Criterion = strassen.Simple{Tau: 32}
-	cfg.Parallel = 4
-	cfg.ParallelLevels = 2
+	rt := sched.New(4, 1)
+	defer rt.Close()
+	cfg.Sched = rt
+	cfg.SchedLevels = 2
 	cfg.Tracer = ref
 	col.Attach(cfg)            // tees: events to ref, spans to col
 	run(cfg, 257, 255, 259, 7) // odd dims: peeling + fixups inside parallel products

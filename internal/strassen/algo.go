@@ -88,9 +88,9 @@ func (cfg *Config) AlgoSelection() string {
 }
 
 // resolveAlgo returns the table driving an m×k·k×n call, or nil for the
-// legacy hand-coded Winograd path (selected by default, by naming the
-// default table, and by auto-selection landing on it — the legacy
-// schedules are the default table's tuned executor).
+// default Winograd path (selected by default, by naming the default table,
+// and by auto-selection landing on it — the paper's STRASSEN1/STRASSEN2
+// schedules are the default table's tuned programs).
 func (cfg *Config) resolveAlgo(m, k, n int) *algo.Table {
 	switch name := cfg.algoName(); name {
 	case "", algo.DefaultName:

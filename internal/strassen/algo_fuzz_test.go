@@ -114,8 +114,8 @@ func FuzzAlgoTable(f *testing.F) {
 		c := matrix.NewRandom(m, n, rng)
 		want := refMul(blas.NoTrans, blas.NoTrans, alpha, a, b, beta, c)
 
-		e := &engine{kern: blas.NaiveKernel{}, crit: Simple{Tau: 4}, tbl: tbl}
-		e.tableMul(c, matrix.ViewOf(a), matrix.ViewOf(b), alpha, beta, 0)
+		e := &engine{policy: policy{crit: Simple{Tau: 4}, tbl: tbl}, kern: blas.NaiveKernel{}}
+		e.mul(c, matrix.ViewOf(a), matrix.ViewOf(b), alpha, beta, 0)
 
 		// Higham-style bound: the table's growth factor compounds per
 		// recursion level; scale the base tolerance by it, with headroom

@@ -115,13 +115,13 @@ type Config struct {
 	Fused FusedMode
 	// Algo names the fast-algorithm coefficient table driving the
 	// recursion (internal/algo): "" or "default" for the paper's ⟨2,2,2⟩
-	// Winograd variant executed by the legacy hand-tuned schedules, "auto"
+	// Winograd variant run by the paper's STRASSEN1/STRASSEN2 schedules, "auto"
 	// for per-shape selection by operand aspect, or a registered table
 	// name ("classic", "323", "333", "424", …). When empty the DGEFMM_ALGO
 	// environment variable is consulted (PR 5 precedence: Config beats
-	// environment beats default). Non-default tables run through the
-	// generic table executor with generalized dynamic peeling; the
-	// Schedule, Odd and Parallel knobs apply only to the default path.
+	// environment beats default). Non-default tables run their compiled
+	// level programs with generalized dynamic peeling; the Schedule and
+	// Odd knobs apply only to the default path.
 	Algo string
 	// Tracker, if non-nil, accounts all temporary workspace words.
 	Tracker *memtrack.Tracker
@@ -133,29 +133,15 @@ type Config struct {
 	Sched *sched.Runtime
 	// SchedLevels bounds how many top levels expand into task DAGs; 0 picks
 	// enough levels that the product fan-out covers the runtime's workers
-	// (capped at 3). Ignored when no task runtime is active.
+	// (capped at 3). Ignored when no task runtime is active. Each DAG level
+	// runs at most the runtime's worker count of products at once.
 	SchedLevels int
-	// Parallel caps the products in flight per DAG level (the lane width).
-	//
-	// Deprecated compat shim: Parallel predates the task runtime, where it
-	// sized a flat goroutine fan-out. Parallel > 1 with a nil Sched now
-	// executes on the process-shared runtime (sched.Shared()) with Parallel
-	// as the lane cap, preserving the documented concurrency bound and
-	// workspace accounting of the legacy schedule. New code should set
-	// Sched and leave Parallel zero (lanes default to the worker count).
-	Parallel int
-	// ParallelLevels bounds how many top levels use the parallel schedule;
-	// 0 means one level when Parallel > 1.
-	//
-	// Deprecated: use SchedLevels with an explicit Sched runtime; this
-	// field remains as the legacy default when SchedLevels is zero.
-	ParallelLevels int
 	// Tracer, if non-nil, receives one TraceEvent per recursion decision
 	// (base-case, schedule level, peel/pad action, fixup). A Tracer that
 	// also implements SpanTracer additionally receives timed, parented
 	// BeginSpan/EndSpan brackets around every node (see internal/obs for
 	// the standard collector). Implementations must be concurrency-safe
-	// when Parallel is enabled.
+	// when Sched is set.
 	Tracer Tracer
 }
 

@@ -1,33 +1,36 @@
 package strassen
 
-// The fused Winograd driver: the last one or two recursion levels executed
-// straight through the kernel's operand-fused packing and multi-destination
-// write-out hooks (internal/kernel's FusedMulAdd), after Huang et al.,
-// "Implementing Strassen's Algorithm with BLIS" (arXiv:1605.01078). Each of
-// the 7 (or 49, two-level) products is one (A-terms, B-terms, destinations)
-// record; the add/sub linear combinations happen inside the kernel's
-// packing and C update, so a fused level allocates no S/T/M temporaries at
-// all — the only workspace is the kernel's own two packed panels.
+// Fused levels: the last recursion level executed straight through the
+// kernel's operand-fused packing and multi-destination write-out hooks
+// (internal/kernel's FusedMulAdd), after Huang et al., "Implementing
+// Strassen's Algorithm with BLIS" (arXiv:1605.01078). A fused level is a
+// program whose products are (A-terms, B-terms, destinations) records
+// derived from a coefficient table; the add/sub linear combinations happen
+// inside the kernel's packing and C update, so a fused level allocates no
+// S/T/M temporaries at all — the only workspace is the kernel's own two
+// packed panels.
 //
-// The records are Strassen's original 1969 construction, not the Winograd
-// 15-add variant the materialized schedules use: Winograd's chained sums
-// (S2 = A21 + A22 − A11, T4 = B22 − B12 + B11 − B21) need three- and
-// four-term operand combinations whose intermediates its schedules reuse
-// across products, while the 1969 form keeps every operand a ≤2-term and
-// every product a ≤2-destination combination — exactly what a fused
-// packing/write-out pass can form on the fly (Huang et al. fuse the same
-// construction for the same reason). A fused level therefore trades
-// Winograd's 15 O(n²) passes for 0 at the cost of re-reading quadrants
-// during packing; the two-level table composes the construction with
-// itself (49 records, ≤4 terms and destinations, coefficients still ±1).
+// The default path fuses Strassen's original 1969 construction, not the
+// Winograd 15-add variant its materialized schedules use: Winograd's
+// chained sums (S2 = A21 + A22 − A11, T4 = B22 − B12 + B11 − B21) need
+// three- and four-term operand combinations whose intermediates its
+// schedules reuse across products, while the 1969 form keeps every operand
+// a ≤2-term and every product a ≤2-destination combination — exactly what
+// a fused packing/write-out pass can form on the fly (Huang et al. fuse
+// the same construction for the same reason). A fused level therefore
+// trades Winograd's 15 O(n²) passes for 0 at the cost of re-reading
+// quadrants during packing.
 //
 // Engagement: ScheduleAuto only (pinned schedules keep their exact
 // materialized form — the analytic opcount and workspace tests depend on
-// it), and only for the last levels of the recursion, where the criterion
-// says the children (or grandchildren) are base cases. Deeper trees fall
-// through to the materialized schedules and re-test at each child, so
-// fusion always replaces the leaf-adjacent levels where the O(n²) overhead
-// bites hardest relative to the O(n³) saved.
+// it), and only for the last level of the recursion, where the criterion
+// says the children are base cases. Deeper trees run a materialized level
+// and re-test at each child, so fusion always replaces the leaf-adjacent
+// level where the O(n²) overhead bites hardest relative to the O(n³)
+// saved. (Fusing two levels through the composed 49-record table was
+// measured slower than a materialized level over fused children on the
+// scalar tile, and the SIMD tile's write-out cannot serve its 4-way
+// fan-out; see EXPERIMENTS.md.)
 
 import (
 	"fmt"
@@ -35,8 +38,8 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/algo"
 	"repro/internal/kernel"
-	"repro/internal/matrix"
 )
 
 // FusedMode selects whether DGEFMM may route the last recursion levels
@@ -149,16 +152,16 @@ type fusedDestLimiter interface {
 	FusedDestLimit() int
 }
 
-// fusedDestLimit resolves the kernel's write-out fan-out limit.
-func (e *engine) fusedDestLimit() int {
-	if l, ok := e.fk.(fusedDestLimiter); ok {
+// fusedDestLimit resolves a kernel's write-out fan-out limit.
+func fusedDestLimit(fk fusedKernel) int {
+	if l, ok := fk.(fusedDestLimiter); ok {
 		return l.FusedDestLimit()
 	}
 	return 4
 }
 
-// fusedTerm is one quadrant reference in a record: grid position (r, c) in
-// the 2^L×2^L block partition and its ±1 coefficient.
+// fusedTerm is one block reference in a record: grid position (r, c) in
+// the table's block partition and its coefficient.
 type fusedTerm struct {
 	r, c int
 	g    float64
@@ -170,120 +173,49 @@ type fusedRecord struct {
 	a, b, dst []fusedTerm
 }
 
-// fusedLevel1 is Strassen's 1969 construction over the 2×2 partition:
+// classic is Strassen's 1969 construction, the table the default path
+// fuses:
 //
 //	M1 = (A11+A22)(B11+B22) → C11, C22      M5 = (A11+A12)B22 → −C11, C12
 //	M2 = (A21+A22)B11       → C21, −C22     M6 = (A21−A11)(B11+B12) → C22
 //	M3 = A11(B12−B22)       → C12, C22      M7 = (A12−A22)(B21+B22) → C11
 //	M4 = A22(B21−B11)       → C11, C21
 //
-// (quadrant (r, c) = block row r, block column c, zero-based). Every
-// operand has ≤2 terms and every product ≤2 destinations, all ±1.
-var fusedLevel1 = []fusedRecord{
-	{a: []fusedTerm{{0, 0, 1}, {1, 1, 1}}, b: []fusedTerm{{0, 0, 1}, {1, 1, 1}}, dst: []fusedTerm{{0, 0, 1}, {1, 1, 1}}},
-	{a: []fusedTerm{{1, 0, 1}, {1, 1, 1}}, b: []fusedTerm{{0, 0, 1}}, dst: []fusedTerm{{1, 0, 1}, {1, 1, -1}}},
-	{a: []fusedTerm{{0, 0, 1}}, b: []fusedTerm{{0, 1, 1}, {1, 1, -1}}, dst: []fusedTerm{{0, 1, 1}, {1, 1, 1}}},
-	{a: []fusedTerm{{1, 1, 1}}, b: []fusedTerm{{1, 0, 1}, {0, 0, -1}}, dst: []fusedTerm{{0, 0, 1}, {1, 0, 1}}},
-	{a: []fusedTerm{{0, 0, 1}, {0, 1, 1}}, b: []fusedTerm{{1, 1, 1}}, dst: []fusedTerm{{0, 0, -1}, {0, 1, 1}}},
-	{a: []fusedTerm{{1, 0, 1}, {0, 0, -1}}, b: []fusedTerm{{0, 0, 1}, {0, 1, 1}}, dst: []fusedTerm{{1, 1, 1}}},
-	{a: []fusedTerm{{0, 1, 1}, {1, 1, -1}}, b: []fusedTerm{{1, 0, 1}, {1, 1, 1}}, dst: []fusedTerm{{0, 0, 1}}},
+// Every operand has ≤2 terms and every product ≤2 destinations, all ±1.
+var classic = func() *algo.Table {
+	t, _ := algo.ByName("classic")
+	return t
+}()
+
+// tableFusable reports whether a table's products fit the kernel's fused
+// hooks: ±1 coefficients (the hooks' bitwise contract), at most 4 operand
+// terms (the packers' capacity) and a destination fan-out within the
+// kernel's native write-out limit.
+func tableFusable(t *algo.Table, destLimit int) bool {
+	ops, dests := t.MaxTerms()
+	if destLimit > 4 {
+		destLimit = 4
+	}
+	return ops <= 4 && dests <= destLimit && t.PlusMinusOne()
 }
 
-// fusedLevel2 is the construction composed with itself over the 4×4 block
-// grid: 49 records with ≤4-term operands and ≤4 destinations.
-var fusedLevel2 = composeFused(fusedLevel1, fusedLevel1)
-
-// composeFused applies inner to each of outer's products: quadrant (r', c')
-// of the outer operand Σ G·X_{(R,C)} is Σ G·(X_{(R,C)})_{(r',c')}, block
-// (2R+r', 2C+c') of the refined grid, and the inner destinations of each
-// outer product land in the same refined positions of the outer
-// destinations.
-func composeFused(outer, inner []fusedRecord) []fusedRecord {
-	out := make([]fusedRecord, 0, len(outer)*len(inner))
-	for _, p := range outer {
-		for _, q := range inner {
-			out = append(out, fusedRecord{
-				a:   crossTerms(p.a, q.a),
-				b:   crossTerms(p.b, q.b),
-				dst: crossTerms(p.dst, q.dst),
-			})
+// tableFusedRecords derives the fused record list from a table's term
+// lists: block indices become grid coordinates on the table's own grids.
+func tableFusedRecords(t *algo.Table) []fusedRecord {
+	grid := func(terms []algo.Term, cols int) []fusedTerm {
+		out := make([]fusedTerm, len(terms))
+		for i, tm := range terms {
+			out[i] = fusedTerm{r: tm.Block / cols, c: tm.Block % cols, g: tm.Coeff}
+		}
+		return out
+	}
+	recs := make([]fusedRecord, t.R)
+	for r := 0; r < t.R; r++ {
+		recs[r] = fusedRecord{
+			a:   grid(t.ATerms(r), t.K),
+			b:   grid(t.BTerms(r), t.N),
+			dst: grid(t.CTerms(r), t.N),
 		}
 	}
-	return out
-}
-
-func crossTerms(outer, inner []fusedTerm) []fusedTerm {
-	out := make([]fusedTerm, 0, len(outer)*len(inner))
-	for _, o := range outer {
-		for _, i := range inner {
-			out = append(out, fusedTerm{r: 2*o.r + i.r, c: 2*o.c + i.c, g: o.g * i.g})
-		}
-	}
-	return out
-}
-
-// wouldRecurse reproduces engine.mul's recursion test for a prospective
-// child: the fused driver may only replace levels whose children the
-// criterion would make base cases, or the recursion tree would change.
-func (e *engine) wouldRecurse(m, k, n, depth int) bool {
-	return m > 1 && k > 1 && n > 1 &&
-		(e.maxDepth == 0 || depth < e.maxDepth) &&
-		e.crit.Recurse(m, k, n)
-}
-
-// fusedLevels decides how many trailing levels to fuse for an all-even
-// (m, k, n) problem at the given depth: 1 when the children are base
-// cases, 2 when the children recurse once more into base cases, the
-// quadrants split evenly again, and the kernel's write-out handles the
-// two-level table's 4-way fan-out natively (FusedDestLimit ≥ 4; on the
-// SIMD tile the limit is 2, and measurement shows the buffered scalar
-// scatter the 4-destination records would take costs more than two-level
-// fusion saves — so a materialized level runs here instead and each child
-// re-tests, fusing its own last level), 0 otherwise (fall through to a
-// materialized level and re-test at each child).
-func (e *engine) fusedLevels(m, k, n, depth int) int {
-	m2, k2, n2 := m/2, k/2, n/2
-	if !e.wouldRecurse(m2, k2, n2, depth+1) {
-		return 1
-	}
-	if m2&1 == 0 && k2&1 == 0 && n2&1 == 0 &&
-		!e.wouldRecurse(m2/2, k2/2, n2/2, depth+2) &&
-		e.fusedDestLimit() >= 4 {
-		return 2
-	}
-	return 0
-}
-
-// fusedWinograd executes levels (1 or 2) fused Strassen levels: β applied
-// once up front, then every record streamed through the kernel hooks with
-// quadrant views as operand terms and quadrant slices as destinations. No
-// Strassen temporaries are allocated.
-func (e *engine) fusedWinograd(c *matrix.Dense, a, b matrix.View, alpha, beta float64, levels int) {
-	g := 1 << levels
-	mq, kq, nq := a.Rows/g, a.Cols/g, b.Cols/g
-	e.phScaleQuads([]*matrix.Dense{c}, beta)
-	recs := fusedLevel1
-	if levels == 2 {
-		recs = fusedLevel2
-	}
-	var at, bt [4]kernel.Term
-	var dt [4]kernel.Dest
-	aOp := kernel.Operand{Ld: a.Stride, Trans: a.Trans}
-	bOp := kernel.Operand{Ld: b.Stride, Trans: b.Trans}
-	fk := e.fk
-	for _, rec := range recs {
-		for i, t := range rec.a {
-			at[i] = kernel.Term{Data: a.Slice(t.r*mq, t.c*kq, mq, kq).Data, Coeff: t.g}
-		}
-		for i, t := range rec.b {
-			bt[i] = kernel.Term{Data: b.Slice(t.r*kq, t.c*nq, kq, nq).Data, Coeff: t.g}
-		}
-		for i, t := range rec.dst {
-			q := c.Slice(t.r*mq, t.c*nq, mq, nq)
-			dt[i] = kernel.Dest{Data: q.Data, Ld: q.Stride, Coeff: t.g}
-		}
-		aOp.Terms = at[:len(rec.a)]
-		bOp.Terms = bt[:len(rec.b)]
-		fk.FusedMulAdd(mq, nq, kq, alpha, aOp, bOp, dt[:len(rec.dst)])
-	}
+	return recs
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/blas"
 	"repro/internal/kernel"
 	"repro/internal/matrix"
@@ -64,21 +65,27 @@ func intRandom(rows, cols int, rng *rand.Rand) *matrix.Dense {
 	return m
 }
 
-// TestFusedTablesExact verifies the one-level (7-record) and composed
-// two-level (49-record) Strassen tables reproduce the plain product exactly
-// on integer matrices — the algebraic correctness of the coefficient data
-// the fused driver streams to the kernel.
+// TestFusedTablesExact verifies the records derived from the classic
+// table (7 records) and from its composition with itself (49 records on
+// the 4×4 grid) reproduce the plain product exactly on integer matrices —
+// the algebraic correctness of the record derivation the fused levels
+// stream to the kernel.
 func TestFusedTablesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
+	level1 := tableFusedRecords(classic)
+	level2 := tableFusedRecords(algo.MustCompose("classic2", classic, classic))
+	if len(level1) != 7 || len(level2) != 49 {
+		t.Fatalf("derived %d and %d records, want 7 and 49", len(level1), len(level2))
+	}
 	cases := []struct {
 		recs []fusedRecord
 		g    int
 		dims [3]int
 	}{
-		{fusedLevel1, 2, [3]int{8, 6, 10}},
-		{fusedLevel1, 2, [3]int{2, 2, 2}},
-		{fusedLevel2, 4, [3]int{16, 12, 8}},
-		{fusedLevel2, 4, [3]int{4, 4, 4}},
+		{level1, 2, [3]int{8, 6, 10}},
+		{level1, 2, [3]int{2, 2, 2}},
+		{level2, 4, [3]int{16, 12, 8}},
+		{level2, 4, [3]int{4, 4, 4}},
 	}
 	for _, tc := range cases {
 		m, k, n := tc.dims[0], tc.dims[1], tc.dims[2]
@@ -96,33 +103,6 @@ func TestFusedTablesExact(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestFusedLevel2Shape pins the composed table's structural invariants: 49
-// records, every operand and destination list within the kernel's 4-term
-// capacity, all coefficients ±1.
-func TestFusedLevel2Shape(t *testing.T) {
-	if len(fusedLevel2) != 49 {
-		t.Fatalf("len(fusedLevel2) = %d, want 49", len(fusedLevel2))
-	}
-	check := func(kind string, ts []fusedTerm) {
-		if len(ts) == 0 || len(ts) > 4 {
-			t.Fatalf("%s has %d terms, want 1..4", kind, len(ts))
-		}
-		for _, x := range ts {
-			if x.g != 1 && x.g != -1 {
-				t.Fatalf("%s coefficient %g, want ±1", kind, x.g)
-			}
-			if x.r < 0 || x.r > 3 || x.c < 0 || x.c > 3 {
-				t.Fatalf("%s grid position (%d,%d) outside 4×4", kind, x.r, x.c)
-			}
-		}
-	}
-	for _, rec := range fusedLevel2 {
-		check("a", rec.a)
-		check("b", rec.b)
-		check("dst", rec.dst)
 	}
 }
 
@@ -198,20 +178,18 @@ func TestFusedActive(t *testing.T) {
 
 // --- Engagement and differential ------------------------------------------
 
-// fusedTestConfig returns a config whose criterion puts 64×64×64 exactly two
-// levels above the cutoff, so the fused driver replaces the whole recursion
-// with the two-level table (and one level for 32). The kernel pins the
-// scalar tile: its write-out serves the two-level table's 4-way fan-out
-// natively (FusedDestLimit 4), so two-level engagement is deterministic on
-// every host — the SIMD tile's dual-scatter limit of 2 would gate it.
+// fusedTestConfig returns a config whose criterion puts 32×32×32 exactly one
+// level above the cutoff, so a fused level replaces the whole recursion
+// (and 64 runs a materialized level over seven fused children). The kernel
+// pins the scalar tile so the kernel path is the same on every host.
 func fusedTestConfig(mode FusedMode) (*Config, *kernel.Packed) {
 	pk := &kernel.Packed{MC: 16, KC: 12, NC: 16, Mode: kernel.ModeScalar}
 	return &Config{Kernel: pk, Criterion: Simple{Tau: 16}, Fused: mode}, pk
 }
 
-// TestFusedEngagementTrace: the trace shows fused1/fused2 exactly where the
-// criterion predicts, the kernel counts the fused calls, and pinned
-// schedules or FusedOff never engage.
+// TestFusedEngagementTrace: the trace shows fused1 exactly where the
+// criterion predicts — only on the last level — the kernel counts the
+// fused calls, and pinned schedules or FusedOff never engage.
 func TestFusedEngagementTrace(t *testing.T) {
 	skipIfAlgoPinned(t)
 	rng := rand.New(rand.NewSource(61))
@@ -227,9 +205,9 @@ func TestFusedEngagementTrace(t *testing.T) {
 		return tr, pk
 	}
 
-	if tr, pk := run(FusedOn, ScheduleAuto, 64); tr.Count("fused2") != 1 || pk.FusedCounters() != 49 {
-		t.Errorf("n=64: fused2 events=%d kernel calls=%d, want 1/49",
-			tr.Count("fused2"), pk.FusedCounters())
+	if tr, pk := run(FusedOn, ScheduleAuto, 64); tr.Count("strassen1") != 1 || tr.Count("fused1") != 7 || pk.FusedCounters() != 49 {
+		t.Errorf("n=64: strassen1=%d fused1=%d kernel calls=%d, want 1/7/49",
+			tr.Count("strassen1"), tr.Count("fused1"), pk.FusedCounters())
 	}
 	if tr, pk := run(FusedOn, ScheduleAuto, 32); tr.Count("fused1") != 1 || pk.FusedCounters() != 7 {
 		t.Errorf("n=32: fused1 events=%d kernel calls=%d, want 1/7",
@@ -238,48 +216,20 @@ func TestFusedEngagementTrace(t *testing.T) {
 	// Auto-detection engages the same way — only assertable when the
 	// process env leaves auto in charge (see TestFusedActive).
 	if envFused() == "" {
-		if tr, pk := run(FusedAuto, ScheduleAuto, 64); tr.Count("fused2") != 1 || pk.FusedCounters() != 49 {
-			t.Errorf("n=64 auto: fused2 events=%d kernel calls=%d, want 1/49",
-				tr.Count("fused2"), pk.FusedCounters())
+		if tr, pk := run(FusedAuto, ScheduleAuto, 64); tr.Count("fused1") != 7 || pk.FusedCounters() != 49 {
+			t.Errorf("n=64 auto: fused1 events=%d kernel calls=%d, want 7/49",
+				tr.Count("fused1"), pk.FusedCounters())
 		}
 	}
-	if tr, pk := run(FusedOff, ScheduleAuto, 64); tr.Count("fused1")+tr.Count("fused2") != 0 || pk.FusedCounters() != 0 {
-		t.Errorf("FusedOff engaged: events=%d calls=%d", tr.Count("fused2"), pk.FusedCounters())
+	if tr, pk := run(FusedOff, ScheduleAuto, 64); tr.Count("fused1") != 0 || pk.FusedCounters() != 0 {
+		t.Errorf("FusedOff engaged: events=%d calls=%d", tr.Count("fused1"), pk.FusedCounters())
 	}
-	if tr, pk := run(FusedOn, ScheduleStrassen1, 64); tr.Count("fused1")+tr.Count("fused2") != 0 || pk.FusedCounters() != 0 {
-		t.Errorf("pinned strassen1 engaged fused: events=%d calls=%d", tr.Count("fused2"), pk.FusedCounters())
+	if tr, pk := run(FusedOn, ScheduleStrassen1, 64); tr.Count("fused1") != 0 || pk.FusedCounters() != 0 {
+		t.Errorf("pinned strassen1 engaged fused: events=%d calls=%d", tr.Count("fused1"), pk.FusedCounters())
 	}
 	// Odd sizes peel first, then the even core fuses.
 	if tr, pk := run(FusedOn, ScheduleAuto, 65); tr.Count("peel") == 0 || pk.FusedCounters() == 0 {
 		t.Errorf("n=65: want peel + fused, got peel=%d calls=%d", tr.Count("peel"), pk.FusedCounters())
-	}
-}
-
-// TestFusedDestLimitGatesLevel2: a kernel whose write-out fan-out limit is
-// below the two-level table's 4 (the SIMD dual-scatter tile) must not fuse
-// two levels — it runs a materialized level and each child fuses its last
-// level instead.
-func TestFusedDestLimitGatesLevel2(t *testing.T) {
-	skipIfAlgoPinned(t)
-	pk := &kernel.Packed{MC: 16, KC: 12, NC: 16, Mode: kernel.ModeSIMD}
-	if pk.FusedDestLimit() >= 4 {
-		t.Skip("host has no SIMD dual-scatter tile; limit gate not reachable")
-	}
-	cfg := &Config{Kernel: pk, Criterion: Simple{Tau: 16}, Fused: FusedOn}
-	tr := NewCountTracer()
-	cfg.Tracer = tr
-	rng := rand.New(rand.NewSource(62))
-	n := 64
-	a := matrix.NewRandom(n, n, rng)
-	b := matrix.NewRandom(n, n, rng)
-	c := matrix.NewDense(n, n)
-	Multiply(cfg, c, blas.NoTrans, blas.NoTrans, 1, a, b, 0)
-	if tr.Count("fused2") != 0 {
-		t.Errorf("dest-limited kernel fused two levels: %d events", tr.Count("fused2"))
-	}
-	if tr.Count("fused1") != 7 || pk.FusedCounters() != 49 {
-		t.Errorf("want materialized level + 7 fused1 children (49 kernel calls), got fused1=%d calls=%d",
-			tr.Count("fused1"), pk.FusedCounters())
 	}
 }
 
@@ -292,7 +242,7 @@ func TestFusedDestLimitGatesLevel2(t *testing.T) {
 func TestFusedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	shapes := [][3]int{
-		{64, 64, 64},   // two fused levels, exact quads
+		{64, 64, 64},   // materialized level over fused children
 		{32, 32, 32},   // one fused level
 		{65, 33, 97},   // peeling above the fused core
 		{48, 96, 24},   // rectangular
@@ -397,7 +347,7 @@ func TestFusedNoTemporaries(t *testing.T) {
 	cfg, _ := fusedTestConfig(FusedOn)
 	tr := memtrack.New()
 	cfg.Tracker = tr
-	n := 64
+	n := 32
 	a := matrix.NewRandom(n, n, rng)
 	b := matrix.NewRandom(n, n, rng)
 	c := matrix.NewDense(n, n)

@@ -14,29 +14,9 @@ import "repro/internal/matrix"
 // the valid region back.
 func (e *engine) padDynamicMul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
 	m, k, n := a.Rows, a.Cols, b.Cols
-	mp, kp, np := m+(m&1), k+(k&1), n+(n&1)
-
-	if mp == m && kp == k && np == n {
-		e.schedule(c, a, b, alpha, beta, depth)
-		return
-	}
-
-	ap := e.allocMat(mp, kp)
-	defer e.freeMat(ap)
-	bp := e.allocMat(kp, np)
-	defer e.freeMat(bp)
-	cp := e.allocMat(mp, np)
-	defer e.freeMat(cp)
-
-	// The tracker (and make) hand out zeroed memory, so only the valid
-	// regions need copying.
-	a.Materialize(ap.Slice(0, 0, m, k))
-	b.Materialize(bp.Slice(0, 0, k, n))
-	if beta != 0 {
-		cp.Slice(0, 0, m, n).CopyFrom(c)
-	}
-	e.schedule(cp, matrix.ViewOf(ap), matrix.ViewOf(bp), alpha, beta, depth)
-	c.CopyFrom(cp.Slice(0, 0, m, n))
+	e.padded(c, a, b, m+(m&1), k+(k&1), n+(n&1), beta, func(c *matrix.Dense, a, b matrix.View) {
+		e.level(c, a, b, alpha, beta, depth)
+	})
 }
 
 // staticPadMul implements static padding at the top level of DGEFMM: it
@@ -51,17 +31,23 @@ func (e *engine) staticPadMul(c *matrix.Dense, a, b matrix.View, alpha, beta flo
 		return
 	}
 	unit := 1 << uint(d)
-	mp, kp, np := roundUp(m, unit), roundUp(k, unit), roundUp(n, unit)
-
 	inner := *e
 	inner.maxDepth = d
 	inner.odd = OddPeel // no odd dimensions can occur below; peel is a no-op path
-
-	if mp == m && kp == k && np == n {
+	e.padded(c, a, b, roundUp(m, unit), roundUp(k, unit), roundUp(n, unit), beta, func(c *matrix.Dense, a, b matrix.View) {
 		inner.mul(c, a, b, alpha, beta, 0)
+	})
+}
+
+// padded runs run on copies of the operands zero-padded to mp×kp and
+// kp×np (C to mp×np), then copies the valid region of C back; with no
+// padding needed it runs on the operands themselves.
+func (e *engine) padded(c *matrix.Dense, a, b matrix.View, mp, kp, np int, beta float64, run func(c *matrix.Dense, a, b matrix.View)) {
+	m, k, n := a.Rows, a.Cols, b.Cols
+	if mp == m && kp == k && np == n {
+		run(c, a, b)
 		return
 	}
-
 	ap := e.allocMat(mp, kp)
 	defer e.freeMat(ap)
 	bp := e.allocMat(kp, np)
@@ -69,22 +55,24 @@ func (e *engine) staticPadMul(c *matrix.Dense, a, b matrix.View, alpha, beta flo
 	cp := e.allocMat(mp, np)
 	defer e.freeMat(cp)
 
+	// The tracker (and make) hand out zeroed memory, so only the valid
+	// regions need copying.
 	a.Materialize(ap.Slice(0, 0, m, k))
 	b.Materialize(bp.Slice(0, 0, k, n))
 	if beta != 0 {
 		cp.Slice(0, 0, m, n).CopyFrom(c)
 	}
-	inner.mul(cp, matrix.ViewOf(ap), matrix.ViewOf(bp), alpha, beta, 0)
+	run(cp, matrix.ViewOf(ap), matrix.ViewOf(bp))
 	c.CopyFrom(cp.Slice(0, 0, m, n))
 }
 
 // predictDepth simulates the recursion the criterion would drive on
 // ceil-halved dimensions, yielding the static padding depth.
-func (e *engine) predictDepth(m, k, n int) int {
+func (p *policy) predictDepth(m, k, n int) int {
 	d := 0
 	for m > 1 && k > 1 && n > 1 &&
-		(e.maxDepth == 0 || d < e.maxDepth) &&
-		e.crit.Recurse(m, k, n) {
+		(p.maxDepth == 0 || d < p.maxDepth) &&
+		p.crit.Recurse(m, k, n) {
 		m, k, n = (m+1)/2, (k+1)/2, (n+1)/2
 		d++
 	}

@@ -12,6 +12,7 @@ import (
 )
 
 func TestParallelMatchesSequential(t *testing.T) {
+	_, rt4 := testRuntimes()
 	rng := rand.New(rand.NewSource(401))
 	for _, dims := range [][3]int{{64, 64, 64}, {65, 33, 97}, {128, 96, 80}} {
 		m, k, n := dims[0], dims[1], dims[2]
@@ -22,7 +23,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			c2 := c1.Clone()
 
 			seq := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}}
-			par := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Parallel: 4, ParallelLevels: 2}
+			par := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: rt4, SchedLevels: 2}
 			DGEFMM(seq, blas.NoTrans, blas.NoTrans, m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, beta, c1.Data, c1.Stride)
 			DGEFMM(par, blas.NoTrans, blas.NoTrans, m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, beta, c2.Data, c2.Stride)
 			if d := matrix.MaxAbsDiff(c1, c2); d > tol(k) {
@@ -33,8 +34,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestParallelCorrectAgainstReference(t *testing.T) {
+	_, rt4 := testRuntimes()
 	rng := rand.New(rand.NewSource(402))
-	cfg := &Config{Kernel: &blas.BlockedKernel{}, Criterion: Simple{Tau: 16}, Parallel: 7, ParallelLevels: 3}
+	cfg := &Config{Kernel: &blas.BlockedKernel{}, Criterion: Simple{Tau: 16}, Sched: rt4, SchedLevels: 3}
 	for _, dims := range [][3]int{{96, 96, 96}, {67, 81, 75}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := matrix.NewRandom(m, k, rng)
@@ -51,12 +53,12 @@ func TestParallelCorrectAgainstReference(t *testing.T) {
 func TestParallelTrackerBalanced(t *testing.T) {
 	skipIfAlgoPinned(t)
 	// The shared tracker must see every parallel worker's allocation and
-	// end balanced, at the workspace PlanFor derives for the shim's DAG
-	// level: 4S + 4T + 7P at m/2, plus one β=0 child subtree per product in
+	// end balanced, at the workspace PlanFor derives for a DAG level:
+	// 4S + 4T + 7P at m/2, plus one β=0 child subtree per product in
 	// flight. How many children overlap depends on the worker count and on
-	// timing, so the peak is pinned at both ends: it equals the one-lane
-	// plan (children strictly one after another, exactly what a single-lane
-	// run on one worker measures) and never exceeds the Parallel-lane plan.
+	// timing, so the peak is pinned at both ends: it equals the plan on a
+	// 1-worker runtime (children strictly one after another, exactly what
+	// that run measures) and never exceeds the plan on a 4-worker runtime.
 	rng := rand.New(rand.NewSource(403))
 	m := 64
 	a := matrix.NewRandom(m, m, rng)
@@ -71,15 +73,15 @@ func TestParallelTrackerBalanced(t *testing.T) {
 		}
 		return tr.Peak()
 	}
-	w1, _ := testRuntimes()
-	serial := Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: w1, SchedLevels: 1, Parallel: 1}
+	w1, w4 := testRuntimes()
+	serial := Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: w1, SchedLevels: 1}
 	lower := PlanFor(&serial, m, m, m, true).Words
 	if got := run(serial); got != lower {
 		t.Fatalf("one-lane peak %d, planned %d", got, lower)
 	}
-	shim := Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Parallel: 4}
-	upper := PlanFor(&shim, m, m, m, true).Words
-	if peak := run(shim); peak < lower || peak > upper {
+	four := Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: w4, SchedLevels: 1}
+	upper := PlanFor(&four, m, m, m, true).Words
+	if peak := run(four); peak < lower || peak > upper {
 		t.Errorf("peak %d outside the planned range [%d, %d]", peak, lower, upper)
 	}
 }

@@ -24,7 +24,7 @@ func (e *engine) peelFirstMul(c *matrix.Dense, a, b matrix.View, alpha, beta flo
 	coreA := a.Slice(ms, ks, m-ms, k-ks)
 	coreB := b.Slice(ks, ns, k-ks, n-ns)
 	coreC := c.Slice(ms, ns, m-ms, n-ns)
-	e.schedule(coreC, coreA, coreB, alpha, beta, depth)
+	e.level(coreC, coreA, coreB, alpha, beta, depth)
 
 	if ks == 1 {
 		// Core block += alpha * a[ms:,0] ⊗ b[0,ns:].

@@ -1,7 +1,5 @@
 package strassen
 
-import "repro/internal/algo"
-
 // This file adds shape plans on top of the recursion: a Plan freezes every
 // decision DGEFMM would make for one (m, k, n, β-class) shape — the cutoff
 // verdict at each level, the peel/pad actions, the recursion depth and the
@@ -9,13 +7,15 @@ import "repro/internal/algo"
 // (the batched workload of internal/batch) replay cached decisions instead
 // of re-deriving them, and so a workspace arena can be sized up front.
 //
-// The workspace figures mirror the allocation sites exactly: strassen1's
-// R1/R2 pair, strassen2's R1/R2/R3 triple (Figure 1), strassen1General's
-// m×n fold buffer, the original schedule's S/T/M triple, the padded copies
-// of the padding strategies, and the parallel schedule's S1..S4/T1..T4 plus
-// seven product buffers. Plan.Words therefore equals the measured
-// memtrack peak (memory_test.go asserts equality), while WorkspaceBound
-// gives the closed-form Table 1 bound the measurements sit under.
+// The workspace figures are derived, not mirrored: PlanFor walks the
+// engine's own decision functions (policy) and reads each level's
+// workspace off the program that level runs — its declared temporaries
+// (STRASSEN1's R1/R2, STRASSEN2's R1/R2/R3 of Figure 1, a table's S/T/P,
+// a DAG level's per-operand and per-product buffers), the fold buffer of
+// STRASSEN1 with β ≠ 0, plus the padded copies of the padding strategies.
+// Plan.Words therefore equals the measured memtrack peak (memory_test.go
+// asserts equality), while WorkspaceBound gives the closed-form Table 1
+// bound the measurements sit under.
 
 // WorkspaceBound returns the paper's analytic bound (Table 1), in float64
 // words, on the temporary workspace DGEFMM needs for an m×k by k×n product
@@ -102,42 +102,23 @@ func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 	if cfg == nil {
 		cfg = DefaultConfig(nil)
 	}
-	tbl := cfg.resolveAlgo(m, k, n)
-	prodR := 7
-	if tbl != nil {
-		prodR = tbl.R
-	}
-	lanes, levels, dag := cfg.schedParams(prodR)
 	cores := cfg.schedCores()
-	algoName := ""
-	if tbl != nil {
-		algoName = tbl.Name
-	}
+	pol := cfg.policy(m, k, n, cores)
 	p := &Plan{
 		M: m, N: n, K: k, BetaZero: betaZero,
 		TopSchedule: resolveSchedule(cfg.Schedule, betaZero),
 		decisions:   make(map[[3]int]bool),
-		fallback:    cfg.criterionCores(algoName, cores),
+		fallback:    pol.crit,
 	}
-	if tbl != nil {
-		p.Algo = tbl.Name
+	if pol.tbl != nil {
+		p.Algo = pol.tbl.Name
 	}
-	s := &planSim{
-		crit:      p.fallback,
-		sched:     cfg.Schedule,
-		odd:       cfg.Odd,
-		maxDepth:  cfg.MaxDepth,
-		parallel:  lanes,
-		parLevels: levels,
-		dag:       dag,
-		tbl:       tbl,
-		plan:      p,
-		memo:      make(map[planKey]simResult),
-	}
+	pol.crit = recorder{pol.crit, p.decisions}
+	s := &planSim{policy: pol, plan: p, memo: make(map[planKey]simResult)}
 	if ls, ok := cfg.kernel().(leafSizer); ok {
 		s.leaf = ls.LeafWorkspace
 	}
-	if dag && cores > 1 {
+	if cores > 1 {
 		// A multi-worker runtime threads the plan's leaves (MulAddTasks):
 		// each leaf's arena draw grows to the parallel figure.
 		if pls, ok := cfg.kernel().(parallelLeafSizer); ok {
@@ -146,22 +127,10 @@ func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 			}
 		}
 	}
-	if cfg.fusedMode() != FusedOff {
-		if _, ok := cfg.kernel().(fusedKernel); ok {
-			s.fused = true
-			s.destLimit = 4
-			if l, ok := cfg.kernel().(fusedDestLimiter); ok {
-				s.destLimit = l.FusedDestLimit()
-			}
-		}
-	}
 	var r simResult
-	switch {
-	case tbl != nil:
-		r = s.simTable(m, k, n, betaZero, 0)
-	case cfg.Odd == OddPadStatic:
+	if s.odd == OddPadStatic {
 		r = s.simStatic(m, k, n, betaZero)
-	default:
+	} else {
 		r = s.sim(m, k, n, betaZero, 0)
 	}
 	p.Words, p.KernelWords = r.words, r.kernel
@@ -233,8 +202,30 @@ func (c plannedCriterion) Recurse(m, k, n int) bool {
 	return c.fallback.Recurse(m, k, n)
 }
 
+// recorder is the criterion PlanFor's simulation consults: it records
+// every verdict into the plan's decision table (asking the live criterion
+// once per triple).
+type recorder struct {
+	inner     Criterion
+	decisions map[[3]int]bool
+}
+
+// Name implements Criterion.
+func (r recorder) Name() string { return r.inner.Name() }
+
+// Recurse implements Criterion.
+func (r recorder) Recurse(m, k, n int) bool {
+	key := [3]int{m, k, n}
+	if d, ok := r.decisions[key]; ok {
+		return d
+	}
+	d := r.inner.Recurse(m, k, n)
+	r.decisions[key] = d
+	return d
+}
+
 // planKey memoizes simulated subproblems. Depth participates because
-// MaxDepth and ParallelLevels make behavior depth-dependent.
+// MaxDepth and SchedLevels make behavior depth-dependent.
 type planKey struct {
 	m, k, n  int
 	betaZero bool
@@ -249,59 +240,26 @@ type simResult struct {
 	kernel int64
 }
 
-// planSim walks the recursion exactly as engine.mul would, recording
-// criterion verdicts and accumulating the peak workspace of each subtree.
+// planSim walks the recursion with the engine's own decision functions
+// (policy) and level programs, accumulating the peak workspace of each
+// subtree.
 type planSim struct {
-	crit      Criterion
-	sched     Schedule
-	odd       OddStrategy
-	maxDepth  int
-	parallel  int         // lane cap of the task DAG (products in flight per level)
-	parLevels int         // top levels expanded into task DAGs
-	dag       bool        // a task runtime is active (Config.Sched or Parallel > 1)
-	tbl       *algo.Table // non-nil for a table-driven plan (simTable runs)
-	plan      *Plan
-	leaf      func(m, n, k int) int64 // nil for kernels without accounted workspace
-	fused     bool                    // kernel has the fused hooks and the mode is not off
-	destLimit int                     // kernel's native write-out fan-out (fusedDestLimit)
-	memo      map[planKey]simResult
+	policy
+	plan *Plan
+	leaf func(m, n, k int) int64 // nil for kernels without accounted workspace
+	memo map[planKey]simResult
 }
 
-// decide evaluates (and records) the criterion's verdict for one triple.
-func (s *planSim) decide(m, k, n int) bool {
-	key := [3]int{m, k, n}
-	if d, ok := s.plan.decisions[key]; ok {
-		return d
+// leafWords is the kernel workspace of one base-case multiply.
+func (s *planSim) leafWords(m, n, k int) int64 {
+	if s.leaf == nil {
+		return 0
 	}
-	d := s.crit.Recurse(m, k, n)
-	s.plan.decisions[key] = d
-	return d
-}
-
-// wouldRecurse mirrors engine.wouldRecurse on the recorded decision table,
-// so fused-level planning replays identically at run time.
-func (s *planSim) wouldRecurse(m, k, n, depth int) bool {
-	return m > 1 && k > 1 && n > 1 &&
-		(s.maxDepth == 0 || depth < s.maxDepth) &&
-		s.decide(m, k, n)
-}
-
-// fusedLevels mirrors engine.fusedLevels (fused.go) decision for decision.
-func (s *planSim) fusedLevels(m, k, n, depth int) int {
-	m2, k2, n2 := m/2, k/2, n/2
-	if !s.wouldRecurse(m2, k2, n2, depth+1) {
-		return 1
-	}
-	if m2&1 == 0 && k2&1 == 0 && n2&1 == 0 &&
-		!s.wouldRecurse(m2/2, k2/2, n2/2, depth+2) &&
-		s.destLimit >= 4 {
-		return 2
-	}
-	return 0
+	return s.leaf(m, n, k)
 }
 
 // sim mirrors engine.mul: cutoff test, odd-dimension strategy, then one
-// schedule level. It returns the peak workspace of the subtree in words.
+// level program. It returns the peak workspace of the subtree.
 func (s *planSim) sim(m, k, n int, betaZero bool, depth int) simResult {
 	if m == 0 || n == 0 || k == 0 {
 		return simResult{}
@@ -311,175 +269,22 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int) simResult {
 		return r
 	}
 	var r simResult
-	recurse := m > 1 && k > 1 && n > 1 &&
-		(s.maxDepth == 0 || depth < s.maxDepth) &&
-		s.decide(m, k, n)
-	if recurse {
-		if depth+1 > s.plan.Depth {
-			s.plan.Depth = depth + 1
+	switch {
+	case !s.recurse(m, k, n, depth):
+		r.kernel = s.leafWords(m, n, k)
+	case s.odd == OddPadDynamic:
+		s.plan.Depth = max(s.plan.Depth, depth+1)
+		mp, kp, np := m+(m&1), k+(k&1), n+(n&1)
+		r = s.level(mp, kp, np, betaZero, depth)
+		if mp != m || kp != k || np != n {
+			r.words += int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(mp)*int64(np)
 		}
-		switch s.odd {
-		case OddPadDynamic:
-			mp, kp, np := m+(m&1), k+(k&1), n+(n&1)
-			var pad int64
-			if mp != m || kp != k || np != n {
-				pad = int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(mp)*int64(np)
-			}
-			r = s.schedWords(mp, kp, np, betaZero, depth)
-			r.words += pad
-		default: // OddPeel, OddPeelFirst, OddPadStatic below the padded top
-			r = s.schedWords(m&^1, k&^1, n&^1, betaZero, depth)
-		}
-	} else if s.leaf != nil {
-		// Base case: one kernel MulAdd of this exact shape.
-		r.kernel = s.leaf(m, n, k)
-	}
-	s.memo[key] = r
-	return r
-}
-
-// schedWords accounts one level of the selected schedule on an all-even
-// problem: the level's own temporaries plus the worst concurrent child.
-func (s *planSim) schedWords(m, k, n int, betaZero bool, depth int) simResult {
-	m2, k2, n2 := m/2, k/2, n/2
-	if s.dag && depth < s.parLevels {
-		// dagLevel on the builtin Winograd table: S1..S4 (4·mk/4), T1..T4
-		// (4·kn/4), P1..P7 (7·mn/4), with up to min(lanes, 7) β = 0
-		// children live at once (the lane edges make the cap structural) —
-		// each of which can be inside a kernel MulAdd simultaneously.
-		own := 4*int64(m2)*int64(k2) + 4*int64(k2)*int64(n2) + 7*int64(m2)*int64(n2)
-		conc := s.parallel
-		if conc > 7 {
-			conc = 7
-		}
-		if conc < 1 {
-			conc = 1
-		}
-		child := s.sim(m2, k2, n2, true, depth+1)
-		return simResult{
-			words:  own + int64(conc)*child.words,
-			kernel: int64(conc) * child.kernel,
-		}
-	}
-	if s.fused && s.sched == ScheduleAuto {
-		if lv := s.fusedLevels(m, k, n, depth); lv > 0 {
-			// Fused levels allocate no Strassen temporaries; the only
-			// workspace is the kernel's packed panels at the fused block
-			// shape (every record's FusedMulAdd draws the same pair).
-			if depth+lv > s.plan.Depth {
-				s.plan.Depth = depth + lv
-			}
-			var r simResult
-			if s.leaf != nil {
-				r.kernel = s.leaf(m>>lv, n>>lv, k>>lv)
-			}
-			return r
-		}
-	}
-	switch resolveSchedule(s.sched, betaZero) {
-	case ScheduleStrassen1:
-		if !betaZero {
-			// strassen1General: an m×n fold buffer wrapping the β = 0
-			// schedule on the same (not halved) problem.
-			r := s.schedWords(m, k, n, true, depth)
-			r.words += int64(m) * int64(n)
-			return r
-		}
-		// strassen1: R1 is (m/2)·max(k/2, n/2), R2 is (k/2)·(n/2); the
-		// seven children run sequentially, all with β = 0.
-		mx := k2
-		if n2 > mx {
-			mx = n2
-		}
-		own := int64(m2)*int64(mx) + int64(k2)*int64(n2)
-		child := s.sim(m2, k2, n2, true, depth+1)
-		return simResult{words: own + child.words, kernel: child.kernel}
-	case ScheduleOriginal:
-		// original: S (mk/4), T (kn/4), M (mn/4); children all β = 0.
-		own := int64(m2)*int64(k2) + int64(k2)*int64(n2) + int64(m2)*int64(n2)
-		child := s.sim(m2, k2, n2, true, depth+1)
-		return simResult{words: own + child.words, kernel: child.kernel}
-	default: // ScheduleStrassen2
-		// strassen2: R1 (mk/4), R2 (kn/4), R3 (mn/4); sequential children
-		// of both β classes — take the worse of each accounting axis.
-		own := int64(m2)*int64(k2) + int64(k2)*int64(n2) + int64(m2)*int64(n2)
-		w0 := s.sim(m2, k2, n2, true, depth+1)
-		w1 := s.sim(m2, k2, n2, false, depth+1)
-		if w0.words > w1.words {
-			w1.words = w0.words
-		}
-		if w0.kernel > w1.kernel {
-			w1.kernel = w0.kernel
-		}
-		return simResult{words: own + w1.words, kernel: w1.kernel}
-	}
-}
-
-// tableRecurse mirrors engine.tableRecurse on the recorded decision table.
-func (s *planSim) tableRecurse(m, k, n, depth int) bool {
-	return m >= s.tbl.M && k >= s.tbl.K && n >= s.tbl.N &&
-		(s.maxDepth == 0 || depth < s.maxDepth) &&
-		s.decide(m, k, n)
-}
-
-// simTable mirrors engine.tableMul: cutoff test, generalized peeling,
-// then one table level — with the same memoized exact accounting as sim.
-// A table level allocates the S/T/P triple (mq·kq + kq·nq + mq·nq) unless
-// it fuses (no Strassen temporaries, one kernel leaf at the block shape);
-// wide peel remainders add base-case GEMM leaves on the kernel axis (the
-// rank-one DGER/DGEMV fixups draw nothing, as on the default path).
-func (s *planSim) simTable(m, k, n int, betaZero bool, depth int) simResult {
-	if m == 0 || n == 0 || k == 0 {
-		return simResult{}
-	}
-	key := planKey{m: m, k: k, n: n, betaZero: betaZero, depth: depth}
-	if r, ok := s.memo[key]; ok {
-		return r
-	}
-	var r simResult
-	if !s.tableRecurse(m, k, n, depth) {
-		if s.leaf != nil {
-			r.kernel = s.leaf(m, n, k)
-		}
-		s.memo[key] = r
-		return r
-	}
-	if depth+1 > s.plan.Depth {
-		s.plan.Depth = depth + 1
-	}
-	t := s.tbl
-	me, ke, ne := m-m%t.M, k-k%t.K, n-n%t.N
-	mq, kq, nq := me/t.M, ke/t.K, ne/t.N
-	if s.dag && depth < s.parLevels {
-		// dagLevel on the table: one buffer per multi-term operand column
-		// plus all R products, with up to min(lanes, R) β = 0 children
-		// live at once under the lane edges.
-		sB, tB := dagBuffers(t)
-		own := int64(sB)*int64(mq)*int64(kq) + int64(tB)*int64(kq)*int64(nq) +
-			int64(t.R)*int64(mq)*int64(nq)
-		conc := s.parallel
-		if conc > t.R {
-			conc = t.R
-		}
-		if conc < 1 {
-			conc = 1
-		}
-		child := s.simTable(mq, kq, nq, true, depth+1)
-		r.words = own + int64(conc)*child.words
-		r.kernel = int64(conc) * child.kernel
-	} else if s.fused && s.sched == ScheduleAuto && !s.tableRecurse(mq, kq, nq, depth+1) &&
-		tableFusable(t, s.destLimit) {
-		if s.leaf != nil {
-			r.kernel = s.leaf(mq, nq, kq)
-		}
-	} else {
-		own := int64(mq)*int64(kq) + int64(kq)*int64(nq) + int64(mq)*int64(nq)
-		child := s.simTable(mq, kq, nq, true, depth+1)
-		r.words = own + child.words
-		r.kernel = child.kernel
-	}
-	if s.leaf != nil {
-		// The wide peel fixups run after the core level's temporaries are
+	default: // peeling, first or last: a level on the core, then fixups
+		s.plan.Depth = max(s.plan.Depth, depth+1)
+		gm, gk, gn := s.grid()
+		me, ke, ne := m-m%gm, k-k%gk, n-n%gn
+		r = s.level(me, ke, ne, betaZero, depth)
+		// The wide fixups run after the core level's temporaries are
 		// freed; each is one kernel leaf, so only the kernel peak can move.
 		// A remainder of exactly 1 repairs with DGER/DGEMV (no draw).
 		for _, fix := range []struct{ rem, m, n, k int }{
@@ -488,9 +293,7 @@ func (s *planSim) simTable(m, k, n int, betaZero bool, depth int) simResult {
 			{m - me, m - me, n, k},   // peeled rows
 		} {
 			if fix.rem > 1 {
-				if w := s.leaf(fix.m, fix.n, fix.k); w > r.kernel {
-					r.kernel = w
-				}
+				r.kernel = max(r.kernel, s.leafWords(fix.m, fix.n, fix.k))
 			}
 		}
 	}
@@ -498,44 +301,54 @@ func (s *planSim) simTable(m, k, n int, betaZero bool, depth int) simResult {
 	return r
 }
 
+// level accounts one level program on a grid-divisible problem: a fused
+// level draws only the kernel's panels at the block shape; any other needs
+// its declared temporaries plus its worst child — or, on a DAG level,
+// lanes concurrent β = 0 children, each of which can be inside a kernel
+// leaf at once.
+func (s *planSim) level(m, k, n int, betaZero bool, depth int) simResult {
+	p := s.policy.level(m, k, n, betaZero, depth)
+	mq, kq, nq := m/p.m, k/p.k, n/p.n
+	if p.recs != nil {
+		return simResult{kernel: s.leafWords(mq, nq, kq)}
+	}
+	own := p.words(m, k, n)
+	if p.tasks != nil {
+		conc := int64(s.dagLanes(p.products()))
+		child := s.sim(mq, kq, nq, true, depth+1)
+		return simResult{words: own + conc*child.words, kernel: conc * child.kernel}
+	}
+	body, bz := p, betaZero
+	if p.fold != nil {
+		body, bz = p.fold, true
+	}
+	var worst simResult
+	for i := range body.ops {
+		if o := &body.ops[i]; o.mul {
+			child := s.sim(mq, kq, nq, o.acc == acc0 || (o.acc == accBeta && bz), depth+1)
+			worst.words = max(worst.words, child.words)
+			worst.kernel = max(worst.kernel, child.kernel)
+		}
+	}
+	return simResult{words: own + worst.words, kernel: worst.kernel}
+}
+
 // simStatic mirrors staticPadMul: predict the depth, pad once to a multiple
 // of 2^depth, then run the recursion depth-bounded with no odd dimensions.
 func (s *planSim) simStatic(m, k, n int, betaZero bool) simResult {
-	d := 0
-	mm, kk, nn := m, k, n
-	for mm > 1 && kk > 1 && nn > 1 &&
-		(s.maxDepth == 0 || d < s.maxDepth) &&
-		s.decide(mm, kk, nn) {
-		mm, kk, nn = (mm+1)/2, (kk+1)/2, (nn+1)/2
-		d++
-	}
+	d := s.predictDepth(m, k, n)
 	s.plan.Depth = d
 	if d == 0 {
-		var r simResult
-		if s.leaf != nil {
-			r.kernel = s.leaf(m, n, k)
-		}
-		return r
+		return simResult{kernel: s.leafWords(m, n, k)}
 	}
 	unit := 1 << uint(d)
 	mp, kp, np := roundUp(m, unit), roundUp(k, unit), roundUp(n, unit)
-	inner := &planSim{
-		crit:      s.crit,
-		sched:     s.sched,
-		odd:       OddPeel,
-		maxDepth:  d,
-		parallel:  s.parallel,
-		parLevels: s.parLevels,
-		dag:       s.dag,
-		plan:      s.plan,
-		leaf:      s.leaf,
-		memo:      make(map[planKey]simResult),
-	}
-	var pad int64
-	if mp != m || kp != k || np != n {
-		pad = int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(mp)*int64(np)
-	}
+	inner := *s
+	inner.odd, inner.maxDepth = OddPeel, d
+	inner.memo = make(map[planKey]simResult)
 	r := inner.sim(mp, kp, np, betaZero, 0)
-	r.words += pad
+	if mp != m || kp != k || np != n {
+		r.words += int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(mp)*int64(np)
+	}
 	return r
 }

@@ -51,17 +51,10 @@ func dgefmm(ctx context.Context, outer sched.Submitter, cfg *Config, transA, tra
 	if cfg == nil {
 		cfg = DefaultConfig(nil)
 	}
-	// Validate exactly as DGEMM would; reuse its checks by constructing the
-	// same parameter expectations.
-	rowsA, colsA := m, k
-	if transA.IsTrans() {
-		rowsA, colsA = k, m
-	}
-	rowsB, colsB := k, n
-	if transB.IsTrans() {
-		rowsB, colsB = n, k
-	}
-	validate(transA, transB, m, n, k, lda, ldb, ldc, rowsA, colsA, rowsB, colsB, a, b, c)
+	// Run the identical checks DGEMM performs, by calling it with alpha=0,
+	// beta=1 so no arithmetic happens but every argument is vetted. This
+	// guarantees DGEFMM accepts exactly the inputs DGEMM accepts.
+	blas.Dgemm(transA, transB, m, n, k, 0, a, lda, b, ldb, 1, c, ldc)
 	if m == 0 || n == 0 {
 		return ctxErr(ctx)
 	}
@@ -75,62 +68,32 @@ func dgefmm(ctx context.Context, outer sched.Submitter, cfg *Config, transA, tra
 	av := matrix.View{Rows: m, Cols: k, Stride: lda, Trans: transA.IsTrans(), Data: a}
 	bv := matrix.View{Rows: k, Cols: n, Stride: ldb, Trans: transB.IsTrans(), Data: b}
 
-	tbl := cfg.resolveAlgo(m, k, n)
-	prodR := 7
-	if tbl != nil {
-		prodR = tbl.R
-	}
-	lanes, levels, dag := cfg.schedParams(prodR)
 	sub := outer
-	if sub == nil && dag {
-		if cfg.Sched != nil {
-			sub = cfg.Sched
-		} else {
-			sub = sched.Shared()
-		}
+	if sub == nil && cfg.Sched != nil {
+		sub = cfg.Sched
 	}
 	cores := 0
 	if sub != nil {
 		cores = sub.Workers()
 	}
-	algoName := ""
-	if tbl != nil {
-		algoName = tbl.Name
-	}
 	e := &engine{
-		kern:       cfg.kernel(),
-		crit:       cfg.criterionCores(algoName, cores),
-		sched:      cfg.Schedule,
-		odd:        cfg.Odd,
-		maxDepth:   cfg.MaxDepth,
-		tracker:    cfg.Tracker,
-		sub:        sub,
-		schedLanes: lanes,
-		tracer:     cfg.Tracer,
-		prof:       phase.Active(),
-		tbl:        tbl,
-		ctx:        ctx,
-	}
-	if dag {
-		e.schedLevels = levels
+		policy:  cfg.policy(m, k, n, cores),
+		kern:    cfg.kernel(),
+		tracker: cfg.Tracker,
+		sub:     sub,
+		tracer:  cfg.Tracer,
+		prof:    phase.Active(),
+		ctx:     ctx,
 	}
 	if st, ok := cfg.Tracer.(SpanTracer); ok {
 		e.spans = st
 	}
-	if cfg.fusedMode() != FusedOff {
-		if fk, ok := e.kern.(fusedKernel); ok {
-			e.fk = fk
-		}
+	if e.fused {
+		e.fk = e.kern.(fusedKernel)
 	}
-	switch {
-	case e.tbl != nil:
-		// Table-driven recursion (see table.go): generalized peeling only —
-		// the pad strategies stay default-path, but the task DAG applies
-		// (all R products of the table run as scheduler tasks).
-		e.tableMul(cm, av, bv, alpha, beta, 0)
-	case e.odd == OddPadStatic:
+	if e.odd == OddPadStatic {
 		e.staticPadMul(cm, av, bv, alpha, beta)
-	default:
+	} else {
 		e.mul(cm, av, bv, alpha, beta, 0)
 	}
 	return ctxErr(ctx)
@@ -165,34 +128,19 @@ func Multiply(cfg *Config, c *matrix.Dense, transA, transB blas.Transpose,
 	DGEFMM(cfg, transA, transB, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
 }
 
-func validate(transA, transB blas.Transpose, m, n, k, lda, ldb, ldc, rowsA, colsA, rowsB, colsB int, a, b, c []float64) {
-	// Run the identical checks DGEMM performs, by calling it with alpha=0,
-	// beta=1 so no arithmetic happens but every argument is vetted. This
-	// guarantees DGEFMM accepts exactly the inputs DGEMM accepts.
-	blas.Dgemm(transA, transB, m, n, k, 0, a, lda, b, ldb, 1, c, ldc)
-}
-
 // engine carries the resolved configuration through the recursion.
 type engine struct {
-	kern     blas.Kernel
-	crit     Criterion
-	sched    Schedule
-	odd      OddStrategy
-	maxDepth int
-	tracker  *memtrack.Tracker
+	policy
+	kern    blas.Kernel
+	tracker *memtrack.Tracker
 	// sub is the task runtime this call submits to (nil for a purely
 	// sequential call): an external *sched.Runtime at the top, or the
 	// executing *sched.Worker inside a product task so nested DAGs help on
-	// the worker's own deque. schedLevels is the number of top recursion
-	// levels expanded into task DAGs (0 when only the leaves may thread),
-	// and schedLanes caps the products in flight per level via lane edges.
-	// ctx, when non-nil, is polled between products for mid-execution
-	// cancellation. See taskdag.go.
-	sub         sched.Submitter
-	schedLevels int
-	schedLanes  int
-	ctx         context.Context
-	tracer      Tracer
+	// the worker's own deque. ctx, when non-nil, is polled between
+	// products for mid-execution cancellation. See taskdag.go.
+	sub    sched.Submitter
+	ctx    context.Context
+	tracer Tracer
 	// spans is tracer narrowed to SpanTracer (nil when the tracer does not
 	// record spans); curSpan is the innermost open span on this engine's
 	// goroutine — worker engines copy it, so spans opened inside a parallel
@@ -202,19 +150,128 @@ type engine struct {
 	// prof is the process-wide phase profiler captured once per DGEFMM call
 	// (nil when attribution is off). Worker engines copy it by value.
 	prof *phase.Profiler
-	// fk is the kernel narrowed to the fused hook interface (nil when the
-	// kernel lacks the hooks or the fused mode is off); the auto schedule
-	// routes its last levels through it. See fused.go.
+	// fk is the kernel narrowed to the fused hook interface (nil unless
+	// policy.fused); fused levels stream through it. See fused.go.
 	fk fusedKernel
+}
+
+// policy holds every input of the recursion's decisions. The engine runs
+// its decision functions and PlanFor replays them, so the plan follows
+// the executed recursion by construction.
+type policy struct {
+	crit     Criterion
+	sched    Schedule
+	odd      OddStrategy
+	maxDepth int
 	// tbl is the coefficient table driving a non-default recursion (nil on
-	// the default path, where the hand-coded Winograd schedules run). See
-	// table.go.
+	// the default ⟨2,2,2⟩ path, where the paper's schedules run).
 	tbl *algo.Table
+	// fused is set when the kernel has the fused hooks and the fused mode
+	// is not off; destLimit is the kernel's native write-out fan-out.
+	fused     bool
+	destLimit int
+	// dagLevels is the number of top recursion levels that run as task
+	// DAGs (0 without a task runtime); lanes caps the products in flight
+	// per DAG level.
+	dagLevels int
+	lanes     int
+}
+
+// policy resolves a Config into the recursion's decision inputs for an
+// m×k·k×n call on a cores-worker runtime (0 without one): the table (nil
+// for the default path) and the cutoff for that table and core count. The
+// pad strategies apply only to the default path.
+func (cfg *Config) policy(m, k, n, cores int) policy {
+	tbl := cfg.resolveAlgo(m, k, n)
+	algoName := ""
+	if tbl != nil {
+		algoName = tbl.Name
+	}
+	p := policy{crit: cfg.criterionCores(algoName, cores), sched: cfg.Schedule, odd: cfg.Odd,
+		maxDepth: cfg.MaxDepth, tbl: tbl}
+	if tbl != nil {
+		p.odd = OddPeel
+	}
+	p.lanes, p.dagLevels, _ = cfg.schedParams(p.table().R)
+	if cfg.fusedMode() != FusedOff {
+		if fk, ok := cfg.kernel().(fusedKernel); ok {
+			p.fused, p.destLimit = true, fusedDestLimit(fk)
+		}
+	}
+	return p
+}
+
+// table is the coefficient table the level programs derive from: the
+// configured one, or Winograd's ⟨2,2,2⟩ on the default path.
+func (p *policy) table() *algo.Table {
+	if p.tbl != nil {
+		return p.tbl
+	}
+	return algo.Default()
+}
+
+// grid is the block grid one level splits (m, k, n) into.
+func (p *policy) grid() (int, int, int) {
+	t := p.table()
+	return t.M, t.K, t.N
+}
+
+// recurse is the cutoff test: the grid must fit and the criterion (and
+// depth bound) must ask for another level.
+func (p *policy) recurse(m, k, n, depth int) bool {
+	gm, gk, gn := p.grid()
+	return m >= gm && k >= gk && n >= gn &&
+		(p.maxDepth == 0 || depth < p.maxDepth) &&
+		p.crit.Recurse(m, k, n)
+}
+
+// level picks the program one level runs on an exactly grid-divisible
+// (m, k, n) problem: the task DAG on the top dagLevels levels; the fused
+// form when the schedule is auto, the kernel has the hooks, the children
+// would be base cases and the table fits the hooks (the default path fuses
+// Strassen's 1969 construction, whose operands have at most two terms,
+// where Winograd's have up to four); otherwise the table's sequential
+// program, or on the default path the schedule β selects (Table 1).
+func (p *policy) level(m, k, n int, betaZero bool, depth int) *program {
+	if depth < p.dagLevels {
+		return programsFor(p.table()).dag
+	}
+	if p.fused && p.sched == ScheduleAuto {
+		ft := p.tbl
+		if ft == nil {
+			ft = classic
+		}
+		gm, gk, gn := p.grid()
+		if !p.recurse(m/gm, k/gk, n/gn, depth+1) && tableFusable(ft, p.destLimit) {
+			return programsFor(ft).fused
+		}
+	}
+	if p.tbl != nil {
+		return programsFor(p.tbl).seq
+	}
+	switch resolveSchedule(p.sched, betaZero) {
+	case ScheduleOriginal:
+		return original
+	case ScheduleStrassen1:
+		if betaZero {
+			return strassen1
+		}
+		return strassen1General
+	}
+	return strassen2
+}
+
+// dagLanes is the in-flight product cap of a DAG level with r products.
+func (p *policy) dagLanes(r int) int {
+	if p.lanes < 1 || p.lanes > r {
+		return r
+	}
+	return p.lanes
 }
 
 // mul computes c ← alpha*a*b + beta*c where a is m×k and b is k×n (both as
 // logical, possibly transposed, views). It applies the cutoff criterion,
-// then the odd-dimension strategy, then one level of the selected schedule.
+// then the odd-dimension strategy, then one level program.
 func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if m == 0 || n == 0 || e.canceled() {
@@ -224,29 +281,28 @@ func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, dep
 		scaleInPlace(c, beta)
 		return
 	}
-	recurse := m > 1 && k > 1 && n > 1 &&
-		(e.maxDepth == 0 || depth < e.maxDepth) &&
-		e.crit.Recurse(m, k, n)
-	if !recurse {
+	if !e.recurse(m, k, n, depth) {
 		done := e.trace(depth, m, k, n, "base")
 		e.baseGemm(c, a, b, alpha, beta)
 		done()
 		return
 	}
+	gm, gk, gn := e.grid()
+	odd := m%gm|k%gk|n%gn != 0
 	done := noopDone
 	switch e.odd {
 	case OddPadDynamic:
-		if m&1|k&1|n&1 != 0 {
+		if odd {
 			done = e.trace(depth, m, k, n, "pad-dynamic")
 		}
 		e.padDynamicMul(c, a, b, alpha, beta, depth)
 	case OddPeelFirst:
-		if m&1|k&1|n&1 != 0 {
+		if odd {
 			done = e.trace(depth, m, k, n, "peel-first")
 		}
 		e.peelFirstMul(c, a, b, alpha, beta, depth)
 	default: // OddPeel (and OddPadStatic below the pre-padded top level)
-		if m&1|k&1|n&1 != 0 {
+		if odd {
 			done = e.trace(depth, m, k, n, "peel")
 		}
 		e.peelMul(c, a, b, alpha, beta, depth)
@@ -254,20 +310,31 @@ func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, dep
 	done()
 }
 
-// peelMul implements dynamic peeling (Section 3.3 and equation (9)): strip
-// the odd row/column, apply one Strassen level to the even core, and repair
-// the three border blocks with a DGER rank-one update and two DGEMV
-// matrix-vector products.
+// level runs one level program on an exactly grid-divisible problem.
+func (e *engine) level(c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
+	m, k, n := a.Rows, a.Cols, b.Cols
+	p := e.policy.level(m, k, n, beta == 0, depth)
+	done := e.trace(depth, m, k, n, p.name)
+	e.exec(p, c, a, b, alpha, beta, depth)
+	done()
+}
+
+// peelMul implements dynamic peeling (Section 3.3 and equation (9)),
+// generalized to an M×K×N grid: one level on the largest grid-divisible
+// core, then border repairs — the inner-dimension remainder into the core,
+// the peeled columns, the peeled rows. A remainder of exactly 1 (always
+// the case on the default ⟨2,2,2⟩ grid) is the paper's DGER rank-one
+// update and two DGEMV matrix-vector products; wider remainders run one
+// base-case GEMM each.
 func (e *engine) peelMul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
 	m, k, n := a.Rows, a.Cols, b.Cols
-	me, ke, ne := m&^1, k&^1, n&^1
+	gm, gk, gn := e.grid()
+	me, ke, ne := m-m%gm, k-k%gk, n-n%gn
 
-	coreA := a.Slice(0, 0, me, ke)
-	coreB := b.Slice(0, 0, ke, ne)
 	coreC := c.Slice(0, 0, me, ne)
-	e.schedule(coreC, coreA, coreB, alpha, beta, depth)
+	e.level(coreC, a.Slice(0, 0, me, ke), b.Slice(0, 0, ke, ne), alpha, beta, depth)
 
-	if k != ke {
+	if k-ke == 1 {
 		// C11 ← C11 + alpha * a12 * b21 : rank-one update with A's peeled
 		// column and B's peeled row.
 		done := e.trace(depth, m, k, n, "fixup-ger")
@@ -277,19 +344,26 @@ func (e *engine) peelMul(c *matrix.Dense, a, b matrix.View, alpha, beta float64,
 		blas.Dger(me, ne, alpha, x, incX, y, incY, coreC.Data, coreC.Stride)
 		s.End(2*int64(me)*int64(ne), 8*(int64(me)+int64(ne)+2*int64(me)*int64(ne)))
 		done()
+	} else if k != ke {
+		done := e.trace(depth, m, k, n, "fixup-gemm-k")
+		e.baseGemm(coreC, a.Slice(0, ke, me, k-ke), b.Slice(ke, 0, k-ke, ne), alpha, 1)
+		done()
 	}
-	if n != ne {
+	if n-ne == 1 {
 		// c12 ← alpha * [A11 a12]·[b12; b22] + beta*c12 : the full first me
 		// rows of op(A) (all k columns) times B's peeled column.
 		done := e.trace(depth, m, k, n, "fixup-col")
 		s := e.prof.Begin(phase.StrassenPeel)
-		aTop := a.Slice(0, 0, me, k)
 		x, incX := colVec(b, ne)
-		e.gemvN(aTop, alpha, x, incX, beta, c.Data[ne*c.Stride:], 1)
+		e.gemvN(a.Slice(0, 0, me, k), alpha, x, incX, beta, c.Data[ne*c.Stride:], 1)
 		s.End(2*int64(me)*int64(k), 8*(int64(me)*int64(k)+int64(k)+2*int64(me)))
 		done()
+	} else if n != ne {
+		done := e.trace(depth, m, k, n, "fixup-gemm-n")
+		e.baseGemm(c.Slice(0, ne, me, n-ne), a.Slice(0, 0, me, k), b.Slice(0, ne, k, n-ne), alpha, beta)
+		done()
 	}
-	if m != me {
+	if m-me == 1 {
 		// [c21 c22] ← alpha * [a21 a22]·B + beta*row : op(A)'s peeled row
 		// times the whole of op(B), covering the bottom-right corner too.
 		done := e.trace(depth, m, k, n, "fixup-row")
@@ -298,60 +372,10 @@ func (e *engine) peelMul(c *matrix.Dense, a, b matrix.View, alpha, beta float64,
 		e.gemvT(b, alpha, x, incX, beta, c.Data[me:], c.Stride)
 		s.End(2*int64(k)*int64(n), 8*(int64(k)*int64(n)+int64(k)+2*int64(n)))
 		done()
-	}
-}
-
-// schedule applies exactly one level of the selected Strassen schedule to an
-// all-even (m, k, n) problem.
-func (e *engine) schedule(c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	if e.schedActive(depth) {
-		done := e.trace(depth, m, k, n, "parallel")
-		e.dagLevel(c, a, b, alpha, beta, depth)
+	} else if m != me {
+		done := e.trace(depth, m, k, n, "fixup-gemm-m")
+		e.baseGemm(c.Slice(me, 0, m-me, n), a.Slice(me, 0, m-me, k), b.Slice(0, 0, k, n), alpha, beta)
 		done()
-		return
-	}
-	if e.fk != nil && e.sched == ScheduleAuto {
-		if lv := e.fusedLevels(m, k, n, depth); lv > 0 {
-			action := "fused1"
-			if lv == 2 {
-				action = "fused2"
-			}
-			done := e.trace(depth, m, k, n, action)
-			e.fusedWinograd(c, a, b, alpha, beta, lv)
-			done()
-			return
-		}
-	}
-	switch e.sched {
-	case ScheduleOriginal:
-		done := e.trace(depth, m, k, n, "original")
-		e.original(c, a, b, alpha, beta, depth)
-		done()
-	case ScheduleStrassen1:
-		if beta == 0 {
-			done := e.trace(depth, m, k, n, "strassen1")
-			e.strassen1(c, a, b, alpha, depth)
-			done()
-		} else {
-			done := e.trace(depth, m, k, n, "strassen1")
-			e.strassen1General(c, a, b, alpha, beta, depth)
-			done()
-		}
-	case ScheduleStrassen2:
-		done := e.trace(depth, m, k, n, "strassen2")
-		e.strassen2(c, a, b, alpha, beta, depth)
-		done()
-	default: // ScheduleAuto: the paper's DGEFMM dispatch (Table 1 last row).
-		if beta == 0 {
-			done := e.trace(depth, m, k, n, "strassen1")
-			e.strassen1(c, a, b, alpha, depth)
-			done()
-		} else {
-			done := e.trace(depth, m, k, n, "strassen2")
-			e.strassen2(c, a, b, alpha, beta, depth)
-			done()
-		}
 	}
 }
 

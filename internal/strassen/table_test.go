@@ -74,50 +74,6 @@ func TestAlgoOracleExhaustive(t *testing.T) {
 	}
 }
 
-// TestTableClassicBitParity anchors the generic executor to the legacy
-// path: the classic ⟨2,2,2⟩ table replays Strassen's original 1969 product
-// order, so running it through the table machinery must be bit-for-bit
-// identical to ScheduleOriginal — same operand formation order, same
-// destination accumulation order, same peel fixups. Fusion is off on both
-// sides (the legacy ScheduleOriginal path never fuses).
-func TestTableClassicBitParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	legacy := &Config{
-		Kernel:    blas.NaiveKernel{},
-		Criterion: Simple{Tau: 2},
-		Schedule:  ScheduleOriginal,
-		Fused:     FusedOff,
-		Algo:      "default", // stay on the legacy path even when DGEFMM_ALGO picks a table
-	}
-	table := &Config{
-		Kernel:    blas.NaiveKernel{},
-		Criterion: Simple{Tau: 2},
-		Fused:     FusedOff,
-		Algo:      "classic",
-	}
-	for _, dims := range [][3]int{
-		{4, 4, 4}, {8, 8, 8}, {16, 16, 16}, // pure recursion
-		{7, 7, 7}, {9, 5, 13}, {6, 12, 10}, {13, 4, 8}, // peel fixups
-	} {
-		m, k, n := dims[0], dims[1], dims[2]
-		for _, ab := range [][2]float64{{1, 0}, {1.5, 0.5}, {-1.0 / 3, 2}} {
-			a := matrix.NewRandom(m, k, rng)
-			b := matrix.NewRandom(k, n, rng)
-			c := matrix.NewRandom(m, n, rng)
-			want := c.Clone()
-			DGEFMM(legacy, blas.NoTrans, blas.NoTrans, m, n, k, ab[0],
-				a.Data, a.Stride, b.Data, b.Stride, ab[1], want.Data, want.Stride)
-			got := c.Clone()
-			DGEFMM(table, blas.NoTrans, blas.NoTrans, m, n, k, ab[0],
-				a.Data, a.Stride, b.Data, b.Stride, ab[1], got.Data, got.Stride)
-			if d := matrix.MaxAbsDiff(got, want); d != 0 {
-				t.Fatalf("(%d,%d,%d) α=%v β=%v: table path diverges from ScheduleOriginal by %g",
-					m, k, n, ab[0], ab[1], d)
-			}
-		}
-	}
-}
-
 // TestTableFusedDifferential exercises the generalized fused driver: each
 // table whose term structure fits the kernel's fan-out limit must engage
 // FusedMulAdd at the deepest level and still match the oracle, on both

@@ -159,10 +159,9 @@ func TestDGEFMMCtxCancelsMidExecution(t *testing.T) {
 	}
 }
 
-// TestSchedParamsResolution pins the knob resolution: the compat shim maps
-// Parallel/ParallelLevels onto lanes/levels with legacy defaults, an
-// explicit runtime defaults lanes to its worker count and levels to the
-// fan-out auto rule, and a sequential config resolves to no DAG.
+// TestSchedParamsResolution pins the knob resolution: a runtime sets the
+// lanes to its worker count and levels to SchedLevels or the fan-out auto
+// rule, and a sequential config resolves to no DAG.
 func TestSchedParamsResolution(t *testing.T) {
 	w1, w4 := testRuntimes()
 	cases := []struct {
@@ -172,11 +171,8 @@ func TestSchedParamsResolution(t *testing.T) {
 		wantDAG             bool
 	}{
 		{"sequential", &Config{}, 0, 0, false},
-		{"compat shim", &Config{Parallel: 4}, 4, 1, true},
-		{"compat shim levels", &Config{Parallel: 2, ParallelLevels: 3}, 2, 3, true},
 		{"explicit runtime", &Config{Sched: w4}, 4, 1, true},
 		{"explicit runtime levels", &Config{Sched: w4, SchedLevels: 2}, 4, 2, true},
-		{"runtime with lane cap", &Config{Sched: w4, Parallel: 2}, 2, 1, true},
 		{"single worker runtime", &Config{Sched: w1}, 1, 1, true},
 	}
 	for _, tc := range cases {
