@@ -3,14 +3,15 @@ package opcount
 // Analytic per-phase FLOP counts for the table-driven recursion
 // (internal/strassen's generalization of the schedules to arbitrary
 // ⟨M, K, N⟩ coefficient tables). The counts mirror the generic executor
-// pass for pass — strassen.formOperand and the destination accumulation
+// pass for pass — the compiled table program's operand passes
+// (strassen's program.operand) and the destination accumulation
 // loop — under the same validity window as Strassen1Counts: β = 0,
 // dimensions grid-divisible for all d levels, fusion off.
 
 import "repro/internal/algo"
 
 // operandUnitOps is the per-element FLOP cost of materializing one table
-// column's operand combination, mirroring strassen.formOperand's pass
+// column's operand combination, mirroring strassen's program.operand pass
 // selection exactly: a single +1 term is a free block view; two leading
 // terms forming a +1/+1, +1/−1 or −1/+1 pair start with one add/sub pass;
 // otherwise the first term is a scale-copy (free when its coefficient is

@@ -27,6 +27,11 @@ type DAG struct {
 
 	doneCh chan struct{}
 	ctx    context.Context
+
+	// panicked records that a task body panicked; panicVal is the first
+	// panic's value, re-raised by Run on the submitting goroutine.
+	panicked atomic.Bool
+	panicVal any
 }
 
 // Node is one task in a DAG, used only as a dependency handle for Add.
@@ -116,6 +121,26 @@ func (d *DAG) start(ctx context.Context, rt *Runtime, enq func(*Node)) error {
 		enq(n)
 	}
 	return nil
+}
+
+// recordPanic stores the first task panic; later bodies are skipped.
+func (d *DAG) recordPanic(v any) {
+	d.mu.Lock()
+	if !d.panicked.Load() {
+		d.panicVal = v
+		d.panicked.Store(true)
+	}
+	d.mu.Unlock()
+}
+
+// repanic re-raises a recorded task panic with its original value.
+func (d *DAG) repanic() {
+	if d.panicked.Load() {
+		d.mu.Lock()
+		v := d.panicVal
+		d.mu.Unlock()
+		panic(v)
+	}
 }
 
 // complete runs after a node's body (or its cancellation skip): releases

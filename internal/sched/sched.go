@@ -52,7 +52,10 @@ type Submitter interface {
 	// Run executes every task in d respecting dependencies and returns
 	// when all have completed. If ctx is canceled mid-run, remaining task
 	// bodies are skipped (the DAG still drains so resources owned by the
-	// caller are safe to release on return) and ctx.Err() is returned.
+	// caller are safe to release on return) and ctx.Err() is returned. If
+	// a task body panics, the remaining bodies are skipped the same way
+	// and, once the DAG has drained, Run panics with the first panic's
+	// value on the calling goroutine; the workers keep serving.
 	Run(ctx context.Context, d *DAG) error
 	// Workers reports the pool size, for sizing fan-out.
 	Workers() int
@@ -205,6 +208,7 @@ func (rt *Runtime) Run(ctx context.Context, d *DAG) error {
 		return err
 	}
 	<-d.doneCh
+	d.repanic()
 	return ctx.Err()
 }
 
@@ -221,6 +225,7 @@ func (w *Worker) Run(ctx context.Context, d *DAG) error {
 	for {
 		select {
 		case <-d.doneCh:
+			d.repanic()
 			return ctx.Err()
 		default:
 		}
@@ -366,9 +371,11 @@ func (rt *Runtime) notify() {
 }
 
 // runNode executes one node: the body unless the DAG's context is already
-// canceled (cancellation drains the DAG by skipping bodies, so a multiply
-// past its deadline stops between products, not after the whole call),
-// then dependency bookkeeping either way.
+// canceled or another body panicked (both drain the DAG by skipping
+// bodies, so a multiply past its deadline stops between products, not
+// after the whole call), then dependency bookkeeping either way. A
+// panicking body is recovered here and recorded on its DAG, so it cannot
+// kill the worker goroutine or the process; Run re-raises it.
 func (rt *Runtime) runNode(w *Worker, n *Node) {
 	w.depth++
 	if w.depth == 1 { // nested frames are the same busy worker, count once
@@ -380,10 +387,8 @@ func (rt *Runtime) runNode(w *Worker, n *Node) {
 			}
 		}
 	}
-	if n.run != nil && n.d.ctx.Err() == nil {
-		sm := phase.Active().Begin(phase.SchedTaskRun)
-		n.run(w)
-		sm.End(0, 0)
+	if n.run != nil && n.d.ctx.Err() == nil && !n.d.panicked.Load() {
+		runBody(w, n)
 	}
 	rt.tasksRun.Add(1)
 	if w.depth == 1 {
@@ -391,6 +396,19 @@ func (rt *Runtime) runNode(w *Worker, n *Node) {
 	}
 	w.depth--
 	n.complete(w)
+}
+
+// runBody runs a node's task under the task-run phase bracket, recording
+// a panic on the node's DAG instead of propagating it.
+func runBody(w *Worker, n *Node) {
+	sm := phase.Active().Begin(phase.SchedTaskRun)
+	defer func() {
+		sm.End(0, 0)
+		if r := recover(); r != nil {
+			n.d.recordPanic(r)
+		}
+	}()
+	n.run(w)
 }
 
 // loop is one worker goroutine's life: find work, run it, park when the

@@ -376,3 +376,68 @@ func TestNestedRunDoesNotDeadlock(t *testing.T) {
 		t.Fatalf("ran %d of 64 innermost tasks", ran.Load())
 	}
 }
+
+// runRecover runs d on sub and returns the value Run panicked with (nil
+// when it returned normally).
+func runRecover(sub Submitter, d *DAG) (v any) {
+	defer func() { v = recover() }()
+	_ = sub.Run(context.Background(), d)
+	return nil
+}
+
+// TestTaskPanicRepanicsInRun: a panicking task body must not kill the
+// process. Run re-panics with the original value on the submitting
+// goroutine after the DAG drains, skipping the bodies that had not started;
+// the runtime's workers survive and the next Run succeeds. Covers external
+// submission and nested submission from inside a task, on 1 and 4 workers.
+func TestTaskPanicRepanicsInRun(t *testing.T) {
+	type boom struct{ id int }
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		rt := New(workers, 5)
+		var ran atomic.Int64
+		d := NewDAG()
+		first := d.Add(func(w *Worker) { panic(boom{workers}) })
+		for i := 0; i < 8; i++ {
+			d.Add(func(w *Worker) { ran.Add(1) }, first)
+		}
+		if v := runRecover(rt, d); v != (boom{workers}) {
+			t.Fatalf("workers=%d: Run panicked with %v, want %v", workers, v, boom{workers})
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("workers=%d: %d dependent bodies ran after the panic", workers, n)
+		}
+
+		// Nested: the panic surfaces from the inner Worker.Run inside the
+		// outer task, and from there from the outer Runtime.Run.
+		outer := NewDAG()
+		outer.Add(func(w *Worker) {
+			inner := NewDAG()
+			inner.Add(func(*Worker) { panic("inner") })
+			_ = w.Run(context.Background(), inner)
+		})
+		if v := runRecover(rt, outer); v != "inner" {
+			t.Fatalf("workers=%d: nested Run panicked with %v, want inner", workers, v)
+		}
+
+		// The runtime keeps serving.
+		ok := NewDAG()
+		for i := 0; i < 16; i++ {
+			ok.Add(func(w *Worker) { ran.Add(1) })
+		}
+		if err := rt.Run(context.Background(), ok); err != nil {
+			t.Fatal(err)
+		}
+		if n := ran.Load(); n != 16 {
+			t.Errorf("workers=%d: follow-up Run ran %d of 16 bodies", workers, n)
+		}
+		rt.Close()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

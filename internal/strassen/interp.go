@@ -201,15 +201,15 @@ func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) 
 	nodes := make([]*sched.Node, len(p.tasks))
 	var prods []*sched.Node
 	for i, tk := range p.tasks {
+		ops := p.ops[tk.first:tk.last]
+		mul := ops[0].mul
 		deps := make([]*sched.Node, 0, len(tk.deps)+1)
 		for _, j := range tk.deps {
 			deps = append(deps, nodes[j])
 		}
-		if tk.mul && len(prods) >= lanes {
+		if mul && len(prods) >= lanes {
 			deps = append(deps, prods[len(prods)-lanes])
 		}
-		ops := p.ops[tk.first:tk.last]
-		mul := tk.mul
 		nodes[i] = d.Add(func(w *sched.Worker) {
 			eng := e
 			if mul {
@@ -219,7 +219,7 @@ func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) 
 				eng.step(&ops[j], f, alpha, beta, depth)
 			}
 		}, deps...)
-		if tk.mul {
+		if mul {
 			prods = append(prods, nodes[i])
 		}
 	}

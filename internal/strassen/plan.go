@@ -307,7 +307,7 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int) simResult {
 // lanes concurrent β = 0 children, each of which can be inside a kernel
 // leaf at once.
 func (s *planSim) level(m, k, n int, betaZero bool, depth int) simResult {
-	p := s.policy.level(m, k, n, betaZero, depth)
+	p := s.levelProgram(m, k, n, betaZero, depth)
 	mq, kq, nq := m/p.m, k/p.k, n/p.n
 	if p.recs != nil {
 		return simResult{kernel: s.leafWords(mq, nq, kq)}

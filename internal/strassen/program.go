@@ -128,9 +128,9 @@ func (o *op) reads() []slot {
 }
 
 // lower picks the matrix kernel for a lin op from the pattern of its
-// terms. Every pattern the programs use maps to exactly the kernel the
-// hand-written schedules called, so results are bit-identical; any other
-// pattern is a malformed program.
+// terms, so each op is one elementwise pass with the paper's operation
+// order (two-term sums commute exactly; x − y − dst evaluates left to
+// right); any other pattern is a malformed program.
 func (o *op) lower() {
 	ts := o.terms
 	in := -1
@@ -176,7 +176,6 @@ func (o *op) lower() {
 type task struct {
 	first, last int
 	deps        []int
-	mul         bool
 }
 
 // program is one Strassen level. Exactly one of ops, fold and recs
@@ -353,7 +352,7 @@ var strassen2 = func() *program {
 func (p *program) operand(dst slot, s shape, terms []algo.Term) slot {
 	blk := func(i int) slot { return slot{shape: s, idx: terms[i].Block} }
 	g := func(i int) float64 { return terms[i].Coeff }
-	if len(terms) == 1 && g(0) == 1 {
+	if !needsTemp(terms) {
 		return blk(0)
 	}
 	i := 1
@@ -454,7 +453,7 @@ func deriveTasks(ops []op) []task {
 	for i := range ops {
 		n := len(tasks)
 		if n == 0 || ops[tasks[n-1].first].dst != ops[i].dst {
-			tasks = append(tasks, task{first: i, mul: ops[i].mul})
+			tasks = append(tasks, task{first: i})
 			n++
 		}
 		cur := &tasks[n-1]

@@ -225,14 +225,14 @@ func (p *policy) recurse(m, k, n, depth int) bool {
 		p.crit.Recurse(m, k, n)
 }
 
-// level picks the program one level runs on an exactly grid-divisible
+// levelProgram picks the program one level runs on an exactly grid-divisible
 // (m, k, n) problem: the task DAG on the top dagLevels levels; the fused
 // form when the schedule is auto, the kernel has the hooks, the children
 // would be base cases and the table fits the hooks (the default path fuses
 // Strassen's 1969 construction, whose operands have at most two terms,
 // where Winograd's have up to four); otherwise the table's sequential
 // program, or on the default path the schedule β selects (Table 1).
-func (p *policy) level(m, k, n int, betaZero bool, depth int) *program {
+func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 	if depth < p.dagLevels {
 		return programsFor(p.table()).dag
 	}
@@ -313,7 +313,7 @@ func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, dep
 // level runs one level program on an exactly grid-divisible problem.
 func (e *engine) level(c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
 	m, k, n := a.Rows, a.Cols, b.Cols
-	p := e.policy.level(m, k, n, beta == 0, depth)
+	p := e.levelProgram(m, k, n, beta == 0, depth)
 	done := e.trace(depth, m, k, n, p.name)
 	e.exec(p, c, a, b, alpha, beta, depth)
 	done()

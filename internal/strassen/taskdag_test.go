@@ -307,3 +307,53 @@ func FuzzSchedDAG(f *testing.F) {
 		}
 	})
 }
+
+// panickingKernel fails on its nth leaf multiply.
+type panickingKernel struct {
+	blas.NaiveKernel
+	calls *atomic.Int64
+	nth   int64
+}
+
+func (k panickingKernel) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float64,
+	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	if k.calls.Add(1) == k.nth {
+		panic("leaf kernel failure")
+	}
+	k.NaiveKernel.MulAdd(transA, transB, m, n, kk, alpha, a, lda, b, ldb, c, ldc)
+}
+
+// TestDGEFMMTaskPanicReachesCaller: a leaf kernel panicking inside a
+// product task must surface as a panic in DGEFMM's caller (not kill the
+// process from a scheduler goroutine), leave the workspace tracker
+// balanced, and leave the runtime usable for the next call.
+func TestDGEFMMTaskPanicReachesCaller(t *testing.T) {
+	w1, w4 := testRuntimes()
+	rng := rand.New(rand.NewSource(605))
+	m := 64
+	a := matrix.NewRandom(m, m, rng)
+	b := matrix.NewRandom(m, m, rng)
+	for _, rt := range []*sched.Runtime{w1, w4} {
+		tr := memtrack.New()
+		cfg := &Config{Kernel: panickingKernel{calls: new(atomic.Int64), nth: 5},
+			Criterion: Simple{Tau: 8}, Sched: rt, SchedLevels: 2, Tracker: tr}
+		c := matrix.NewDense(m, m)
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, m, m, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+			return nil
+		}()
+		if got != "leaf kernel failure" {
+			t.Fatalf("workers=%d: DGEFMM panicked with %v, want the kernel's panic", rt.Workers(), got)
+		}
+		if live := tr.Live(); live != 0 {
+			t.Errorf("workers=%d: %d workspace words leaked by the failed call", rt.Workers(), live)
+		}
+		ok := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: rt, SchedLevels: 2}
+		want := refMul(blas.NoTrans, blas.NoTrans, 1, a, b, 0, matrix.NewDense(m, m))
+		DGEFMM(ok, blas.NoTrans, blas.NoTrans, m, m, m, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+		if d := matrix.MaxAbsDiff(c, want); d > tol(m) {
+			t.Fatalf("workers=%d: call after the panic off by %g", rt.Workers(), d)
+		}
+	}
+}
