@@ -18,9 +18,10 @@ type TraceEvent struct {
 	// M, K, N are the problem dimensions at this node.
 	M, K, N int
 	// Action identifies the node kind: "base" (cutoff reached, DGEMM ran),
-	// "strassen1", "strassen2", "original", "parallel" (one schedule level),
-	// "peel", "peel-first", "pad-dynamic", "pad-static" (odd handling), or
-	// "fixup-ger", "fixup-col", "fixup-row" (peeling repairs).
+	// a level program's name — "strassen1", "strassen2", "original",
+	// "table", "parallel" (task DAG) or "fused1" —, "peel", "peel-first",
+	// "pad-dynamic", "pad-static" (odd handling), or "fixup-ger",
+	// "fixup-col", "fixup-row", "fixup-gemm-k/n/m" (peeling repairs).
 	Action string
 }
 
