@@ -471,7 +471,9 @@ func NewGEMMServer(opts *ServeOptions) *GEMMServer { return serve.New(opts) }
 // GEMMClient calls a GEMM service (a dgefmmd, or any GEMMServer.Handler).
 type GEMMClient = serve.Client
 
-// GEMMRequest is one client-side call; operands are row-major.
+// GEMMRequest is one client-side call; operands are row-major. The client
+// sends them from the caller's memory: leave A, B and C unmodified until
+// GEMMClient.GEMM returns.
 type GEMMRequest = serve.GEMMRequest
 
 // GEMMResult is a successful client call's outcome.

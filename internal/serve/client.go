@@ -1,13 +1,15 @@
 package serve
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/blas"
@@ -16,6 +18,12 @@ import (
 // GEMMRequest is a client-side GEMM call: C ← Alpha·op(A)·op(B) + Beta·C
 // with op(A) M×K and op(B) K×N. Operands are row-major, tightly packed;
 // C is required iff Beta != 0.
+//
+// Client.GEMM sends A, B and C from their own memory, without copying
+// them into a request buffer, so the caller must not modify them while
+// the call runs. Once GEMM returns, with or without an error, the
+// transport has closed the request body and the caller owns them again.
+// The result is written to a fresh slice, never into C.
 type GEMMRequest struct {
 	TransA, TransB blas.Transpose
 	M, N, K        int
@@ -88,16 +96,28 @@ func (c *Client) GEMM(ctx context.Context, req *GEMMRequest) (*GEMMResult, error
 		TransA: transString(req.TransA), TransB: transString(req.TransB),
 		Alpha: req.Alpha, Beta: req.Beta,
 	}
-	var body bytes.Buffer
-	body.Grow(int(8*(hdr.WordsA()+hdr.WordsB()) + 256))
-	if err := EncodeRequest(&body, hdr, req.A, req.B, req.C); err != nil {
+	parts, err := requestParts(hdr, req.A, req.B, req.C)
+	if err != nil {
 		return nil, err
 	}
 
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(c.BaseURL, "/")+"/v1/gemm", &body)
+		strings.TrimSuffix(c.BaseURL, "/")+"/v1/gemm", nil)
 	if err != nil {
 		return nil, err
+	}
+	// The transport closes every body it was handed, possibly after Do
+	// returns; waiting for that hands A, B and C back to the caller.
+	var open sync.WaitGroup
+	defer open.Wait()
+	newBody := func() io.ReadCloser {
+		open.Add(1)
+		return &requestBody{rest: append(net.Buffers(nil), parts...), done: open.Done}
+	}
+	httpReq.Body = newBody()
+	httpReq.GetBody = func() (io.ReadCloser, error) { return newBody(), nil }
+	for _, p := range parts {
+		httpReq.ContentLength += int64(len(p))
 	}
 	httpReq.Header.Set("Content-Type", ContentType)
 	if c.Tenant != "" {
@@ -142,3 +162,35 @@ func (c *Client) GEMM(ctx context.Context, req *GEMMRequest) (*GEMMResult, error
 		Latency:   time.Since(start),
 	}, nil
 }
+
+// requestBody streams a request's parts to the transport. Close waits out
+// a Read in progress and stops later ones before it reports the body
+// closed, so once done runs the operand memory behind the parts is no
+// longer touched.
+type requestBody struct {
+	mu     sync.Mutex
+	rest   net.Buffers
+	closed bool
+	done   func()
+}
+
+func (b *requestBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return 0, errBodyClosed
+	}
+	return b.rest.Read(p)
+}
+
+func (b *requestBody) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.closed {
+		b.closed = true
+		b.done()
+	}
+	return nil
+}
+
+var errBodyClosed = errors.New("serve: read from closed request body")

@@ -340,6 +340,58 @@ func TestServeQuota(t *testing.T) {
 	}
 }
 
+// TestClientReleasesOperands pins GEMMRequest's ownership rule: once
+// GEMM returns, the transport no longer reads A, B or C. A zero-quota
+// tenant is answered 429 before the server reads the body, so the
+// transport may still be sending the operands when the answer arrives;
+// under -race, overwriting them right after each call reports a race
+// unless GEMM waited for the transport to close the body.
+func TestClientReleasesOperands(t *testing.T) {
+	srv := New(&Options{
+		Workers: 1,
+		Quota:   QuotaConfig{Tenants: map[string]TenantQuota{"banned": {}}},
+	})
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	EnableH2C(ts.Config, nil)
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+
+	for _, proto := range []string{"http1", "h2c"} {
+		t.Run(proto, func(t *testing.T) {
+			tr := &http.Transport{}
+			if proto == "h2c" && !EnableH2C(nil, tr) {
+				t.Skip("h2c needs go1.24")
+			}
+			defer tr.CloseIdleConnections()
+			cl := &Client{BaseURL: ts.URL, Tenant: "banned", HTTPClient: &http.Client{Transport: tr}}
+			const n, callers, calls = 256, 4, 6
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					req := &GEMMRequest{M: n, N: n, K: n, Alpha: 1, Beta: 1,
+						A: make([]float64, n*n), B: make([]float64, n*n), C: make([]float64, n*n)}
+					for i := 0; i < calls; i++ {
+						_, err := cl.GEMM(context.Background(), req)
+						if he, ok := err.(*HTTPError); !ok || !he.Throttled() {
+							t.Errorf("zero-quota tenant got %v, want a 429 HTTPError", err)
+							return
+						}
+						for j := range req.A {
+							req.A[j], req.C[j] = float64(i), float64(j)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
 // TestServeOutOfCore routes an oversized operand set through the tiled
 // path — chunked transfer in, tiled multiply, streamed result out — in both
 // staging modes, and verifies against the sequential reference (approximate:

@@ -2,9 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
+	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -86,16 +85,16 @@ func (s *Server) serveOutOfCore(ctx context.Context, w http.ResponseWriter, body
 	}
 	defer cClose()
 
-	if err := streamOperand(body, aStore, band); err != nil {
+	if err := streamOperand(body, aStore, band, "A"); err != nil {
 		fail(http.StatusBadRequest, s.mBadRequest, err.Error())
 		return
 	}
-	if err := streamOperand(body, bStore, band); err != nil {
+	if err := streamOperand(body, bStore, band, "B"); err != nil {
 		fail(http.StatusBadRequest, s.mBadRequest, err.Error())
 		return
 	}
 	if hdr.Beta != 0 {
-		if err := streamOperand(body, cStore, band); err != nil {
+		if err := streamOperand(body, cStore, band, "C"); err != nil {
 			fail(http.StatusBadRequest, s.mBadRequest, err.Error())
 			return
 		}
@@ -155,17 +154,13 @@ func (s *Server) serveOutOfCore(ctx context.Context, w http.ResponseWriter, body
 
 // streamOperand decodes one row-major wire frame into a store, one row at
 // a time through a RowWriter band.
-func streamOperand(body io.Reader, dst outofcore.Store, band int) error {
+func streamOperand(body io.Reader, dst outofcore.Store, band int, what string) error {
 	rows, cols := dst.Dims()
 	w := outofcore.NewRowWriter(dst, band)
-	buf := make([]byte, cols*8)
 	row := make([]float64, cols)
 	for i := 0; i < rows; i++ {
-		if _, err := io.ReadFull(body, buf); err != nil {
-			return &frameError{err}
-		}
-		for j := 0; j < cols; j++ {
-			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[j*8:]))
+		if err := ReadFrameInto(body, row, what); err != nil {
+			return &frameError{row: i, err: err}
 		}
 		if err := w.WriteRow(row); err != nil {
 			return err
@@ -174,7 +169,12 @@ func streamOperand(body io.Reader, dst outofcore.Store, band int) error {
 	return w.Close()
 }
 
-type frameError struct{ err error }
+// frameError is a truncated out-of-core operand frame; err, from
+// ReadFrameInto, names the frame and the word offset within the row.
+type frameError struct {
+	row int
+	err error
+}
 
-func (e *frameError) Error() string { return "serve: truncated operand frame: " + e.err.Error() }
+func (e *frameError) Error() string { return fmt.Sprintf("%v (row %d)", e.err, e.row) }
 func (e *frameError) Unwrap() error { return e.err }

@@ -35,6 +35,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"unsafe"
 
 	"repro/internal/blas"
 )
@@ -180,10 +182,26 @@ func DecodeHeader(r io.Reader, lim Limits) (*ReqHeader, error) {
 	return h, nil
 }
 
-// frameChunk is the float64 count per conversion chunk: frames are decoded
-// through a fixed-size byte buffer so a large operand never needs a second
-// full-size allocation.
-const frameChunk = 4096
+// nativeLE reports whether float64 memory is little-endian, the wire's
+// byte order. Then a frame is the byte image of its []float64 and moves
+// with no per-element conversion and no staging copy.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wordBytes views v's backing array as bytes, in native byte order.
+func wordBytes(v []float64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
+}
+
+// swapWords reverses the bytes of every 8-byte word of b in place,
+// converting between the little-endian wire and big-endian memory.
+func swapWords(b []byte) {
+	for i := 0; i+8 <= len(b); i += 8 {
+		binary.BigEndian.PutUint64(b[i:], binary.LittleEndian.Uint64(b[i:]))
+	}
+}
 
 // ReadFrame reads words little-endian float64s from r into a fresh slice.
 func ReadFrame(r io.Reader, words int64, what string) ([]float64, error) {
@@ -194,42 +212,39 @@ func ReadFrame(r io.Reader, words int64, what string) ([]float64, error) {
 	return out, nil
 }
 
-// ReadFrameInto fills dst with little-endian float64s from r.
+// ReadFrameInto fills dst with little-endian float64s from r, reading
+// straight into dst's memory. On error dst holds a partial frame.
 func ReadFrameInto(r io.Reader, dst []float64, what string) error {
-	buf := make([]byte, min64(frameChunk, int64(len(dst)))*8)
-	for off := 0; off < len(dst); {
-		n := len(dst) - off
-		if n > frameChunk {
-			n = frameChunk
-		}
-		b := buf[:n*8]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return fmt.Errorf("serve: truncated %s frame at word %d of %d: %w", what, off, len(dst), err)
-		}
-		for i := 0; i < n; i++ {
-			dst[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-		off += n
+	b := wordBytes(dst)
+	if n, err := io.ReadFull(r, b); err != nil {
+		return fmt.Errorf("serve: truncated %s frame at word %d of %d: %w", what, n/8, len(dst), err)
+	}
+	if !nativeLE {
+		swapWords(b)
 	}
 	return nil
 }
 
-// WriteFrame writes the slice as little-endian float64s.
+// swapChunk is the float64 count per write on big-endian hosts, whose
+// frames are converted through a buffer so the source is never mutated.
+const swapChunk = 4096
+
+// WriteFrame writes the slice as little-endian float64s. On little-endian
+// hosts that is one write of src's memory.
 func WriteFrame(w io.Writer, src []float64) error {
-	buf := make([]byte, min64(frameChunk, int64(len(src)))*8)
-	for off := 0; off < len(src); {
-		n := len(src) - off
-		if n > frameChunk {
-			n = frameChunk
-		}
-		b := buf[:n*8]
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(src[off+i]))
-		}
+	if nativeLE {
+		_, err := w.Write(wordBytes(src))
+		return err
+	}
+	buf := make([]byte, 8*min(len(src), swapChunk))
+	for len(src) > 0 {
+		n := min(len(src), swapChunk)
+		b := buf[:copy(buf, wordBytes(src[:n]))]
+		swapWords(b)
 		if _, err := w.Write(b); err != nil {
 			return err
 		}
-		off += n
+		src = src[n:]
 	}
 	return nil
 }
@@ -274,36 +289,52 @@ func DecodeRequest(r io.Reader, lim Limits) (*Request, error) {
 // slices must match the header's frame sizes; c must be non-nil iff
 // beta != 0.
 func EncodeRequest(w io.Writer, h *ReqHeader, a, b, c []float64) error {
-	if err := h.Validate(Limits{}); err != nil {
-		return err
-	}
-	if int64(len(a)) != h.WordsA() || int64(len(b)) != h.WordsB() {
-		return fmt.Errorf("serve: operand length mismatch: len(A)=%d want %d, len(B)=%d want %d",
-			len(a), h.WordsA(), len(b), h.WordsB())
-	}
-	if h.Beta != 0 && int64(len(c)) != h.WordsC() {
-		return fmt.Errorf("serve: len(C)=%d, want %d (beta != 0)", len(c), h.WordsC())
-	}
-	if h.Beta == 0 && c != nil {
-		return errors.New("serve: C frame present with beta == 0")
-	}
-	hdr, err := json.Marshal(h)
+	parts, err := requestParts(h, a, b, c)
 	if err != nil {
 		return err
 	}
-	if err := writePreamble(w, reqMagic, hdr); err != nil {
-		return err
+	_, err = parts.WriteTo(w)
+	return err
+}
+
+// requestParts validates a request and lays out its body: the preamble
+// and JSON header, then one part per operand frame. On little-endian hosts
+// the frame parts are views of a, b and c, not copies.
+func requestParts(h *ReqHeader, a, b, c []float64) (net.Buffers, error) {
+	if err := h.Validate(Limits{}); err != nil {
+		return nil, err
 	}
-	if err := WriteFrame(w, a); err != nil {
-		return err
+	if int64(len(a)) != h.WordsA() || int64(len(b)) != h.WordsB() {
+		return nil, fmt.Errorf("serve: operand length mismatch: len(A)=%d want %d, len(B)=%d want %d",
+			len(a), h.WordsA(), len(b), h.WordsB())
 	}
-	if err := WriteFrame(w, b); err != nil {
-		return err
+	if h.Beta != 0 && int64(len(c)) != h.WordsC() {
+		return nil, fmt.Errorf("serve: len(C)=%d, want %d (beta != 0)", len(c), h.WordsC())
 	}
+	if h.Beta == 0 && c != nil {
+		return nil, errors.New("serve: C frame present with beta == 0")
+	}
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		return nil, err
+	}
+	var pre bytes.Buffer
+	_ = writePreamble(&pre, reqMagic, hdr) // a bytes.Buffer write cannot fail
+	parts := net.Buffers{pre.Bytes()}
+	frames := [][]float64{a, b}
 	if h.Beta != 0 {
-		return WriteFrame(w, c)
+		frames = append(frames, c)
 	}
-	return nil
+	for _, f := range frames {
+		if nativeLE {
+			parts = append(parts, wordBytes(f))
+			continue
+		}
+		var buf bytes.Buffer
+		_ = WriteFrame(&buf, f)
+		parts = append(parts, buf.Bytes())
+	}
+	return parts, nil
 }
 
 // RespHeader is the JSON control header of a response.
@@ -387,11 +418,4 @@ func DecodeResponse(r io.Reader, lim Limits, words int64) (*RespHeader, []float6
 		return nil, nil, err
 	}
 	return h, c, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

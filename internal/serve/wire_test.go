@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func randFloats(rng *rand.Rand, n int) []float64 {
@@ -208,6 +211,199 @@ func TestParseShapes(t *testing.T) {
 	for _, bad := range []string{"", "axbxc", "96x96", "96x96x96:0", "96x96x96:x"} {
 		if _, err := ParseShapes(bad); err == nil {
 			t.Fatalf("ParseShapes(%q) succeeded", bad)
+		}
+	}
+}
+
+// specialBits are float64 bit patterns a frame must carry unchanged: NaNs
+// with payloads (quiet, signalling, negative), signed zeros and
+// infinities, subnormals, and the extremes of the normal range.
+var specialBits = []uint64{
+	0x7ff8000000000000, // quiet NaN
+	0x7ff8000000000123, // quiet NaN, payload
+	0x7ff0000000000001, // signalling NaN, payload 1
+	0x7ff4000000000abc, // signalling NaN, payload
+	0xfff8dead0000beef, // negative quiet NaN, payload
+	0xfff0000000000001, // negative signalling NaN
+	0x0000000000000000, // +0
+	0x8000000000000000, // -0
+	0x7ff0000000000000, // +Inf
+	0xfff0000000000000, // -Inf
+	0x0000000000000001, // smallest subnormal
+	0x000fffffffffffff, // largest subnormal
+	0x8000000000000001, // negative subnormal
+	0x0010000000000000, // smallest normal
+	0x7fefffffffffffff, // largest finite
+	0x3ff0000000000001, // 1 + ulp
+}
+
+// specialFrame fills a frame by cycling specialBits from offset off.
+func specialFrame(words, off int) []float64 {
+	v := make([]float64, words)
+	for i := range v {
+		v[i] = math.Float64frombits(specialBits[(i+off)%len(specialBits)])
+	}
+	return v
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// readers wraps an encoded body in readers that split and terminate reads
+// differently, so a frame decoded in place must survive short reads and
+// data returned together with io.EOF.
+var readers = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"one-byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+	{"data-err", iotest.DataErrReader},
+}
+
+// TestFrameBitsPreserved round-trips every special bit pattern through
+// the request and response codecs, under each reader. The 70×70 case
+// spans more than one big-endian conversion chunk.
+func TestFrameBitsPreserved(t *testing.T) {
+	for _, h := range []ReqHeader{
+		{M: 5, N: 3, K: 7, Alpha: 1, Beta: -0.5},
+		{M: 70, N: 70, K: 70, TransB: "T", Alpha: 2, Beta: 1},
+	} {
+		a := specialFrame(int(h.WordsA()), 0)
+		b := specialFrame(int(h.WordsB()), 5)
+		c := specialFrame(int(h.WordsC()), 11)
+		var req, resp bytes.Buffer
+		if err := EncodeRequest(&req, &h, a, b, c); err != nil {
+			t.Fatal(err)
+		}
+		if err := EncodeResponse(&resp, &RespHeader{Status: "ok", Batched: 1}, c); err != nil {
+			t.Fatal(err)
+		}
+		for _, rd := range readers {
+			name := fmt.Sprintf("%dx%dx%d/%s", h.M, h.N, h.K, rd.name)
+			got, err := DecodeRequest(rd.wrap(bytes.NewReader(req.Bytes())), Limits{})
+			if err != nil {
+				t.Fatalf("%s: decode request: %v", name, err)
+			}
+			if !sameBits(got.A, a) || !sameBits(got.B, b) || !sameBits(got.C, c) {
+				t.Fatalf("%s: request frame bits changed", name)
+			}
+			_, out, err := DecodeResponse(rd.wrap(bytes.NewReader(resp.Bytes())), Limits{}, h.WordsC())
+			if err != nil {
+				t.Fatalf("%s: decode response: %v", name, err)
+			}
+			if !sameBits(out, c) {
+				t.Fatalf("%s: response frame bits changed", name)
+			}
+		}
+	}
+}
+
+// TestTruncatedFrameReportsOffset cuts a body inside each frame and checks
+// the error names the frame and the word where the data ran out.
+func TestTruncatedFrameReportsOffset(t *testing.T) {
+	h := ReqHeader{M: 3, N: 4, K: 5, Alpha: 1, Beta: 1}
+	var buf bytes.Buffer
+	if err := EncodeRequest(&buf, &h, specialFrame(15, 0), specialFrame(20, 1), specialFrame(12, 2)); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	frames := 8 * int(h.WordsA()+h.WordsB()+h.WordsC())
+	hdrEnd := len(body) - frames
+	cases := []struct {
+		keep int // body bytes past the header
+		want string
+	}{
+		{0, "truncated A frame at word 0 of 15"},
+		{8*6 + 3, "truncated A frame at word 6 of 15"},
+		{8 * 15, "truncated B frame at word 0 of 20"},
+		{8*(15+19) + 7, "truncated B frame at word 19 of 20"},
+		{8*(15+20) + 8*11, "truncated C frame at word 11 of 12"},
+	}
+	for _, tc := range cases {
+		for _, rd := range readers {
+			_, err := DecodeRequest(rd.wrap(bytes.NewReader(body[:hdrEnd+tc.keep])), Limits{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s, %d frame bytes: error %v, want %q", rd.name, tc.keep, err, tc.want)
+			}
+		}
+	}
+
+	var resp bytes.Buffer
+	if err := EncodeResponse(&resp, &RespHeader{Status: "ok"}, specialFrame(12, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, rd := range readers {
+		_, _, err := DecodeResponse(rd.wrap(bytes.NewReader(resp.Bytes()[:resp.Len()-8*4-1])), Limits{}, 12)
+		if err == nil || !strings.Contains(err.Error(), "truncated C frame at word 7 of 12") {
+			t.Fatalf("%s: truncated response: error %v", rd.name, err)
+		}
+	}
+}
+
+// TestSwapWords exercises the big-endian conversion helper on any host:
+// it must turn each word's little-endian bytes into its big-endian bytes,
+// leave a trailing partial word alone, and undo itself.
+func TestSwapWords(t *testing.T) {
+	words := []uint64{0x0102030405060708, 0x7ff4000000000abc, 0x8000000000000001}
+	b := make([]byte, 8*len(words)+3)
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(b[8*i:], w)
+	}
+	copy(b[8*len(words):], "xyz")
+	orig := bytes.Clone(b)
+	swapWords(b)
+	for i, w := range words {
+		if got := binary.BigEndian.Uint64(b[8*i:]); got != w {
+			t.Fatalf("word %d: swapped bytes read big-endian as %#x, want %#x", i, got, w)
+		}
+	}
+	if string(b[8*len(words):]) != "xyz" {
+		t.Fatalf("partial word changed: %q", b[8*len(words):])
+	}
+	swapWords(b)
+	if !bytes.Equal(b, orig) {
+		t.Fatal("swapping twice is not the identity")
+	}
+}
+
+// BenchmarkWireRoundTrip measures the frame codec alone, with no network:
+// one 192³ β≠0 request encoded and decoded, then its result encoded and
+// decoded. MB/s counts the four frames' bytes.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	const n = 192
+	rng := rand.New(rand.NewSource(33))
+	h := ReqHeader{M: n, N: n, K: n, TransB: "T", Alpha: 1, Beta: 0.5}
+	a, bm, c := randFloats(rng, n*n), randFloats(rng, n*n), randFloats(rng, n*n)
+	var req, resp bytes.Buffer
+	b.SetBytes(8 * (h.WordsA() + h.WordsB() + 2*h.WordsC()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Reset()
+		if err := EncodeRequest(&req, &h, a, bm, c); err != nil {
+			b.Fatal(err)
+		}
+		got, err := DecodeRequest(&req, Limits{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp.Reset()
+		if err := EncodeResponse(&resp, &RespHeader{Status: "ok", Batched: 1}, got.C); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := DecodeResponse(&resp, Limits{}, h.WordsC()); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
