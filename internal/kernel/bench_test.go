@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -39,4 +40,37 @@ func BenchmarkBlocked256(b *testing.B) { benchMulAdd(b, &blas.BlockedKernel{}, 2
 func BenchmarkBlocked512(b *testing.B) { benchMulAdd(b, &blas.BlockedKernel{}, 512) }
 func BenchmarkPackedCompat512(b *testing.B) {
 	benchMulAdd(b, &Packed{Compat: true}, 512)
+}
+
+// BenchmarkFusedPack times the fused packers on one 256×256 block of 1- and
+// 2-term operands (1 term is the plain packA/packB copy) at leading
+// dimensions 256–1024, on the auto-dispatched tile's panel geometry.
+// SetBytes follows the kernel.fused_pack phase: (terms+1)·8 bytes per
+// packed word — every term read once, the packed word written once.
+func BenchmarkFusedPack(b *testing.B) {
+	const blk = 256
+	mi := (&Packed{}).impl()
+	for _, side := range []string{"A", "B"} {
+		for _, terms := range []int{1, 2} {
+			for _, ld := range []int{256, 512, 1024} {
+				b.Run(fmt.Sprintf("%s/terms=%d/ld=%d", side, terms, ld), func(b *testing.B) {
+					rng := rand.New(rand.NewSource(12))
+					op := Operand{Ld: ld}
+					for t := 0; t < terms; t++ {
+						op.Terms = append(op.Terms, Term{Data: fill(rng, ld, blk, ld), Coeff: float64(1 - 2*t)})
+					}
+					dst := make([]float64, roundUpMul(blk, mi.mr)*roundUpMul(blk, mi.nr))
+					b.SetBytes(int64(terms+1) * 8 * blk * blk)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if side == "A" {
+							packAFused(mi, dst, op, 0, 0, blk, blk)
+						} else {
+							packBFused(mi, dst, op, 0, 0, blk, blk)
+						}
+					}
+				})
+			}
+		}
+	}
 }

@@ -55,6 +55,14 @@ type microImpl struct {
 	// path. Nil means the fused sweep captures the tile in a buffer and
 	// scatters scalar instead.
 	dual func(ap, bp, c0 []float64, ldc0 int, c1 []float64, ldc1 int, kb int, alpha0, alpha1 float64)
+	// packA2 and packB2, when non-nil, form the full micro-panels of a
+	// two-term non-transposed fused operand g0·x + g1·y at packing speed,
+	// bit-identical to the Go loops they replace: packA2 the panels·mr
+	// rows × kb block into mr-row panels, packB2 rows [0, kb &^ 3) of the
+	// kb × panels·nr block into nr-column panels of depth kb. x and y
+	// start at the block's top-left element and share the leading
+	// dimension ld. Nil means packAFused/packBFused run the Go loops.
+	packA2, packB2 func(dst, x, y []float64, ld, panels, kb int, g0, g1 float64)
 }
 
 // scalarImpl is the portable tile: the unrolled 4×4 register kernel that

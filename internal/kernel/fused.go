@@ -25,12 +25,17 @@ package kernel
 // Bitwise contract: coefficients are ±1 in the Strassen tables, and both
 // negation and ±1 multiplication are exact in IEEE-754, so a fused pack
 // produces bit-for-bit the panel an unfused add/sub-then-pack would, with
-// one rounding per added term in term order; and the tile-buffer capture
-// (−0.0 buffer, alpha = 1) holds the accumulator exactly, so the scalar
-// multi-destination scatter rounds exactly like a direct single-destination
-// write-out at alpha·coeff. A Compat instance therefore matches the
-// unfused Compat kernel bit for bit per destination (see fused_test.go);
-// the SIMD tile differs only by its usual FMA contraction.
+// one rounding per added term in term order. The packers round every
+// product before adding it (no FMA contraction) for any coefficients,
+// whether a word is formed by the Go loops or by the ISA's assembly
+// (microImpl.packA2/packB2: full micro-panels of a two-term non-transposed
+// operand on AVX2), so which of the two forms a word never changes its
+// bits (fusedpack_test.go). The tile-buffer capture (−0.0 buffer,
+// alpha = 1) holds the accumulator exactly, so the scalar multi-destination
+// scatter rounds exactly like a direct single-destination write-out at
+// alpha·coeff. A Compat instance therefore matches the unfused Compat
+// kernel bit for bit per destination (see fused_test.go); the SIMD tile
+// differs only by its usual FMA contraction.
 
 import (
 	"time"
@@ -78,10 +83,9 @@ func (k *Packed) FusedCounters() (fusedMulAdds int64) {
 // scatters one or two destinations in assembly (single and dual scatter)
 // but spills full tiles to a buffered scalar scatter beyond that, so its
 // limit is 2; the scalar tile pays the same per-element loop for any
-// count, so its limit is the table maximum (4, a two-level Strassen
-// composition). The fused Strassen driver consults this to decide how
-// many trailing levels to fuse: a record fan-out past the limit costs
-// more in write-out than the fusion saves in adds.
+// count, so its limit is the packers' term maximum, 4. The Strassen
+// driver's only use of it is tableFusable: a table whose records fan out
+// past the limit runs its last level unfused.
 func (k *Packed) FusedDestLimit() int {
 	if k.impl().dual != nil {
 		return 2
@@ -126,7 +130,7 @@ func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []
 			if prof != nil {
 				t0 = time.Now()
 			}
-			packBFused(mi.nr, bpack, b, pc, jc, kb, nb)
+			packBFused(mi, bpack, b, pc, jc, kb, nb)
 			if prof != nil {
 				acct.packNS += int64(time.Since(t0))
 			}
@@ -139,7 +143,7 @@ func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []
 				if prof != nil {
 					t0 = time.Now()
 				}
-				packAFused(mi.mr, apack, a, ic, pc, mb, kb)
+				packAFused(mi, apack, a, ic, pc, mb, kb)
 				if prof != nil {
 					acct.packNS += int64(time.Since(t0))
 					t0 = time.Now()
@@ -169,7 +173,8 @@ func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []
 // to combine the term panels element-wise during the copy. Term 0 assigns
 // (scaled), later terms accumulate in order, so the combination rounds once
 // per added term exactly like a separate add/sub pass would.
-func packAFused(mr int, dst []float64, op Operand, ic, pc, mb, kb int) {
+func packAFused(mi *microImpl, dst []float64, op Operand, ic, pc, mb, kb int) {
+	mr := mi.mr
 	if len(op.Terms) == 1 && op.Terms[0].Coeff == 1 {
 		packA(mr, dst, op.Terms[0].Data, op.Ld, op.Trans, ic, pc, mb, kb)
 		return
@@ -178,7 +183,16 @@ func packAFused(mr int, dst []float64, op Operand, ic, pc, mb, kb int) {
 		return
 	}
 	lda := op.Ld
-	for ip := 0; ip < mb; ip += mr {
+	ip0 := 0
+	if !op.Trans && len(op.Terms) == 2 && mi.packA2 != nil {
+		// The ISA forms every full micro-panel; a ragged last one falls
+		// through to the loop below.
+		off := pc*lda + ic
+		t0, t1 := op.Terms[0], op.Terms[1]
+		mi.packA2(dst, t0.Data[off:], t1.Data[off:], lda, mb/mr, kb, t0.Coeff, t1.Coeff)
+		ip0 = mb - mb%mr
+	}
+	for ip := ip0; ip < mb; ip += mr {
 		rows := mb - ip
 		if rows > mr {
 			rows = mr
@@ -194,7 +208,7 @@ func packAFused(mr int, dst []float64, op Operand, ic, pc, mb, kb int) {
 					y := op.Terms[1].Data[off : off+rows]
 					g0, g1 := op.Terms[0].Coeff, op.Terms[1].Coeff
 					for r := 0; r < rows; r++ {
-						d[r] = g0*x[r] + g1*y[r]
+						d[r] = float64(g0*x[r]) + float64(g1*y[r])
 					}
 				} else {
 					t0 := op.Terms[0]
@@ -205,7 +219,7 @@ func packAFused(mr int, dst []float64, op Operand, ic, pc, mb, kb int) {
 					for _, t := range op.Terms[1:] {
 						x := t.Data[off : off+rows]
 						for r := 0; r < rows; r++ {
-							d[r] += t.Coeff * x[r]
+							d[r] += float64(t.Coeff * x[r])
 						}
 					}
 				}
@@ -226,7 +240,7 @@ func packAFused(mr int, dst []float64, op Operand, ic, pc, mb, kb int) {
 				y := op.Terms[1].Data[row : row+kb]
 				g0, g1 := op.Terms[0].Coeff, op.Terms[1].Coeff
 				for l := 0; l < kb; l++ {
-					d[l*mr] = g0*x[l] + g1*y[l]
+					d[l*mr] = float64(g0*x[l]) + float64(g1*y[l])
 				}
 				continue
 			}
@@ -239,7 +253,7 @@ func packAFused(mr int, dst []float64, op Operand, ic, pc, mb, kb int) {
 				x := t.Data[row : row+kb]
 				g := t.Coeff
 				for l := 0; l < kb; l++ {
-					d[l*mr] += g * x[l]
+					d[l*mr] += float64(g * x[l])
 				}
 			}
 		}
@@ -259,7 +273,8 @@ func packAFused(mr int, dst []float64, op Operand, ic, pc, mb, kb int) {
 // packBFused packs the kb×nb block with top-left (pc, jc) of the fused
 // operand Σⱼ δⱼ·op(Bⱼ) into dst as nr-column micro-panels; the fused
 // counterpart of packB with the same term-order rounding as packAFused.
-func packBFused(nr int, dst []float64, op Operand, pc, jc, kb, nb int) {
+func packBFused(mi *microImpl, dst []float64, op Operand, pc, jc, kb, nb int) {
+	nr := mi.nr
 	if len(op.Terms) == 1 && op.Terms[0].Coeff == 1 {
 		packB(nr, dst, op.Terms[0].Data, op.Ld, op.Trans, pc, jc, kb, nb)
 		return
@@ -268,6 +283,16 @@ func packBFused(nr int, dst []float64, op Operand, pc, jc, kb, nb int) {
 		return
 	}
 	ldb := op.Ld
+	// The ISA forms rows [0, kb4) of the first asmCols columns (every full
+	// micro-panel); the loop below forms their kb mod 4 tail rows and the
+	// whole of a ragged last panel.
+	asmCols, kb4 := 0, 0
+	if !op.Trans && len(op.Terms) == 2 && mi.packB2 != nil {
+		off := jc*ldb + pc
+		t0, t1 := op.Terms[0], op.Terms[1]
+		mi.packB2(dst, t0.Data[off:], t1.Data[off:], ldb, nb/nr, kb, t0.Coeff, t1.Coeff)
+		asmCols, kb4 = nb-nb%nr, kb&^3
+	}
 	for jp := 0; jp < nb; jp += nr {
 		cols := nb - jp
 		if cols > nr {
@@ -290,8 +315,12 @@ func packBFused(nr int, dst []float64, op Operand, pc, jc, kb, nb int) {
 					x := op.Terms[0].Data[col : col+kb]
 					y := op.Terms[1].Data[col : col+kb]
 					g0, g1 := op.Terms[0].Coeff, op.Terms[1].Coeff
-					for l := 0; l < kb; l++ {
-						d[l*nr] = g0*x[l] + g1*y[l]
+					lo := 0
+					if jp < asmCols {
+						lo = kb4
+					}
+					for l := lo; l < kb; l++ {
+						d[l*nr] = float64(g0*x[l]) + float64(g1*y[l])
 					}
 					continue
 				}
@@ -304,7 +333,7 @@ func packBFused(nr int, dst []float64, op Operand, pc, jc, kb, nb int) {
 					x := t.Data[col : col+kb]
 					g := t.Coeff
 					for l := 0; l < kb; l++ {
-						d[l*nr] += g * x[l]
+						d[l*nr] += float64(g * x[l])
 					}
 				}
 			}
@@ -329,7 +358,7 @@ func packBFused(nr int, dst []float64, op Operand, pc, jc, kb, nb int) {
 				y := op.Terms[1].Data[off : off+cols]
 				g0, g1 := op.Terms[0].Coeff, op.Terms[1].Coeff
 				for s := 0; s < cols; s++ {
-					d[s] = g0*x[s] + g1*y[s]
+					d[s] = float64(g0*x[s]) + float64(g1*y[s])
 				}
 			} else {
 				t0 := op.Terms[0]
@@ -340,7 +369,7 @@ func packBFused(nr int, dst []float64, op Operand, pc, jc, kb, nb int) {
 				for _, t := range op.Terms[1:] {
 					x := t.Data[off : off+cols]
 					for s := 0; s < cols; s++ {
-						d[s] += t.Coeff * x[s]
+						d[s] += float64(t.Coeff * x[s])
 					}
 				}
 			}

@@ -19,9 +19,11 @@ import (
 // 2·γ_{k+2+(tA−1)+(tB−1)}.
 
 // combineTerms materializes Σ γᵢ·termᵢ elementwise over the shared storage
-// layout, rounding once per added term in term order — exactly the order
-// packAFused/packBFused round in, so a scalar fused call must match a
-// reference built from this bit for bit.
+// layout, rounding every product and every added term in term order —
+// exactly the order packAFused/packBFused (and their assembly forms) round
+// in, so a scalar fused call must match a reference built from this bit for
+// bit. The conversion keeps the compiler from contracting the product and
+// sum into one FMA on targets that would.
 func combineTerms(terms []Term, n int) []float64 {
 	out := make([]float64, n)
 	t0 := terms[0]
@@ -30,7 +32,7 @@ func combineTerms(terms []Term, n int) []float64 {
 	}
 	for _, t := range terms[1:] {
 		for i := range out {
-			out[i] += t.Coeff * t.Data[i]
+			out[i] += float64(t.Coeff * t.Data[i])
 		}
 	}
 	return out

@@ -43,11 +43,13 @@ func newSIMDImpl() *microImpl {
 		return nil
 	}
 	return &microImpl{
-		mr:   SIMDTileMR,
-		nr:   SIMDTileNR,
-		isa:  "avx2+fma",
-		full: simdFull,
-		edge: simdEdge,
-		dual: avx2Dual,
+		mr:     SIMDTileMR,
+		nr:     SIMDTileNR,
+		isa:    "avx2+fma",
+		full:   simdFull,
+		edge:   simdEdge,
+		dual:   avx2Dual,
+		packA2: avx2PackA2,
+		packB2: avx2PackB2,
 	}
 }

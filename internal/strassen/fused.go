@@ -146,8 +146,9 @@ type fusedKernel interface {
 }
 
 // fusedDestLimiter is the optional capability report alongside the hook:
-// how many destinations the kernel's write-out serves natively. Kernels
-// that do not say are assumed to handle the two-level table's fan-out.
+// how many destinations the kernel's write-out serves natively. It only
+// gates tableFusable; kernels that do not say get the packers' term
+// maximum, 4.
 type fusedDestLimiter interface {
 	FusedDestLimit() int
 }
