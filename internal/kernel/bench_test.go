@@ -44,23 +44,30 @@ func BenchmarkPackedCompat512(b *testing.B) {
 
 // BenchmarkFusedPack times the fused packers on one 256×256 block of 1- and
 // 2-term operands (1 term is the plain packA/packB copy) at leading
-// dimensions 256–1024, on the auto-dispatched tile's panel geometry.
-// SetBytes follows the kernel.fused_pack phase: (terms+1)·8 bytes per
-// packed word — every term read once, the packed word written once.
+// dimensions 256–1024, on the auto-dispatched tile's panel geometry. The
+// clipped rows give the second term an extent one row and one column short
+// of the block, as a virtually padded Strassen level hands the packers
+// (A22, B22). SetBytes follows the kernel.fused_pack phase: (terms+1)·8
+// bytes per packed word — every term read once, the packed word written
+// once.
 func BenchmarkFusedPack(b *testing.B) {
 	const blk = 256
 	mi := (&Packed{}).impl()
 	for _, side := range []string{"A", "B"} {
-		for _, terms := range []int{1, 2} {
+		for _, terms := range []string{"1", "2", "2/clipped"} {
 			for _, ld := range []int{256, 512, 1024} {
-				b.Run(fmt.Sprintf("%s/terms=%d/ld=%d", side, terms, ld), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/terms=%s/ld=%d", side, terms, ld), func(b *testing.B) {
 					rng := rand.New(rand.NewSource(12))
 					op := Operand{Ld: ld}
-					for t := 0; t < terms; t++ {
-						op.Terms = append(op.Terms, Term{Data: fill(rng, ld, blk, ld), Coeff: float64(1 - 2*t)})
+					n := int(terms[0] - '0')
+					for t := 0; t < n; t++ {
+						op.Terms = append(op.Terms, Term{Data: fill(rng, ld, blk, ld), Coeff: float64(1 - 2*t), Rows: blk, Cols: blk})
+					}
+					if terms == "2/clipped" {
+						op.Terms[1].Rows, op.Terms[1].Cols = blk-1, blk-1
 					}
 					dst := make([]float64, roundUpMul(blk, mi.mr)*roundUpMul(blk, mi.nr))
-					b.SetBytes(int64(terms+1) * 8 * blk * blk)
+					b.SetBytes(int64(n+1) * 8 * blk * blk)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if side == "A" {

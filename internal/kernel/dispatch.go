@@ -55,14 +55,18 @@ type microImpl struct {
 	// path. Nil means the fused sweep captures the tile in a buffer and
 	// scatters scalar instead.
 	dual func(ap, bp, c0 []float64, ldc0 int, c1 []float64, ldc1 int, kb int, alpha0, alpha1 float64)
-	// packA2 and packB2, when non-nil, form the full micro-panels of a
-	// two-term non-transposed fused operand g0·x + g1·y at packing speed,
-	// bit-identical to the Go loops they replace: packA2 the panels·mr
-	// rows × kb block into mr-row panels, packB2 rows [0, kb &^ 3) of the
-	// kb × panels·nr block into nr-column panels of depth kb. x and y
-	// start at the block's top-left element and share the leading
-	// dimension ld. Nil means packAFused/packBFused run the Go loops.
-	packA2, packB2 func(dst, x, y []float64, ld, panels, kb int, g0, g1 float64)
+	// packA2 and packB2, when non-nil, form micro-panels of a two-term
+	// non-transposed fused operand g0·x + g1·y at packing speed,
+	// bit-identical to the Go loops they replace. x and y start at the
+	// block's top-left element, share the leading dimension ld and store
+	// the block's first h0 and h1 rows; a row past a term's count reads as
+	// +0.0 through the same arithmetic. packA2 forms columns [0, cols) of
+	// the ⌈max(h0, h1)/mr⌉ mr-row panels; packB2 forms rows
+	// [0, ⌈max(h0, h1)/4⌉·4) of panels nr-column panels. Panels are depth
+	// words deep, and the caller keeps the formed rows inside the block.
+	// Nil means packAFused/packBFused run the Go loops.
+	packA2 func(dst, x, y []float64, ld, h0, h1, cols, depth int, g0, g1 float64)
+	packB2 func(dst, x, y []float64, ld, panels, h0, h1, depth int, g0, g1 float64)
 }
 
 // scalarImpl is the portable tile: the unrolled 4×4 register kernel that

@@ -13,14 +13,17 @@ package kernel
 //
 //   - the packers form Ã ← Σᵢ γᵢ·op(Aᵢ) (and B̃ likewise) on the fly from
 //     up to four strided source panels sharing one leading dimension and
-//     transpose — the quadrants of a common parent matrix;
+//     transpose — the quadrants of a common parent matrix. A term stores
+//     only its extent: entries past it read as +0.0, so a block that
+//     overhangs the parent's last row or column is padded virtually;
 //   - the write-out accumulates each computed product panel into every
-//     destination with its own ±1 coefficient (times the call's alpha).
-//     One destination degenerates to the unfused sweep; two full SIMD
-//     tiles use the dual-scatter assembly tile when the ISA provides one;
-//     every other tile, full or ragged, runs the full tile over the
-//     zero-padded panels into a register-tile buffer and scatters the
-//     valid elements scalar per destination.
+//     destination with its own ±1 coefficient (times the call's alpha),
+//     clipped to that destination's extent. One destination degenerates
+//     to the unfused sweep; two full SIMD tiles use the dual-scatter
+//     assembly tile when the ISA provides one; every other tile, full or
+//     ragged, runs the full tile over the zero-padded panels into a
+//     register-tile buffer and scatters the valid elements per
+//     destination.
 //
 // Bitwise contract: coefficients are ±1 in the Strassen tables, and both
 // negation and ±1 multiplication are exact in IEEE-754, so a fused pack
@@ -28,29 +31,42 @@ package kernel
 // one rounding per added term in term order. The packers round every
 // product before adding it (no FMA contraction) for any coefficients,
 // whether a word is formed by the Go loops or by the ISA's assembly
-// (microImpl.packA2/packB2: full micro-panels of a two-term non-transposed
-// operand on AVX2), so which of the two forms a word never changes its
-// bits (fusedpack_test.go). The tile-buffer capture (−0.0 buffer,
-// alpha = 1) holds the accumulator exactly, so the scalar multi-destination
-// scatter rounds exactly like a direct single-destination write-out at
-// alpha·coeff. A Compat instance therefore matches the unfused Compat
-// kernel bit for bit per destination (see fused_test.go); the SIMD tile
-// differs only by its usual FMA contraction.
+// (microImpl.packA2/packB2: the micro-panels inside the block of a
+// two-term non-transposed operand on AVX2), so which of the two forms a
+// word never changes its bits (fusedpack_test.go). A missing entry goes
+// through the same arithmetic as a stored +0.0 in both — a masked load in
+// the assembly — so a clipped pack equals the pack of a zero-padded copy
+// bit for bit, signed zeros included. The tile-buffer
+// capture (−0.0 buffer, alpha = 1) holds the accumulator exactly, and the
+// buffered scatter rounds like the tile's own write-out at alpha·coeff:
+// c + ad·acc (two roundings) on the scalar tile, FMA(ad, acc, c) on the
+// SIMD tiles, as their interior scatter and simdEdge do. An element
+// therefore rounds the same whether its tile is full or ragged, clipped
+// or not, and however many destinations share the sweep, and a fused
+// call matches the unfused kernel of the same tile on the materialized
+// operands bit for bit per destination (see fused_test.go).
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/phase"
 )
 
 // Term is one source panel of a fused operand: a matrix (sharing the
-// enclosing Operand's leading dimension and transpose) and its ±1
-// combination coefficient. Coefficients other than ±1 are computed
-// correctly but void the bitwise-equality contract (they round once per
-// term where a pre-materialized combination may round differently).
+// enclosing Operand's leading dimension and transpose), its ±1
+// combination coefficient and its valid extent. Coefficients other than
+// ±1 are computed correctly but void the bitwise-equality contract (they
+// round once per term where a pre-materialized combination may round
+// differently).
 type Term struct {
 	Data  []float64
 	Coeff float64
+	// Rows×Cols is the extent of op(Data) the term stores, from the
+	// block's top-left corner. Entries of the block past it read as +0.0
+	// through the same arithmetic as stored ones, and Data need not hold
+	// them. An extent covering the block (or more) stores all of it.
+	Rows, Cols int
 }
 
 // Operand is a fused input: the linear combination Σᵢ Coeffᵢ·op(Termᵢ) of
@@ -70,6 +86,10 @@ type Dest struct {
 	Data  []float64
 	Ld    int
 	Coeff float64
+	// Rows×Cols is the extent of the product panel written, from its
+	// top-left corner: elements past it are never read or written, and
+	// Data need not hold them.
+	Rows, Cols int
 }
 
 // FusedCounters reports how many FusedMulAdd calls the kernel has served.
@@ -97,10 +117,12 @@ func (k *Packed) FusedDestLimit() int {
 //
 //	d.Data ← d.Data + alpha·d.Coeff·(Σᵢ γᵢ·op(Aᵢ))·(Σⱼ δⱼ·op(Bⱼ))
 //
-// where the fused operand is m×k (a) and k×n (b). The caller pre-applies
-// beta; write-out is pure accumulation. The combination runs inside the
-// packing and the C update — no operand or product temporaries beyond the
-// same two packed panels MulAdd draws (LeafWorkspace is unchanged).
+// where the fused operand is m×k (a) and k×n (b), each term read as zero
+// past its extent, and d is written only inside its extent. The caller
+// pre-applies beta; write-out is pure accumulation. The combination runs
+// inside the packing and the C update — no operand or product temporaries
+// beyond the same two packed panels MulAdd draws (LeafWorkspace of the
+// block shape m×n×k, whatever the extents).
 func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []Dest) {
 	if m <= 0 || n <= 0 || kk <= 0 || alpha == 0 ||
 		len(a.Terms) == 0 || len(b.Terms) == 0 || len(dests) == 0 {
@@ -172,45 +194,66 @@ func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []
 // operand Σᵢ γᵢ·op(Aᵢ) into dst as mr-row micro-panels: packA generalized
 // to combine the term panels element-wise during the copy. Term 0 assigns
 // (scaled), later terms accumulate in order, so the combination rounds once
-// per added term exactly like a separate add/sub pass would.
+// per added term exactly like a separate add/sub pass would. Runs that
+// some term stores only in part go through formRun, which reads the
+// missing elements as +0.0.
 func packAFused(mi *microImpl, dst []float64, op Operand, ic, pc, mb, kb int) {
 	mr := mi.mr
-	if len(op.Terms) == 1 && op.Terms[0].Coeff == 1 {
-		packA(mr, dst, op.Terms[0].Data, op.Ld, op.Trans, ic, pc, mb, kb)
-		return
-	}
 	if mr < 1 || kb < 1 {
 		return
 	}
-	lda := op.Ld
-	ip0 := 0
-	if !op.Trans && len(op.Terms) == 2 && mi.packA2 != nil {
-		// The ISA forms every full micro-panel; a ragged last one falls
-		// through to the loop below.
-		off := pc*lda + ic
-		t0, t1 := op.Terms[0], op.Terms[1]
-		mi.packA2(dst, t0.Data[off:], t1.Data[off:], lda, mb/mr, kb, t0.Coeff, t1.Coeff)
-		ip0 = mb - mb%mr
+	rowsAll, colsAll := stored(op.Terms, ic, pc, mb, kb)
+	if len(op.Terms) == 1 && op.Terms[0].Coeff == 1 && rowsAll == mb && colsAll == kb {
+		packA(mr, dst, op.Terms[0].Data, op.Ld, op.Trans, ic, pc, mb, kb)
+		return
 	}
-	for ip := ip0; ip < mb; ip += mr {
+	lda := op.Ld
+	asmPanels, asmCols := 0, 0
+	if !op.Trans && len(op.Terms) == 2 && mi.packA2 != nil && colsAll > 0 {
+		// The ISA forms the columns both terms store of every micro-panel
+		// inside the block that a term stores rows of, reading the rows a
+		// term lacks as zero; the loop below forms the rest.
+		t0, t1 := op.Terms[0], op.Terms[1]
+		h0, h1 := within(t0.Rows, ic, mb), within(t1.Rows, ic, mb)
+		asmRows := min(roundUpMul(max(h0, h1), mr), mb-mb%mr)
+		if asmRows > 0 {
+			off := pc*lda + ic
+			asmPanels, asmCols = asmRows/mr, colsAll
+			mi.packA2(dst, from(t0, off, h0), from(t1, off, h1), lda, min(h0, asmRows), min(h1, asmRows),
+				asmCols, kb, t0.Coeff, t1.Coeff)
+		}
+	}
+	for ip := 0; ip < mb; ip += mr {
 		rows := mb - ip
 		if rows > mr {
 			rows = mr
 		}
 		base := (ip / mr) * (mr * kb)
+		// Every term stores columns [0, whole) of the panel's rows.
+		whole := 0
+		if ip+rows <= rowsAll {
+			whole = colsAll
+		}
 		if !op.Trans {
 			// op(A)(i, l) = A(ic+i, pc+l): column l contiguous in every term.
-			for l := 0; l < kb; l++ {
+			l0 := 0
+			if ip/mr < asmPanels {
+				l0 = asmCols
+			}
+			for l := l0; l < kb; l++ {
 				off := (pc+l)*lda + ic + ip
 				d := dst[base+l*mr : base+l*mr+mr : base+l*mr+mr]
-				if len(op.Terms) == 2 {
+				switch {
+				case l >= whole:
+					formRun(d, 1, rows, op.Terms, off, true, pc+l, ic+ip)
+				case len(op.Terms) == 2:
 					x := op.Terms[0].Data[off : off+rows]
 					y := op.Terms[1].Data[off : off+rows]
 					g0, g1 := op.Terms[0].Coeff, op.Terms[1].Coeff
 					for r := 0; r < rows; r++ {
 						d[r] = float64(g0*x[r]) + float64(g1*y[r])
 					}
-				} else {
+				default:
 					t0 := op.Terms[0]
 					x := t0.Data[off : off+rows]
 					for r := 0; r < rows; r++ {
@@ -235,24 +278,30 @@ func packAFused(mi *microImpl, dst []float64, op Operand, ic, pc, mb, kb int) {
 		for r := 0; r < rows; r++ {
 			row := (ic+ip+r)*lda + pc
 			d := dst[base+r:]
+			if whole < kb {
+				formRun(d[whole*mr:], mr, kb-whole, op.Terms, row+whole, false, ic+ip+r, pc+whole)
+			}
+			if whole == 0 {
+				continue
+			}
 			if len(op.Terms) == 2 {
-				x := op.Terms[0].Data[row : row+kb]
-				y := op.Terms[1].Data[row : row+kb]
+				x := op.Terms[0].Data[row : row+whole]
+				y := op.Terms[1].Data[row : row+whole]
 				g0, g1 := op.Terms[0].Coeff, op.Terms[1].Coeff
-				for l := 0; l < kb; l++ {
+				for l := 0; l < whole; l++ {
 					d[l*mr] = float64(g0*x[l]) + float64(g1*y[l])
 				}
 				continue
 			}
 			t0 := op.Terms[0]
-			x := t0.Data[row : row+kb]
-			for l := 0; l < kb; l++ {
+			x := t0.Data[row : row+whole]
+			for l := 0; l < whole; l++ {
 				d[l*mr] = t0.Coeff * x[l]
 			}
 			for _, t := range op.Terms[1:] {
-				x := t.Data[row : row+kb]
+				x := t.Data[row : row+whole]
 				g := t.Coeff
-				for l := 0; l < kb; l++ {
+				for l := 0; l < whole; l++ {
 					d[l*mr] += float64(g * x[l])
 				}
 			}
@@ -275,23 +324,30 @@ func packAFused(mi *microImpl, dst []float64, op Operand, ic, pc, mb, kb int) {
 // counterpart of packB with the same term-order rounding as packAFused.
 func packBFused(mi *microImpl, dst []float64, op Operand, pc, jc, kb, nb int) {
 	nr := mi.nr
-	if len(op.Terms) == 1 && op.Terms[0].Coeff == 1 {
-		packB(nr, dst, op.Terms[0].Data, op.Ld, op.Trans, pc, jc, kb, nb)
-		return
-	}
 	if nr < 1 || kb < 1 {
 		return
 	}
+	rowsAll, colsAll := stored(op.Terms, pc, jc, kb, nb)
+	if len(op.Terms) == 1 && op.Terms[0].Coeff == 1 && rowsAll == kb && colsAll == nb {
+		packB(nr, dst, op.Terms[0].Data, op.Ld, op.Trans, pc, jc, kb, nb)
+		return
+	}
 	ldb := op.Ld
-	// The ISA forms rows [0, kb4) of the first asmCols columns (every full
-	// micro-panel); the loop below forms their kb mod 4 tail rows and the
-	// whole of a ragged last panel.
-	asmCols, kb4 := 0, 0
-	if !op.Trans && len(op.Terms) == 2 && mi.packB2 != nil {
-		off := jc*ldb + pc
+	// The ISA forms rows [0, kb4) of every full micro-panel both terms
+	// store, kb4 covering the rows either term stores in whole 4-row
+	// steps inside the block and reading the rows a term lacks as zero;
+	// the loop below forms the rest.
+	asmPanels, kb4 := 0, 0
+	if !op.Trans && len(op.Terms) == 2 && mi.packB2 != nil && colsAll >= nr {
 		t0, t1 := op.Terms[0], op.Terms[1]
-		mi.packB2(dst, t0.Data[off:], t1.Data[off:], ldb, nb/nr, kb, t0.Coeff, t1.Coeff)
-		asmCols, kb4 = nb-nb%nr, kb&^3
+		h0, h1 := within(t0.Rows, pc, kb), within(t1.Rows, pc, kb)
+		kb4 = min(roundUpMul(max(h0, h1), 4), kb&^3)
+		if kb4 > 0 {
+			off := jc*ldb + pc
+			asmPanels = colsAll / nr
+			mi.packB2(dst, from(t0, off, h0), from(t1, off, h1), ldb, asmPanels, min(h0, kb4), min(h1, kb4),
+				kb, t0.Coeff, t1.Coeff)
+		}
 	}
 	for jp := 0; jp < nb; jp += nr {
 		cols := nb - jp
@@ -299,6 +355,11 @@ func packBFused(mi *microImpl, dst []float64, op Operand, pc, jc, kb, nb int) {
 			cols = nr
 		}
 		base := (jp / nr) * (nr * kb)
+		// Every term stores rows [0, whole) of the panel's columns.
+		whole := 0
+		if jp+cols <= colsAll {
+			whole = rowsAll
+		}
 		if !op.Trans {
 			// op(B)(l, j) = B(pc+l, jc+j): column j of the block is a
 			// contiguous run of each term's storage column jc+j. The panel
@@ -308,31 +369,37 @@ func packBFused(mi *microImpl, dst []float64, op Operand, pc, jc, kb, nb int) {
 			// path makes one combined pass over the strided destination
 			// where assign-then-accumulate would make two (the pack is
 			// bandwidth-bound — see the fused_pack phase in obsreport).
+			lo := 0
+			if jp/nr < asmPanels {
+				lo = kb4
+			}
 			for s := 0; s < cols; s++ {
 				col := (jc+jp+s)*ldb + pc
 				d := dst[base+s:]
+				if hi := max(lo, whole); hi < kb {
+					formRun(d[hi*nr:], nr, kb-hi, op.Terms, col+hi, true, jc+jp+s, pc+hi)
+				}
+				if lo >= whole {
+					continue
+				}
 				if len(op.Terms) == 2 {
-					x := op.Terms[0].Data[col : col+kb]
-					y := op.Terms[1].Data[col : col+kb]
+					x := op.Terms[0].Data[col : col+whole]
+					y := op.Terms[1].Data[col : col+whole]
 					g0, g1 := op.Terms[0].Coeff, op.Terms[1].Coeff
-					lo := 0
-					if jp < asmCols {
-						lo = kb4
-					}
-					for l := lo; l < kb; l++ {
+					for l := lo; l < whole; l++ {
 						d[l*nr] = float64(g0*x[l]) + float64(g1*y[l])
 					}
 					continue
 				}
 				t0 := op.Terms[0]
-				x := t0.Data[col : col+kb]
-				for l := 0; l < kb; l++ {
+				x := t0.Data[col : col+whole]
+				for l := 0; l < whole; l++ {
 					d[l*nr] = t0.Coeff * x[l]
 				}
 				for _, t := range op.Terms[1:] {
-					x := t.Data[col : col+kb]
+					x := t.Data[col : col+whole]
 					g := t.Coeff
-					for l := 0; l < kb; l++ {
+					for l := 0; l < whole; l++ {
 						d[l*nr] += float64(g * x[l])
 					}
 				}
@@ -353,14 +420,17 @@ func packBFused(mi *microImpl, dst []float64, op Operand, pc, jc, kb, nb int) {
 		for l := 0; l < kb; l++ {
 			off := (pc+l)*ldb + jc + jp
 			d := dst[base+l*nr : base+l*nr+nr : base+l*nr+nr]
-			if len(op.Terms) == 2 {
+			switch {
+			case l >= whole:
+				formRun(d, 1, cols, op.Terms, off, false, pc+l, jc+jp)
+			case len(op.Terms) == 2:
 				x := op.Terms[0].Data[off : off+cols]
 				y := op.Terms[1].Data[off : off+cols]
 				g0, g1 := op.Terms[0].Coeff, op.Terms[1].Coeff
 				for s := 0; s < cols; s++ {
 					d[s] = float64(g0*x[s]) + float64(g1*y[s])
 				}
-			} else {
+			default:
 				t0 := op.Terms[0]
 				x := t0.Data[off : off+cols]
 				for s := 0; s < cols; s++ {
@@ -378,29 +448,129 @@ func packBFused(mi *microImpl, dst []float64, op Operand, pc, jc, kb, nb int) {
 	}
 }
 
+// within is how many elements of the run [lo, lo+n) lie below ext.
+func within(ext, lo, n int) int {
+	return min(max(ext-lo, 0), n)
+}
+
+// stored returns the leading rows and columns of the rows×cols block at
+// (i0, j0) of the terms' op() views that every term stores.
+func stored(terms []Term, i0, j0, rows, cols int) (int, int) {
+	for _, t := range terms {
+		rows = min(rows, within(t.Rows, i0, rows))
+		cols = min(cols, within(t.Cols, j0, cols))
+	}
+	return rows, cols
+}
+
+// from is term t's storage from offset off, or nil when the term stores
+// none of the block's rows (have = 0) and off may lie past its data.
+func from(t Term, off, have int) []float64 {
+	if have == 0 {
+		return nil
+	}
+	return t.Data[off:]
+}
+
+// runOf is the part of a packed run (see formRun) that term t stores.
+func runOf(t Term, off int, down bool, cross, lo, n int) []float64 {
+	ext, crossExt := t.Rows, t.Cols
+	if !down {
+		ext, crossExt = t.Cols, t.Rows
+	}
+	if cross >= crossExt || ext <= lo {
+		return nil
+	}
+	return t.Data[off : off+within(ext, lo, n)]
+}
+
+// formRun forms n words of a packed run that some term stores only in
+// part, d[0], d[inc], …, from the run starting at offset off of every
+// term's storage: down an op() column (down) or along a row, crossing the
+// other dimension at cross and covering [lo, lo+n) of its own. Each term
+// contributes the elements it stores and reads the rest as +0.0 through
+// the same arithmetic as the packers' loops — term 0 assigns γ·x, later
+// terms add γ·x in order, every product rounded before its sum — so the
+// words equal those of a zero-padded copy bit for bit. Two terms combine
+// in one pass, as in the loops.
+func formRun(d []float64, inc, n int, terms []Term, off int, down bool, cross, lo int) {
+	var zero float64
+	if len(terms) == 2 {
+		x, y := runOf(terms[0], off, down, cross, lo, n), runOf(terms[1], off, down, cross, lo, n)
+		g0, g1 := terms[0].Coeff, terms[1].Coeff
+		m := min(len(x), len(y))
+		for i := 0; i < m; i++ {
+			d[i*inc] = float64(g0*x[i]) + float64(g1*y[i])
+		}
+		for i := m; i < n; i++ {
+			a, b := zero, zero
+			if i < len(x) {
+				a = x[i]
+			}
+			if i < len(y) {
+				b = y[i]
+			}
+			d[i*inc] = float64(g0*a) + float64(g1*b)
+		}
+		return
+	}
+	for ti, t := range terms {
+		x := runOf(t, off, down, cross, lo, n)
+		g := t.Coeff
+		gz := float64(g * zero)
+		if ti == 0 {
+			for i, v := range x {
+				d[i*inc] = g * v
+			}
+			for i := len(x); i < n; i++ {
+				d[i*inc] = gz
+			}
+			continue
+		}
+		for i, v := range x {
+			d[i*inc] += float64(g * v)
+		}
+		for i := len(x); i < n; i++ {
+			d[i*inc] += gz
+		}
+	}
+}
+
 // macroKernelFused sweeps the packed panels once and accumulates every
-// register tile into all destinations. One destination is the unfused
-// sweep at alpha·coeff; two destinations on a full tile use the ISA's
+// register tile into all destinations, each clipped to its extent. One
+// destination is the unfused sweep at alpha·coeff over the tiles it
+// stores; a tile both of two destinations store in full uses the ISA's
 // dual-scatter tile when present; otherwise the full tile runs over the
 // zero-padded panels into a −0.0 buffer at alpha = 1 (an exact capture of
-// the accumulators, ragged tiles included) and the valid elements are
-// scattered scalar per destination, which preserves the single-destination
-// rounding per destination.
+// the accumulators, ragged tiles included) and each destination's valid
+// elements are scattered with the tile's own rounding: FMA(ad, acc, c) on
+// the SIMD tiles, c + ad·acc on the scalar tile.
 func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, jc, mb, nb, kb int, alpha float64) (fullTiles, edgeTiles int64) {
 	if len(dests) == 1 {
 		d := dests[0]
-		return macroKernel(mi, apack, bpack, d.Data, d.Ld, ic, jc, mb, nb, kb, alpha*d.Coeff)
+		mv, nv := within(d.Rows, ic, mb), within(d.Cols, jc, nb)
+		if mv == 0 || nv == 0 {
+			return 0, 0
+		}
+		return macroKernel(mi, apack, bpack, d.Data, d.Ld, ic, jc, mv, nv, kb, alpha*d.Coeff)
 	}
 	mr, nr := mi.mr, mi.nr
+	fma := mi.isa != "scalar"
+	// Sweep only the tiles some destination stores.
+	mv, nv := 0, 0
+	for _, d := range dests {
+		mv = max(mv, within(d.Rows, ic, mb))
+		nv = max(nv, within(d.Cols, jc, nb))
+	}
 	var buf [SIMDTileMR * SIMDTileNR]float64
-	for jp := 0; jp < nb; jp += nr {
-		cols := nb - jp
+	for jp := 0; jp < nv; jp += nr {
+		cols := nv - jp
 		if cols > nr {
 			cols = nr
 		}
 		bp := bpack[(jp/nr)*(nr*kb):]
-		for ip := 0; ip < mb; ip += mr {
-			rows := mb - ip
+		for ip := 0; ip < mv; ip += mr {
+			rows := mv - ip
 			if rows > mr {
 				rows = mr
 			}
@@ -411,7 +581,8 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 			} else {
 				edgeTiles++
 			}
-			if full && len(dests) == 2 && mi.dual != nil {
+			if full && len(dests) == 2 && mi.dual != nil &&
+				fullIn(dests[0], ic+ip, jc+jp, mr, nr) && fullIn(dests[1], ic+ip, jc+jp, mr, nr) {
 				d0, d1 := dests[0], dests[1]
 				c0 := d0.Data[(jc+jp)*d0.Ld+ic+ip:]
 				c1 := d1.Data[(jc+jp)*d1.Ld+ic+ip:]
@@ -421,11 +592,21 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 			buf = negZeroTile
 			mi.full(ap, bp, buf[:], mr, kb, 1)
 			for _, d := range dests {
+				dr, dc := within(d.Rows, ic+ip, rows), within(d.Cols, jc+jp, cols)
+				if dr == 0 || dc == 0 {
+					continue
+				}
 				ad := alpha * d.Coeff
 				cd := d.Data[(jc+jp)*d.Ld+ic+ip:]
-				for s := 0; s < cols; s++ {
-					col := cd[s*d.Ld : s*d.Ld+rows : s*d.Ld+rows]
-					acc := buf[s*mr : s*mr+rows]
+				for s := 0; s < dc; s++ {
+					col := cd[s*d.Ld : s*d.Ld+dr : s*d.Ld+dr]
+					acc := buf[s*mr : s*mr+dr]
+					if fma {
+						for r := range col {
+							col[r] = math.FMA(ad, acc[r], col[r])
+						}
+						continue
+					}
 					for r := range col {
 						col[r] += ad * acc[r]
 					}
@@ -434,6 +615,12 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 		}
 	}
 	return fullTiles, edgeTiles
+}
+
+// fullIn reports whether destination d stores the whole rows×cols tile at
+// (i, j).
+func fullIn(d Dest, i, j, rows, cols int) bool {
+	return d.Rows >= i+rows && d.Cols >= j+cols
 }
 
 // fusedAcct is phaseAcct's counterpart for FusedMulAdd: fused packing

@@ -12,8 +12,10 @@ import (
 // The fused differential contract (fused.go): FusedMulAdd must equal
 // "materialize the operand combinations with one rounding per added term in
 // term order, then MulAdd once per destination at alpha·coeff" — bit for bit
-// on the scalar/Compat tiles, and under a widened Higham bound on the FMA
-// tile. The widening: the unfused SIMD-vs-scalar bound is 2·γ_{k+2}
+// on either tile (TestFusedScalarBlockCrossing checks both); the looser
+// checks (TestFusedSIMDHigham, FuzzFused) hold it to a widened Higham
+// bound instead. The widening: the unfused SIMD-vs-scalar bound is
+// 2·γ_{k+2}
 // (simd_test.go); each fused operand adds (terms−1) pre-roundings per
 // element, so two 2-term operands give 2·γ_{k+4} — in general
 // 2·γ_{k+2+(tA−1)+(tB−1)}.
@@ -21,8 +23,7 @@ import (
 // combineTerms materializes Σ γᵢ·termᵢ elementwise over the shared storage
 // layout, rounding every product and every added term in term order —
 // exactly the order packAFused/packBFused (and their assembly forms) round
-// in, so a scalar fused call must match a reference built from this bit for
-// bit. The conversion keeps the compiler from contracting the product and
+// in, so a fused call must match a reference built from this bit for bit. The conversion keeps the compiler from contracting the product and
 // sum into one FMA on targets that would.
 func combineTerms(terms []Term, n int) []float64 {
 	out := make([]float64, n)
@@ -69,18 +70,18 @@ func runFusedCase(t *testing.T, k *Packed, tc fusedCase, rng *rand.Rand, exact b
 
 	aOp := Operand{Ld: lda, Trans: tc.ta}
 	for _, g := range tc.aCoeffs {
-		aOp.Terms = append(aOp.Terms, Term{Data: fill(rng, ar, ac, lda), Coeff: g})
+		aOp.Terms = append(aOp.Terms, Term{Data: fill(rng, ar, ac, lda), Coeff: g, Rows: m, Cols: kk})
 	}
 	bOp := Operand{Ld: ldb, Trans: tc.tb}
 	for _, g := range tc.bCoeffs {
-		bOp.Terms = append(bOp.Terms, Term{Data: fill(rng, br, bc, ldb), Coeff: g})
+		bOp.Terms = append(bOp.Terms, Term{Data: fill(rng, br, bc, ldb), Coeff: g, Rows: kk, Cols: n})
 	}
 
 	c0s := make([][]float64, len(tc.dstCoeffs))
 	got := make([]Dest, len(tc.dstCoeffs))
 	for i, g := range tc.dstCoeffs {
 		c0s[i] = fill(rng, m, n, ldc)
-		got[i] = Dest{Data: append([]float64(nil), c0s[i]...), Ld: ldc, Coeff: g}
+		got[i] = Dest{Data: append([]float64(nil), c0s[i]...), Ld: ldc, Coeff: g, Rows: m, Cols: n}
 	}
 	k.FusedMulAdd(m, n, kk, tc.alpha, aOp, bOp, got)
 
@@ -150,17 +151,27 @@ func TestFusedCompatBitwiseExhaustive(t *testing.T) {
 	}
 }
 
-// TestFusedScalarBlockCrossing drives the tiny-block scalar kernel so every
-// fused call crosses jc/pc/ic block boundaries, with the deeper 4-term /
-// 4-destination records of the two-level table. Still bit-for-bit: the
-// tile-buffer capture preserves single-destination rounding per destination
-// no matter how many destinations share the sweep. The mode must be pinned
-// scalar — on a SIMD host the asm tile's FMA scatter rounds c+α·acc once
-// where the capture's scalar scatter rounds twice, a 1-ulp difference the
-// Higham test covers instead.
+// TestFusedScalarBlockCrossing drives tiny-block kernels so every fused
+// call crosses jc/pc/ic block boundaries, with 4-term / 4-destination
+// records. Still bit-for-bit against the unfused kernel of the same tile:
+// the tile-buffer capture preserves single-destination rounding per
+// destination no matter how many destinations share the sweep, because
+// the buffered scatter rounds like the tile's own write-out — c + α·acc
+// rounded twice on the scalar tile, once (FMA) on the SIMD tile. The
+// SIMD-moded kernel runs the scalar tile off-host; the check holds either
+// way.
 func TestFusedScalarBlockCrossing(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	k := &Packed{Mode: ModeScalar, MC: 2 * MR, KC: 3, NC: 2 * NR}
+	for _, k := range []*Packed{
+		{Mode: ModeScalar, MC: 2 * MR, KC: 3, NC: 2 * NR},
+		{Mode: ModeSIMD, MC: 2 * SIMDTileMR, KC: 3, NC: 2 * SIMDTileNR},
+	} {
+		fusedBlockCrossing(t, k, rng)
+	}
+}
+
+func fusedBlockCrossing(t *testing.T, k *Packed, rng *rand.Rand) {
+	t.Helper()
 	shapes := [][3]int{{1, 1, 1}, {5, 3, 7}, {9, 7, 13}, {13, 11, 8}, {17, 9, 19}}
 	for _, ta := range []bool{false, true} {
 		for _, tb := range []bool{false, true} {
@@ -257,16 +268,16 @@ func TestFusedWorkspaceExact(t *testing.T) {
 			tr := memtrack.New()
 			k.SetArena(tr)
 			aOp := Operand{Ld: m, Terms: []Term{
-				{Data: fill(rng, m, kk, m), Coeff: 1},
-				{Data: fill(rng, m, kk, m), Coeff: -1},
+				{Data: fill(rng, m, kk, m), Coeff: 1, Rows: m, Cols: kk},
+				{Data: fill(rng, m, kk, m), Coeff: -1, Rows: m, Cols: kk},
 			}}
 			bOp := Operand{Ld: kk, Terms: []Term{
-				{Data: fill(rng, kk, n, kk), Coeff: 1},
-				{Data: fill(rng, kk, n, kk), Coeff: 1},
+				{Data: fill(rng, kk, n, kk), Coeff: 1, Rows: kk, Cols: n},
+				{Data: fill(rng, kk, n, kk), Coeff: 1, Rows: kk, Cols: n},
 			}}
 			dests := []Dest{
-				{Data: make([]float64, m*n), Ld: m, Coeff: 1},
-				{Data: make([]float64, m*n), Ld: m, Coeff: -1},
+				{Data: make([]float64, m*n), Ld: m, Coeff: 1, Rows: m, Cols: n},
+				{Data: make([]float64, m*n), Ld: m, Coeff: -1, Rows: m, Cols: n},
 			}
 			k.FusedMulAdd(m, n, kk, 1, aOp, bOp, dests)
 			if got, want := tr.Peak(), k.LeafWorkspace(m, n, kk); got != want {
@@ -283,10 +294,10 @@ func TestFusedWorkspaceExact(t *testing.T) {
 // lists are complete no-ops that must not touch any destination.
 func TestFusedDegenerateArgs(t *testing.T) {
 	k := &Packed{}
-	a := Operand{Ld: 2, Terms: []Term{{Data: []float64{1, 2, 3, 4}, Coeff: 1}}}
-	b := Operand{Ld: 2, Terms: []Term{{Data: []float64{5, 6, 7, 8}, Coeff: 1}}}
+	a := Operand{Ld: 2, Terms: []Term{{Data: []float64{1, 2, 3, 4}, Coeff: 1, Rows: 2, Cols: 2}}}
+	b := Operand{Ld: 2, Terms: []Term{{Data: []float64{5, 6, 7, 8}, Coeff: 1, Rows: 2, Cols: 2}}}
 	c := []float64{math.NaN(), 1, 2, math.Inf(1)}
-	d := []Dest{{Data: c, Ld: 2, Coeff: 1}}
+	d := []Dest{{Data: c, Ld: 2, Coeff: 1, Rows: 2, Cols: 2}}
 	k.FusedMulAdd(0, 2, 2, 1, a, b, d)
 	k.FusedMulAdd(2, 0, 2, 1, a, b, d)
 	k.FusedMulAdd(2, 2, 0, 1, a, b, d)
@@ -309,10 +320,10 @@ func TestFusedCounters(t *testing.T) {
 	k := &Packed{Mode: ModeScalar}
 	m, n, kk := 12, 8, 16
 	aOp := Operand{Ld: m, Terms: []Term{
-		{Data: fill(rng, m, kk, m), Coeff: 1}, {Data: fill(rng, m, kk, m), Coeff: -1},
+		{Data: fill(rng, m, kk, m), Coeff: 1, Rows: m, Cols: kk}, {Data: fill(rng, m, kk, m), Coeff: -1, Rows: m, Cols: kk},
 	}}
-	bOp := Operand{Ld: kk, Terms: []Term{{Data: fill(rng, kk, n, kk), Coeff: 1}}}
-	dests := []Dest{{Data: make([]float64, m*n), Ld: m, Coeff: 1}}
+	bOp := Operand{Ld: kk, Terms: []Term{{Data: fill(rng, kk, n, kk), Coeff: 1, Rows: kk, Cols: n}}}
+	dests := []Dest{{Data: make([]float64, m*n), Ld: m, Coeff: 1, Rows: m, Cols: n}}
 	k.FusedMulAdd(m, n, kk, 1, aOp, bOp, dests)
 	k.FusedMulAdd(m, n, kk, 1, aOp, bOp, dests)
 	if got := k.FusedCounters(); got != 2 {
@@ -376,18 +387,18 @@ func FuzzFused(f *testing.F) {
 		}
 		aOp := Operand{Ld: lda, Trans: ta}
 		for i := 0; i < nA; i++ {
-			aOp.Terms = append(aOp.Terms, Term{Data: mk(ar, ac, lda), Coeff: sign(signBits >> (4 + i) & 1)})
+			aOp.Terms = append(aOp.Terms, Term{Data: mk(ar, ac, lda), Coeff: sign(signBits >> (4 + i) & 1), Rows: m, Cols: kk})
 		}
 		bOp := Operand{Ld: ldb, Trans: tb}
 		for i := 0; i < nB; i++ {
-			bOp.Terms = append(bOp.Terms, Term{Data: mk(br, bc, ldb), Coeff: sign(destBits >> (2 + i) & 1)})
+			bOp.Terms = append(bOp.Terms, Term{Data: mk(br, bc, ldb), Coeff: sign(destBits >> (2 + i) & 1), Rows: kk, Cols: n})
 		}
 		alpha := [3]float64{1, -0.5, 2.25}[blk%3]
 		c0s := make([][]float64, nD)
 		dests := make([]Dest, nD)
 		for i := range dests {
 			c0s[i] = mk(m, n, ldc)
-			dests[i] = Dest{Data: append([]float64(nil), c0s[i]...), Ld: ldc, Coeff: sign(uint8(seed) >> i & 1)}
+			dests[i] = Dest{Data: append([]float64(nil), c0s[i]...), Ld: ldc, Coeff: sign(uint8(seed) >> i & 1), Rows: m, Cols: n}
 		}
 		k.FusedMulAdd(m, n, kk, alpha, aOp, bOp, dests)
 

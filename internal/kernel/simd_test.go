@@ -156,7 +156,12 @@ func TestSIMDFringeTail(t *testing.T) {
 // ragged in both dimensions, so its last tile row and column move between
 // ragged tiles of every size and full tiles as dm and dn grow. Both the
 // dispatched tile and the scalar tile are checked, through MulAdd and
-// through FusedMulAdd with one and three destinations.
+// through FusedMulAdd with one, two and three destinations — two is where
+// the SIMD tile's full tiles take the dual-scatter assembly and its ragged
+// ones the buffered scatter, which must round alike. The fused calls also
+// run at the large shape with every destination's extent clipped to m×n:
+// a clipped tile must round like a full one and write nothing past the
+// extent.
 func TestRaggedTilePositionIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	m, n, kk := 2*SIMDTileMR+1, SIMDTileNR+1, 19
@@ -195,21 +200,35 @@ func checkPositionIndependent(t *testing.T, k *Packed, rng *rand.Rand, ta, tb bl
 	k.MulAdd(ta, tb, m, n, kk, alpha, a, ar, b, br, small, bm)
 	requireLeadingBlockEqual(t, "MulAdd", big, small, m, n, bm, dm, dn)
 
-	// Fused: two-term operands over the same storage, 1 and 3 destinations.
+	// Fused: two-term operands over the same storage, 1, 2 and 3
+	// destinations, unclipped and clipped.
 	a2, b2 := fill(rng, ar, ac, ar), fill(rng, br, bc, br)
-	aOp := Operand{Ld: ar, Trans: ta.IsTrans(), Terms: []Term{{Data: a, Coeff: 1}, {Data: a2, Coeff: -1}}}
-	bOp := Operand{Ld: br, Trans: tb.IsTrans(), Terms: []Term{{Data: b, Coeff: -1}, {Data: b2, Coeff: 1}}}
-	for _, coeffs := range [][]float64{{-1}, {1, -1, 1}} {
+	aOp := Operand{Ld: ar, Trans: ta.IsTrans(), Terms: []Term{
+		{Data: a, Coeff: 1, Rows: bm, Cols: kk}, {Data: a2, Coeff: -1, Rows: bm, Cols: kk}}}
+	bOp := Operand{Ld: br, Trans: tb.IsTrans(), Terms: []Term{
+		{Data: b, Coeff: -1, Rows: kk, Cols: bn}, {Data: b2, Coeff: 1, Rows: kk, Cols: bn}}}
+	for _, coeffs := range [][]float64{{-1}, {1, -1}, {1, -1, 1}} {
 		bigD := make([]Dest, len(coeffs))
 		smallD := make([]Dest, len(coeffs))
+		clipD := make([]Dest, len(coeffs))
 		for i, g := range coeffs {
-			bigD[i] = Dest{Data: append([]float64(nil), c0...), Ld: bm, Coeff: g}
-			smallD[i] = Dest{Data: append([]float64(nil), c0...), Ld: bm, Coeff: g}
+			bigD[i] = Dest{Data: append([]float64(nil), c0...), Ld: bm, Coeff: g, Rows: bm, Cols: bn}
+			smallD[i] = Dest{Data: append([]float64(nil), c0...), Ld: bm, Coeff: g, Rows: m, Cols: n}
+			clipD[i] = Dest{Data: append([]float64(nil), c0...), Ld: bm, Coeff: g, Rows: m, Cols: n}
 		}
 		k.FusedMulAdd(bm, bn, kk, alpha, aOp, bOp, bigD)
 		k.FusedMulAdd(m, n, kk, alpha, aOp, bOp, smallD)
+		k.FusedMulAdd(bm, bn, kk, alpha, aOp, bOp, clipD)
 		for i := range coeffs {
 			requireLeadingBlockEqual(t, "FusedMulAdd", bigD[i].Data, smallD[i].Data, m, n, bm, dm, dn)
+			requireLeadingBlockEqual(t, "clipped FusedMulAdd", bigD[i].Data, clipD[i].Data, m, n, bm, dm, dn)
+			for j := 0; j < bn; j++ {
+				for r := 0; r < bm; r++ {
+					if (r >= m || j >= n) && math.Float64bits(clipD[i].Data[j*bm+r]) != math.Float64bits(c0[j*bm+r]) {
+						t.Fatalf("clipped FusedMulAdd dm=%d dn=%d: (%d,%d) past the %d×%d extent was written", dm, dn, r, j, m, n)
+					}
+				}
+			}
 		}
 	}
 }
@@ -256,7 +275,7 @@ func TestSignedZeroWriteOut(t *testing.T) {
 					}
 				}
 				for i := range dests {
-					dests[i].Ld = m
+					dests[i].Ld, dests[i].Rows, dests[i].Cols = m, m, n
 					dests[i].Data = make([]float64, m*n)
 					for j := range dests[i].Data {
 						dests[i].Data[j] = negZero
@@ -265,8 +284,8 @@ func TestSignedZeroWriteOut(t *testing.T) {
 				if coeffs == nil {
 					k.MulAdd(blas.NoTrans, blas.NoTrans, m, n, kk, alpha, a, m, b, kk, dests[0].Data, m)
 				} else {
-					k.FusedMulAdd(m, n, kk, alpha, Operand{Ld: m, Terms: []Term{{Data: a, Coeff: 1}}},
-						Operand{Ld: kk, Terms: []Term{{Data: b, Coeff: 1}}}, dests)
+					k.FusedMulAdd(m, n, kk, alpha, Operand{Ld: m, Terms: []Term{{Data: a, Coeff: 1, Rows: m, Cols: kk}}},
+						Operand{Ld: kk, Terms: []Term{{Data: b, Coeff: 1, Rows: kk, Cols: n}}}, dests)
 				}
 				for di, d := range dests {
 					want := math.Float64bits(negZero + alpha*d.Coeff*0)

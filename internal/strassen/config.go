@@ -64,7 +64,12 @@ type OddStrategy int
 
 const (
 	// OddPeel is dynamic peeling (the paper's choice): strip the extra
-	// row/column and repair with rank-one and matrix-vector fixups.
+	// row/column and repair with rank-one and matrix-vector fixups. At a
+	// fused level it pads virtually instead: the level runs on blocks
+	// rounded up to the grid, the kernel's packers read the missing rows
+	// and columns as zero and its write-out never stores them, so the
+	// padding costs no workspace and needs no fixups. Materialized levels,
+	// where padding would cost workspace, still peel.
 	OddPeel OddStrategy = iota
 	// OddPadDynamic pads each odd dimension with one zero row/column at
 	// every recursion level (the approach of Douglas et al.).

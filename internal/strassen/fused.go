@@ -27,7 +27,12 @@ package strassen
 // says the children are base cases. Deeper trees run a materialized level
 // and re-test at each child, so fusion always replaces the leaf-adjacent
 // level where the O(n²) overhead bites hardest relative to the O(n³)
-// saved. (Fusing two levels through the composed 49-record table was
+// saved. Under OddPeel a level the grid does not divide asks the same
+// question of its blocks rounded up to the grid (policy.padsVirtually):
+// when they are base cases it runs fused on those blocks, clipped to the
+// matrices, instead of peeling — the kernel reads the overhang as zero
+// and never writes it, so the padding is virtual and bit-identical to
+// running the level on zero-padded copies (fusedpad_test.go). (Fusing two levels through the composed 49-record table was
 // measured slower than a materialized level over fused children on the
 // scalar tile, and the SIMD tile's write-out cannot serve its 4-way
 // fan-out; see EXPERIMENTS.md.)

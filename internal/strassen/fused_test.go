@@ -189,12 +189,16 @@ func fusedTestConfig(mode FusedMode) (*Config, *kernel.Packed) {
 
 // TestFusedEngagementTrace: the trace shows fused1 exactly where the
 // criterion predicts — only on the last level — the kernel counts the
-// fused calls, and pinned schedules or FusedOff never engage.
+// fused calls, and pinned schedules or FusedOff never engage. An odd
+// level pads virtually exactly when the level at its rounded-up shape is
+// fused; otherwise it peels.
 func TestFusedEngagementTrace(t *testing.T) {
 	skipIfAlgoPinned(t)
 	rng := rand.New(rand.NewSource(61))
+	tau := 16
 	run := func(mode FusedMode, sched Schedule, n int) (*CountTracer, *kernel.Packed) {
 		cfg, pk := fusedTestConfig(mode)
+		cfg.Criterion = Simple{Tau: tau}
 		cfg.Schedule = sched
 		tr := NewCountTracer()
 		cfg.Tracer = tr
@@ -227,9 +231,27 @@ func TestFusedEngagementTrace(t *testing.T) {
 	if tr, pk := run(FusedOn, ScheduleStrassen1, 64); tr.Count("fused1") != 0 || pk.FusedCounters() != 0 {
 		t.Errorf("pinned strassen1 engaged fused: events=%d calls=%d", tr.Count("fused1"), pk.FusedCounters())
 	}
-	// Odd sizes peel first, then the even core fuses.
+	// Odd sizes above a materialized level peel first, then the even core
+	// fuses.
 	if tr, pk := run(FusedOn, ScheduleAuto, 65); tr.Count("peel") == 0 || pk.FusedCounters() == 0 {
 		t.Errorf("n=65: want peel + fused, got peel=%d calls=%d", tr.Count("peel"), pk.FusedCounters())
+	}
+	fixups := func(tr *CountTracer) int {
+		return tr.Count("fixup-ger") + tr.Count("fixup-col") + tr.Count("fixup-row")
+	}
+	// n=33 at τ=16: the padded children (17) would recurse, so the level at
+	// the rounded-up shape is not fused and the level peels onto a fused
+	// 32 core, repairing the border with three fixups.
+	if tr, pk := run(FusedOn, ScheduleAuto, 33); tr.Count("peel") != 1 || tr.Count("fused1") != 1 || fixups(tr) != 3 || pk.FusedCounters() != 7 {
+		t.Errorf("n=33 τ=16: peel=%d fused1=%d fixups=%d calls=%d, want 1/1/3/7",
+			tr.Count("peel"), tr.Count("fused1"), fixups(tr), pk.FusedCounters())
+	}
+	// n=33 at τ=17: the padded children are base cases, so the odd level
+	// runs fused on 17×17 blocks padded virtually — no peel, no fixups.
+	tau = 17
+	if tr, pk := run(FusedOn, ScheduleAuto, 33); tr.Count("fused1") != 1 || tr.Count("peel") != 0 || fixups(tr) != 0 || pk.FusedCounters() != 7 {
+		t.Errorf("n=33 τ=17: fused1=%d peel=%d fixups=%d calls=%d, want 1/0/0/7",
+			tr.Count("fused1"), tr.Count("peel"), fixups(tr), pk.FusedCounters())
 	}
 }
 

@@ -26,7 +26,10 @@ const (
 	phQ  = phase.StrassenQuadrant
 )
 
-// frame binds a program's slots to one level's matrices.
+// frame binds a program's slots to one level's matrices. Blocks are
+// mq×kq (A), kq×nq (B) and mq×nq (C): the level's shape divided by the
+// grid, rounded up when a fused level pads virtually, in which case the
+// last block row and column overhang the matrices.
 type frame struct {
 	a, b       matrix.View
 	c          *matrix.Dense
@@ -77,7 +80,7 @@ func (e *engine) exec(p *program, c *matrix.Dense, a, b matrix.View, alpha, beta
 		e.pass(passAxpby, phQ, c, matrix.ViewOf(w), matrix.View{}, beta)
 		return
 	}
-	f := &frame{a: a, b: b, c: c, mq: m / p.m, kq: k / p.k, nq: n / p.n, gk: p.k, gn: p.n}
+	f := &frame{a: a, b: b, c: c, mq: ceilDiv(m, p.m), kq: ceilDiv(k, p.k), nq: ceilDiv(n, p.n), gk: p.k, gn: p.n}
 	if p.recs != nil {
 		e.fusedLevel(p.recs, f, alpha, beta)
 		return
@@ -231,7 +234,10 @@ func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) 
 
 // fusedLevel streams a fused level's records through the kernel's hooks:
 // β applied once up front, then each record's operand terms and
-// destinations passed as block views. No Strassen temporaries.
+// destinations passed as block views clipped to the matrices — a block
+// overhanging the last row or column carries its shorter extent, and the
+// kernel reads the rest as +0.0 and writes none of it. No Strassen
+// temporaries.
 func (e *engine) fusedLevel(recs []fusedRecord, f *frame, alpha, beta float64) {
 	e.pass(passScale, phQ, f.c, matrix.View{}, matrix.View{}, beta)
 	var at, bt [4]kernel.Term
@@ -240,17 +246,26 @@ func (e *engine) fusedLevel(recs []fusedRecord, f *frame, alpha, beta float64) {
 	bOp := kernel.Operand{Ld: f.b.Stride, Trans: f.b.Trans}
 	for _, rec := range recs {
 		for i, t := range rec.a {
-			at[i] = kernel.Term{Data: f.a.Slice(t.r*f.mq, t.c*f.kq, f.mq, f.kq).Data, Coeff: t.g}
+			v := clipBlock(f.a, t.r*f.mq, t.c*f.kq, f.mq, f.kq)
+			at[i] = kernel.Term{Data: v.Data, Coeff: t.g, Rows: v.Rows, Cols: v.Cols}
 		}
 		for i, t := range rec.b {
-			bt[i] = kernel.Term{Data: f.b.Slice(t.r*f.kq, t.c*f.nq, f.kq, f.nq).Data, Coeff: t.g}
+			v := clipBlock(f.b, t.r*f.kq, t.c*f.nq, f.kq, f.nq)
+			bt[i] = kernel.Term{Data: v.Data, Coeff: t.g, Rows: v.Rows, Cols: v.Cols}
 		}
 		for i, t := range rec.dst {
-			q := f.c.Slice(t.r*f.mq, t.c*f.nq, f.mq, f.nq)
-			dt[i] = kernel.Dest{Data: q.Data, Ld: q.Stride, Coeff: t.g}
+			q := clipBlock(matrix.ViewOf(f.c), t.r*f.mq, t.c*f.nq, f.mq, f.nq)
+			dt[i] = kernel.Dest{Data: q.Data, Ld: q.Stride, Coeff: t.g, Rows: q.Rows, Cols: q.Cols}
 		}
 		aOp.Terms = at[:len(rec.a)]
 		bOp.Terms = bt[:len(rec.b)]
 		e.fk.FusedMulAdd(f.mq, f.nq, f.kq, alpha, aOp, bOp, dt[:len(rec.dst)])
 	}
+}
+
+// clipBlock is the part of the r×c block at (i, j) of v that lies inside
+// v (empty when the block starts past v's last row or column).
+func clipBlock(v matrix.View, i, j, r, c int) matrix.View {
+	i, j = min(i, v.Rows), min(j, v.Cols)
+	return v.Slice(i, j, min(r, v.Rows-i), min(c, v.Cols-j))
 }

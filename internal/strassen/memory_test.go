@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/memtrack"
 )
@@ -199,5 +200,59 @@ func TestTrackerReuseAcrossLevels(t *testing.T) {
 	DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, m, m, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
 	if tr.Reused() == 0 {
 		t.Error("expected workspace reuse across sibling recursive calls")
+	}
+}
+
+// TestPlanMatchesMeasuredVirtualPadding: on odd shapes whose fused level
+// pads virtually — at the top, below a peeled materialized level, on
+// rectangular shapes and on a wider table's grid — PlanFor still equals
+// the measured Strassen workspace peak and the kernel arena peak to the
+// word. The fused leaf packs its rounded-up block shape, so KernelWords
+// follows the padded blocks.
+func TestPlanMatchesMeasuredVirtualPadding(t *testing.T) {
+	cases := []struct {
+		m, k, n, tau int
+		algo         string
+		fused, peels int // expected fused1 and peel trace events
+	}{
+		{33, 33, 33, 17, "default", 1, 0}, // the top level pads virtually
+		{67, 67, 67, 17, "default", 7, 1}, // peel, a materialized level, 7 virtually padded children
+		{35, 27, 41, 21, "default", 1, 0}, // rectangular, every dimension odd
+		{34, 19, 34, 17, "default", 1, 0}, // only k odd
+		{29, 17, 29, 10, "323", 1, 0},     // a 3×2×3 grid
+	}
+	for _, kc := range []func() *kernel.Packed{
+		func() *kernel.Packed { return &kernel.Packed{Compat: true} },
+		func() *kernel.Packed { return &kernel.Packed{Mode: kernel.ModeSIMD, MC: 16, KC: 12, NC: 16} },
+	} {
+		for _, tc := range cases {
+			for _, beta := range []float64{0, 0.5} {
+				rng := rand.New(rand.NewSource(int64(tc.m*7 + tc.k*3 + tc.n)))
+				pk := kc()
+				arena := memtrack.New()
+				pk.SetArena(arena)
+				tr := memtrack.New()
+				ct := NewCountTracer()
+				cfg := &Config{Kernel: pk, Criterion: Simple{Tau: tc.tau}, Algo: tc.algo, Fused: FusedOn}
+				plan := PlanFor(cfg, tc.m, tc.n, tc.k, beta == 0)
+				run := *cfg
+				run.Tracker, run.Tracer = tr, ct
+				a := matrix.NewRandom(tc.m, tc.k, rng)
+				b := matrix.NewRandom(tc.k, tc.n, rng)
+				c := matrix.NewRandom(tc.m, tc.n, rng)
+				DGEFMM(&run, blas.NoTrans, blas.NoTrans, tc.m, tc.n, tc.k, 1,
+					a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
+				if ct.Count("fused1") != tc.fused || ct.Count("peel") != tc.peels {
+					t.Fatalf("%+v: want %d fused1 and %d peel events, got %s", tc, tc.fused, tc.peels, ct)
+				}
+				if plan.Words != tr.Peak() || plan.KernelWords != arena.Peak() {
+					t.Errorf("%+v beta=%g: plan words/kernel words %d/%d, measured %d/%d",
+						tc, beta, plan.Words, plan.KernelWords, tr.Peak(), arena.Peak())
+				}
+				if tr.Live() != 0 || arena.Live() != 0 {
+					t.Errorf("%+v beta=%g: leaked %d workspace and %d kernel words", tc, beta, tr.Live(), arena.Live())
+				}
+			}
+		}
 	}
 }

@@ -279,6 +279,9 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int) simResult {
 		if mp != m || kp != k || np != n {
 			r.words += int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(mp)*int64(np)
 		}
+	case s.padsVirtually(m, k, n, betaZero, depth):
+		s.plan.Depth = max(s.plan.Depth, depth+1)
+		r = s.level(m, k, n, betaZero, depth)
 	default: // peeling, first or last: a level on the core, then fixups
 		s.plan.Depth = max(s.plan.Depth, depth+1)
 		gm, gk, gn := s.grid()
@@ -301,14 +304,15 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int) simResult {
 	return r
 }
 
-// level accounts one level program on a grid-divisible problem: a fused
-// level draws only the kernel's panels at the block shape; any other needs
+// level accounts one level program on a grid-divisible problem, or a fused
+// one padding virtually: a fused level draws only the kernel's panels at
+// the (rounded-up) block shape; any other needs
 // its declared temporaries plus its worst child — or, on a DAG level,
 // lanes concurrent β = 0 children, each of which can be inside a kernel
 // leaf at once.
 func (s *planSim) level(m, k, n int, betaZero bool, depth int) simResult {
 	p := s.levelProgram(m, k, n, betaZero, depth)
-	mq, kq, nq := m/p.m, k/p.k, n/p.n
+	mq, kq, nq := ceilDiv(m, p.m), ceilDiv(k, p.k), ceilDiv(n, p.n)
 	if p.recs != nil {
 		return simResult{kernel: s.leafWords(mq, nq, kq)}
 	}

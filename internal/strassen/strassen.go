@@ -225,13 +225,16 @@ func (p *policy) recurse(m, k, n, depth int) bool {
 		p.crit.Recurse(m, k, n)
 }
 
-// levelProgram picks the program one level runs on an exactly grid-divisible
-// (m, k, n) problem: the task DAG on the top dagLevels levels; the fused
-// form when the schedule is auto, the kernel has the hooks, the children
-// would be base cases and the table fits the hooks (the default path fuses
-// Strassen's 1969 construction, whose operands have at most two terms,
-// where Winograd's have up to four); otherwise the table's sequential
-// program, or on the default path the schedule β selects (Table 1).
+// levelProgram picks the program one level runs on (m, k, n), split into
+// blocks of the grid rounded up (ceilDiv): the task DAG on the top
+// dagLevels levels; the fused form when the schedule is auto, the kernel
+// has the hooks, the children would be base cases and the table fits the
+// hooks (the default path fuses Strassen's 1969 construction, whose
+// operands have at most two terms, where Winograd's have up to four);
+// otherwise the table's sequential program, or on the default path the
+// schedule β selects (Table 1). Only the fused program runs on a shape the
+// grid does not divide (see padsVirtually); the others get the divisible
+// core from peeling or padding.
 func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 	if depth < p.dagLevels {
 		return programsFor(p.table()).dag
@@ -242,7 +245,7 @@ func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 			ft = classic
 		}
 		gm, gk, gn := p.grid()
-		if !p.recurse(m/gm, k/gk, n/gn, depth+1) && tableFusable(ft, p.destLimit) {
+		if !p.recurse(ceilDiv(m, gm), ceilDiv(k, gk), ceilDiv(n, gn), depth+1) && tableFusable(ft, p.destLimit) {
 			return programsFor(ft).fused
 		}
 	}
@@ -261,6 +264,20 @@ func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 	return strassen2
 }
 
+// padsVirtually reports whether a level whose shape the grid does not
+// divide runs its program on blocks rounded up to the grid instead of
+// peeling: under OddPeel, when that program is the fused one. The fused
+// packers read the rows and columns past the matrix as +0.0 and the
+// write-out never stores them, so this padding costs no workspace — the
+// paper's peel-versus-pad question (Section 3.3) at the one level where
+// padding is free. The engine and PlanFor both ask it.
+func (p *policy) padsVirtually(m, k, n int, betaZero bool, depth int) bool {
+	return p.odd == OddPeel && p.levelProgram(m, k, n, betaZero, depth).recs != nil
+}
+
+// ceilDiv is ⌈x/d⌉ for positive d.
+func ceilDiv(x, d int) int { return (x + d - 1) / d }
+
 // dagLanes is the in-flight product cap of a DAG level with r products.
 func (p *policy) dagLanes(r int) int {
 	if p.lanes < 1 || p.lanes > r {
@@ -271,7 +288,8 @@ func (p *policy) dagLanes(r int) int {
 
 // mul computes c ← alpha*a*b + beta*c where a is m×k and b is k×n (both as
 // logical, possibly transposed, views). It applies the cutoff criterion,
-// then the odd-dimension strategy, then one level program.
+// then the odd-dimension strategy, then one level program. Under OddPeel
+// an odd shape peels unless its level is fused, which pads virtually.
 func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if m == 0 || n == 0 || e.canceled() {
@@ -302,15 +320,18 @@ func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, dep
 		}
 		e.peelFirstMul(c, a, b, alpha, beta, depth)
 	default: // OddPeel (and OddPadStatic below the pre-padded top level)
-		if odd {
+		if odd && !e.padsVirtually(m, k, n, beta == 0, depth) {
 			done = e.trace(depth, m, k, n, "peel")
+			e.peelMul(c, a, b, alpha, beta, depth)
+		} else {
+			e.level(c, a, b, alpha, beta, depth)
 		}
-		e.peelMul(c, a, b, alpha, beta, depth)
 	}
 	done()
 }
 
-// level runs one level program on an exactly grid-divisible problem.
+// level runs one level program: on an exactly grid-divisible problem, or
+// the fused program on one it pads virtually.
 func (e *engine) level(c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	p := e.levelProgram(m, k, n, beta == 0, depth)

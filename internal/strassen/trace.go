@@ -21,7 +21,9 @@ type TraceEvent struct {
 	// a level program's name — "strassen1", "strassen2", "original",
 	// "table", "parallel" (task DAG) or "fused1" —, "peel", "peel-first",
 	// "pad-dynamic", "pad-static" (odd handling), or "fixup-ger",
-	// "fixup-col", "fixup-row", "fixup-gemm-k/n/m" (peeling repairs).
+	// "fixup-col", "fixup-row", "fixup-gemm-k/n/m" (peeling repairs). A
+	// "fused1" node on a shape the grid does not divide is a fused level
+	// padding virtually (no "peel" node and no fixups around it).
 	Action string
 }
 
