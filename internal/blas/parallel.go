@@ -129,7 +129,7 @@ type taskThreader interface {
 		a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
 }
 
-// MulAdd implements Kernel. A base that can thread its own MC loop
+// MulAdd implements Kernel. A base that can thread its own rows
 // (taskThreader) runs on the process-shared work-stealing runtime —
 // per-block work distribution with stealing, one core budget shared with
 // every other runtime user, and bit-for-bit the base's sequential results.

@@ -48,7 +48,6 @@ package kernel
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/phase"
 )
@@ -124,70 +123,7 @@ func (k *Packed) FusedDestLimit() int {
 // beyond the same two packed panels MulAdd draws (LeafWorkspace of the
 // block shape m×n×k, whatever the extents).
 func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []Dest) {
-	if m <= 0 || n <= 0 || kk <= 0 || alpha == 0 ||
-		len(a.Terms) == 0 || len(b.Terms) == 0 || len(dests) == 0 {
-		return
-	}
-	mi := k.impl()
-	mcE, kcE, ncE := k.effBlocks(mi, m, n, kk)
-	ar := k.Arena()
-	apack := ar.AllocUninit(mcE * kcE)
-	bpack := ar.AllocUninit(kcE * ncE)
-
-	prof := phase.Active()
-	var acct fusedAcct
-
-	var packedA, packedB, tiles int64
-	var t0 time.Time
-	for jc := 0; jc < n; jc += ncE {
-		nb := n - jc
-		if nb > ncE {
-			nb = ncE
-		}
-		for pc := 0; pc < kk; pc += kcE {
-			kb := kk - pc
-			if kb > kcE {
-				kb = kcE
-			}
-			if prof != nil {
-				t0 = time.Now()
-			}
-			packBFused(mi, bpack, b, pc, jc, kb, nb)
-			if prof != nil {
-				acct.packNS += int64(time.Since(t0))
-			}
-			packedB += int64(kb) * int64(nb)
-			for ic := 0; ic < m; ic += mcE {
-				mb := m - ic
-				if mb > mcE {
-					mb = mcE
-				}
-				if prof != nil {
-					t0 = time.Now()
-				}
-				packAFused(mi, apack, a, ic, pc, mb, kb)
-				if prof != nil {
-					acct.packNS += int64(time.Since(t0))
-					t0 = time.Now()
-				}
-				packedA += int64(mb) * int64(kb)
-				ft, et := macroKernelFused(mi, apack, bpack, dests, ic, jc, mb, nb, kb, alpha)
-				if prof != nil {
-					acct.macro(mi, int64(time.Since(t0)), mb, nb, kb, ft, et, len(dests))
-				}
-				tiles += ft + et
-			}
-		}
-	}
-	ar.Free(bpack)
-	ar.Free(apack)
-	if prof != nil {
-		acct.flush(prof, len(a.Terms), len(b.Terms), packedA, packedB)
-	}
-	k.fusedMulAdds.Add(1)
-	k.packAWords.Add(packedA)
-	k.packBWords.Add(packedB)
-	k.countTiles(mi, tiles)
+	k.FusedMulAddTasks(nil, m, n, kk, alpha, a, b, dests)
 }
 
 // packAFused packs the mb×kb block with top-left (ic, pc) of the fused

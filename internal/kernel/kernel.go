@@ -29,11 +29,9 @@ package kernel
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/blas"
 	"repro/internal/memtrack"
-	"repro/internal/phase"
 )
 
 // Compat block sizes: blas.BlockedKernel's defaults. Rounding of a C
@@ -197,77 +195,11 @@ func (k *Packed) LeafWorkspace(m, n, kk int) int64 {
 
 // MulAdd implements blas.Kernel: C ← C + alpha·op(A)·op(B) on column-major
 // storage, op(A) m×k, op(B) k×n. The caller (blas.DgemmKernel) has already
-// validated arguments and applied beta.
+// validated arguments and applied beta. It runs the packed loop nest
+// (tasks.go) on the calling goroutine.
 func (k *Packed) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float64,
 	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if m <= 0 || n <= 0 || kk <= 0 || alpha == 0 {
-		return
-	}
-	mi := k.impl()
-	mcE, kcE, ncE := k.effBlocks(mi, m, n, kk)
-	ar := k.Arena()
-	apack := ar.AllocUninit(mcE * kcE)
-	bpack := ar.AllocUninit(kcE * ncE)
-	ta, tb := transA.IsTrans(), transB.IsTrans()
-
-	// Phase attribution is hoisted to one Active() load per MulAdd; with no
-	// profiler installed the loop nest below takes the prof==nil branches
-	// only. Pack and macro-kernel durations accumulate locally and fold into
-	// the profiler in one Add per phase at the end of the call.
-	prof := phase.Active()
-	var acct phaseAcct
-
-	var packedA, packedB, tiles int64
-	var t0 time.Time
-	for jc := 0; jc < n; jc += ncE {
-		nb := n - jc
-		if nb > ncE {
-			nb = ncE
-		}
-		for pc := 0; pc < kk; pc += kcE {
-			kb := kk - pc
-			if kb > kcE {
-				kb = kcE
-			}
-			if prof != nil {
-				t0 = time.Now()
-			}
-			packB(mi.nr, bpack, b, ldb, tb, pc, jc, kb, nb)
-			if prof != nil {
-				acct.packBNS += int64(time.Since(t0))
-			}
-			packedB += int64(kb) * int64(nb)
-			for ic := 0; ic < m; ic += mcE {
-				mb := m - ic
-				if mb > mcE {
-					mb = mcE
-				}
-				if prof != nil {
-					t0 = time.Now()
-				}
-				packA(mi.mr, apack, a, lda, ta, ic, pc, mb, kb)
-				if prof != nil {
-					acct.packANS += int64(time.Since(t0))
-					t0 = time.Now()
-				}
-				packedA += int64(mb) * int64(kb)
-				ft, et := macroKernel(mi, apack, bpack, c, ldc, ic, jc, mb, nb, kb, alpha)
-				if prof != nil {
-					acct.macro(mi, int64(time.Since(t0)), mb, nb, kb, ft, et)
-				}
-				tiles += ft + et
-			}
-		}
-	}
-	ar.Free(bpack)
-	ar.Free(apack)
-	if prof != nil {
-		acct.flush(prof, packedA, packedB)
-	}
-	k.mulAdds.Add(1)
-	k.packAWords.Add(packedA)
-	k.packBWords.Add(packedB)
-	k.countTiles(mi, tiles)
+	k.MulAddTasks(nil, 1, transA, transB, m, n, kk, alpha, a, lda, b, ldb, c, ldc)
 }
 
 // macroKernel sweeps the packed panels with the register micro-kernel:

@@ -205,8 +205,9 @@ func TestLeafWorkspaceExact(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState: after warm-up the arena free list satisfies
-// every packing draw, so MulAdd performs no heap allocation — on ragged
-// shapes too, whose edge tiles capture the register tile in a stack buffer.
+// every packing draw, so MulAdd and FusedMulAdd perform no heap
+// allocation — on ragged shapes too, whose edge tiles capture the register
+// tile in a stack buffer.
 func TestZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	k := &Packed{}
@@ -214,12 +215,17 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		a := fill(rng, n, n, n)
 		b := fill(rng, n, n, n)
 		c := make([]float64, n*n)
-		k.MulAdd(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, c, n) // warm the free list
-		avg := testing.AllocsPerRun(10, func() {
-			k.MulAdd(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, c, n)
-		})
-		if avg != 0 {
-			t.Fatalf("n=%d: packed MulAdd allocates %.1f objects/op in steady state, want 0", n, avg)
+		aOp := Operand{Ld: n, Terms: []Term{{Data: a, Coeff: 1, Rows: n, Cols: n}, {Data: b, Coeff: -1, Rows: n, Cols: n}}}
+		bOp := Operand{Ld: n, Terms: []Term{{Data: b, Coeff: 1, Rows: n, Cols: n}}}
+		dests := []Dest{{Data: c, Ld: n, Coeff: 1, Rows: n, Cols: n}}
+		for name, call := range map[string]func(){
+			"MulAdd":      func() { k.MulAdd(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, c, n) },
+			"FusedMulAdd": func() { k.FusedMulAdd(n, n, n, 1, aOp, bOp, dests) },
+		} {
+			call() // warm the free list
+			if avg := testing.AllocsPerRun(10, call); avg != 0 {
+				t.Fatalf("n=%d: packed %s allocates %.1f objects/op in steady state, want 0", n, name, avg)
+			}
 		}
 	}
 }

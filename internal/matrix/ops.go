@@ -123,10 +123,14 @@ func RevSubAssign(dst *Dense, x View) {
 }
 
 // Axpby computes dst = alpha*x + beta*dst. It is the quadrant scale/update
-// kernel of STRASSEN2 (e.g. C12 ← β·C12 + R3).
+// kernel of STRASSEN2 (e.g. C12 ← β·C12 + R3). As in the BLAS, beta = 0
+// means dst is written, not read: dst = alpha*x even where dst holds NaN,
+// Inf or never-written workspace.
 func Axpby(dst *Dense, alpha float64, x View, beta float64) {
 	checkSameShape("Axpby", dst.Rows, dst.Cols, x)
 	switch {
+	case beta == 0:
+		CopyScaled(dst, alpha, x)
 	case !x.Trans && beta == 1 && alpha == 1:
 		AddAssign(dst, x)
 	case !x.Trans:

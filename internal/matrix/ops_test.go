@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -125,6 +126,26 @@ func TestAxpby(t *testing.T) {
 					if diff := dst.At(i, j) - want; diff > 1e-15 || diff < -1e-15 {
 						t.Fatalf("Axpby(%v,%v) trans=%v wrong", alpha, beta, trans)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestAxpbyBetaZeroDoesNotReadDst: beta = 0 overwrites dst without reading
+// it, so NaN and Inf in dst do not reach the result.
+func TestAxpbyBetaZeroDoesNotReadDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, trans := range []bool{false, true} {
+		dst, x, _, xRef, _ := opsCase(t, rng, 3, 3, trans, false, true)
+		for i := range dst.Data {
+			dst.Data[i] = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
+		}
+		Axpby(dst, 2, x, 0)
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 3; j++ {
+				if got, want := dst.At(i, j), 2*xRef.At(i, j); got != want {
+					t.Fatalf("trans=%v: dst(%d,%d) = %v, want %v", trans, i, j, got, want)
 				}
 			}
 		}

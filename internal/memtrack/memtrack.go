@@ -57,14 +57,17 @@ func (t *Tracker) Alloc(n int) []float64 {
 // AllocUninit is Alloc without the zeroing guarantee: a recycled slice is
 // returned with its previous contents intact. It exists for workspace the
 // caller fully overwrites before reading — the packed GEMM kernel's panel
-// buffers — where zeroing would cost a full memory sweep per call. The
-// returned slice counts as live until Free is called.
+// buffers and the Strassen level temporaries — where zeroing would cost a
+// full memory sweep per draw. Under the poison build tag every slice it
+// returns, fresh or recycled, is filled with NaN, so a read before the
+// first write shows up in the result. The returned slice counts as live
+// until Free is called.
 func (t *Tracker) AllocUninit(n int) []float64 {
 	if n < 0 {
 		panic(fmt.Sprintf("memtrack: AllocUninit(%d)", n))
 	}
 	if t == nil {
-		return make([]float64, n)
+		return poison(make([]float64, n))
 	}
 	if prof := phase.Active(); prof != nil {
 		t0 := time.Now()
@@ -75,31 +78,41 @@ func (t *Tracker) AllocUninit(n int) []float64 {
 	return t.alloc(n, false)
 }
 
-// alloc is the shared locked draw path; zero selects Alloc's zeroing
-// guarantee. The bytes a draw accounts to phase.ArenaDraw are the words
-// handed out (n·8), whether fresh or recycled — the phase exists to show
-// how much workspace traffic the schedules induce, and zeroing/recycling
-// cost shows up in the phase's wall time, not its byte count.
+// alloc is the shared draw path; zero selects Alloc's zeroing guarantee.
+// Only the accounting and the free-list pop hold the lock: a fresh slice
+// is made and a recycled one cleared after unlocking, so concurrent draws
+// do not wait out each other's memory sweeps. The bytes a draw accounts
+// to phase.ArenaDraw are the words handed out (n·8), whether fresh or
+// recycled — the phase exists to show how much workspace traffic the
+// schedules induce, and zeroing/recycling cost shows up in the phase's
+// wall time, not its byte count.
 func (t *Tracker) alloc(n int, zero bool) []float64 {
+	var s []float64
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.live += int64(n)
 	if t.live > t.peak {
 		t.peak = t.live
 	}
 	if list := t.freelist[n]; len(list) > 0 {
-		s := list[len(list)-1]
+		s = list[len(list)-1]
 		t.freelist[n] = list[:len(list)-1]
 		t.reused++
-		if zero {
-			for i := range s {
-				s[i] = 0
-			}
-		}
-		return s
+	} else {
+		t.allocs++
 	}
-	t.allocs++
-	return make([]float64, n)
+	t.mu.Unlock()
+	switch {
+	case s == nil:
+		s = make([]float64, n)
+		if !zero {
+			poison(s)
+		}
+	case zero:
+		clear(s)
+	default:
+		poison(s)
+	}
+	return s
 }
 
 // Free returns a slice obtained from Alloc to the tracker. The slice must

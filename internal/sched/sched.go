@@ -2,7 +2,7 @@
 // paths: a work-stealing fork-join scheduler in the Cilk/TBB mold, sized to
 // GOMAXPROCS, on which the Strassen engine runs its seven Winograd products
 // (and the R products of any ⟨m,k,n⟩ table algorithm) as a dependency DAG,
-// the packed kernel threads its MC loop, and the batch pool draws its core
+// the packed kernel threads its leaves' rows, and the batch pool draws its core
 // budget.
 //
 // The design replaces three overlapping parallel mechanisms (the flat

@@ -132,9 +132,10 @@ type Config struct {
 	Tracker *memtrack.Tracker
 	// Sched, if non-nil, executes the recursion on this work-stealing task
 	// runtime (internal/sched): the top SchedLevels recursion levels expand
-	// their products into a dependency DAG and the packed kernel's MC loop
-	// threads at the leaves. Multiple Configs may share one runtime — tasks
-	// from concurrent calls interleave under a single core budget.
+	// their products into a dependency DAG and the packed kernel's large
+	// leaves, fused or not, thread by row bands. Multiple Configs may share
+	// one runtime — tasks from concurrent calls interleave under a single
+	// core budget.
 	Sched *sched.Runtime
 	// SchedLevels bounds how many top levels expand into task DAGs; 0 picks
 	// enough levels that the product fan-out covers the runtime's workers

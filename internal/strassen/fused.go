@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/kernel"
+	"repro/internal/sched"
 )
 
 // FusedMode selects whether DGEFMM may route the last recursion levels
@@ -143,11 +144,13 @@ func (cfg *Config) FusedActive() bool {
 }
 
 // fusedKernel is the structural hook interface a kernel implements to serve
-// fused Strassen levels (internal/kernel's Packed does). Kept structural
-// like leafSizer so the strassen package does not choose a kernel
-// implementation for its callers.
+// fused Strassen levels (internal/kernel's Packed does), with the hook's
+// threaded form for multi-worker runtimes. Kept structural like leafSizer
+// so the strassen package does not choose a kernel implementation for its
+// callers.
 type fusedKernel interface {
 	FusedMulAdd(m, n, kk int, alpha float64, a, b kernel.Operand, dests []kernel.Dest)
+	FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float64, a, b kernel.Operand, dests []kernel.Dest)
 }
 
 // fusedDestLimiter is the optional capability report alongside the hook:

@@ -68,9 +68,11 @@ func (f *frame) view(s slot) matrix.View {
 }
 
 // exec runs one level program on c ← alpha·a·b + beta·c; its products
-// recurse at depth+1. Temporaries are drawn from the tracker in
-// declaration order and returned in reverse, so the arena peak is the
-// level's declared words plus its worst child.
+// recurse at depth+1. Temporaries are drawn from the tracker up front, in
+// declaration order, and returned in reverse, so the arena peak is the
+// level's declared words plus its worst child (lanes children on a DAG
+// level). They are drawn without zeroing: every program writes a
+// temporary in full before it reads it (the poison build tag checks).
 func (e *engine) exec(p *program, c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if p.fold != nil {
@@ -92,7 +94,7 @@ func (e *engine) exec(p *program, c *matrix.Dense, a, b matrix.View, alpha, beta
 			r, c := f.dims(s)
 			most = max(most, r*c)
 		}
-		f.tmp[i] = e.tracker.Alloc(most)
+		f.tmp[i] = e.tracker.AllocUninit(most)
 	}
 	defer func() {
 		for i := len(f.tmp) - 1; i >= 0; i-- {
@@ -191,40 +193,32 @@ func (e *engine) pass(p pass, id phase.ID, dst *matrix.Dense, x, y matrix.View, 
 	s.End(flops, bytes)
 }
 
-// runTasks runs a DAG program on the engine's task runtime. Lane edges
-// (product r follows product r−lanes) cap the products in flight at the
-// engine's lanes, so the workspace bound the plan charges —
-// own + min(lanes, R)·child — is structural rather than a scheduling
-// accident. Formation and write-back tasks share the engine (they touch
-// only the profiler and their own slots); product tasks recurse on an
-// engine bound to the executing worker.
+// runTasks runs a DAG program on the engine's task runtime. The program
+// was compiled for the engine's lanes (compileDAG), so the edges that
+// order its lanes' buffer reuse also cap the products in flight at lanes:
+// the workspace bound the plan charges — own + lanes·child — is
+// structural rather than a scheduling accident. Formation and write-back
+// tasks share the engine (they touch only the profiler and their own
+// slots); product tasks recurse on an engine bound to the executing
+// worker.
 func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) {
-	lanes := e.dagLanes(p.products())
 	d := sched.NewDAG()
 	nodes := make([]*sched.Node, len(p.tasks))
-	var prods []*sched.Node
 	for i, tk := range p.tasks {
 		ops := p.ops[tk.first:tk.last]
-		mul := ops[0].mul
-		deps := make([]*sched.Node, 0, len(tk.deps)+1)
-		for _, j := range tk.deps {
-			deps = append(deps, nodes[j])
-		}
-		if mul && len(prods) >= lanes {
-			deps = append(deps, prods[len(prods)-lanes])
+		deps := make([]*sched.Node, len(tk.deps))
+		for j, dep := range tk.deps {
+			deps[j] = nodes[dep]
 		}
 		nodes[i] = d.Add(func(w *sched.Worker) {
 			eng := e
-			if mul {
+			if ops[0].mul {
 				eng = e.taskEngine(w)
 			}
 			for j := range ops {
 				eng.step(&ops[j], f, alpha, beta, depth)
 			}
 		}, deps...)
-		if mul {
-			prods = append(prods, nodes[i])
-		}
 	}
 	// On cancellation the DAG drains without running remaining bodies; the
 	// partially written C is discarded by the caller (dgefmm surfaces the
@@ -237,7 +231,9 @@ func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) 
 // destinations passed as block views clipped to the matrices — a block
 // overhanging the last row or column carries its shorter extent, and the
 // kernel reads the rest as +0.0 and writes none of it. No Strassen
-// temporaries.
+// temporaries. On a multi-worker runtime each record's rows split into
+// bands run as tasks (FusedMulAddTasks), bit-identical to the sequential
+// hook.
 func (e *engine) fusedLevel(recs []fusedRecord, f *frame, alpha, beta float64) {
 	e.pass(passScale, phQ, f.c, matrix.View{}, matrix.View{}, beta)
 	var at, bt [4]kernel.Term
@@ -259,7 +255,11 @@ func (e *engine) fusedLevel(recs []fusedRecord, f *frame, alpha, beta float64) {
 		}
 		aOp.Terms = at[:len(rec.a)]
 		bOp.Terms = bt[:len(rec.b)]
-		e.fk.FusedMulAdd(f.mq, f.nq, f.kq, alpha, aOp, bOp, dt[:len(rec.dst)])
+		if e.threadLeaves() {
+			e.fk.FusedMulAddTasks(e.sub, f.mq, f.nq, f.kq, alpha, aOp, bOp, dt[:len(rec.dst)])
+		} else {
+			e.fk.FusedMulAdd(f.mq, f.nq, f.kq, alpha, aOp, bOp, dt[:len(rec.dst)])
+		}
 	}
 }
 

@@ -53,8 +53,8 @@ func TestParallelCorrectAgainstReference(t *testing.T) {
 func TestParallelTrackerBalanced(t *testing.T) {
 	skipIfAlgoPinned(t)
 	// The shared tracker must see every parallel worker's allocation and
-	// end balanced, at the workspace PlanFor derives for a DAG level:
-	// 4S + 4T + 7P at m/2, plus one β=0 child subtree per product in
+	// end balanced, at the workspace PlanFor derives for a DAG level: its
+	// lanes' buffers at m/2, plus one β=0 child subtree per product in
 	// flight. How many children overlap depends on the worker count and on
 	// timing, so the peak is pinned at both ends: it equals the plan on a
 	// 1-worker runtime (children strictly one after another, exactly what

@@ -11,7 +11,7 @@ package strassen
 // engine's own decision functions (policy) and reads each level's
 // workspace off the program that level runs — its declared temporaries
 // (STRASSEN1's R1/R2, STRASSEN2's R1/R2/R3 of Figure 1, a table's S/T/P,
-// a DAG level's per-operand and per-product buffers), the fold buffer of
+// a DAG level's per-lane A, B and P buffers), the fold buffer of
 // STRASSEN1 with β ≠ 0, plus the padded copies of the padding strategies.
 // Plan.Words therefore equals the measured memtrack peak (memory_test.go
 // asserts equality), while WorkspaceBound gives the closed-form Table 1
@@ -118,15 +118,6 @@ func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 	if ls, ok := cfg.kernel().(leafSizer); ok {
 		s.leaf = ls.LeafWorkspace
 	}
-	if cores > 1 {
-		// A multi-worker runtime threads the plan's leaves (MulAddTasks):
-		// each leaf's arena draw grows to the parallel figure.
-		if pls, ok := cfg.kernel().(parallelLeafSizer); ok {
-			s.leaf = func(m, n, k int) int64 {
-				return pls.LeafWorkspaceParallel(m, n, k, cores)
-			}
-		}
-	}
 	var r simResult
 	if s.odd == OddPadStatic {
 		r = s.simStatic(m, k, n, betaZero)
@@ -139,19 +130,13 @@ func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 
 // leafSizer is the structural interface a kernel implements to report its
 // per-call workspace (internal/kernel's Packed does): the exact words one
-// MulAdd of the given logical shape draws from the kernel's arena. Kept
+// MulAdd of the given logical shape draws from the kernel's arena — also
+// when a multi-worker runtime threads the leaf, whose row bands share the
+// sequential leaf's panels (MulAddTasks, FusedMulAddTasks). Kept
 // structural so the strassen package does not choose a kernel
 // implementation for its callers.
 type leafSizer interface {
 	LeafWorkspace(m, n, k int) int64
-}
-
-// parallelLeafSizer is the threaded-leaf analogue (kernel.Packed's
-// LeafWorkspaceParallel): the words one MulAddTasks draws when its MC loop
-// splits across the given thread count. Structural for the same reason as
-// leafSizer.
-type parallelLeafSizer interface {
-	LeafWorkspaceParallel(m, n, k, threads int) int64
 }
 
 // Criterion returns a cutoff criterion that replays the plan's cached
@@ -306,10 +291,11 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int) simResult {
 
 // level accounts one level program on a grid-divisible problem, or a fused
 // one padding virtually: a fused level draws only the kernel's panels at
-// the (rounded-up) block shape; any other needs
-// its declared temporaries plus its worst child — or, on a DAG level,
-// lanes concurrent β = 0 children, each of which can be inside a kernel
-// leaf at once.
+// the (rounded-up) block shape; any other needs its declared temporaries
+// plus its worst child — or, on a DAG level, lanes concurrent β = 0
+// children, each of which can be inside a kernel leaf at once. A DAG
+// level's temporaries are its lanes' buffers (compileDAG), so own is the
+// peak live set, not one buffer per operand and product.
 func (s *planSim) level(m, k, n int, betaZero bool, depth int) simResult {
 	p := s.levelProgram(m, k, n, betaZero, depth)
 	mq, kq, nq := ceilDiv(m, p.m), ceilDiv(k, p.k), ceilDiv(n, p.n)

@@ -398,42 +398,110 @@ func compileTable(t *algo.Table, name string) *program {
 	return p.build()
 }
 
-// compileDAG compiles a coefficient table into the task-DAG program:
-// one temporary per multi-term operand and per product, so concurrent
-// products share no buffer; each C block is written back by one task that
-// scales it by β and accumulates its products in ascending r (the
-// sequential program's order, so both produce the same bits). Tasks and
-// their edges come from deriveTasks.
-func compileDAG(t *algo.Table) *program {
+// compileDAG compiles a coefficient table into the task-DAG program of a
+// level that runs lanes products at once. Product r forms its operands and
+// its product in lane r mod lanes, then accumulates P_r into every C block
+// its W column names, scaling each C block by β just before its first
+// product — so every C block sees the sequential program's op order (β,
+// then ascending r) and both produce the same bits. Each operand and
+// product starts as its own temporary; allocTemps then gives each lane
+// its own A, B and P buffers, reused product after product, and
+// deriveTasks orders the reuse (a lane's next product waits until its
+// previous one is written back), which caps the products in flight at
+// lanes and the level's workspace at lanes sets of buffers.
+func compileDAG(t *algo.Table, lanes int) *program {
 	p := &program{name: "parallel", m: t.M, k: t.K, n: t.N}
-	newTemp := func(s shape) slot {
+	var laneOf []int
+	newTemp := func(s shape, lane int) slot {
 		p.temps = append(p.temps, []shape{s})
+		laneOf = append(laneOf, lane)
 		return tmp(len(p.temps)-1, s)
 	}
-	prods := make([]slot, t.R)
+	scaled := make([]bool, t.M*t.N)
 	for r := 0; r < t.R; r++ {
+		lane := r % lanes
 		at, bt := t.ATerms(r), t.BTerms(r)
 		x, y := slot{shape: shapeA, idx: at[0].Block}, slot{shape: shapeB, idx: bt[0].Block}
 		if needsTemp(at) {
-			x = p.operand(newTemp(shapeA), shapeA, at)
+			x = p.operand(newTemp(shapeA, lane), shapeA, at)
 		}
 		if needsTemp(bt) {
-			y = p.operand(newTemp(shapeB), shapeB, bt)
+			y = p.operand(newTemp(shapeB, lane), shapeB, bt)
 		}
-		prods[r] = newTemp(shapeC)
-		p.ops = append(p.ops, mulOp(prods[r], x, y, acc0))
-	}
-	for l := 0; l < t.M*t.N; l++ {
-		cb := slot{shape: shapeC, idx: l}
-		p.ops = append(p.ops, lin(cb, betaTimes(cb)))
-		for r := 0; r < t.R; r++ {
+		prod := newTemp(shapeC, lane)
+		p.ops = append(p.ops, mulOp(prod, x, y, acc0))
+		for l := range scaled {
 			if g := t.W[l][r]; g != 0 {
-				p.ops = append(p.ops, lin(cb, plus(cb), times(g, prods[r])))
+				cb := slot{shape: shapeC, idx: l}
+				if !scaled[l] {
+					p.ops = append(p.ops, lin(cb, betaTimes(cb)))
+					scaled[l] = true
+				}
+				p.ops = append(p.ops, lin(cb, plus(cb), times(g, prod)))
 			}
 		}
 	}
+	p.allocTemps(laneOf)
 	p.tasks = deriveTasks(p.ops)
 	return p.build()
+}
+
+// allocTemps register-allocates a program's temporaries: each declared
+// temporary lives from the op that first writes it to the op that last
+// touches it, and takes a free buffer of its shape from its class (the
+// lane that computes it), or a new one when none is free. Afterwards the
+// program declares only those buffers.
+func (p *program) allocTemps(class []int) {
+	last := make([]int, len(p.temps))
+	for i := range p.ops {
+		o := &p.ops[i]
+		for _, s := range append(o.reads(), o.dst) {
+			if s.temp {
+				last[s.idx] = i
+			}
+		}
+	}
+	type pool struct {
+		class int
+		shape shape
+	}
+	free := map[pool][]int{}
+	phys := make([]int, len(p.temps))
+	for i := range phys {
+		phys[i] = -1
+	}
+	var temps [][]shape
+	at := func(s slot) slot {
+		if s.temp {
+			s.idx = phys[s.idx]
+		}
+		return s
+	}
+	for i := range p.ops {
+		o := &p.ops[i]
+		touched := append(o.reads(), o.dst)
+		if v := o.dst.idx; o.dst.temp && phys[v] < 0 {
+			key := pool{class[v], o.dst.shape}
+			if list := free[key]; len(list) > 0 {
+				phys[v], free[key] = list[len(list)-1], list[:len(list)-1]
+			} else {
+				phys[v] = len(temps)
+				temps = append(temps, p.temps[v])
+			}
+		}
+		o.dst, o.x, o.y = at(o.dst), at(o.x), at(o.y)
+		for j := range o.terms {
+			o.terms[j].src = at(o.terms[j].src)
+		}
+		for _, s := range touched {
+			if s.temp && last[s.idx] == i && phys[s.idx] >= 0 {
+				key := pool{class[s.idx], s.shape}
+				free[key] = append(free[key], phys[s.idx])
+				phys[s.idx] = -1
+			}
+		}
+	}
+	p.temps = temps
 }
 
 // aliases reports whether two slots share storage: the same temporary
@@ -485,9 +553,22 @@ func conflict(u, v *op) bool {
 	return false
 }
 
-// tablePrograms holds the programs compiled from one table.
+// tablePrograms holds the programs compiled from one table; DAG programs
+// are compiled per lane count on first use.
 type tablePrograms struct {
-	seq, dag, fused *program
+	tbl        *algo.Table
+	seq, fused *program
+	dags       sync.Map // lanes → *program
+}
+
+// dag returns the table's DAG program for a level running lanes products
+// at once.
+func (tp *tablePrograms) dag(lanes int) *program {
+	if p, ok := tp.dags.Load(lanes); ok {
+		return p.(*program)
+	}
+	p, _ := tp.dags.LoadOrStore(lanes, compileDAG(tp.tbl, lanes))
+	return p.(*program)
 }
 
 var compiled sync.Map // *algo.Table → *tablePrograms
@@ -499,8 +580,8 @@ func programsFor(t *algo.Table) *tablePrograms {
 		return p.(*tablePrograms)
 	}
 	p := &tablePrograms{
+		tbl:   t,
 		seq:   compileTable(t, "table"),
-		dag:   compileDAG(t),
 		fused: &program{name: "fused1", m: t.M, k: t.K, n: t.N, recs: tableFusedRecords(t)},
 	}
 	actual, _ := compiled.LoadOrStore(t, p)

@@ -29,11 +29,18 @@ func allPrograms() []namedProgram {
 	}
 	for _, t := range algo.Tables() {
 		tp := programsFor(t)
-		progs = append(progs,
-			namedProgram{t.Name + "/seq", tp.seq, all},
-			namedProgram{t.Name + "/dag", tp.dag, all})
+		progs = append(progs, namedProgram{t.Name + "/seq", tp.seq, all})
+		for _, lanes := range dagLaneCounts(t) {
+			progs = append(progs, namedProgram{fmt.Sprintf("%s/dag/lanes=%d", t.Name, lanes), tp.dag(lanes), all})
+		}
 	}
 	return progs
+}
+
+// dagLaneCounts lists the lane counts the DAG tests compile a table for:
+// one lane, a few, and one per product.
+func dagLaneCounts(t *algo.Table) []int {
+	return []int{1, 2, 3, t.R}
 }
 
 // TestProgramsExactOnUnitBlocks runs every level program through the
@@ -86,68 +93,85 @@ func storage(s slot, cBlocks int) []string {
 
 // TestDAGOrdersConflictingOps: in every DAG compilation, any two ops that
 // touch one storage cell, with at least one of them writing it, run in one
-// task (in program order) or in tasks ordered by a dependency path.
+// task (in program order) or in tasks ordered by a dependency path; and
+// product r+lanes follows product r, so at most lanes products are in
+// flight.
 func TestDAGOrdersConflictingOps(t *testing.T) {
 	for _, tbl := range algo.Tables() {
-		p := programsFor(tbl).dag
-		cBlocks := p.m * p.n
-		taskOf := make([]int, len(p.ops))
-		reach := make([][]bool, len(p.tasks)) // reach[j][i]: path i → j
-		for j, tk := range p.tasks {
-			for i := tk.first; i < tk.last; i++ {
-				taskOf[i] = j
+		for _, lanes := range dagLaneCounts(tbl) {
+			checkDAGOrders(t, fmt.Sprintf("%s lanes=%d", tbl.Name, lanes), programsFor(tbl).dag(lanes), lanes)
+		}
+	}
+}
+
+// checkDAGOrders checks one DAG program's conflict and lane ordering.
+func checkDAGOrders(t *testing.T, name string, p *program, lanes int) {
+	cBlocks := p.m * p.n
+	taskOf := make([]int, len(p.ops))
+	reach := make([][]bool, len(p.tasks)) // reach[j][i]: path i → j
+	var prods []int
+	for j, tk := range p.tasks {
+		for i := tk.first; i < tk.last; i++ {
+			taskOf[i] = j
+		}
+		if p.ops[tk.first].mul {
+			prods = append(prods, j)
+		}
+		reach[j] = make([]bool, len(p.tasks))
+		for _, d := range tk.deps {
+			if d >= j {
+				t.Fatalf("%s: task %d depends on later task %d", name, j, d)
 			}
-			reach[j] = make([]bool, len(p.tasks))
-			for _, d := range tk.deps {
-				if d >= j {
-					t.Fatalf("%s: task %d depends on later task %d", tbl.Name, j, d)
-				}
-				reach[j][d] = true
-				for i := range reach[d] {
-					reach[j][i] = reach[j][i] || reach[d][i]
-				}
+			reach[j][d] = true
+			for i := range reach[d] {
+				reach[j][i] = reach[j][i] || reach[d][i]
 			}
 		}
-		type access struct {
-			cells []string
-			write bool
+	}
+	for r := lanes; r < len(prods); r++ {
+		if !reach[prods[r]][prods[r-lanes]] {
+			t.Fatalf("%s: product %d does not follow product %d", name, r, r-lanes)
 		}
-		accesses := func(o *op) []access {
-			out := []access{{storage(o.dst, cBlocks), true}}
-			if o.mul {
-				out = append(out, access{storage(o.x, cBlocks), false}, access{storage(o.y, cBlocks), false})
-				if o.acc != acc0 {
-					out = append(out, access{storage(o.dst, cBlocks), false})
-				}
-				return out
-			}
-			for _, tm := range o.terms {
-				out = append(out, access{storage(tm.src, cBlocks), false})
+	}
+	type access struct {
+		cells []string
+		write bool
+	}
+	accesses := func(o *op) []access {
+		out := []access{{storage(o.dst, cBlocks), true}}
+		if o.mul {
+			out = append(out, access{storage(o.x, cBlocks), false}, access{storage(o.y, cBlocks), false})
+			if o.acc != acc0 {
+				out = append(out, access{storage(o.dst, cBlocks), false})
 			}
 			return out
 		}
-		overlap := func(x, y []string) bool {
-			for _, a := range x {
-				for _, b := range y {
-					if a == b {
-						return true
-					}
+		for _, tm := range o.terms {
+			out = append(out, access{storage(tm.src, cBlocks), false})
+		}
+		return out
+	}
+	overlap := func(x, y []string) bool {
+		for _, a := range x {
+			for _, b := range y {
+				if a == b {
+					return true
 				}
 			}
-			return false
 		}
-		for i := range p.ops {
-			for j := i + 1; j < len(p.ops); j++ {
-				ti, tj := taskOf[i], taskOf[j]
-				if ti == tj || reach[tj][ti] {
-					continue
-				}
-				for _, u := range accesses(&p.ops[i]) {
-					for _, v := range accesses(&p.ops[j]) {
-						if (u.write || v.write) && overlap(u.cells, v.cells) {
-							t.Fatalf("%s: ops %d and %d conflict on %v but tasks %d and %d are unordered",
-								tbl.Name, i, j, u.cells, ti, tj)
-						}
+		return false
+	}
+	for i := range p.ops {
+		for j := i + 1; j < len(p.ops); j++ {
+			ti, tj := taskOf[i], taskOf[j]
+			if ti == tj || reach[tj][ti] {
+				continue
+			}
+			for _, u := range accesses(&p.ops[i]) {
+				for _, v := range accesses(&p.ops[j]) {
+					if (u.write || v.write) && overlap(u.cells, v.cells) {
+						t.Fatalf("%s: ops %d and %d conflict on %v but tasks %d and %d are unordered",
+							name, i, j, u.cells, ti, tj)
 					}
 				}
 			}
@@ -155,21 +179,26 @@ func TestDAGOrdersConflictingOps(t *testing.T) {
 	}
 }
 
-// TestWinogradDAGShape pins the default path's DAG level: 4 S and 4 T
-// formations, 7 products and 4 write-backs — 19 tasks — with 4·mk/4 +
-// 4·kn/4 + 7·mn/4 words of workspace.
+// TestWinogradDAGShape pins the default path's DAG level at every lane
+// count: 4 S and 4 T formations, 7 products and 14 write-backs (one per
+// nonzero of W, the first into each C block carrying its β pass) — 29
+// tasks — and one A, B and P buffer per lane that forms such an operand:
+// 3 buffers at one lane, 6 at two, 4S + 4T + 7P at seven.
 func TestWinogradDAGShape(t *testing.T) {
-	p := programsFor(algo.Default()).dag
-	if len(p.tasks) != 19 {
-		t.Fatalf("Winograd DAG level has %d tasks, want 19", len(p.tasks))
-	}
-	if r := p.products(); r != 7 {
-		t.Fatalf("%d products, want 7", r)
-	}
 	m, k, n := 8, 6, 10
-	want := int64(4*(m/2)*(k/2) + 4*(k/2)*(n/2) + 7*(m/2)*(n/2))
-	if got := p.words(m, k, n); got != want {
-		t.Errorf("DAG level words %d, want %d", got, want)
+	aq, bq, cq := int64((m/2)*(k/2)), int64((k/2)*(n/2)), int64((m/2)*(n/2))
+	for _, tc := range []struct{ lanes, s, t int }{{1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {7, 4, 4}} {
+		p := programsFor(algo.Default()).dag(tc.lanes)
+		if len(p.tasks) != 29 {
+			t.Fatalf("lanes=%d: Winograd DAG level has %d tasks, want 29", tc.lanes, len(p.tasks))
+		}
+		if r := p.products(); r != 7 {
+			t.Fatalf("lanes=%d: %d products, want 7", tc.lanes, r)
+		}
+		want := int64(tc.s)*aq + int64(tc.t)*bq + int64(tc.lanes)*cq
+		if got := p.words(m, k, n); got != want {
+			t.Errorf("lanes=%d: DAG level words %d, want %d", tc.lanes, got, want)
+		}
 	}
 }
 

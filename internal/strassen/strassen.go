@@ -237,7 +237,8 @@ func (p *policy) recurse(m, k, n, depth int) bool {
 // core from peeling or padding.
 func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 	if depth < p.dagLevels {
-		return programsFor(p.table()).dag
+		t := p.table()
+		return programsFor(t).dag(p.dagLanes(t.R))
 	}
 	if p.fused && p.sched == ScheduleAuto {
 		ft := p.tbl
@@ -401,10 +402,11 @@ func (e *engine) peelMul(c *matrix.Dense, a, b matrix.View, alpha, beta float64,
 }
 
 // baseGemm performs the standard-algorithm multiplication below the cutoff.
-// With a multi-worker task runtime attached and a kernel that supports it,
-// the leaf threads its MC loop through the runtime (see kernel.MulAddTasks):
-// the adapter still routes through blas.DgemmKernel so argument validation
-// and the beta pass stay identical to the sequential leaf.
+// With a multi-worker task runtime attached, a leaf on a kernel that
+// supports it threads its rows through the runtime (see
+// kernel.MulAddTasks): the adapter still routes through blas.DgemmKernel
+// so argument validation and the beta pass stay identical to the
+// sequential leaf.
 func (e *engine) baseGemm(c *matrix.Dense, a, b matrix.View, alpha, beta float64) {
 	ta, tb := blas.NoTrans, blas.NoTrans
 	if a.Trans {
@@ -414,13 +416,19 @@ func (e *engine) baseGemm(c *matrix.Dense, a, b matrix.View, alpha, beta float64
 		tb = blas.Trans
 	}
 	kern := e.kern
-	if e.sub != nil && e.sub.Workers() > 1 {
+	if e.threadLeaves() {
 		if tk, ok := kern.(taskLeafKernel); ok {
-			kern = taskKernel{tk, e.sub, e.sub.Workers()}
+			kern = taskKernel{tk, e.sub}
 		}
 	}
 	blas.DgemmKernel(kern, ta, tb, c.Rows, c.Cols, a.Cols, alpha,
 		a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
+}
+
+// threadLeaves reports whether leaves split their rows across the
+// engine's runtime: whenever it has more than one worker.
+func (e *engine) threadLeaves() bool {
+	return e.sub != nil && e.sub.Workers() > 1
 }
 
 // taskLeafKernel is the structural interface of a kernel whose leaf loop
@@ -432,16 +440,16 @@ type taskLeafKernel interface {
 }
 
 // taskKernel adapts a taskLeafKernel so its MulAdd threads through the
-// engine's submitter; embedding forwards every other Kernel method.
+// engine's submitter, over all of its workers; embedding forwards every
+// other Kernel method.
 type taskKernel struct {
 	taskLeafKernel
-	sub     sched.Submitter
-	threads int
+	sub sched.Submitter
 }
 
 func (t taskKernel) MulAdd(transA, transB blas.Transpose, m, n, k int, alpha float64,
 	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	t.MulAddTasks(t.sub, t.threads, transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+	t.MulAddTasks(t.sub, t.sub.Workers(), transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 }
 
 // gemvN computes y ← alpha*V*x + beta*y for a logical view V (y has V.Rows

@@ -3,29 +3,37 @@ package strassen
 // Task-DAG execution: the top recursion levels' products run as a
 // dependency graph on the work-stealing runtime (internal/sched) — the
 // paper's Section 5 future-work item ("extend our implementation to use
-// ... parallelism"). A DAG level is the table's DAG program (compileDAG):
-// operand formation tasks (the S_r/T_r linear combinations), the R
-// recursive products, and one single-writer write-back task per C block,
-// with edges derived from the ops' read and write sets — so a product
-// starts the moment its own operands exist, and a C block combines as soon
-// as its last product retires.
+// ... parallelism"). A DAG level is the table's DAG program compiled for
+// the level's lanes (compileDAG): operand formation tasks (the S_r/T_r
+// linear combinations), the R recursive products, and one write-back task
+// per nonzero of W, with edges derived from the ops' read and write sets
+// — so a product starts the moment its own operands and its lane's
+// buffers are free, and a C block takes each product as soon as it and
+// the block's earlier products have retired.
 //
-// Determinism: every buffer has exactly one writing task, write-back
-// accumulates products in ascending r (the sequential table program's
-// order), and lane edges make the in-flight product cap a property of the
-// graph rather than of scheduler timing — so the same configuration
-// produces bit-for-bit identical output on a 1-worker and an N-worker
-// runtime (FuzzSchedDAG pins this on the scalar Compat kernel).
+// Determinism: every buffer has one writing task at a time, each C block
+// takes its products in ascending r (the sequential table program's
+// order), and the lanes' buffer reuse makes the in-flight product cap a
+// property of the graph rather than of scheduler timing — so the same
+// configuration produces bit-for-bit identical output on a 1-worker and
+// an N-worker runtime (FuzzSchedDAG pins this on the scalar Compat
+// kernel).
 //
-// The default path runs the builtin Winograd ⟨2,2,2⟩ table's DAG program,
-// whose operand combinations are the paper's S1..S4/T1..T4, so a level
-// costs 4·mk/4 + 4·kn/4 + 7·mn/4 words of workspace — which is why the DAG
-// applies only at the top levels.
+// Memory: the temporaries are register-allocated by lane (allocTemps), so
+// a level holds one A, B and P buffer per lane that forms such an operand.
+// On the default path (the builtin Winograd ⟨2,2,2⟩ table, whose operand
+// combinations are the paper's S1..S4/T1..T4) that is at most
+// lanes·(mk/4 + kn/4 + mn/4) words — 6 blocks at two lanes, 3 at one,
+// against 4·mk/4 + 4·kn/4 + 7·mn/4 with a buffer per operand and product.
+// Leaves under a DAG level thread too (kernel.MulAddTasks and
+// FusedMulAddTasks), so a lane that finishes early helps the others'
+// leaves instead of idling.
 
 import (
 	"context"
 
 	"repro/internal/blas"
+	"repro/internal/memtrack"
 	"repro/internal/sched"
 )
 
@@ -47,8 +55,8 @@ func (cfg *Config) schedParams(r int) (lanes, levels int, dag bool) {
 
 // schedCores returns the worker count of the runtime a call would execute
 // on (0 when no task runtime is configured); the cutoff resolution and
-// PlanFor consult it so the "<kernel>@<cores>" calibration rows and the
-// threaded-leaf workspace accounting see the same figure the engine does.
+// PlanFor consult it so the "<kernel>@<cores>" calibration rows see the
+// same figure the engine does.
 func (cfg *Config) schedCores() int {
 	if cfg.Sched == nil {
 		return 0
@@ -84,16 +92,28 @@ func (e *engine) canceled() bool {
 	return e.ctx != nil && e.ctx.Err() != nil
 }
 
-// taskEngine derives the engine a product task runs with: same policy, its
-// own kernel state (the tracker is shared; it is concurrency-safe), and the
-// executing worker as its submitter — nested DAG levels and threaded leaves
-// then push onto the worker's own deque (helping) instead of blocking the
-// pool from outside.
+// taskEngine derives the engine a product task runs with: same policy and
+// tracker (it is concurrency-safe), and the executing worker as its
+// submitter — nested DAG levels and threaded leaves then push onto the
+// worker's own deque (helping) instead of blocking the pool from outside.
+// A kernel that draws every call's buffers from an arena (kernel.Packed)
+// is safe for concurrent use and is shared, so every leaf of the call —
+// fused or not, inside a product task or not — draws from the one arena
+// Plan.KernelWords describes and counts on the one kernel. Any other
+// kernel (none of them fuses) is cloned per task.
 func (e *engine) taskEngine(w *sched.Worker) *engine {
 	sub := *e
-	sub.kern = blas.CloneKernel(e.kern)
+	if _, shared := e.kern.(arenaKernel); !shared {
+		sub.kern = blas.CloneKernel(e.kern)
+	}
 	if w != nil {
 		sub.sub = w
 	}
 	return &sub
+}
+
+// arenaKernel is the structural interface of a kernel whose workspace
+// lives in a per-kernel arena (kernel.Packed).
+type arenaKernel interface {
+	Arena() *memtrack.Tracker
 }

@@ -3,6 +3,7 @@ package strassen
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,6 +99,24 @@ func TestSchedBitForBitAcrossWorkerCounts(t *testing.T) {
 		run(w4, c2)
 		if !c1.Equal(c2) {
 			t.Fatalf("dims=%v: results differ between 1-worker and 4-worker runtimes", dims)
+		}
+	}
+	// Leaves split into row bands on the 4-worker runtime: plain 48³
+	// leaves under a DAG level (n = 96), and fused 48³ records under a DAG
+	// level (n = 192).
+	for _, m := range []int{96, 192} {
+		a := matrix.NewRandom(m, m, rng)
+		b := matrix.NewRandom(m, m, rng)
+		c1 := matrix.NewRandom(m, m, rng)
+		c2 := c1.Clone()
+		run := func(rt *sched.Runtime, c *matrix.Dense) {
+			cfg := &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: 48}, Sched: rt, SchedLevels: 1}
+			DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, m, m, 1.25, a.Data, a.Stride, b.Data, b.Stride, 0.5, c.Data, c.Stride)
+		}
+		run(w1, c1)
+		run(w4, c2)
+		if !c1.Equal(c2) {
+			t.Fatalf("n=%d: threaded leaves differ between 1-worker and 4-worker runtimes", m)
 		}
 	}
 }
@@ -225,9 +244,9 @@ func TestCriterionCoresResolution(t *testing.T) {
 }
 
 // TestSchedTrackerBalancedAndPlanned: the DAG's up-front buffer draws must
-// balance to zero and stay within the plan's workspace figure on a
-// single-worker runtime (where execution is fully sequential, the plan's
-// conc×child term is an upper bound).
+// balance to zero and peak at exactly the plan's workspace figure on a
+// single-worker runtime, where one lane runs the products one after
+// another and the plan's own + 1·child is the measured peak to the word.
 func TestSchedTrackerBalancedAndPlanned(t *testing.T) {
 	skipIfAlgoPinned(t)
 	w1, _ := testRuntimes()
@@ -243,13 +262,45 @@ func TestSchedTrackerBalancedAndPlanned(t *testing.T) {
 		t.Fatalf("DAG run leaked %d words", tr.Live())
 	}
 	plan := PlanFor(&Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: w1, SchedLevels: 1}, m, m, m, true)
-	if tr.Peak() > plan.Words {
-		t.Fatalf("measured peak %d exceeds planned words %d", tr.Peak(), plan.Words)
+	if tr.Peak() != plan.Words {
+		t.Fatalf("measured peak %d, planned words %d", tr.Peak(), plan.Words)
 	}
-	// The level's own buffers (4S + 4T + 7P at m/2) are always live at once.
-	own := int64(15 * (m / 2) * (m / 2))
-	if tr.Peak() < own {
-		t.Fatalf("peak %d below the level's own buffer draw %d", tr.Peak(), own)
+}
+
+// TestSchedLeavesDrawFromCallArena: every leaf of a DAG call draws from the
+// configured kernel's arena, inside product tasks too, so a 2-worker call
+// on the packed kernel with unfused leaves peaks there at Plan.KernelWords
+// — two lanes, each inside one leaf. Whether two leaves overlap is up to
+// the scheduler, so the call repeats until they have (the arena keeps its
+// high-water mark); the peak must never pass the plan.
+func TestSchedLeavesDrawFromCallArena(t *testing.T) {
+	skipIfAlgoPinned(t)
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("two leaves overlap only with two Ps")
+	}
+	rt := sched.New(2, 7)
+	defer rt.Close()
+	rng := rand.New(rand.NewSource(607))
+	m := 256
+	pk := &kernel.Packed{}
+	arena := memtrack.New()
+	pk.SetArena(arena)
+	cfg := &Config{Kernel: pk, Criterion: Simple{Tau: m / 2}, Fused: FusedOff, Sched: rt, SchedLevels: 1}
+	plan := PlanFor(cfg, m, m, m, true)
+	if want := 2 * pk.LeafWorkspace(m/2, m/2, m/2); plan.KernelWords != want {
+		t.Fatalf("plan kernel words %d, want two lanes' leaves %d", plan.KernelWords, want)
+	}
+	a := matrix.NewRandom(m, m, rng)
+	b := matrix.NewRandom(m, m, rng)
+	c := matrix.NewDense(m, m)
+	for try := 0; try < 50 && arena.Peak() < plan.KernelWords; try++ {
+		DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, m, m, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+		if arena.Live() != 0 {
+			t.Fatalf("call leaked %d arena words", arena.Live())
+		}
+	}
+	if arena.Peak() != plan.KernelWords {
+		t.Fatalf("kernel arena peak %d, plan kernel words %d", arena.Peak(), plan.KernelWords)
 	}
 }
 
