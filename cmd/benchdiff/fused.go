@@ -25,7 +25,6 @@ func fusedSuite(reps int) map[string]float64 {
 		kern := blas.KernelByName("simd")
 		cfg := strassen.DefaultConfig(kern)
 		cfg.Fused = strassen.FusedOn
-		cfg.Criterion = nil // re-resolve against the "+fused" calibrated row
 		// Steady-state comparison: the tracker lets repeated calls reuse the
 		// materialized level's temporaries the same way the kernel arm
 		// reuses its packing arena (the calibration sweeps do the same).

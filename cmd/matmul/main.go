@@ -105,9 +105,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	cfg.Fused = fusedMode
-	// Re-resolve the cutoff so the "+fused" calibrated parameters apply
-	// when the fused driver is active.
-	cfg.Criterion = nil
 	slog.Info("fused winograd", "mode", fusedMode, "active", cfg.FusedActive())
 	// -algo keeps its raw spelling: "" defers to DGEFMM_ALGO, an explicit
 	// "default" beats it (the PR 5 precedence, as with -kernel and -fused).

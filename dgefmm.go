@@ -249,8 +249,9 @@ func Calibrate(kernelName string, seed int64) Params {
 	return cutoff.Calibrate(kern, 16, 256, 8, 8, 128, 4, 512, seed)
 }
 
-// SetDefaultParams installs calibrated parameters as the defaults used by
-// DefaultConfig for the named kernel.
+// SetDefaultParams installs calibrated parameters for the named kernel (or
+// any row key cmd/calibrate prints). Every later call on a Config without
+// an explicit Criterion uses them, whenever the Config was built.
 func SetDefaultParams(kernelName string, p Params) { strassen.SetDefaultParams(kernelName, p) }
 
 // DefaultParamsFor returns the cutoff parameters currently installed for
@@ -269,7 +270,7 @@ type BatchOptions = batch.Options
 // pool. Each worker owns a reusable workspace arena sized by the shapes it
 // serves — after the first batch warms it, same-shape batches run with zero
 // fresh workspace allocations — and calls are bucketed by shape so repeated
-// shapes share one frozen recursion plan. Intra-call parallelism is scaled
+// shapes share one recursion plan. Intra-call parallelism is scaled
 // down so workers × per-call threads stays within GOMAXPROCS.
 type BatchPool = batch.Pool
 

@@ -114,14 +114,24 @@ func TestPublicMemoryTrackerPlumbing(t *testing.T) {
 func TestSetDefaultParamsAffectsDefaultConfig(t *testing.T) {
 	old := strassen.DefaultParams("vector")
 	defer SetDefaultParams("vector", old)
-	SetDefaultParams("vector", Params{Tau: 123, TauM: 1, TauK: 2, TauN: 3})
+	// The config is built first: the row is looked up when each call
+	// starts, so later calibration reaches configs that already exist.
 	cfg := DefaultConfig(KernelByName("vector"))
-	h, ok := cfg.Criterion.(HybridCriterion)
-	if !ok {
-		t.Fatalf("default criterion is %T, want Hybrid", cfg.Criterion)
+	const m = 64
+	rng := rand.New(rand.NewSource(5))
+	a, b, c := NewRandomMatrix(m, m, rng), NewRandomMatrix(m, m, rng), NewMatrix(m, m)
+	multiply := func() int64 {
+		cfg.Tracker = NewMemoryTracker()
+		DGEFMM(cfg, NoTrans, NoTrans, m, m, m, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+		return cfg.Tracker.Peak()
 	}
-	if h.Tau != 123 {
-		t.Fatalf("params not propagated: %+v", h)
+	SetDefaultParams("vector", Params{Tau: 16, TauM: 8, TauK: 8, TauN: 8})
+	if multiply() == 0 {
+		t.Fatal("τ=16 installed after DefaultConfig: m=64 did not recurse")
+	}
+	SetDefaultParams("vector", Params{Tau: 123, TauM: 1, TauK: 2, TauN: 3})
+	if peak := multiply(); peak != 0 {
+		t.Fatalf("τ=123 installed after DefaultConfig: m=64 recursed (workspace peak %d)", peak)
 	}
 }
 

@@ -4,7 +4,7 @@
 // many medium ones. The batch engine runs C_i ← α_i·op(A_i)·op(B_i) + β_i·C_i
 // across a fixed worker pool where each worker owns a reusable workspace
 // arena (sized by the paper's Table 1 bounds — per worker, not per batch)
-// and same-shape calls share one frozen recursion plan. After the first
+// and same-shape calls share one recursion plan. After the first
 // batch warms the arenas, steady-state batches allocate no fresh workspace
 // at all.
 //

@@ -14,8 +14,9 @@
 //     zero fresh allocations. The arena's peak obeys the paper's Table 1
 //     bounds per worker (strassen.WorkspaceBound), not per batch.
 //   - Shape bucketing: calls with the same (op(A), op(B), m, n, k, β-class)
-//     share one strassen.Plan, so the cutoff decisions, peel schedule and
-//     recursion depth are derived once and replayed by table lookup.
+//     share one strassen.Plan, derived once, whose workspace figure sizes
+//     the arenas (Stats.PlanWords); each call still resolves its own
+//     cutoff, as a lone DGEFMM does.
 //   - Core budgeting: with a work-stealing runtime attached (Options.Sched
 //     or Config.Sched) the budget is structural: every call executes as a
 //     task DAG on the runtime, whose worker count caps tasks in flight
@@ -141,7 +142,6 @@ type Options struct {
 // release the workers with Close. The zero value is not usable.
 type Pool struct {
 	base    strassen.Config // worker template: Kernel/Tracker filled per worker
-	kern    blas.Kernel     // re-budgeted kernel template workers clone
 	sched   *sched.Runtime  // non-nil: calls run as tasks on this runtime
 	jobs    chan job
 	workers []*worker
@@ -175,7 +175,6 @@ type bucketKey struct {
 
 // bucket is one shape class's shared execution state.
 type bucket struct {
-	cfg  strassen.Config // base + planned criterion; Kernel/Tracker per worker
 	plan *strassen.Plan
 	hist *obs.Histogram // per-bucket call latency (nil without a collector)
 }
@@ -271,20 +270,23 @@ func NewPool(opts *Options) *Pool {
 	if perCall < 1 {
 		perCall = 1
 	}
-	p.kern = p.base.Kernel
-	if p.kern == nil {
-		p.kern = kernel.Default()
+	kern := p.base.Kernel
+	if kern == nil {
+		kern = kernel.Default()
 	}
-	if pk, ok := p.kern.(*blas.ParallelKernel); ok && pk.Workers > perCall {
+	if pk, ok := kern.(*blas.ParallelKernel); ok && pk.Workers > perCall {
 		if perCall < 2 {
-			p.kern = pk.Base
-			if p.kern == nil {
-				p.kern = kernel.Default()
+			kern = pk.Base
+			if kern == nil {
+				kern = kernel.Default()
 			}
 		} else {
-			p.kern = &blas.ParallelKernel{Workers: perCall, Base: pk.Base}
+			kern = &blas.ParallelKernel{Workers: perCall, Base: pk.Base}
 		}
 	}
+	// Workers run clones of the re-budgeted kernel, so plans and each
+	// call's calibrated cutoff resolve against it too.
+	p.base.Kernel = kern
 
 	if p.col != nil {
 		p.queueDepth = p.col.Registry.Gauge("batch.queue_depth")
@@ -293,7 +295,7 @@ func NewPool(opts *Options) *Pool {
 	}
 
 	for i := 0; i < workers; i++ {
-		w := &worker{kern: blas.CloneKernel(p.kern), tracker: memtrack.New()}
+		w := &worker{kern: blas.CloneKernel(kern), tracker: memtrack.New()}
 		if p.col != nil {
 			p.col.ObserveTracker(w.tracker)
 			p.col.ObserveKernel(w.kern)
@@ -418,7 +420,7 @@ func (p *Pool) run(w *worker, j job) {
 			return
 		}
 	}
-	cfg := j.bkt.cfg
+	cfg := p.base
 	cfg.Kernel = w.kern
 	cfg.Tracker = w.tracker
 	var start time.Time
@@ -485,8 +487,7 @@ func (p *Pool) bucketFor(c *Call) *bucket {
 	if b = p.buckets[key]; b != nil {
 		return b
 	}
-	plan := strassen.PlanFor(&p.base, key.m, key.n, key.k, key.betaZero)
-	b = &bucket{cfg: *plan.Apply(&p.base), plan: plan}
+	b = &bucket{plan: strassen.PlanFor(&p.base, key.m, key.n, key.k, key.betaZero)}
 	if p.col != nil {
 		beta := "beta0"
 		if !key.betaZero {

@@ -86,41 +86,47 @@ func naiveConfig() *strassen.Config {
 // BatchedMultiply must produce results bit-for-bit identical to the
 // sequential loop of single Multiply calls for the same configs — mixed
 // shapes in one batch, β = 0 vs β ≠ 0 schedule selection, both kernels,
-// one and several workers.
+// an explicit criterion and the calibrated row, one and several workers.
 func TestBatchedMatchesSequentialBitForBit(t *testing.T) {
 	kernels := map[string]blas.Kernel{
 		"naive":   blas.NaiveKernel{},
 		"blocked": blas.DefaultKernel,
 	}
 	for kname, kern := range kernels {
-		for _, workers := range []int{1, 3} {
-			t.Run(kname+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
-				cfg := &strassen.Config{Kernel: kern, Criterion: strassen.Simple{Tau: 16}}
-				rng := rand.New(rand.NewSource(7))
-				calls, seq, cBatch, cSeq := buildCalls(mixedSpecs(), rng)
+		for _, crit := range []strassen.Criterion{strassen.Simple{Tau: 16}, nil} {
+			name := kname
+			if crit == nil {
+				name += "-calibrated"
+			}
+			for _, workers := range []int{1, 3} {
+				t.Run(name+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
+					cfg := &strassen.Config{Kernel: kern, Criterion: crit}
+					rng := rand.New(rand.NewSource(7))
+					calls, seq, cBatch, cSeq := buildCalls(mixedSpecs(), rng)
 
-				runSequential(cfg, seq)
+					runSequential(cfg, seq)
 
-				pool := NewPool(&Options{Workers: workers, Config: cfg})
-				defer pool.Close()
-				if err := pool.Execute(calls); err != nil {
-					t.Fatalf("Execute: %v", err)
-				}
-
-				for i := range cBatch {
-					if cBatch[i].Rows != cSeq[i].Rows || cBatch[i].Cols != cSeq[i].Cols {
-						t.Fatalf("call %d: shape mismatch", i)
+					pool := NewPool(&Options{Workers: workers, Config: cfg})
+					defer pool.Close()
+					if err := pool.Execute(calls); err != nil {
+						t.Fatalf("Execute: %v", err)
 					}
-					for j := 0; j < cBatch[i].Cols; j++ {
-						for r := 0; r < cBatch[i].Rows; r++ {
-							if cBatch[i].At(r, j) != cSeq[i].At(r, j) {
-								t.Fatalf("call %d: batched differs from sequential at (%d,%d): %v vs %v",
-									i, r, j, cBatch[i].At(r, j), cSeq[i].At(r, j))
+
+					for i := range cBatch {
+						if cBatch[i].Rows != cSeq[i].Rows || cBatch[i].Cols != cSeq[i].Cols {
+							t.Fatalf("call %d: shape mismatch", i)
+						}
+						for j := 0; j < cBatch[i].Cols; j++ {
+							for r := 0; r < cBatch[i].Rows; r++ {
+								if cBatch[i].At(r, j) != cSeq[i].At(r, j) {
+									t.Fatalf("call %d: batched differs from sequential at (%d,%d): %v vs %v",
+										i, r, j, cBatch[i].At(r, j), cSeq[i].At(r, j))
+								}
 							}
 						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -293,6 +299,9 @@ func TestArenaZeroAllocSteadyState(t *testing.T) {
 // arena's peak is within the strassen.WorkspaceBound of the largest shape
 // class it served, no matter how many calls the batch held.
 func TestPerWorkerArenaWithinPaperBound(t *testing.T) {
+	if sel := (&strassen.Config{}).AlgoSelection(); sel != "default" {
+		t.Skipf("DGEFMM_ALGO pins %q; this test asserts the default Winograd structure", sel)
+	}
 	const m = 96
 	mk := func(beta float64, count int) []Call {
 		rng := rand.New(rand.NewSource(41))

@@ -18,7 +18,9 @@
 package strassen
 
 import (
+	"maps"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/blas"
 	"repro/internal/kernel"
@@ -105,7 +107,9 @@ type Config struct {
 	// Nil selects the packed cache-blocked kernel (internal/kernel).
 	Kernel blas.Kernel
 	// Criterion is the recursion cutoff test. Nil selects the hybrid
-	// condition (15) with DefaultParams for the kernel.
+	// condition (15) with the calibrated row (SetDefaultParams) that
+	// matches each call: its kernel, coefficient table, fused mode and
+	// task-runtime core count, looked up when the call starts.
 	Criterion Criterion
 	// Schedule selects the Winograd computation schedule (default auto).
 	Schedule Schedule
@@ -185,19 +189,18 @@ func (p Params) Hybrid() Criterion {
 // Calibration on the development host shows one recursion level only
 // breaking even around the top of the measured range (DGEMM/DGEFMM ≈ 0.94
 // at n=512), so τ sits at 512 and the rectangular cutoffs at 256.
-// The "+fused" rows are consulted when the fused Winograd driver is active
-// (auto schedule, hook-capable kernel, fused mode not off) and come from
-// cmd/calibrate's -fused sweep (see EXPERIMENTS.md for the curves). On the
-// SIMD tile, fusing the add/sub combinations into packing and write-out
-// removes most of a Strassen level's O(n²) overhead, which pulls the
-// crossover from the materialized schedules' τ=512 down to 448 (sweeps on
-// the development host cross between 416 and 480) — the point of the fused
-// path. The scalar packed kernel moves the other way (136 vs 88): at ~5
-// GFLOPS the products dominate so the materialized adds were nearly free,
-// while the fused packers' two-source strided reads repeat per cache
-// block; fusion only wins once the re-read panels stay resident.
-// The "<kernel>/<algo>" rows are consulted when a non-default coefficient
-// table drives the recursion (Config.Algo / DGEFMM_ALGO); they come from
+// The "+fused" rows apply when the fused driver is active (auto schedule,
+// hook-capable kernel, fused mode not off). They are older than the fused
+// packers they describe: re-measured with cmd/calibrate -fused on (see
+// EXPERIMENTS.md, "Crossover, re-measured and not applied"), one fused
+// SIMD level wins from n ≈ 160 up (the curve crosses between 128 and 160),
+// and the scalar packed tile's fused crossover sits near τ ≈ 192. The rows
+// are deliberately left at 448 and 136: lowering "simd+fused" adds a
+// materialized level to the 1024² benchmark workload and breaks its
+// workspace bound, so the change waits for a cutoff model that bounds the
+// depth (ROADMAP item 1).
+// The "<kernel>/<algo>" rows apply when a non-default coefficient table
+// drives the recursion (Config.Algo / DGEFMM_ALGO); they come from
 // cmd/calibrate -algo sweeps on the development host (see EXPERIMENTS.md
 // for the methodology). The pattern across the rows: a table's crossover
 // scales inversely with its per-level speedup M·K·N/R — classic ⟨2,2,2⟩
@@ -205,52 +208,109 @@ func (p Params) Hybrid() Criterion {
 // τ, ⟨3,2,3⟩ (18/17) and ⟨4,2,4⟩ (32/28) need larger blocks before their
 // thinner savings clear the O(n²) grid overhead, and ⟨3,3,3⟩ (27/26) only
 // pays on the biggest shapes in the measured range.
-var defaultParams = map[string]Params{
-	"simd":           {Tau: 512, TauM: 256, TauK: 256, TauN: 256},
-	"simd+fused":     {Tau: 448, TauM: 288, TauK: 288, TauN: 288},
-	"simd/classic":   {Tau: 512, TauM: 256, TauK: 256, TauN: 256},
-	"simd/323":       {Tau: 576, TauM: 312, TauK: 240, TauN: 312},
-	"simd/333":       {Tau: 768, TauM: 384, TauK: 384, TauN: 384},
-	"simd/424":       {Tau: 576, TauM: 320, TauK: 224, TauN: 320},
-	"packed":         {Tau: 88, TauM: 56, TauK: 68, TauN: 44},
-	"packed+fused":   {Tau: 136, TauM: 40, TauK: 84, TauN: 32},
-	"packed/classic": {Tau: 96, TauM: 56, TauK: 68, TauN: 44},
-	"packed/323":     {Tau: 120, TauM: 66, TauK: 56, TauN: 66},
-	"packed/333":     {Tau: 168, TauM: 84, TauK: 96, TauN: 84},
-	"packed/424":     {Tau: 128, TauM: 72, TauK: 48, TauN: 72},
-	"blocked":        {Tau: 96, TauM: 48, TauK: 64, TauN: 48},
-	"vector":         {Tau: 96, TauM: 64, TauK: 96, TauN: 48},
-	"naive":          {Tau: 44, TauM: 16, TauK: 24, TauN: 16},
+// cmd/calibrate -cores adds "<kernel>@<cores>" and "<kernel>@<cores>/<algo>"
+// rows for calls on a multi-worker task runtime; none ship.
+//
+// The table is copy-on-write: SetDefaultParams installs a new map, so
+// multiplies resolving their cutoff concurrently read a consistent one.
+var defaultParams atomic.Pointer[map[string]Params]
+
+func init() {
+	defaultParams.Store(&map[string]Params{
+		"simd":           {Tau: 512, TauM: 256, TauK: 256, TauN: 256},
+		"simd+fused":     {Tau: 448, TauM: 288, TauK: 288, TauN: 288},
+		"simd/classic":   {Tau: 512, TauM: 256, TauK: 256, TauN: 256},
+		"simd/323":       {Tau: 576, TauM: 312, TauK: 240, TauN: 312},
+		"simd/333":       {Tau: 768, TauM: 384, TauK: 384, TauN: 384},
+		"simd/424":       {Tau: 576, TauM: 320, TauK: 224, TauN: 320},
+		"packed":         {Tau: 88, TauM: 56, TauK: 68, TauN: 44},
+		"packed+fused":   {Tau: 136, TauM: 40, TauK: 84, TauN: 32},
+		"packed/classic": {Tau: 96, TauM: 56, TauK: 68, TauN: 44},
+		"packed/323":     {Tau: 120, TauM: 66, TauK: 56, TauN: 66},
+		"packed/333":     {Tau: 168, TauM: 84, TauK: 96, TauN: 84},
+		"packed/424":     {Tau: 128, TauM: 72, TauK: 48, TauN: 72},
+		"blocked":        {Tau: 96, TauM: 48, TauK: 64, TauN: 48},
+		"vector":         {Tau: 96, TauM: 64, TauK: 96, TauN: 48},
+		"naive":          {Tau: 44, TauM: 16, TauK: 24, TauN: 16},
+	})
 }
 
-// DefaultParams returns the calibrated cutoff parameters for a kernel name,
-// falling back to the blocked kernel's parameters for unknown names.
+// DefaultParams returns the calibrated cutoff parameters for a kernel name
+// (or any other row key), falling back to the blocked kernel's parameters
+// for unknown names.
 func DefaultParams(kernelName string) Params {
-	if p, ok := defaultParams[kernelName]; ok {
+	rows := *defaultParams.Load()
+	if p, ok := rows[kernelName]; ok {
 		return p
 	}
-	return defaultParams["blocked"]
+	return rows["blocked"]
 }
 
-// SetDefaultParams overrides the default parameters for a kernel name, the
-// programmatic equivalent of re-running the paper's calibration experiments
-// on a new machine.
+// SetDefaultParams overrides the default parameters for a row key — a
+// kernel name, or one of the "+fused", "/<algo>" and "@<cores>" forms
+// cmd/calibrate prints — the programmatic equivalent of re-running the
+// paper's calibration experiments on a new machine. It takes effect on the
+// next multiply of every Config without an explicit Criterion, including
+// ones built earlier, and is safe to call while multiplies run.
 func SetDefaultParams(kernelName string, p Params) {
-	defaultParams[kernelName] = p
+	for {
+		old := defaultParams.Load()
+		rows := maps.Clone(*old)
+		rows[kernelName] = p
+		if defaultParams.CompareAndSwap(old, &rows) {
+			return
+		}
+	}
+}
+
+// calibrated is the one lookup of the calibrated cutoff row for a call:
+// kernel names the base-case kernel, algoName the coefficient table driving
+// the recursion ("" on the default path), fused whether the fused driver is
+// active and cores the task runtime's worker count (0 without one). The
+// most specific row wins: "<kernel>@<cores>/<algo>", "<kernel>@<cores>"
+// (the crossover measured on one core does not transfer to several — with
+// no row for this core count the single-core rows apply, so calibrate
+// before trusting multi-core cutoffs), "<kernel>/<algo>", "<kernel>+fused",
+// then the kernel's own row and finally the blocked kernel's.
+func calibrated(kernel, algoName string, fused bool, cores int) Params {
+	rows := *defaultParams.Load()
+	if cores > 1 {
+		at := kernel + "@" + strconv.Itoa(cores)
+		if algoName != "" {
+			if p, ok := rows[at+"/"+algoName]; ok {
+				return p
+			}
+		}
+		if p, ok := rows[at]; ok {
+			return p
+		}
+	}
+	if algoName != "" {
+		if p, ok := rows[kernel+"/"+algoName]; ok {
+			return p
+		}
+	}
+	if fused {
+		if p, ok := rows[kernel+"+fused"]; ok {
+			return p
+		}
+	}
+	if p, ok := rows[kernel]; ok {
+		return p
+	}
+	return rows["blocked"]
 }
 
 // DefaultConfig returns the paper's DGEFMM configuration for the given
 // kernel (nil = the packed cache-blocked kernel, the fastest base-case
 // multiplier; select "blocked"/"naive"/"vector" explicitly via
 // blas.KernelByName for the ablation arms): auto schedule, dynamic peeling,
-// hybrid cutoff with the kernel's calibrated parameters.
+// and the hybrid cutoff with the calibrated row each call resolves.
 func DefaultConfig(kern blas.Kernel) *Config {
 	if kern == nil {
 		kern = kernel.Default()
 	}
-	cfg := &Config{Kernel: kern}
-	cfg.Criterion = cfg.criterion()
-	return cfg
+	return &Config{Kernel: kern}
 }
 
 func (cfg *Config) kernel() blas.Kernel {
@@ -258,59 +318,4 @@ func (cfg *Config) kernel() blas.Kernel {
 		return kernel.Default()
 	}
 	return cfg.Kernel
-}
-
-// criterion resolves the cutoff: an explicit Criterion wins; otherwise the
-// kernel's calibrated parameters, preferring the "<name>+fused" row when
-// the fused driver is active (its lower per-level overhead moves the
-// crossover).
-func (cfg *Config) criterion() Criterion { return cfg.criterionFor("") }
-
-// criterionFor resolves the cutoff for a specific algorithm table: the
-// "<kernel>/<algo>" calibrated row when one exists (each table's per-level
-// savings-to-overhead ratio moves its crossover), falling back to the
-// kernel's default-path resolution.
-func (cfg *Config) criterionFor(algoName string) Criterion {
-	if cfg.Criterion != nil {
-		return cfg.Criterion
-	}
-	name := cfg.kernel().Name()
-	if algoName != "" {
-		if p, ok := defaultParams[name+"/"+algoName]; ok {
-			return p.Hybrid()
-		}
-	}
-	if cfg.FusedActive() {
-		if p, ok := defaultParams[name+"+fused"]; ok {
-			return p.Hybrid()
-		}
-	}
-	return DefaultParams(name).Hybrid()
-}
-
-// criterionCores resolves the cutoff for a call executing on a cores-worker
-// task runtime. τ is a function of the core count: threading the recursion
-// shrinks a Strassen level's effective O(n²) overhead per core while the
-// leaf GEMM rate scales with the cores too, so the crossover measured at one
-// core does not transfer (cmd/calibrate's -cores sweep measures it and
-// installs "<kernel>@<cores>" rows, optionally refined per algorithm as
-// "<kernel>@<cores>/<algo>"). With no calibrated row for this core count the
-// resolution falls back to the single-core chain — calibrate before trusting
-// multi-core cutoffs.
-func (cfg *Config) criterionCores(algoName string, cores int) Criterion {
-	if cfg.Criterion != nil {
-		return cfg.Criterion
-	}
-	if cores > 1 {
-		name := cfg.kernel().Name() + "@" + strconv.Itoa(cores)
-		if algoName != "" {
-			if p, ok := defaultParams[name+"/"+algoName]; ok {
-				return p.Hybrid()
-			}
-		}
-		if p, ok := defaultParams[name]; ok {
-			return p.Hybrid()
-		}
-	}
-	return cfg.criterionFor(algoName)
 }

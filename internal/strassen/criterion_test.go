@@ -1,10 +1,15 @@
 package strassen
 
 import (
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/blas"
+	"repro/internal/kernel"
+	"repro/internal/matrix"
 	"repro/internal/opcount"
 )
 
@@ -158,6 +163,86 @@ func TestSetDefaultParams(t *testing.T) {
 	if got := DefaultParams("naive"); got.Tau != 1 || got.TauN != 4 {
 		t.Errorf("SetDefaultParams not applied: %+v", got)
 	}
+}
+
+// TestCalibratedRowResolvedPerCall checks that a DefaultConfig freezes no
+// cutoff: each call looks its calibrated row up, so a table chosen after
+// DefaultConfig, the fused driver turned off after it, and a
+// SetDefaultParams made after it all reach the recursion.
+func TestCalibratedRowResolvedPerCall(t *testing.T) {
+	kern := kernel.Default()
+	name := kern.Name()
+	var probes []int
+	for _, key := range []string{name, name + "+fused", name + "/323"} {
+		tau := DefaultParams(key).Tau
+		probes = append(probes, tau, tau+1)
+	}
+	probes = append(probes, 480)
+	// resolves checks that cfg plans like cfg with row as its criterion.
+	resolves := func(label string, cfg *Config, row Params) {
+		t.Helper()
+		pinned := *cfg
+		pinned.Criterion = row.Hybrid()
+		for _, n := range probes {
+			got, want := PlanFor(cfg, n, n, n, true).Depth, PlanFor(&pinned, n, n, n, true).Depth
+			if got != want {
+				t.Errorf("%s, n=%d: depth %d, want %d (the %+v row)", label, n, got, want, row)
+			}
+		}
+	}
+
+	cfg := DefaultConfig(kern)
+	cfg.Algo = "323"
+	resolves("Algo=323", cfg, DefaultParams(name+"/323"))
+
+	// The default table is named so DGEFMM_ALGO cannot pick another row.
+	cfg = DefaultConfig(kern)
+	cfg.Algo, cfg.Fused = "default", FusedOff
+	resolves("Fused=off", cfg, DefaultParams(name))
+
+	old := defaultParams.Load()
+	defer defaultParams.Store(old)
+	cfg = DefaultConfig(kern)
+	cfg.Algo = "default"
+	const n = 1024
+	if PlanFor(cfg, n, n, n, true).Depth == 0 {
+		t.Fatalf("n=%d does not recurse under the shipped rows", n)
+	}
+	never := Params{Tau: 1 << 20, TauM: 1 << 20, TauK: 1 << 20, TauN: 1 << 20}
+	SetDefaultParams(name, never)
+	SetDefaultParams(name+"+fused", never)
+	if d := PlanFor(cfg, n, n, n, true).Depth; d != 0 {
+		t.Errorf("SetDefaultParams after DefaultConfig ignored: depth %d at n=%d, want 0", d, n)
+	}
+}
+
+// TestSetDefaultParamsWhileMultiplying changes the calibrated table while
+// multiplies on a literal Config look their row up in it; run under -race
+// it checks the table is safe to change concurrently.
+func TestSetDefaultParamsWhileMultiplying(t *testing.T) {
+	old := defaultParams.Load()
+	defer defaultParams.Store(old)
+	const n, calls = 48, 50
+	rng := rand.New(rand.NewSource(18))
+	a, b := matrix.NewRandom(n, n, rng), matrix.NewRandom(n, n, rng)
+	want := refMul(blas.NoTrans, blas.NoTrans, 1, a, b, 0, matrix.NewDense(n, n))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < calls; i++ {
+			SetDefaultParams("naive", Params{Tau: 8 + i%32, TauM: 4, TauK: 4, TauN: 4})
+		}
+	}()
+	cfg := &Config{Kernel: blas.NaiveKernel{}}
+	for i := 0; i < calls; i++ {
+		c := matrix.NewDense(n, n)
+		DGEFMM(cfg, blas.NoTrans, blas.NoTrans, n, n, n, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+		if d := matrix.MaxAbsDiff(c, want); d > tol(n) {
+			t.Fatalf("call %d: error %g exceeds %g", i, d, tol(n))
+		}
+	}
+	wg.Wait()
 }
 
 func TestScheduleAndOddStrings(t *testing.T) {

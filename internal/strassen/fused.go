@@ -132,41 +132,32 @@ func (cfg *Config) fusedModeFor(env string) FusedMode {
 }
 
 // FusedActive reports whether this configuration routes eligible recursion
-// levels through the fused driver: the effective mode is not off, the
-// schedule is auto, and the kernel implements the fused hooks. CLI tools
-// log it as the effective -fused choice.
-func (cfg *Config) FusedActive() bool {
+// levels through the fused driver — the bit each call's policy holds. CLI
+// tools log it as the effective -fused choice.
+func (cfg *Config) FusedActive() bool { return cfg.fusedHooks() != nil }
+
+// fusedHooks returns the kernel's fused hooks when eligible levels run
+// fused: the effective mode is not off, the schedule is auto (pinned
+// schedules keep their exact materialized form) and the kernel implements
+// the hooks. It returns nil otherwise.
+func (cfg *Config) fusedHooks() fusedKernel {
 	if cfg.fusedMode() == FusedOff || cfg.Schedule != ScheduleAuto {
-		return false
+		return nil
 	}
-	_, ok := cfg.kernel().(fusedKernel)
-	return ok
+	fk, _ := cfg.kernel().(fusedKernel)
+	return fk
 }
 
 // fusedKernel is the structural hook interface a kernel implements to serve
 // fused Strassen levels (internal/kernel's Packed does), with the hook's
-// threaded form for multi-worker runtimes. Kept structural like leafSizer
-// so the strassen package does not choose a kernel implementation for its
-// callers.
+// threaded form for multi-worker runtimes and how many destinations its
+// write-out serves natively (which only gates tableFusable). Kept
+// structural like leafSizer so the strassen package does not choose a
+// kernel implementation for its callers.
 type fusedKernel interface {
 	FusedMulAdd(m, n, kk int, alpha float64, a, b kernel.Operand, dests []kernel.Dest)
 	FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float64, a, b kernel.Operand, dests []kernel.Dest)
-}
-
-// fusedDestLimiter is the optional capability report alongside the hook:
-// how many destinations the kernel's write-out serves natively. It only
-// gates tableFusable; kernels that do not say get the packers' term
-// maximum, 4.
-type fusedDestLimiter interface {
 	FusedDestLimit() int
-}
-
-// fusedDestLimit resolves a kernel's write-out fan-out limit.
-func fusedDestLimit(fk fusedKernel) int {
-	if l, ok := fk.(fusedDestLimiter); ok {
-		return l.FusedDestLimit()
-	}
-	return 4
 }
 
 // fusedTerm is one block reference in a record: grid position (r, c) in

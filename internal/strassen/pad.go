@@ -72,7 +72,7 @@ func (p *policy) predictDepth(m, k, n int) int {
 	d := 0
 	for m > 1 && k > 1 && n > 1 &&
 		(p.maxDepth == 0 || d < p.maxDepth) &&
-		p.crit.Recurse(m, k, n) {
+		p.criterion(m, k, n) {
 		m, k, n = (m+1)/2, (k+1)/2, (n+1)/2
 		d++
 	}

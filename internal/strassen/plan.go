@@ -1,11 +1,11 @@
 package strassen
 
-// This file adds shape plans on top of the recursion: a Plan freezes every
-// decision DGEFMM would make for one (m, k, n, β-class) shape — the cutoff
-// verdict at each level, the peel/pad actions, the recursion depth and the
-// exact temporary-workspace peak in words — so repeated same-shape calls
-// (the batched workload of internal/batch) replay cached decisions instead
-// of re-deriving them, and so a workspace arena can be sized up front.
+// This file adds shape plans on top of the recursion: a Plan records what
+// DGEFMM does on one (m, k, n, β-class) shape — the recursion depth and
+// the exact temporary-workspace peak in words — so a workspace arena can be
+// sized up front (the batched workload of internal/batch plans each shape
+// once). Calls re-derive their decisions from the same policy; a Hybrid
+// verdict costs a few integer operations.
 //
 // The workspace figures are derived, not mirrored: PlanFor walks the
 // engine's own decision functions (policy) and reads each level's
@@ -53,12 +53,9 @@ func WorkspaceBound(sched Schedule, m, k, n int, betaZero bool) int64 {
 	return (int64(m)*int64(k) + int64(k)*int64(n) + int64(m)*int64(n)) / 3
 }
 
-// Plan is a frozen set of recursion decisions for one DGEFMM shape class:
-// every (m, k, n) triple the recursion reaches, with the cutoff criterion's
-// verdict for it, plus the resulting recursion depth and the exact peak
-// temporary workspace in words. Same-shape calls share one Plan; its cached
-// criterion is read-only after construction and safe for concurrent use
-// from any number of goroutines.
+// Plan describes the recursion of one DGEFMM shape class under one
+// configuration: the recursion depth and the exact peak temporary
+// workspace in words. It is read-only after construction.
 type Plan struct {
 	// M, N, K and BetaZero identify the planned shape class: C is M×N,
 	// the inner dimension is K, and BetaZero tells whether β = 0 (which
@@ -90,13 +87,10 @@ type Plan struct {
 	// hand-coded Winograd path), resolved from the planned Config exactly
 	// as DGEFMM resolves it (including per-shape auto-selection).
 	Algo string
-
-	decisions map[[3]int]bool
-	fallback  Criterion
 }
 
 // PlanFor simulates the recursion cfg would perform on an m×k by k×n
-// product (betaZero tells whether β = 0) and returns the frozen Plan.
+// product (betaZero tells whether β = 0) and returns its Plan.
 // A nil cfg plans the default configuration.
 func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 	if cfg == nil {
@@ -107,13 +101,10 @@ func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 	p := &Plan{
 		M: m, N: n, K: k, BetaZero: betaZero,
 		TopSchedule: resolveSchedule(cfg.Schedule, betaZero),
-		decisions:   make(map[[3]int]bool),
-		fallback:    pol.crit,
 	}
 	if pol.tbl != nil {
 		p.Algo = pol.tbl.Name
 	}
-	pol.crit = recorder{pol.crit, p.decisions}
 	s := &planSim{policy: pol, plan: p, memo: make(map[planKey]simResult)}
 	if ls, ok := cfg.kernel().(leafSizer); ok {
 		s.leaf = ls.LeafWorkspace
@@ -139,25 +130,6 @@ type leafSizer interface {
 	LeafWorkspace(m, n, k int) int64
 }
 
-// Criterion returns a cutoff criterion that replays the plan's cached
-// decisions by table lookup, falling back to the planned configuration's
-// live criterion for triples outside the plan (which a call of the planned
-// shape never produces). The returned value is safe for concurrent use.
-func (p *Plan) Criterion() Criterion {
-	return plannedCriterion{decisions: p.decisions, fallback: p.fallback}
-}
-
-// Apply returns a copy of cfg with the plan's cached criterion installed —
-// the hook batched execution uses to share one plan across workers.
-func (p *Plan) Apply(cfg *Config) *Config {
-	if cfg == nil {
-		cfg = DefaultConfig(nil)
-	}
-	out := *cfg
-	out.Criterion = p.Criterion()
-	return &out
-}
-
 // resolveSchedule maps the auto schedule to the concrete schedule β selects
 // (Table 1, last row); explicit schedules resolve to themselves.
 func resolveSchedule(sched Schedule, betaZero bool) Schedule {
@@ -168,45 +140,6 @@ func resolveSchedule(sched Schedule, betaZero bool) Schedule {
 		return ScheduleStrassen1
 	}
 	return ScheduleStrassen2
-}
-
-// plannedCriterion replays a Plan's decision table.
-type plannedCriterion struct {
-	decisions map[[3]int]bool
-	fallback  Criterion
-}
-
-// Name implements Criterion.
-func (c plannedCriterion) Name() string { return "planned(" + c.fallback.Name() + ")" }
-
-// Recurse implements Criterion.
-func (c plannedCriterion) Recurse(m, k, n int) bool {
-	if d, ok := c.decisions[[3]int{m, k, n}]; ok {
-		return d
-	}
-	return c.fallback.Recurse(m, k, n)
-}
-
-// recorder is the criterion PlanFor's simulation consults: it records
-// every verdict into the plan's decision table (asking the live criterion
-// once per triple).
-type recorder struct {
-	inner     Criterion
-	decisions map[[3]int]bool
-}
-
-// Name implements Criterion.
-func (r recorder) Name() string { return r.inner.Name() }
-
-// Recurse implements Criterion.
-func (r recorder) Recurse(m, k, n int) bool {
-	key := [3]int{m, k, n}
-	if d, ok := r.decisions[key]; ok {
-		return d
-	}
-	d := r.inner.Recurse(m, k, n)
-	r.decisions[key] = d
-	return d
 }
 
 // planKey memoizes simulated subproblems. Depth participates because

@@ -54,37 +54,6 @@ func TestPlanWordsMatchMeasuredPeak(t *testing.T) {
 	}
 }
 
-// TestPlanCriterionReplaysIdentically asserts a DGEFMM call through the
-// plan's cached criterion is bit-for-bit identical to the live-criterion
-// call it was planned from.
-func TestPlanCriterionReplaysIdentically(t *testing.T) {
-	for ci, cfg := range planTestConfigs() {
-		for _, dims := range [][3]int{{64, 64, 64}, {65, 33, 97}, {30, 70, 50}} {
-			m, k, n := dims[0], dims[1], dims[2]
-			for _, beta := range []float64{0, 1.25} {
-				rng := rand.New(rand.NewSource(int64(ci*100 + m)))
-				a := matrix.NewRandom(m, k, rng)
-				b := matrix.NewRandom(k, n, rng)
-				c1 := matrix.NewRandom(m, n, rng)
-				c2 := c1.Clone()
-				DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, n, k, 1.5,
-					a.Data, a.Stride, b.Data, b.Stride, beta, c1.Data, c1.Stride)
-				planned := PlanFor(cfg, m, n, k, beta == 0).Apply(cfg)
-				DGEFMM(planned, blas.NoTrans, blas.NoTrans, m, n, k, 1.5,
-					a.Data, a.Stride, b.Data, b.Stride, beta, c2.Data, c2.Stride)
-				for j := 0; j < n; j++ {
-					for i := 0; i < m; i++ {
-						if c1.At(i, j) != c2.At(i, j) {
-							t.Fatalf("cfg#%d dims=%v beta=%g: planned result differs at (%d,%d): %v vs %v",
-								ci, dims, beta, i, j, c1.At(i, j), c2.At(i, j))
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPlanWordsWithinWorkspaceBound checks the exact simulation sits under
 // the paper's closed-form Table 1 bound for the peeling strategies.
 func TestPlanWordsWithinWorkspaceBound(t *testing.T) {

@@ -88,9 +88,6 @@ func dgefmm(ctx context.Context, outer sched.Submitter, cfg *Config, transA, tra
 	if st, ok := cfg.Tracer.(SpanTracer); ok {
 		e.spans = st
 	}
-	if e.fused {
-		e.fk = e.kern.(fusedKernel)
-	}
 	if e.odd == OddPadStatic {
 		e.staticPadMul(cm, av, bv, alpha, beta)
 	} else {
@@ -150,26 +147,25 @@ type engine struct {
 	// prof is the process-wide phase profiler captured once per DGEFMM call
 	// (nil when attribution is off). Worker engines copy it by value.
 	prof *phase.Profiler
-	// fk is the kernel narrowed to the fused hook interface (nil unless
-	// policy.fused); fused levels stream through it. See fused.go.
-	fk fusedKernel
 }
 
 // policy holds every input of the recursion's decisions. The engine runs
 // its decision functions and PlanFor replays them, so the plan follows
 // the executed recursion by construction.
 type policy struct {
+	// crit is Config.Criterion; when it is nil the calibrated row decides.
 	crit     Criterion
+	row      Hybrid
 	sched    Schedule
 	odd      OddStrategy
 	maxDepth int
 	// tbl is the coefficient table driving a non-default recursion (nil on
 	// the default ⟨2,2,2⟩ path, where the paper's schedules run).
 	tbl *algo.Table
-	// fused is set when the kernel has the fused hooks and the fused mode
-	// is not off; destLimit is the kernel's native write-out fan-out.
-	fused     bool
-	destLimit int
+	// fk is the kernel's fused hook interface when eligible levels run
+	// fused (Config.fusedHooks), nil otherwise; fused levels stream
+	// through it. See fused.go.
+	fk fusedKernel
 	// dagLevels is the number of top recursion levels that run as task
 	// DAGs (0 without a task runtime); lanes caps the products in flight
 	// per DAG level.
@@ -179,25 +175,21 @@ type policy struct {
 
 // policy resolves a Config into the recursion's decision inputs for an
 // m×k·k×n call on a cores-worker runtime (0 without one): the table (nil
-// for the default path) and the cutoff for that table and core count. The
-// pad strategies apply only to the default path.
+// for the default path), whether levels may run fused, and the cutoff —
+// Config.Criterion, or the calibrated row for that kernel, table, fused
+// mode and core count. It is the only place a Config is resolved, once per
+// call. The pad strategies apply only to the default path.
 func (cfg *Config) policy(m, k, n, cores int) policy {
-	tbl := cfg.resolveAlgo(m, k, n)
+	p := policy{crit: cfg.Criterion, sched: cfg.Schedule, odd: cfg.Odd,
+		maxDepth: cfg.MaxDepth, tbl: cfg.resolveAlgo(m, k, n), fk: cfg.fusedHooks()}
 	algoName := ""
-	if tbl != nil {
-		algoName = tbl.Name
+	if p.tbl != nil {
+		algoName, p.odd = p.tbl.Name, OddPeel
 	}
-	p := policy{crit: cfg.criterionCores(algoName, cores), sched: cfg.Schedule, odd: cfg.Odd,
-		maxDepth: cfg.MaxDepth, tbl: tbl}
-	if tbl != nil {
-		p.odd = OddPeel
+	if p.crit == nil {
+		p.row = Hybrid(calibrated(cfg.kernel().Name(), algoName, p.fk != nil, cores))
 	}
 	p.lanes, p.dagLevels, _ = cfg.schedParams(p.table().R)
-	if cfg.fusedMode() != FusedOff {
-		if fk, ok := cfg.kernel().(fusedKernel); ok {
-			p.fused, p.destLimit = true, fusedDestLimit(fk)
-		}
-	}
 	return p
 }
 
@@ -222,15 +214,24 @@ func (p *policy) recurse(m, k, n, depth int) bool {
 	gm, gk, gn := p.grid()
 	return m >= gm && k >= gk && n >= gn &&
 		(p.maxDepth == 0 || depth < p.maxDepth) &&
-		p.crit.Recurse(m, k, n)
+		p.criterion(m, k, n)
+}
+
+// criterion asks the cutoff criterion — Config.Criterion, or else the
+// calibrated row — whether (m, k, n) recurses.
+func (p *policy) criterion(m, k, n int) bool {
+	if p.crit != nil {
+		return p.crit.Recurse(m, k, n)
+	}
+	return p.row.Recurse(m, k, n)
 }
 
 // levelProgram picks the program one level runs on (m, k, n), split into
 // blocks of the grid rounded up (ceilDiv): the task DAG on the top
-// dagLevels levels; the fused form when the schedule is auto, the kernel
-// has the hooks, the children would be base cases and the table fits the
-// hooks (the default path fuses Strassen's 1969 construction, whose
-// operands have at most two terms, where Winograd's have up to four);
+// dagLevels levels; the fused form when levels may run fused (fk), the
+// children would be base cases and the table fits the hooks (the default
+// path fuses Strassen's 1969 construction, whose operands have at most two
+// terms, where Winograd's have up to four);
 // otherwise the table's sequential program, or on the default path the
 // schedule β selects (Table 1). Only the fused program runs on a shape the
 // grid does not divide (see padsVirtually); the others get the divisible
@@ -240,13 +241,13 @@ func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 		t := p.table()
 		return programsFor(t).dag(p.dagLanes(t.R))
 	}
-	if p.fused && p.sched == ScheduleAuto {
+	if p.fk != nil {
 		ft := p.tbl
 		if ft == nil {
 			ft = classic
 		}
 		gm, gk, gn := p.grid()
-		if !p.recurse(ceilDiv(m, gm), ceilDiv(k, gk), ceilDiv(n, gn), depth+1) && tableFusable(ft, p.destLimit) {
+		if !p.recurse(ceilDiv(m, gm), ceilDiv(k, gk), ceilDiv(n, gn), depth+1) && tableFusable(ft, p.fk.FusedDestLimit()) {
 			return programsFor(ft).fused
 		}
 	}

@@ -211,35 +211,53 @@ func TestSchedParamsResolution(t *testing.T) {
 	}
 }
 
-// TestCriterionCoresResolution pins the τ-vs-cores lookup order: explicit
-// Criterion beats "<kernel>@<cores>/<algo>" beats "<kernel>@<cores>" beats
-// the single-core chain.
+// TestCriterionCoresResolution pins the calibrated lookup order:
+// "<kernel>@<cores>/<algo>" beats "<kernel>@<cores>" beats the single-core
+// chain ("<kernel>/<algo>", "<kernel>+fused", the kernel's row, blocked),
+// and an explicit Criterion bypasses the table.
 func TestCriterionCoresResolution(t *testing.T) {
 	const kern = "naive"
-	defer func() {
-		delete(defaultParams, kern+"@4")
-		delete(defaultParams, kern+"@4/classic")
-	}()
-	SetDefaultParams(kern+"@4", Params{Tau: 333, TauM: 1, TauK: 1, TauN: 1})
-	SetDefaultParams(kern+"@4/classic", Params{Tau: 444, TauM: 1, TauK: 1, TauN: 1})
+	old := defaultParams.Load()
+	defer defaultParams.Store(old)
+	row := func(tau int) Params { return Params{Tau: tau, TauM: 1, TauK: 1, TauN: 1} }
+	SetDefaultParams(kern+"@4", row(333))
+	SetDefaultParams(kern+"@4/classic", row(444))
+	SetDefaultParams(kern+"/classic", row(555))
+	SetDefaultParams(kern+"+fused", row(666))
 
-	cfg := &Config{Kernel: blas.NaiveKernel{}}
-	if h, ok := cfg.criterionCores("", 4).(Hybrid); !ok || h.Tau != 333 {
-		t.Errorf("cores=4: got %+v, want the @4 row (τ=333)", h)
+	for _, tc := range []struct {
+		algo  string
+		fused bool
+		cores int
+		want  int
+	}{
+		{"", false, 4, 333},
+		{"classic", true, 4, 444},
+		{"323", true, 4, 333},     // no @4/323 row
+		{"classic", true, 2, 555}, // no @2 rows: the single-core chain
+		{"323", true, 0, 666},     // no naive/323 row
+		{"", false, 0, DefaultParams(kern).Tau},
+	} {
+		if got := calibrated(kern, tc.algo, tc.fused, tc.cores); got.Tau != tc.want {
+			t.Errorf("calibrated(algo=%q fused=%v cores=%d) = %+v, want τ=%d",
+				tc.algo, tc.fused, tc.cores, got, tc.want)
+		}
 	}
-	if h, ok := cfg.criterionCores("classic", 4).(Hybrid); !ok || h.Tau != 444 {
-		t.Errorf("cores=4 algo=classic: got %+v, want the @4/classic row (τ=444)", h)
+	if got := calibrated("???", "", true, 4); got != DefaultParams("blocked") {
+		t.Errorf("unknown kernel resolved to %+v, want the blocked row", got)
 	}
-	// No @2 row: falls back to the single-core chain.
-	single := cfg.criterionFor("")
-	if got := cfg.criterionCores("", 2); got != single {
-		t.Errorf("cores=2 without a calibrated row resolved to %v, want single-core %v", got, single)
+	// Every call looks its row up, so the lookup must not allocate.
+	if allocs := testing.AllocsPerRun(100, func() { calibrated(kern, "classic", true, 4) }); allocs != 0 {
+		t.Errorf("calibrated allocates %v times per lookup, want 0", allocs)
+	}
+	// The policy asks the lookup with the call's core count.
+	if p := (&Config{Kernel: blas.NaiveKernel{}, Algo: "default"}).policy(64, 64, 64, 4); p.crit != nil || p.row.Tau != 333 {
+		t.Errorf("cores=4 policy: crit %v row %+v, want the @4 row (τ=333)", p.crit, p.row)
 	}
 	// An explicit criterion always wins.
 	fixed := Simple{Tau: 99}
-	cfg2 := &Config{Kernel: blas.NaiveKernel{}, Criterion: fixed}
-	if got := cfg2.criterionCores("", 4); got != Criterion(fixed) {
-		t.Errorf("explicit criterion overridden: %v", got)
+	if p := (&Config{Kernel: blas.NaiveKernel{}, Criterion: fixed}).policy(64, 64, 64, 4); p.crit != Criterion(fixed) {
+		t.Errorf("explicit criterion overridden: %v", p.crit)
 	}
 }
 
