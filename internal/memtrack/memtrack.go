@@ -67,7 +67,7 @@ func (t *Tracker) AllocUninit(n int) []float64 {
 		panic(fmt.Sprintf("memtrack: AllocUninit(%d)", n))
 	}
 	if t == nil {
-		return poison(make([]float64, n))
+		return Poison(make([]float64, n))
 	}
 	if prof := phase.Active(); prof != nil {
 		t0 := time.Now()
@@ -105,12 +105,12 @@ func (t *Tracker) alloc(n int, zero bool) []float64 {
 	case s == nil:
 		s = make([]float64, n)
 		if !zero {
-			poison(s)
+			Poison(s)
 		}
 	case zero:
 		clear(s)
 	default:
-		poison(s)
+		Poison(s)
 	}
 	return s
 }

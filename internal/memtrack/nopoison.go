@@ -2,5 +2,5 @@
 
 package memtrack
 
-// poison is a no-op without the poison build tag (see poison.go).
-func poison(s []float64) []float64 { return s }
+// Poison is a no-op without the poison build tag (see poison.go).
+func Poison(s []float64) []float64 { return s }

@@ -56,7 +56,7 @@ func TestServeMatchesSequential(t *testing.T) {
 		if req.Beta != 0 {
 			req.C = randFloats(rng, req.M*req.N)
 		}
-		want := referenceGEMM(&req)
+		want := referenceGEMM(nil, &req)
 		res, err := cl.GEMM(context.Background(), &req)
 		if err != nil {
 			t.Fatalf("m=%d n=%d k=%d: %v", req.M, req.N, req.K, err)
@@ -413,7 +413,7 @@ func TestServeOutOfCore(t *testing.T) {
 				M: 64, N: 64, K: 64, Alpha: 1.5, Beta: 0.5,
 				A: randFloats(rng, 64*64), B: randFloats(rng, 64*64), C: randFloats(rng, 64*64),
 			}
-			want := referenceGEMM(req)
+			want := referenceGEMM(nil, req)
 
 			cl := &Client{BaseURL: ts.URL}
 			res, err := cl.GEMM(context.Background(), req)
@@ -473,8 +473,16 @@ func TestServeBadRequests(t *testing.T) {
 	if code := post(valid.Bytes(), map[string]string{"X-Deadline-Ms": "soon"}); code != http.StatusBadRequest {
 		t.Fatalf("bad deadline header: %d, want 400", code)
 	}
-	if n := srv.Collector().Registry.Counter("serve.errors.bad_request").Value(); n != 3 {
-		t.Fatalf("bad_request counter = %d, want 3", n)
+	// One byte past the last frame is a frame-length mismatch, rejected
+	// as DecodeRequest rejects it.
+	if code := post(append(bytes.Clone(valid.Bytes()), 0), nil); code != http.StatusBadRequest {
+		t.Fatalf("trailing byte: %d, want 400", code)
+	}
+	if n := srv.Collector().Registry.Counter("serve.errors.bad_request").Value(); n != 4 {
+		t.Fatalf("bad_request counter = %d, want 4", n)
+	}
+	if st := srv.frames.stats(); st.LiveWords != 0 {
+		t.Fatalf("%d frame words still live after the rejected requests", st.LiveWords)
 	}
 }
 

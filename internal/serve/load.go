@@ -185,7 +185,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 					A: a, B: b,
 				}
 				if opts.Check {
-					data[si].want = referenceGEMM(&data[si].req)
+					data[si].want = referenceGEMM(nil, &data[si].req)
 				}
 			}
 			pick := func() *shapeData {
@@ -282,9 +282,9 @@ func randomSlice(rng *rand.Rand, n int) []float64 {
 }
 
 // referenceGEMM computes the row-major expected result with a sequential
-// DGEFMM call — the same mapping the server applies, so in-core responses
-// match bit-for-bit.
-func referenceGEMM(req *GEMMRequest) []float64 {
+// DGEFMM call on cfg (nil selects the defaults) — the same mapping the
+// server applies, so in-core responses match bit-for-bit.
+func referenceGEMM(cfg *strassen.Config, req *GEMMRequest) []float64 {
 	hdr := &ReqHeader{
 		M: req.M, N: req.N, K: req.K,
 		TransA: transString(req.TransA), TransB: transString(req.TransB),
@@ -295,7 +295,9 @@ func referenceGEMM(req *GEMMRequest) []float64 {
 		copy(c, req.C)
 	}
 	call := callFromWire(hdr, req.A, req.B, c)
-	cfg := strassen.DefaultConfig(nil)
+	if cfg == nil {
+		cfg = strassen.DefaultConfig(nil)
+	}
 	strassen.DGEFMM(cfg, call.TransA, call.TransB, call.M, call.N, call.K,
 		call.Alpha, call.A, call.Lda, call.B, call.Ldb, call.Beta, call.C, call.Ldc)
 	return c

@@ -266,23 +266,35 @@ func DecodeRequest(r io.Reader, lim Limits) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &Request{ReqHeader: *h}
-	if req.A, err = ReadFrame(r, h.WordsA(), "A"); err != nil {
+	req := &Request{ReqHeader: *h, A: make([]float64, h.WordsA()), B: make([]float64, h.WordsB())}
+	if h.Beta != 0 {
+		req.C = make([]float64, h.WordsC())
+	}
+	if err := readOperands(r, h, req.A, req.B, req.C); err != nil {
 		return nil, err
 	}
-	if req.B, err = ReadFrame(r, h.WordsB(), "B"); err != nil {
-		return nil, err
+	return req, nil
+}
+
+// readOperands fills a, b and, when beta != 0, c from r, positioned after
+// the header, and checks that the body ends there.
+func readOperands(r io.Reader, h *ReqHeader, a, b, c []float64) error {
+	if err := ReadFrameInto(r, a, "A"); err != nil {
+		return err
+	}
+	if err := ReadFrameInto(r, b, "B"); err != nil {
+		return err
 	}
 	if h.Beta != 0 {
-		if req.C, err = ReadFrame(r, h.WordsC(), "C"); err != nil {
-			return nil, err
+		if err := ReadFrameInto(r, c, "C"); err != nil {
+			return err
 		}
 	}
 	var one [1]byte
 	if _, err := io.ReadFull(r, one[:]); err == nil {
-		return nil, errors.New("serve: trailing bytes after operand frames")
+		return errors.New("serve: trailing bytes after operand frames")
 	}
-	return req, nil
+	return nil
 }
 
 // EncodeRequest writes a request body in the wire format. The operand
