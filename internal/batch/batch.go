@@ -11,8 +11,9 @@
 //   - Workspace arena: each worker owns a memtrack.Tracker whose free list
 //     recycles the Strassen temporaries; after the first call of a given
 //     shape the worker's arena serves every later same-shape call with
-//     zero fresh allocations. The arena's peak obeys the paper's Table 1
-//     bounds per worker (strassen.WorkspaceBound), not per batch.
+//     zero fresh allocations. The arena's peak is the shape's plan words
+//     per worker (within the paper's Table 1 bounds, strassen.WorkspaceBound,
+//     up to the rounding of virtually padded odd levels), not per batch.
 //   - Shape bucketing: calls with the same (op(A), op(B), m, n, k, β-class)
 //     share one strassen.Plan, derived once, whose workspace figure sizes
 //     the arenas (Stats.PlanWords); each call still resolves its own

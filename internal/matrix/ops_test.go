@@ -285,3 +285,104 @@ func TestFrobeniusNoOverflow(t *testing.T) {
 		t.Fatalf("overflow-guarded norm wrong: %v", got)
 	}
 }
+
+// TestPaddedOpsMatchZeroPaddedCopies: a view that stores only part of its
+// shape (View.PadTo) must behave in every elementwise operation exactly
+// like a zero-padded copy, bit for bit — the padding enters as +0.0
+// through the same arithmetic (0 − x, not −x), so signed zeros and NaNs
+// agree. Sources store all, part or none of the domain, transposed or
+// not, and their values mix signed zeros and NaN into random ones.
+func TestPaddedOpsMatchZeroPaddedCopies(t *testing.T) {
+	const r, c = 7, 5
+	rng := rand.New(rand.NewSource(5))
+	value := func() float64 {
+		switch rng.Intn(7) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return 0
+		case 2:
+			return math.NaN()
+		}
+		return rng.Float64()*2 - 1
+	}
+	// padded returns a view storing sr×sc of r×c, and its zero-padded copy.
+	padded := func(sr, sc int, trans bool) (View, View) {
+		pr, pc := sr, sc
+		if trans {
+			pr, pc = sc, sr
+		}
+		store := NewDense(pr+1, pc+1)
+		for i := range store.Data {
+			store.Data[i] = value()
+		}
+		v := View{Rows: sr, Cols: sc, Stride: store.Stride, Trans: trans, Data: store.Data}
+		ref := NewDense(r, c)
+		v.Materialize(ref.Slice(0, 0, sr, sc))
+		return v.PadTo(r, c), ViewOf(ref)
+	}
+	ops := []struct {
+		name string
+		run  func(dst *Dense, x, y View)
+	}{
+		{"Add", func(d *Dense, x, y View) { Add(d, x, y) }},
+		{"Sub", func(d *Dense, x, y View) { Sub(d, x, y) }},
+		{"AddAssign", func(d *Dense, x, _ View) { AddAssign(d, x) }},
+		{"SubAssign", func(d *Dense, x, _ View) { SubAssign(d, x) }},
+		{"RevSubAssign", func(d *Dense, x, _ View) { RevSubAssign(d, x) }},
+		{"AddSubAssign", func(d *Dense, x, y View) { AddSubAssign(d, x, y) }},
+		{"Axpby(1,0)", func(d *Dense, x, _ View) { Axpby(d, 1, x, 0) }},
+		{"Axpby(1,1)", func(d *Dense, x, _ View) { Axpby(d, 1, x, 1) }},
+		{"Axpby(-0.75,0.5)", func(d *Dense, x, _ View) { Axpby(d, -0.75, x, 0.5) }},
+		{"CopyScaled(-1)", func(d *Dense, x, _ View) { CopyScaled(d, -1, x) }},
+		{"Materialize", func(d *Dense, x, _ View) { x.Materialize(d) }},
+	}
+	extents := [][2]int{{r, c}, {r - 1, c}, {r, c - 2}, {r - 3, c - 1}, {0, 0}}
+	for _, op := range ops {
+		for _, ex := range extents {
+			for _, ey := range extents {
+				for _, ta := range []bool{false, true} {
+					x, xr := padded(ex[0], ex[1], ta)
+					y, yr := padded(ey[0], ey[1], !ta)
+					d0 := NewDense(r, c)
+					for i := range d0.Data {
+						d0.Data[i] = value()
+					}
+					got, want := d0.Clone(), d0.Clone()
+					op.run(got, x, y)
+					op.run(want, xr, yr)
+					for i := range got.Data {
+						if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+							t.Fatalf("%s x stores %v y stores %v trans=%v: word %d is %v padded, %v on the copy",
+								op.name, ex, ey, ta, i, got.Data[i], want.Data[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPaddedViewSlice: a slice of a padded view stores what the view
+// stores of the region, nothing when the region lies past the stored
+// part, and reads the rest as +0.0.
+func TestPaddedViewSlice(t *testing.T) {
+	base := NewDense(3, 2) // stored part of a 5×4 logical view
+	for i := range base.Data {
+		base.Data[i] = float64(i + 1)
+	}
+	v := ViewOf(base).PadTo(5, 4)
+	if v.PadRows != 2 || v.PadCols != 2 || !v.Padded() {
+		t.Fatalf("PadTo: pads %d×%d", v.PadRows, v.PadCols)
+	}
+	s := v.Slice(2, 1, 3, 3)
+	if s.PadRows != 2 || s.PadCols != 2 || s.At(0, 0) != base.At(2, 1) || s.At(1, 0) != 0 || s.At(0, 1) != 0 {
+		t.Errorf("Slice(2,1,3,3): pads %d×%d, At(0,0)=%v", s.PadRows, s.PadCols, s.At(0, 0))
+	}
+	if e := v.Slice(3, 0, 2, 4); e.PadRows != 2 || e.PadCols != 4 || e.Data != nil || e.Stored().Rows != 0 {
+		t.Errorf("a region past the stored rows stores %d×%d", e.Rows-e.PadRows, e.Cols-e.PadCols)
+	}
+	if st := v.Stored(); st.Rows != 3 || st.Cols != 2 || st.Padded() {
+		t.Errorf("Stored: %d×%d padded=%v", st.Rows, st.Cols, st.Padded())
+	}
+}

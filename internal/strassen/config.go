@@ -66,12 +66,12 @@ type OddStrategy int
 
 const (
 	// OddPeel is dynamic peeling (the paper's choice): strip the extra
-	// row/column and repair with rank-one and matrix-vector fixups. At a
-	// fused level it pads virtually instead: the level runs on blocks
-	// rounded up to the grid, the kernel's packers read the missing rows
-	// and columns as zero and its write-out never stores them, so the
-	// padding costs no workspace and needs no fixups. Materialized levels,
-	// where padding would cost workspace, still peel.
+	// row/column and repair with rank-one and matrix-vector fixups —
+	// wherever a level cannot pad virtually instead. A level whose program
+	// allows it (virtual.go) runs on blocks rounded up to the grid without
+	// copies: blocks past the matrices read as zero and are never stored,
+	// so the padding needs no fixups and costs no workspace beyond the
+	// temporaries' rounding.
 	OddPeel OddStrategy = iota
 	// OddPadDynamic pads each odd dimension with one zero row/column at
 	// every recursion level (the approach of Douglas et al.).

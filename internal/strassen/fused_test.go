@@ -189,9 +189,10 @@ func fusedTestConfig(mode FusedMode) (*Config, *kernel.Packed) {
 
 // TestFusedEngagementTrace: the trace shows fused1 exactly where the
 // criterion predicts — only on the last level — the kernel counts the
-// fused calls, and pinned schedules or FusedOff never engage. An odd
-// level pads virtually exactly when the level at its rounded-up shape is
-// fused; otherwise it peels.
+// fused calls, and pinned schedules or FusedOff never engage. At β = 0
+// (every run here) an odd level pads virtually when the level at its
+// rounded-up shape is fused; a materialized one is STRASSEN1, which peels
+// where m or n is odd (TestVirtualPadEligibility).
 func TestFusedEngagementTrace(t *testing.T) {
 	skipIfAlgoPinned(t)
 	rng := rand.New(rand.NewSource(61))
@@ -240,8 +241,9 @@ func TestFusedEngagementTrace(t *testing.T) {
 		return tr.Count("fixup-ger") + tr.Count("fixup-col") + tr.Count("fixup-row")
 	}
 	// n=33 at τ=16: the padded children (17) would recurse, so the level at
-	// the rounded-up shape is not fused and the level peels onto a fused
-	// 32 core, repairing the border with three fixups.
+	// the rounded-up shape is a materialized STRASSEN1 level, which cannot
+	// pad, and it peels onto a fused 32 core, repairing the border with
+	// three fixups.
 	if tr, pk := run(FusedOn, ScheduleAuto, 33); tr.Count("peel") != 1 || tr.Count("fused1") != 1 || fixups(tr) != 3 || pk.FusedCounters() != 7 {
 		t.Errorf("n=33 τ=16: peel=%d fused1=%d fixups=%d calls=%d, want 1/1/3/7",
 			tr.Count("peel"), tr.Count("fused1"), fixups(tr), pk.FusedCounters())

@@ -26,25 +26,21 @@ const (
 	phQ  = phase.StrassenQuadrant
 )
 
-// frame binds a program's slots to one level's matrices. Blocks are
-// mq×kq (A), kq×nq (B) and mq×nq (C): the level's shape divided by the
-// grid, rounded up when a fused level pads virtually, in which case the
-// last block row and column overhang the matrices.
+// frame binds a program's slots to one level's matrices: its blocks
+// (blocks) over a and b, padded to the grid, and over c, which holds the
+// part of the level's C that is stored. When the level pads virtually the
+// last block row and column overhang the matrices: A and B blocks read
+// the overhang as +0.0, C blocks are clipped to it, and temporaries have
+// the full block shape.
 type frame struct {
-	a, b       matrix.View
-	c          *matrix.Dense
-	mq, kq, nq int
-	gk, gn     int
-	tmp        [][]float64
+	blocks
+	a, b matrix.View
+	c    *matrix.Dense
+	tmp  [][]float64
 }
 
-// dims is a block shape's rows and columns on this level.
-func (f *frame) dims(s shape) (int, int) {
-	d := [...][2]int{shapeA: {f.mq, f.kq}, shapeB: {f.kq, f.nq}, shapeC: {f.mq, f.nq}}[s]
-	return d[0], d[1]
-}
-
-// dense resolves a writable slot: a C block (or all of C) or a temporary.
+// dense resolves a writable slot: a C block (or all of C), clipped to
+// what C stores, or a temporary.
 func (f *frame) dense(s slot) *matrix.Dense {
 	if s.temp {
 		r, c := f.dims(s.shape)
@@ -53,18 +49,26 @@ func (f *frame) dense(s slot) *matrix.Dense {
 	if s.idx == wholeC {
 		return f.c
 	}
-	return f.c.Slice(s.idx/f.gn*f.mq, s.idx%f.gn*f.nq, f.mq, f.nq)
+	i, j := f.origin(s)
+	r, c := f.stored(s)
+	return f.c.Slice(min(i, f.c.Rows), min(j, f.c.Cols), r, c)
 }
 
-// view resolves any slot as an operand.
+// view resolves any slot as an operand of the full block shape.
 func (f *frame) view(s slot) matrix.View {
-	switch {
-	case s.temp || s.shape == shapeC:
-		return matrix.ViewOf(f.dense(s))
-	case s.shape == shapeA:
-		return f.a.Slice(s.idx/f.gk*f.mq, s.idx%f.gk*f.kq, f.mq, f.kq)
+	if s.temp || s.shape == shapeC {
+		r, c := f.dims(s.shape)
+		if s.idx == wholeC {
+			r, c = f.c.Rows, f.c.Cols
+		}
+		return matrix.ViewOf(f.dense(s)).PadTo(r, c)
 	}
-	return f.b.Slice(s.idx/f.gn*f.kq, s.idx%f.gn*f.nq, f.kq, f.nq)
+	i, j := f.origin(s)
+	r, c := f.dims(s.shape)
+	if s.shape == shapeA {
+		return f.a.Slice(i, j, r, c)
+	}
+	return f.b.Slice(i, j, r, c)
 }
 
 // exec runs one level program on c ← alpha·a·b + beta·c; its products
@@ -79,10 +83,12 @@ func (e *engine) exec(p *program, c *matrix.Dense, a, b matrix.View, alpha, beta
 		w := e.allocMat(m, n)
 		defer e.freeMat(w)
 		e.exec(p.fold, w, a, b, alpha, 0, depth)
-		e.pass(passAxpby, phQ, c, matrix.ViewOf(w), matrix.View{}, beta)
+		e.pass(passAxpby, phQ, c, matrix.ViewOf(w).Slice(0, 0, c.Rows, c.Cols), matrix.View{}, beta)
 		return
 	}
-	f := &frame{a: a, b: b, c: c, mq: ceilDiv(m, p.m), kq: ceilDiv(k, p.k), nq: ceilDiv(n, p.n), gk: p.k, gn: p.n}
+	bl := p.blocks(m, k, n, extentOf(c, a, b))
+	f := &frame{blocks: bl, c: c,
+		a: a.PadTo(p.m*bl.mq, p.k*bl.kq), b: b.PadTo(p.k*bl.kq, p.n*bl.nq)}
 	if p.recs != nil {
 		e.fusedLevel(p.recs, f, alpha, beta)
 		return
@@ -126,18 +132,20 @@ func (e *engine) step(o *op, f *frame, alpha, beta float64, depth int) {
 		e.mul(f.dense(o.dst), f.view(o.x), f.view(o.y), al, bt, depth)
 		return
 	}
+	// A clipped C destination takes the part of each source it stores.
+	dst := f.dense(o.dst)
 	var x, y matrix.View
 	if o.px >= 0 {
-		x = f.view(o.terms[o.px].src)
+		x = f.view(o.terms[o.px].src).Slice(0, 0, dst.Rows, dst.Cols)
 	}
 	if o.py >= 0 {
-		y = f.view(o.terms[o.py].src)
+		y = f.view(o.terms[o.py].src).Slice(0, 0, dst.Rows, dst.Cols)
 	}
 	id := phAS
 	if o.dst.shape == shapeC {
 		id = phQ
 	}
-	e.pass(o.pass, id, f.dense(o.dst), x, y, o.terms[o.pg].coeff(beta))
+	e.pass(o.pass, id, dst, x, y, o.terms[o.pg].coeff(beta))
 }
 
 // pass runs one elementwise matrix kernel under a phase bracket.
@@ -228,12 +236,11 @@ func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) 
 
 // fusedLevel streams a fused level's records through the kernel's hooks:
 // β applied once up front, then each record's operand terms and
-// destinations passed as block views clipped to the matrices — a block
-// overhanging the last row or column carries its shorter extent, and the
-// kernel reads the rest as +0.0 and writes none of it. No Strassen
-// temporaries. On a multi-worker runtime each record's rows split into
-// bands run as tasks (FusedMulAddTasks), bit-identical to the sequential
-// hook.
+// destinations passed as the stored parts of their blocks — a block
+// overhanging the matrices carries its shorter extent, and the kernel
+// reads the rest as +0.0 and writes none of it. No Strassen temporaries.
+// On a multi-worker runtime each record's rows split into bands run as
+// tasks (FusedMulAddTasks), bit-identical to the sequential hook.
 func (e *engine) fusedLevel(recs []fusedRecord, f *frame, alpha, beta float64) {
 	e.pass(passScale, phQ, f.c, matrix.View{}, matrix.View{}, beta)
 	var at, bt [4]kernel.Term
@@ -242,30 +249,34 @@ func (e *engine) fusedLevel(recs []fusedRecord, f *frame, alpha, beta float64) {
 	bOp := kernel.Operand{Ld: f.b.Stride, Trans: f.b.Trans}
 	for _, rec := range recs {
 		for i, t := range rec.a {
-			v := clipBlock(f.a, t.r*f.mq, t.c*f.kq, f.mq, f.kq)
-			at[i] = kernel.Term{Data: v.Data, Coeff: t.g, Rows: v.Rows, Cols: v.Cols}
+			at[i] = kernelTerm(f.a.Slice(t.r*f.mq, t.c*f.kq, f.mq, f.kq), t.g)
 		}
 		for i, t := range rec.b {
-			v := clipBlock(f.b, t.r*f.kq, t.c*f.nq, f.kq, f.nq)
-			bt[i] = kernel.Term{Data: v.Data, Coeff: t.g, Rows: v.Rows, Cols: v.Cols}
+			bt[i] = kernelTerm(f.b.Slice(t.r*f.kq, t.c*f.nq, f.kq, f.nq), t.g)
 		}
 		for i, t := range rec.dst {
-			q := clipBlock(matrix.ViewOf(f.c), t.r*f.mq, t.c*f.nq, f.mq, f.nq)
+			q := f.dense(slot{shape: shapeC, idx: t.r*f.gn + t.c})
 			dt[i] = kernel.Dest{Data: q.Data, Ld: q.Stride, Coeff: t.g, Rows: q.Rows, Cols: q.Cols}
 		}
 		aOp.Terms = at[:len(rec.a)]
 		bOp.Terms = bt[:len(rec.b)]
-		if e.threadLeaves() {
-			e.fk.FusedMulAddTasks(e.sub, f.mq, f.nq, f.kq, alpha, aOp, bOp, dt[:len(rec.dst)])
-		} else {
-			e.fk.FusedMulAdd(f.mq, f.nq, f.kq, alpha, aOp, bOp, dt[:len(rec.dst)])
-		}
+		e.fusedMulAdd(f.mq, f.nq, f.kq, alpha, aOp, bOp, dt[:len(rec.dst)])
 	}
 }
 
-// clipBlock is the part of the r×c block at (i, j) of v that lies inside
-// v (empty when the block starts past v's last row or column).
-func clipBlock(v matrix.View, i, j, r, c int) matrix.View {
-	i, j = min(i, v.Rows), min(j, v.Cols)
-	return v.Slice(i, j, min(r, v.Rows-i), min(c, v.Cols-j))
+// fusedMulAdd runs one fused product through the kernel's hooks, split
+// into row bands on a multi-worker runtime.
+func (e *engine) fusedMulAdd(m, n, k int, alpha float64, a, b kernel.Operand, dests []kernel.Dest) {
+	if e.threadLeaves() {
+		e.fk.FusedMulAddTasks(e.sub, m, n, k, alpha, a, b, dests)
+	} else {
+		e.fk.FusedMulAdd(m, n, k, alpha, a, b, dests)
+	}
+}
+
+// kernelTerm is a block view as a fused operand term: its stored part, with
+// that part's extent.
+func kernelTerm(v matrix.View, g float64) kernel.Term {
+	s := v.Stored()
+	return kernel.Term{Data: s.Data, Coeff: g, Rows: s.Rows, Cols: s.Cols}
 }

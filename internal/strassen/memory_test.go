@@ -162,10 +162,10 @@ func TestDynamicPaddingUsesMoreMemoryThanPeeling(t *testing.T) {
 
 func TestWorkspaceBoundCoversMeasuredPeaks(t *testing.T) {
 	skipIfAlgoPinned(t)
-	// The public accessor used to size batched per-worker arenas must
-	// dominate every measured peak: WorkspaceBound is what internal/batch
-	// asserts its arenas against, per worker, so it has to agree with the
-	// memtrack measurements here, per call.
+	// The paper's closed-form Table 1 bound must dominate every measured
+	// peak of these peeling configurations. (internal/batch sizes its
+	// per-worker arenas with PlanFor, which equals the measured peak to the
+	// word — TestPlanMatchesMeasured* — not with WorkspaceBound.)
 	for _, sched := range []Schedule{ScheduleAuto, ScheduleStrassen1, ScheduleStrassen2} {
 		for _, dims := range [][3]int{{64, 64, 64}, {96, 96, 96}, {64, 32, 96}, {65, 65, 65}} {
 			m, k, n := dims[0], dims[1], dims[2]
@@ -203,30 +203,37 @@ func TestTrackerReuseAcrossLevels(t *testing.T) {
 	}
 }
 
-// TestPlanMatchesMeasuredVirtualPadding: on odd shapes whose fused level
-// pads virtually — at the top, below a peeled materialized level, on
+// TestPlanMatchesMeasuredVirtualPadding: on odd shapes whose levels pad
+// virtually — a fused level at the top or below a materialized one, a
+// materialized level over fused children (as odd_update runs 1023³), on
 // rectangular shapes and on a wider table's grid — PlanFor still equals
 // the measured Strassen workspace peak and the kernel arena peak to the
-// word. The fused leaf packs its rounded-up block shape, so KernelWords
-// follows the padded blocks.
+// word. Fused leaves pack their rounded-up block shape, so KernelWords
+// follows the padded blocks, and a virtually padded materialized level's
+// temporaries have the rounded-up block shape. Peel counts are per β: a
+// β = 0 default level is STRASSEN1, which peels where its C blocks
+// overhang in m or n.
 func TestPlanMatchesMeasuredVirtualPadding(t *testing.T) {
 	cases := []struct {
 		m, k, n, tau int
 		algo         string
-		fused, peels int // expected fused1 and peel trace events
+		fused        int    // expected fused1 trace events
+		peels        [2]int // expected peel events at β = 0 and β = 0.5
 	}{
-		{33, 33, 33, 17, "default", 1, 0}, // the top level pads virtually
-		{67, 67, 67, 17, "default", 7, 1}, // peel, a materialized level, 7 virtually padded children
-		{35, 27, 41, 21, "default", 1, 0}, // rectangular, every dimension odd
-		{34, 19, 34, 17, "default", 1, 0}, // only k odd
-		{29, 17, 29, 10, "323", 1, 0},     // a 3×2×3 grid
+		{33, 33, 33, 17, "default", 1, [2]int{0, 0}},    // the top level pads virtually
+		{67, 67, 67, 17, "default", 7, [2]int{1, 0}},    // a materialized level over 7 fused children
+		{127, 127, 127, 40, "default", 7, [2]int{1, 0}}, // the same, odd_update's tree in miniature
+		{35, 27, 41, 21, "default", 1, [2]int{0, 0}},    // rectangular, every dimension odd
+		{34, 19, 34, 17, "default", 1, [2]int{0, 0}},    // only k odd
+		{68, 67, 68, 17, "default", 7, [2]int{0, 0}},    // only k odd below a STRASSEN1 level, which pads too
+		{29, 17, 29, 10, "323", 1, [2]int{0, 0}},        // a 3×2×3 grid
 	}
 	for _, kc := range []func() *kernel.Packed{
 		func() *kernel.Packed { return &kernel.Packed{Compat: true} },
 		func() *kernel.Packed { return &kernel.Packed{Mode: kernel.ModeSIMD, MC: 16, KC: 12, NC: 16} },
 	} {
 		for _, tc := range cases {
-			for _, beta := range []float64{0, 0.5} {
+			for bi, beta := range []float64{0, 0.5} {
 				rng := rand.New(rand.NewSource(int64(tc.m*7 + tc.k*3 + tc.n)))
 				pk := kc()
 				arena := memtrack.New()
@@ -242,8 +249,8 @@ func TestPlanMatchesMeasuredVirtualPadding(t *testing.T) {
 				c := matrix.NewRandom(tc.m, tc.n, rng)
 				DGEFMM(&run, blas.NoTrans, blas.NoTrans, tc.m, tc.n, tc.k, 1,
 					a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
-				if ct.Count("fused1") != tc.fused || ct.Count("peel") != tc.peels {
-					t.Fatalf("%+v: want %d fused1 and %d peel events, got %s", tc, tc.fused, tc.peels, ct)
+				if ct.Count("fused1") != tc.fused || ct.Count("peel") != tc.peels[bi] {
+					t.Fatalf("%+v beta=%g: want %d fused1 and %d peel events, got %s", tc, beta, tc.fused, tc.peels[bi], ct)
 				}
 				if plan.Words != tr.Peak() || plan.KernelWords != arena.Peak() {
 					t.Errorf("%+v beta=%g: plan words/kernel words %d/%d, measured %d/%d",
@@ -254,5 +261,35 @@ func TestPlanMatchesMeasuredVirtualPadding(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestVirtualPadWorkspaceGrowth pins what padding a materialized level
+// virtually costs against peeling it, on shapes shaped like odd_update
+// (an odd top level running STRASSEN2 over fused children): the three
+// temporaries grow from ⌊m/2⌋² to ⌈m/2⌉² words each, and nothing else
+// moves — the fused children pack the same 256-block leaves either way.
+// At 1023³ that is 3·(512² − 511²) = 3,069 words, odd_update's
+// workspace_mb going from 7.31548 to 7.340032.
+func TestVirtualPadWorkspaceGrowth(t *testing.T) {
+	pk := &kernel.Packed{Mode: kernel.ModeSIMD}
+	for _, tc := range []struct{ m, tau int }{{1023, 448}, {127, 40}} {
+		cfg := &Config{Kernel: pk, Criterion: Simple{Tau: tc.tau}, Fused: FusedOn}
+		plan := PlanFor(cfg, tc.m, tc.m, tc.m, false)
+		hi, lo := int64(tc.m+1)/2, int64(tc.m)/2
+		if plan.Words != 3*hi*hi || plan.Depth != 2 {
+			t.Errorf("%d³: Words %d at depth %d, want 3·%d² = %d at depth 2", tc.m, plan.Words, plan.Depth, hi, 3*hi*hi)
+		}
+		if want := pk.LeafWorkspace(int(hi+1)/2, int(hi+1)/2, int(hi+1)/2); plan.KernelWords != want {
+			t.Errorf("%d³: KernelWords %d, want one fused leaf of the padded blocks, %d", tc.m, plan.KernelWords, want)
+		}
+		peeled := PlanFor(cfg, tc.m-1, tc.m-1, tc.m-1, false) // the core a peel would run
+		if got, want := plan.Words-peeled.Words, 3*(hi*hi-lo*lo); got != want || plan.KernelWords != peeled.KernelWords {
+			t.Errorf("%d³: virtual padding grows Words by %d and KernelWords by %d, want %d and 0",
+				tc.m, got, plan.KernelWords-peeled.KernelWords, want)
+		}
+	}
+	if got := PlanFor(&Config{Kernel: pk, Criterion: Simple{Tau: 448}, Fused: FusedOn}, 1023, 1023, 1023, false).Words; got != 786432 {
+		t.Errorf("1023³ Words = %d, want 786,432 (3·512²)", got)
 	}
 }

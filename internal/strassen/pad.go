@@ -7,7 +7,10 @@ import "repro/internal/matrix"
 // at every recursion level, as in Douglas et al.) and static padding
 // (Strassen's original suggestion — pad once, up front, so every dimension
 // met during recursion is even). Both exist for the paper's
-// peeling-vs-padding comparison; DGEFMM itself uses peeling.
+// peeling-vs-padding comparison; DGEFMM itself pads virtually, without
+// the copies, where a level allows it (virtual.go) and peels elsewhere.
+// Dynamic padding is the reference virtual padding must match bit for
+// bit.
 
 // padDynamicMul pads each odd dimension of the current level with one zero
 // row/column, applies one Strassen level to the padded operands, and copies

@@ -113,7 +113,7 @@ func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 	if s.odd == OddPadStatic {
 		r = s.simStatic(m, k, n, betaZero)
 	} else {
-		r = s.sim(m, k, n, betaZero, 0)
+		r = s.sim(m, k, n, betaZero, 0, full(m, k, n))
 	}
 	p.Words, p.KernelWords = r.words, r.kernel
 	return p
@@ -143,11 +143,13 @@ func resolveSchedule(sched Schedule, betaZero bool) Schedule {
 }
 
 // planKey memoizes simulated subproblems. Depth participates because
-// MaxDepth and SchedLevels make behavior depth-dependent.
+// MaxDepth and SchedLevels make behavior depth-dependent, the extent
+// because it decides whether an odd level pads virtually or peels.
 type planKey struct {
 	m, k, n  int
 	betaZero bool
 	depth    int
+	x        extent
 }
 
 // simResult is one subtree's workspace accounting: Strassen temporaries
@@ -176,13 +178,14 @@ func (s *planSim) leafWords(m, n, k int) int64 {
 	return s.leaf(m, n, k)
 }
 
-// sim mirrors engine.mul: cutoff test, odd-dimension strategy, then one
-// level program. It returns the peak workspace of the subtree.
-func (s *planSim) sim(m, k, n int, betaZero bool, depth int) simResult {
+// sim mirrors engine.mul on a subproblem whose operands store x: cutoff
+// test, odd-dimension strategy, then one level program. It returns the
+// peak workspace of the subtree.
+func (s *planSim) sim(m, k, n int, betaZero bool, depth int, x extent) simResult {
 	if m == 0 || n == 0 || k == 0 {
 		return simResult{}
 	}
-	key := planKey{m: m, k: k, n: n, betaZero: betaZero, depth: depth}
+	key := planKey{m: m, k: k, n: n, betaZero: betaZero, depth: depth, x: x}
 	if r, ok := s.memo[key]; ok {
 		return r
 	}
@@ -193,18 +196,18 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int) simResult {
 	case s.odd == OddPadDynamic:
 		s.plan.Depth = max(s.plan.Depth, depth+1)
 		mp, kp, np := m+(m&1), k+(k&1), n+(n&1)
-		r = s.level(mp, kp, np, betaZero, depth)
+		r = s.level(mp, kp, np, betaZero, depth, full(mp, kp, np))
 		if mp != m || kp != k || np != n {
 			r.words += int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(mp)*int64(np)
 		}
-	case s.padsVirtually(m, k, n, betaZero, depth):
+	case s.padsVirtually(m, k, n, betaZero, depth, x):
 		s.plan.Depth = max(s.plan.Depth, depth+1)
-		r = s.level(m, k, n, betaZero, depth)
+		r = s.level(m, k, n, betaZero, depth, x)
 	default: // peeling, first or last: a level on the core, then fixups
 		s.plan.Depth = max(s.plan.Depth, depth+1)
 		gm, gk, gn := s.grid()
 		me, ke, ne := m-m%gm, k-k%gk, n-n%gn
-		r = s.level(me, ke, ne, betaZero, depth)
+		r = s.level(me, ke, ne, betaZero, depth, full(me, ke, ne))
 		// The wide fixups run after the core level's temporaries are
 		// freed; each is one kernel leaf, so only the kernel peak can move.
 		// A remainder of exactly 1 repairs with DGER/DGEMV (no draw).
@@ -222,36 +225,36 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int) simResult {
 	return r
 }
 
-// level accounts one level program on a grid-divisible problem, or a fused
-// one padding virtually: a fused level draws only the kernel's panels at
-// the (rounded-up) block shape; any other needs its declared temporaries
-// plus its worst child — or, on a DAG level, lanes concurrent β = 0
-// children, each of which can be inside a kernel leaf at once. A DAG
-// level's temporaries are its lanes' buffers (compileDAG), so own is the
-// peak live set, not one buffer per operand and product.
-func (s *planSim) level(m, k, n int, betaZero bool, depth int) simResult {
+// level accounts one level program on operands that store x, on a
+// grid-divisible problem or one padding virtually: a fused level draws
+// only the kernel's panels at the (rounded-up) block shape; any other
+// needs its declared temporaries plus its worst child — or, on a DAG
+// level, lanes concurrent children, each of which can be inside a kernel
+// leaf at once. A DAG level's temporaries are its lanes' buffers
+// (compileDAG), so own is the peak live set, not one buffer per operand
+// and product.
+func (s *planSim) level(m, k, n int, betaZero bool, depth int, x extent) simResult {
 	p := s.levelProgram(m, k, n, betaZero, depth)
-	mq, kq, nq := ceilDiv(m, p.m), ceilDiv(k, p.k), ceilDiv(n, p.n)
 	if p.recs != nil {
-		return simResult{kernel: s.leafWords(mq, nq, kq)}
+		return simResult{kernel: s.leafWords(ceilDiv(m, p.m), ceilDiv(n, p.n), ceilDiv(k, p.k))}
 	}
 	own := p.words(m, k, n)
-	if p.tasks != nil {
-		conc := int64(s.dagLanes(p.products()))
-		child := s.sim(mq, kq, nq, true, depth+1)
-		return simResult{words: own + conc*child.words, kernel: conc * child.kernel}
-	}
 	body, bz := p, betaZero
 	if p.fold != nil {
-		body, bz = p.fold, true
+		body, bz, x.cr, x.cc = p.fold, true, m, n
 	}
+	bl := body.blocks(m, k, n, x)
 	var worst simResult
 	for i := range body.ops {
 		if o := &body.ops[i]; o.mul {
-			child := s.sim(mq, kq, nq, o.acc == acc0 || (o.acc == accBeta && bz), depth+1)
+			child := s.sim(bl.mq, bl.kq, bl.nq, o.childBetaZero(bz), depth+1, bl.child(o))
 			worst.words = max(worst.words, child.words)
 			worst.kernel = max(worst.kernel, child.kernel)
 		}
+	}
+	if p.tasks != nil {
+		conc := int64(s.dagLanes(p.products()))
+		return simResult{words: own + conc*worst.words, kernel: conc * worst.kernel}
 	}
 	return simResult{words: own + worst.words, kernel: worst.kernel}
 }
@@ -269,7 +272,7 @@ func (s *planSim) simStatic(m, k, n int, betaZero bool) simResult {
 	inner := *s
 	inner.odd, inner.maxDepth = OddPeel, d
 	inner.memo = make(map[planKey]simResult)
-	r := inner.sim(mp, kp, np, betaZero, 0)
+	r := inner.sim(mp, kp, np, betaZero, 0, full(mp, kp, np))
 	if mp != m || kp != k || np != n {
 		r.words += int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(mp)*int64(np)
 	}

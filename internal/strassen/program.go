@@ -192,13 +192,37 @@ type program struct {
 	tasks []task
 	fold  *program
 	recs  []fusedRecord
+	// cReads lists every read of a C block the program wrote earlier,
+	// with the slot it is read into (a product operand reads into a
+	// temporary: the whole block). Virtual padding needs each such
+	// destination to store no more than the block it reads
+	// (policy.padsVirtually).
+	cReads []cRead
 }
 
-// build lowers every lin op; a malformed program panics at init.
+// cRead is one read of a written C block, src, into dst.
+type cRead struct{ src, dst slot }
+
+// build lowers every lin op and derives cReads; a malformed program
+// panics at init.
 func (p *program) build() *program {
+	written := map[slot]bool{}
 	for i := range p.ops {
-		if !p.ops[i].mul {
-			p.ops[i].lower()
+		o := &p.ops[i]
+		if !o.mul {
+			o.lower()
+		}
+		for _, r := range o.reads() {
+			into := o.dst
+			if o.mul && r != o.dst {
+				into = tmp(0, r.shape)
+			}
+			if !r.temp && r.shape == shapeC && (written[r] || written[slot{shape: shapeC, idx: wholeC}]) {
+				p.cReads = append(p.cReads, cRead{src: r, dst: into})
+			}
+		}
+		if !o.dst.temp && o.dst.shape == shapeC {
+			written[o.dst] = true
 		}
 	}
 	return p
@@ -216,12 +240,13 @@ func (p *program) products() int {
 }
 
 // words is the level's own workspace on an (m, k, n) problem: every
-// declared temporary at its largest block shape, plus the fold buffer.
+// declared temporary at its largest block shape (rounded up to the grid
+// when the level pads virtually), plus the fold buffer.
 func (p *program) words(m, k, n int) int64 {
 	if p.fold != nil {
 		return int64(m)*int64(n) + p.fold.words(m, k, n)
 	}
-	mq, kq, nq := int64(m/p.m), int64(k/p.k), int64(n/p.n)
+	mq, kq, nq := int64(ceilDiv(m, p.m)), int64(ceilDiv(k, p.k)), int64(ceilDiv(n, p.n))
 	var w int64
 	for _, shapes := range p.temps {
 		var most int64

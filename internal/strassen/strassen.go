@@ -233,9 +233,9 @@ func (p *policy) criterion(m, k, n int) bool {
 // path fuses Strassen's 1969 construction, whose operands have at most two
 // terms, where Winograd's have up to four);
 // otherwise the table's sequential program, or on the default path the
-// schedule β selects (Table 1). Only the fused program runs on a shape the
-// grid does not divide (see padsVirtually); the others get the divisible
-// core from peeling or padding.
+// schedule β selects (Table 1). A program runs on a shape the grid does
+// not divide only when it pads virtually (virtual.go); otherwise it gets
+// the divisible core from peeling or padding.
 func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 	if depth < p.dagLevels {
 		t := p.table()
@@ -266,17 +266,6 @@ func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 	return strassen2
 }
 
-// padsVirtually reports whether a level whose shape the grid does not
-// divide runs its program on blocks rounded up to the grid instead of
-// peeling: under OddPeel, when that program is the fused one. The fused
-// packers read the rows and columns past the matrix as +0.0 and the
-// write-out never stores them, so this padding costs no workspace — the
-// paper's peel-versus-pad question (Section 3.3) at the one level where
-// padding is free. The engine and PlanFor both ask it.
-func (p *policy) padsVirtually(m, k, n int, betaZero bool, depth int) bool {
-	return p.odd == OddPeel && p.levelProgram(m, k, n, betaZero, depth).recs != nil
-}
-
 // ceilDiv is ⌈x/d⌉ for positive d.
 func ceilDiv(x, d int) int { return (x + d - 1) / d }
 
@@ -291,7 +280,10 @@ func (p *policy) dagLanes(r int) int {
 // mul computes c ← alpha*a*b + beta*c where a is m×k and b is k×n (both as
 // logical, possibly transposed, views). It applies the cutoff criterion,
 // then the odd-dimension strategy, then one level program. Under OddPeel
-// an odd shape peels unless its level is fused, which pads virtually.
+// an odd shape peels unless its level pads virtually. Below a virtually
+// padded level a and b may pad and c may store less than m×n (only what
+// lies inside the caller's C); such a subproblem never peels — its parent
+// padded only because it accepts them (policy.accepts).
 func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if m == 0 || n == 0 || e.canceled() {
@@ -301,9 +293,15 @@ func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, dep
 		scaleInPlace(c, beta)
 		return
 	}
+	x := extentOf(c, a, b)
+	over := x != full(m, k, n)
 	if !e.recurse(m, k, n, depth) {
 		done := e.trace(depth, m, k, n, "base")
-		e.baseGemm(c, a, b, alpha, beta)
+		if over {
+			e.hookLeaf(c, a, b, alpha, beta)
+		} else {
+			e.baseGemm(c, a, b, alpha, beta)
+		}
 		done()
 		return
 	}
@@ -322,7 +320,10 @@ func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, dep
 		}
 		e.peelFirstMul(c, a, b, alpha, beta, depth)
 	default: // OddPeel (and OddPadStatic below the pre-padded top level)
-		if odd && !e.padsVirtually(m, k, n, beta == 0, depth) {
+		if (odd || over) && !e.padsVirtually(m, k, n, beta == 0, depth, x) {
+			if over {
+				panic("strassen: a level below a virtually padded one cannot pad virtually")
+			}
 			done = e.trace(depth, m, k, n, "peel")
 			e.peelMul(c, a, b, alpha, beta, depth)
 		} else {
@@ -333,7 +334,7 @@ func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, dep
 }
 
 // level runs one level program: on an exactly grid-divisible problem, or
-// the fused program on one it pads virtually.
+// on one it pads virtually.
 func (e *engine) level(c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	p := e.levelProgram(m, k, n, beta == 0, depth)
