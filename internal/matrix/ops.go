@@ -74,7 +74,7 @@ func Add(dst *Dense, a, b View) {
 	for j := 0; j < dst.Cols; j++ {
 		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
 		for i := range d {
-			d[i] = a.At(i, j) + b.At(i, j)
+			d[i] = a.at(i, j) + b.at(i, j)
 		}
 	}
 }
@@ -101,7 +101,7 @@ func Sub(dst *Dense, a, b View) {
 	for j := 0; j < dst.Cols; j++ {
 		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
 		for i := range d {
-			d[i] = a.At(i, j) - b.At(i, j)
+			d[i] = a.at(i, j) - b.at(i, j)
 		}
 	}
 }
@@ -127,7 +127,7 @@ func AddAssign(dst *Dense, x View) {
 	for j := 0; j < dst.Cols; j++ {
 		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
 		for i := range d {
-			d[i] += x.At(i, j)
+			d[i] += x.at(i, j)
 		}
 	}
 }
@@ -153,7 +153,7 @@ func SubAssign(dst *Dense, x View) {
 	for j := 0; j < dst.Cols; j++ {
 		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
 		for i := range d {
-			d[i] -= x.At(i, j)
+			d[i] -= x.at(i, j)
 		}
 	}
 }
@@ -179,7 +179,7 @@ func RevSubAssign(dst *Dense, x View) {
 	for j := 0; j < dst.Cols; j++ {
 		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
 		for i := range d {
-			d[i] = x.At(i, j) - d[i]
+			d[i] = x.at(i, j) - d[i]
 		}
 	}
 }
@@ -213,7 +213,7 @@ func Axpby(dst *Dense, alpha float64, x View, beta float64) {
 		for j := 0; j < dst.Cols; j++ {
 			d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
 			for i := range d {
-				d[i] = float64(alpha*x.At(i, j)) + float64(beta*d[i])
+				d[i] = float64(alpha*x.at(i, j)) + float64(beta*d[i])
 			}
 		}
 	}
@@ -240,7 +240,7 @@ func CopyScaled(dst *Dense, alpha float64, x View) {
 	for j := 0; j < dst.Cols; j++ {
 		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
 		for i := range d {
-			d[i] = alpha * x.At(i, j)
+			d[i] = alpha * x.at(i, j)
 		}
 	}
 }
@@ -268,7 +268,7 @@ func AddSubAssign(dst *Dense, x, y View) {
 	for j := 0; j < dst.Cols; j++ {
 		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
 		for i := range d {
-			d[i] = x.At(i, j) - y.At(i, j) - d[i]
+			d[i] = x.at(i, j) - y.at(i, j) - d[i]
 		}
 	}
 }

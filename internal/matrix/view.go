@@ -40,6 +40,12 @@ func (v View) At(i, j int) float64 {
 	if i >= v.Rows-v.PadRows || j >= v.Cols-v.PadCols {
 		return 0
 	}
+	return v.at(i, j)
+}
+
+// at returns stored element (i, j) of op(X) without the padding check: the
+// inner loops of ops.go call it once stored has split the padding off.
+func (v View) at(i, j int) float64 {
 	if v.Trans {
 		i, j = j, i
 	}

@@ -2,6 +2,7 @@ package strassen
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
@@ -134,8 +135,9 @@ func (pc padCase) peels() bool {
 // padded by hand for the tables (whose shortfalls stay below the grid, so
 // one padding up front rounds every level as the virtual run does) — and
 // compares C bit for bit. It checks that the run took the expected levels
-// with no peel or fixup, that A and B are unchanged, and that no word of
-// C's ldc gap was written.
+// with no peel or fixup and as many fused levels as the reference, that
+// the OddPadDynamic reference padded (once, over a single level), that A
+// and B are unchanged, and that no word of C's ldc gap was written.
 func checkPad(t *testing.T, pc padCase) {
 	t.Helper()
 	pk := padKernels[pc.kern].make()
@@ -204,9 +206,34 @@ func checkPad(t *testing.T, pc padCase) {
 		}
 	}
 
+	// Every level above the last runs all the table's products, so a
+	// fused last level traces once per product path; a sequential fused
+	// top level is the only event of its call.
+	counts := tally(tr.Events)
+	tbl, _ := algo.ByName(pc.path)
+	wantFused := 0
+	if lastFused {
+		wantFused = 1
+		for range pc.levels {
+			wantFused *= tbl.R
+		}
+	}
+	if counts["fused1"] != wantFused || (pc.levels == 0 && pc.workers == 0 && len(tr.Events) != 1) {
+		t.Fatalf("%s: want %d fused1 levels, got %v", pc, wantFused, counts)
+	}
+
 	want := append([]float64(nil), c0.Data...)
 	if pc.path == algo.DefaultName {
-		DGEFMM(cfg(OddPadDynamic, nil), transA, transB, m, n, k, pc.alpha, a.Data, a.Stride, b.Data, b.Stride, pc.beta, want, c0.Stride)
+		// OddPadDynamic pads each odd level once and then runs the
+		// levels the virtual run took.
+		rtr := &LogTracer{}
+		DGEFMM(cfg(OddPadDynamic, rtr), transA, transB, m, n, k, pc.alpha, a.Data, a.Stride, b.Data, b.Stride, pc.beta, want, c0.Stride)
+		ref := tally(rtr.Events)
+		pads := ref["pad-dynamic"]
+		delete(ref, "pad-dynamic")
+		if pads < 1 || (pc.levels == 0 && pads != 1) || !maps.Equal(ref, counts) {
+			t.Fatalf("%s: reference padded %d times and ran %v; the virtual run ran %v", pc, pads, ref, counts)
+		}
 	} else {
 		mp, kp, np := pdims[0], pdims[1], pdims[2]
 		apr, apc := mp, kp
@@ -218,14 +245,10 @@ func checkPad(t *testing.T, pc padCase) {
 			bpr, bpc = np, kp
 		}
 		ap, bp, cp := paddedCopy(a, apr, apc), paddedCopy(b, bpr, bpc), paddedCopy(c0, mp, np)
-		tr := NewCountTracer()
-		DGEFMM(cfg(OddPeel, tr), transA, transB, mp, np, kp, pc.alpha, ap.Data, ap.Stride, bp.Data, bp.Stride, pc.beta, cp.Data, cp.Stride)
-		leaves := 1 // hook leaves below the last level trace as "base"
-		if lastFused {
-			leaves = 0
-		}
-		if tr.Count("peel") != 0 || tr.MaxDepth() != pc.levels+leaves {
-			t.Fatalf("%s: padded reference recursed differently: %s", pc, tr)
+		rtr := &LogTracer{}
+		DGEFMM(cfg(OddPeel, rtr), transA, transB, mp, np, kp, pc.alpha, ap.Data, ap.Stride, bp.Data, bp.Stride, pc.beta, cp.Data, cp.Stride)
+		if ref := tally(rtr.Events); !maps.Equal(ref, counts) {
+			t.Fatalf("%s: padded reference ran %v; the virtual run ran %v", pc, ref, counts)
 		}
 		matrix.FromColMajor(m, n, c0.Stride, want).CopyFrom(cp.Slice(0, 0, m, n))
 	}
@@ -251,6 +274,15 @@ func checkPad(t *testing.T, pc padCase) {
 			t.Fatalf("%s: B word %d was written", pc, i)
 		}
 	}
+}
+
+// tally counts a trace's events by action.
+func tally(events []TraceEvent) map[string]int {
+	out := make(map[string]int)
+	for _, e := range events {
+		out[e.Action]++
+	}
+	return out
 }
 
 // fusable reports whether the kernel fuses the path's last level; where
