@@ -123,18 +123,13 @@ func main() {
 		names = []string{*kernName}
 	}
 
+	exitCode := 0
 	for _, name := range names {
 		kern := blas.KernelByName(name)
 		fmt.Printf("kernel %s:\n", name)
 		tau, pts := cutoff.SquareCutoff(kern, *sqLo, *sqHi, *sqStep, *seed)
 		if *verbose {
-			for _, p := range pts {
-				marker := ""
-				if p.Ratio > 1 {
-					marker = "  <- Strassen wins"
-				}
-				fmt.Printf("  m=%4d  DGEMM/DGEFMM(1 level) = %.4f%s\n", p.Dim, p.Ratio, marker)
-			}
+			printCurve(pts, "DGEMM/DGEFMM(1 level)", "Strassen")
 		}
 		p := cutoff.RectParams(kern, *rectLo, *rectHi, *rectSt, *fixed, *seed+1)
 		p.Tau = tau
@@ -158,10 +153,11 @@ func main() {
 		fmt.Printf("  current defaults: τ=%d τm=%d τk=%d τn=%d\n", cur.Tau, cur.TauM, cur.TauK, cur.TauN)
 
 		// The -cores sweep re-measures the square crossover with both arms
-		// parallel — the threaded kernel against a one-level seven-product
-		// DAG on a c-worker runtime — because τ is a function of the worker
-		// count: the DAG arm's speedup saturates at 7 tasks while the
-		// threaded kernel's keeps scaling, so the crossover moves with c.
+		// on a c-worker runtime — DGEMM with its leaf threaded by row bands
+		// against a one-level seven-product DAG — because τ is a function
+		// of the worker count: the DAG arm's speedup saturates at 7 tasks
+		// while the threaded leaf's keeps scaling, so the crossover moves
+		// with c. A kernel whose leaves cannot thread fails the sweep.
 		// Rows install under "<kernel>@<cores>"; the rectangular parameters
 		// are carried over from the sequential sweep above (the thin-
 		// dimension crossovers are kernel-bound, not schedule-bound).
@@ -169,15 +165,14 @@ func main() {
 			if c < 2 {
 				continue // the sequential row above covers one core
 			}
-			ctau, cpts := cutoff.SquareCutoffCores(kern, c, *sqLo, *sqHi, *sqStep, *seed+int64(c))
+			ctau, cpts, err := cutoff.SquareCutoffCores(kern, c, *sqLo, *sqHi, *sqStep, *seed+int64(c))
+			if err != nil { // the other kernels still calibrate; exit 1 at the end
+				slog.Error("cores sweep", "kernel", name, "cores", c, "err", err)
+				exitCode = 1
+				break
+			}
 			if *verbose {
-				for _, pt := range cpts {
-					marker := ""
-					if pt.Ratio > 1 {
-						marker = "  <- parallel Strassen wins"
-					}
-					fmt.Printf("  m=%4d  DGEMM(%d cores)/DGEFMM(1 level, %d workers) = %.4f%s\n", pt.Dim, c, c, pt.Ratio, marker)
-				}
+				printCurve(cpts, fmt.Sprintf("DGEMM(%d cores)/DGEFMM(1 level, %d workers)", c, c), "parallel Strassen")
 			}
 			coresKey := fmt.Sprintf("%s@%d", name, c)
 			if algoName != "default" && algoName != strassen.AlgoAuto {
@@ -199,13 +194,7 @@ func main() {
 		if fusedCapable {
 			ftau, fpts := cutoff.SquareCutoffFused(kern, *sqLo, *sqHi, *sqStep, *seed)
 			if *verbose {
-				for _, p := range fpts {
-					marker := ""
-					if p.Ratio > 1 {
-						marker = "  <- fused Strassen wins"
-					}
-					fmt.Printf("  m=%4d  DGEMM/DGEFMM(1 fused level) = %.4f%s\n", p.Dim, p.Ratio, marker)
-				}
+				printCurve(fpts, "DGEMM/DGEFMM(1 fused level)", "fused Strassen")
 			}
 			fp := cutoff.RectParamsFused(kern, *rectLo, *rectHi, *rectSt, *fixed, *seed+1)
 			fp.Tau = ftau
@@ -235,6 +224,19 @@ func main() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt)
 		<-ch
+	}
+	os.Exit(exitCode)
+}
+
+// printCurve prints a -v ratio curve, marking the orders where the
+// Strassen arm wins.
+func printCurve(pts []cutoff.RatioPoint, ratio, winner string) {
+	for _, p := range pts {
+		marker := ""
+		if p.Ratio > 1 {
+			marker = "  <- " + winner + " wins"
+		}
+		fmt.Printf("  m=%4d  %s = %.4f%s\n", p.Dim, ratio, p.Ratio, marker)
 	}
 }
 

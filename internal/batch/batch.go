@@ -22,9 +22,8 @@
 //     or Config.Sched) the budget is structural: every call executes as a
 //     task DAG on the runtime, whose worker count caps tasks in flight
 //     regardless of how many pool workers submit concurrently. Without
-//     one, the pool divides GOMAXPROCS between inter-call workers and a
-//     blas.ParallelKernel's worker count so the two levels of concurrency
-//     do not oversubscribe the machine.
+//     one, every call runs sequentially on its pool worker, so the
+//     parallelism is across calls only.
 //
 // Observability: give Options.Collector an obs.Collector and the pool
 // maintains a queue-depth gauge ("batch.queue_depth"), a call counter
@@ -119,9 +118,8 @@ type Options struct {
 	// Execute blocks while the queue is full, providing backpressure.
 	QueueDepth int
 	// Config is the base DGEFMM configuration every call runs under. The
-	// pool copies it and re-budgets a ParallelKernel's workers against the
-	// worker count; per-worker kernels
-	// and trackers replace Kernel and Tracker. Nil selects the defaults.
+	// pool copies it; per-worker clones of its kernel and per-worker
+	// trackers replace Kernel and Tracker. Nil selects the defaults.
 	Config *strassen.Config
 	// Collector, if non-nil, receives the pool's metrics and the worker
 	// arenas' workspace accounting (see the package comment for names).
@@ -133,8 +131,8 @@ type Options struct {
 	// runtime's single core budget (tasks in flight never exceed its
 	// worker count, however many pool workers submit). Equivalent to
 	// setting Config.Sched; when both are set, Options.Sched wins. Nil
-	// (with a nil Config.Sched) keeps the pool's legacy direct execution
-	// with the GOMAXPROCS/Workers core split.
+	// (with a nil Config.Sched) runs each call sequentially on its pool
+	// worker.
 	Sched *sched.Runtime
 }
 
@@ -259,35 +257,17 @@ func NewPool(opts *Options) *Pool {
 	// Core budget. With a task runtime (Options.Sched or Config.Sched) the
 	// budget is structural: calls run as tasks on the runtime, which never
 	// has more tasks in flight than workers, so pool workers are pure
-	// submitters and no per-call scaling is needed. Without one, a
-	// column-parallel kernel gets GOMAXPROCS / workers threads per call, so
-	// inter-call and intra-call parallelism together never exceed the
-	// machine.
+	// submitters. Without one, each worker runs its call sequentially and
+	// the parallelism is across calls only.
 	if o.Sched != nil {
 		p.base.Sched = o.Sched
 	}
 	p.sched = p.base.Sched
-	perCall := runtime.GOMAXPROCS(0) / workers
-	if perCall < 1 {
-		perCall = 1
+	// Workers run clones of this kernel, so plans and each call's
+	// calibrated cutoff resolve against it too.
+	if p.base.Kernel == nil {
+		p.base.Kernel = kernel.Default()
 	}
-	kern := p.base.Kernel
-	if kern == nil {
-		kern = kernel.Default()
-	}
-	if pk, ok := kern.(*blas.ParallelKernel); ok && pk.Workers > perCall {
-		if perCall < 2 {
-			kern = pk.Base
-			if kern == nil {
-				kern = kernel.Default()
-			}
-		} else {
-			kern = &blas.ParallelKernel{Workers: perCall, Base: pk.Base}
-		}
-	}
-	// Workers run clones of the re-budgeted kernel, so plans and each
-	// call's calibrated cutoff resolve against it too.
-	p.base.Kernel = kern
 
 	if p.col != nil {
 		p.queueDepth = p.col.Registry.Gauge("batch.queue_depth")
@@ -296,7 +276,7 @@ func NewPool(opts *Options) *Pool {
 	}
 
 	for i := 0; i < workers; i++ {
-		w := &worker{kern: blas.CloneKernel(kern), tracker: memtrack.New()}
+		w := &worker{kern: blas.CloneKernel(p.base.Kernel), tracker: memtrack.New()}
 		if p.col != nil {
 			p.col.ObserveTracker(w.tracker)
 			p.col.ObserveKernel(w.kern)
@@ -432,7 +412,7 @@ func (p *Pool) run(w *worker, j job) {
 	var err error
 	if p.sched != nil {
 		// Routed execution: the pool worker is a pure submitter. The call
-		// runs as a task DAG on the shared runtime, so intra-call
+		// runs as a task DAG on the pool's runtime, so intra-call
 		// parallelism across every concurrent call draws from the
 		// runtime's single worker budget.
 		rctx := c.Ctx

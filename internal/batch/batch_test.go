@@ -439,32 +439,6 @@ func TestMultiplyConvenienceAndCollector(t *testing.T) {
 	}
 }
 
-// TestPoolCoreBudget: intra-call parallelism is scaled down so
-// workers × per-call threads never exceeds GOMAXPROCS.
-func TestPoolCoreBudget(t *testing.T) {
-	pk := &blas.ParallelKernel{Workers: 8, Base: blas.NaiveKernel{}}
-	cfg := &strassen.Config{Kernel: pk, Criterion: strassen.Simple{Tau: 8}}
-	pool := NewPool(&Options{Workers: 4, Config: cfg})
-	defer pool.Close()
-	// With GOMAXPROCS likely ≤ 4 here, per-call budget is 1: the parallel
-	// kernel must be unwrapped. Verify by behavior: the batch still
-	// computes correctly.
-	rng := rand.New(rand.NewSource(71))
-	calls, seq, cb, cs := buildCalls([]caseSpec{
-		{64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0},
-		{65, 33, 97, blas.NoTrans, blas.NoTrans, 1.5, 0.5},
-	}, rng)
-	runSequential(&strassen.Config{Kernel: blas.NaiveKernel{}, Criterion: strassen.Simple{Tau: 8}}, seq)
-	if err := pool.Execute(calls); err != nil {
-		t.Fatal(err)
-	}
-	for i := range cb {
-		if d := matrix.MaxAbsDiff(cb[i], cs[i]); d != 0 {
-			t.Fatalf("call %d: core-budgeted result differs by %g", i, d)
-		}
-	}
-}
-
 func TestPoolSchedRoutedNoOversubscription(t *testing.T) {
 	// Regression for the core-oversubscription bug: a pool with more
 	// workers than the attached runtime must not run more strassen tasks

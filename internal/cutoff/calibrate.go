@@ -7,6 +7,7 @@
 package cutoff
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/bench"
@@ -65,19 +66,30 @@ var configHook func(*strassen.Config)
 func SetConfigHook(fn func(*strassen.Config)) { configHook = fn }
 
 // timePair measures DGEMM and one-level DGEFMM on an m×k × k×n problem and
-// returns the two per-call times in seconds.
-func timePair(kern blas.Kernel, fused strassen.FusedMode, m, k, n int, alpha, beta float64, rng *rand.Rand) (tGemm, tOneLevel float64) {
+// returns the two per-call times in seconds. With a runtime rt both arms
+// run on it: DGEMM as a DGEFMM base case, whose leaf threads by row bands,
+// and the level as a product DAG.
+func timePair(kern blas.Kernel, fused strassen.FusedMode, rt *sched.Runtime, m, k, n int, alpha, beta float64, rng *rand.Rand) (tGemm, tOneLevel float64) {
 	a := matrix.NewRandom(m, k, rng)
 	b := matrix.NewRandom(k, n, rng)
 	c := matrix.NewRandom(m, n, rng)
 	cw := c.Clone()
 	cfg := oneLevelConfig(kern, fused)
-	// BestOf(2) filters single-run noise; the crossover sits where the two
-	// curves differ by a few percent, so one stray measurement moves it.
-	tGemm = bench.BestOf(2, func() {
+	gemm := func() {
 		blas.DgemmKernel(kern, blas.NoTrans, blas.NoTrans, m, n, k, alpha,
 			a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
-	})
+	}
+	if rt != nil {
+		cfg.Sched, cfg.SchedLevels = rt, 1
+		base := &strassen.Config{Kernel: kern, Criterion: strassen.Never{}, Sched: rt}
+		gemm = func() {
+			strassen.DGEFMM(base, blas.NoTrans, blas.NoTrans, m, n, k, alpha,
+				a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
+		}
+	}
+	// BestOf(2) filters single-run noise; the crossover sits where the two
+	// curves differ by a few percent, so one stray measurement moves it.
+	tGemm = bench.BestOf(2, gemm)
 	tOneLevel = bench.BestOf(2, func() {
 		strassen.DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, n, k, alpha,
 			a.Data, a.Stride, b.Data, b.Stride, beta, cw.Data, cw.Stride)
@@ -90,20 +102,20 @@ func timePair(kern blas.Kernel, fused strassen.FusedMode, m, k, n int, alpha, be
 // (the paper calibrates with α=1, β=0). Odd orders exercise the peeling
 // fixups, producing the figure's saw-tooth.
 func SquareRatioCurve(kern blas.Kernel, dims []int, alpha, beta float64, seed int64) []RatioPoint {
-	return squareRatioCurve(kern, strassen.FusedOff, dims, alpha, beta, seed)
+	return squareRatioCurve(kern, strassen.FusedOff, nil, dims, alpha, beta, seed)
 }
 
 // SquareRatioCurveFused is SquareRatioCurve with the one-level arm forced
 // through the kernel's fused packing/write-out driver (FusedOn).
 func SquareRatioCurveFused(kern blas.Kernel, dims []int, alpha, beta float64, seed int64) []RatioPoint {
-	return squareRatioCurve(kern, strassen.FusedOn, dims, alpha, beta, seed)
+	return squareRatioCurve(kern, strassen.FusedOn, nil, dims, alpha, beta, seed)
 }
 
-func squareRatioCurve(kern blas.Kernel, fused strassen.FusedMode, dims []int, alpha, beta float64, seed int64) []RatioPoint {
+func squareRatioCurve(kern blas.Kernel, fused strassen.FusedMode, rt *sched.Runtime, dims []int, alpha, beta float64, seed int64) []RatioPoint {
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]RatioPoint, 0, len(dims))
 	for _, m := range dims {
-		tg, ts := timePair(kern, fused, m, m, m, alpha, beta, rng)
+		tg, ts := timePair(kern, fused, rt, m, m, m, alpha, beta, rng)
 		pts = append(pts, RatioPoint{Dim: m, Ratio: tg / ts})
 	}
 	return pts
@@ -185,67 +197,48 @@ func median3(a, b, c float64) float64 {
 // SquareCutoff measures the square crossover τ (one Table 2 entry) for a
 // kernel by sweeping orders in [lo, hi] with the given step.
 func SquareCutoff(kern blas.Kernel, lo, hi, step int, seed int64) (int, []RatioPoint) {
-	return squareCutoff(kern, strassen.FusedOff, lo, hi, step, seed)
+	return squareCutoff(kern, strassen.FusedOff, nil, lo, hi, step, seed)
 }
 
 // SquareCutoffFused measures the square crossover of one *fused* Strassen
 // level — the τ installed under the "<kernel>+fused" parameter key.
 func SquareCutoffFused(kern blas.Kernel, lo, hi, step int, seed int64) (int, []RatioPoint) {
-	return squareCutoff(kern, strassen.FusedOn, lo, hi, step, seed)
+	return squareCutoff(kern, strassen.FusedOn, nil, lo, hi, step, seed)
 }
 
-func squareCutoff(kern blas.Kernel, fused strassen.FusedMode, lo, hi, step int, seed int64) (int, []RatioPoint) {
+func squareCutoff(kern blas.Kernel, fused strassen.FusedMode, rt *sched.Runtime, lo, hi, step int, seed int64) (int, []RatioPoint) {
 	var dims []int
 	for m := lo; m <= hi; m += step {
 		dims = append(dims, m)
 	}
-	pts := squareRatioCurve(kern, fused, dims, 1, 0, seed)
+	pts := squareRatioCurve(kern, fused, rt, dims, 1, 0, seed)
 	return ChooseCrossover(pts), pts
 }
 
-// timePairCores measures the parallel pair of Figure 2 on an m×m×m problem:
-// the threaded kernel (blas.ParallelKernel over the base) against one
-// parallel Strassen level whose seven-product DAG runs on a cores-worker
-// runtime. Both arms are budgeted to the same core count, so the ratio
-// isolates where the parallel Strassen level starts beating a parallel
-// DGEMM — the crossover that moves with the worker count.
-func timePairCores(kern blas.Kernel, rt *sched.Runtime, cores, m int, rng *rand.Rand) (tGemm, tOneLevel float64) {
-	a := matrix.NewRandom(m, m, rng)
-	b := matrix.NewRandom(m, m, rng)
-	c := matrix.NewRandom(m, m, rng)
-	cw := c.Clone()
-	pk := &blas.ParallelKernel{Workers: cores, Base: kern}
-	cfg := oneLevelConfig(kern, strassen.FusedOff)
-	cfg.Sched = rt
-	cfg.SchedLevels = 1
-	tGemm = bench.BestOf(2, func() {
-		blas.DgemmKernel(pk, blas.NoTrans, blas.NoTrans, m, m, m, 1,
-			a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
-	})
-	tOneLevel = bench.BestOf(2, func() {
-		strassen.DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, m, m, 1,
-			a.Data, a.Stride, b.Data, b.Stride, 0, cw.Data, cw.Stride)
-	})
-	return tGemm, tOneLevel
+// threadedLeaf is the structural interface of a kernel whose leaves thread
+// on a task runtime (kernel.Packed's MulAddTasks); any other kernel's
+// DGEMM arm would run on one core.
+type threadedLeaf interface {
+	MulAddTasks(sub sched.Submitter, transA, transB blas.Transpose, m, n, k int, alpha float64,
+		a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
 }
 
 // SquareCutoffCores measures the square crossover τ of one parallel
 // Strassen level executed on a cores-worker work-stealing runtime against
-// the equally-budgeted threaded kernel — the per-core-count analogue of
+// DGEMM threaded on the same runtime — the per-core-count analogue of
 // SquareCutoff whose result installs under the "<kernel>@<cores>"
 // parameter key that Config resolution consults when a runtime is
-// attached. Meaningful only when the host actually has that many cores;
-// on a smaller machine the ratio degenerates toward the sequential curve.
-func SquareCutoffCores(kern blas.Kernel, cores, lo, hi, step int, seed int64) (int, []RatioPoint) {
+// attached. It fails for a kernel whose leaves cannot thread. Meaningful
+// only when the host actually has that many cores; on a smaller machine
+// the ratio degenerates toward the sequential curve.
+func SquareCutoffCores(kern blas.Kernel, cores, lo, hi, step int, seed int64) (int, []RatioPoint, error) {
+	if _, ok := kern.(threadedLeaf); !ok {
+		return 0, nil, fmt.Errorf("cutoff: kernel %q cannot thread its leaves on a runtime; no cores sweep", kern.Name())
+	}
 	rt := sched.New(cores, seed)
 	defer rt.Close()
-	rng := rand.New(rand.NewSource(seed))
-	var pts []RatioPoint
-	for m := lo; m <= hi; m += step {
-		tg, ts := timePairCores(kern, rt, cores, m, rng)
-		pts = append(pts, RatioPoint{Dim: m, Ratio: tg / ts})
-	}
-	return ChooseCrossover(pts), pts
+	tau, pts := squareCutoff(kern, strassen.FusedOff, rt, lo, hi, step, seed)
+	return tau, pts, nil
 }
 
 // Dim selects which of (m, k, n) a rectangular sweep varies.
@@ -282,7 +275,7 @@ func rectRatioCurve(kern blas.Kernel, fused strassen.FusedMode, sweep Dim, dims 
 		case DimN:
 			n = d
 		}
-		tg, ts := timePair(kern, fused, m, k, n, 1, 0, rng)
+		tg, ts := timePair(kern, fused, nil, m, k, n, 1, 0, rng)
 		pts = append(pts, RatioPoint{Dim: d, Ratio: tg / ts})
 	}
 	return pts

@@ -2,10 +2,12 @@ package cutoff
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/blas"
+	"repro/internal/kernel"
 	"repro/internal/strassen"
 )
 
@@ -218,7 +220,10 @@ func TestSquareCutoffCoresSmokeTest(t *testing.T) {
 	// The timings carry no meaning on a loaded or single-core test host;
 	// the test pins only that the parallel sweep runs both arms and yields
 	// a curve point per order plus a crossover in the sweep's range.
-	tau, pts := SquareCutoffCores(blas.NaiveKernel{}, 2, 16, 48, 16, 29)
+	tau, pts, err := SquareCutoffCores(&kernel.Packed{}, 2, 16, 48, 16, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("want 3 curve points, got %d", len(pts))
 	}
@@ -229,5 +234,21 @@ func TestSquareCutoffCoresSmokeTest(t *testing.T) {
 	}
 	if tau < 0 || tau > 48 {
 		t.Fatalf("crossover %d outside the swept range", tau)
+	}
+}
+
+// TestSquareCutoffCoresNeedsThreadedLeaves: a kernel whose leaves cannot
+// thread on the runtime has no parallel DGEMM arm, so the cores sweep
+// refuses it by name instead of timing a sequential DGEMM against a
+// parallel level.
+func TestSquareCutoffCoresNeedsThreadedLeaves(t *testing.T) {
+	for _, kern := range []blas.Kernel{blas.NaiveKernel{}, &blas.BlockedKernel{}} {
+		_, pts, err := SquareCutoffCores(kern, 2, 16, 48, 16, 29)
+		if err == nil || !strings.Contains(err.Error(), kern.Name()) {
+			t.Errorf("%s: err = %v, want an error naming the kernel", kern.Name(), err)
+		}
+		if pts != nil {
+			t.Errorf("%s: swept %d points", kern.Name(), len(pts))
+		}
 	}
 }

@@ -223,8 +223,8 @@ func TestAblationsQuick(t *testing.T) {
 	if rows := AblationPeeling(io.Discard, quick); len(rows) != 2 {
 		t.Fatal("peeling rows")
 	}
-	if rows := AblationParallel(io.Discard, quick); len(rows) != 4 {
-		t.Fatal("parallel rows: want sequential, DAG runtime (2), DAG runtime (4), column-parallel")
+	if rows := AblationParallel(io.Discard, quick); len(rows) != 3 {
+		t.Fatal("parallel rows: want sequential, DAG runtime (2), DAG runtime (4)")
 	}
 	rows := AblationKernels(io.Discard, quick)
 	if len(rows) != len(blas.KernelNames()) {

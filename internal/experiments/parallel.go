@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"repro/internal/bench"
-	"repro/internal/blas"
 	"repro/internal/sched"
 )
 
@@ -41,10 +40,7 @@ func ParallelScaling(w io.Writer, order int, sc Scale) []ParallelRow {
 	for c := 1; c < max; c *= 2 {
 		counts = append(counts, c)
 	}
-	counts = append(counts, max)
-	if len(counts) > 1 && counts[len(counts)-2] == max {
-		counts = counts[:len(counts)-1]
-	}
+	counts = append(counts, max) // every doubling above is below max
 
 	rows := make([]ParallelRow, 0, len(counts))
 	tb := bench.NewTable("workers", "seconds", "speedup")
@@ -59,7 +55,7 @@ func ParallelScaling(w io.Writer, order int, sc Scale) []ParallelRow {
 		tb.AddRow(c, fmt.Sprintf("%.4f", t), fmt.Sprintf("%.2f", tSeq/t))
 	}
 	fprintln(w, fmt.Sprintf("Parallel scaling: order %d, kernel %s, GOMAXPROCS %d",
-		order, blas.CloneKernel(kern).Name(), max))
+		order, kern.Name(), max))
 	_, _ = tb.WriteTo(w)
 	return rows
 }

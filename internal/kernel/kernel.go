@@ -199,7 +199,7 @@ func (k *Packed) LeafWorkspace(m, n, kk int) int64 {
 // (tasks.go) on the calling goroutine.
 func (k *Packed) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float64,
 	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	k.MulAddTasks(nil, 1, transA, transB, m, n, kk, alpha, a, lda, b, ldb, c, ldc)
+	k.MulAddTasks(nil, transA, transB, m, n, kk, alpha, a, lda, b, ldb, c, ldc)
 }
 
 // macroKernel sweeps the packed panels with the register micro-kernel:

@@ -208,8 +208,9 @@ func (l *leaf) finish(a bandAcct) {
 	l.k.countTiles(l.mi, a.tiles)
 }
 
-// MulAddTasks is MulAdd with the rows of each (jc, pc) panel split into up
-// to threads bands executed as scheduler tasks (see rowBands). The B̃ panel
+// MulAddTasks is MulAdd with the rows of each (jc, pc) panel split into
+// bands over all of sub's workers, executed as scheduler tasks (see
+// rowBands). The B̃ panel
 // is packed once per (jc, pc) by the calling goroutine and shared
 // read-only; every band packs its own rows into its slice of the Ã buffer,
 // so the arena draw is LeafWorkspace, as for MulAdd, and the results are
@@ -221,19 +222,19 @@ func (l *leaf) finish(a bandAcct) {
 // Strassen product task thread its leaves without blocking the pool. With
 // a nil submitter, fewer than two bands, or a single-worker runtime, it
 // runs as MulAdd.
-func (k *Packed) MulAddTasks(sub sched.Submitter, threads int, transA, transB blas.Transpose, m, n, kk int, alpha float64,
+func (k *Packed) MulAddTasks(sub sched.Submitter, transA, transB blas.Transpose, m, n, kk int, alpha float64,
 	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if m <= 0 || n <= 0 || kk <= 0 || alpha == 0 {
 		return
 	}
 	l := leaf{k: k, mi: k.impl(), m: m, n: n, kk: kk, alpha: alpha, prof: phase.Active(),
 		ta: transA.IsTrans(), tb: transB.IsTrans(), a: a, b: b, c: c, lda: lda, ldb: ldb, ldc: ldc}
-	l.run(sub, k.bands(l.mi, sub, threads, m, n, kk))
+	l.run(sub, k.bands(l.mi, sub, m, n, kk))
 	k.mulAdds.Add(1)
 }
 
-// FusedMulAddTasks is FusedMulAdd with the same band split as MulAddTasks,
-// over all of sub's workers: the calling goroutine forms each fused B̃
+// FusedMulAddTasks is FusedMulAdd with the same band split as MulAddTasks:
+// the calling goroutine forms each fused B̃
 // panel once, and every band forms its own rows of Ã into its slice of the
 // Ã buffer and writes them out to the same row band of every destination.
 // Bands write disjoint rows of each destination, and the result is
@@ -246,20 +247,16 @@ func (k *Packed) FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float
 	}
 	l := leaf{k: k, mi: k.impl(), m: m, n: n, kk: kk, alpha: alpha, prof: phase.Active(),
 		fused: true, fa: a, fb: b, dests: dests}
-	threads := 0
-	if sub != nil {
-		threads = sub.Workers()
-	}
-	l.run(sub, k.bands(l.mi, sub, threads, m, n, kk))
+	l.run(sub, k.bands(l.mi, sub, m, n, kk))
 	k.fusedMulAdds.Add(1)
 }
 
 // bands resolves the band split of a call, or nil when it runs
-// sequentially: no submitter, one worker or thread, or one register panel.
-func (k *Packed) bands(mi *microImpl, sub sched.Submitter, threads, m, n, kk int) []rowBand {
+// sequentially: no submitter, one worker, or one register panel.
+func (k *Packed) bands(mi *microImpl, sub sched.Submitter, m, n, kk int) []rowBand {
 	if sub == nil {
 		return nil
 	}
 	mcE, _, _ := k.effBlocks(mi, m, n, kk)
-	return rowBands(m, mcE, mi.mr, min(threads, sub.Workers()))
+	return rowBands(m, mcE, mi.mr, sub.Workers())
 }

@@ -14,10 +14,13 @@ import (
 // band boundaries fall on register-tile edges and KC panels retire in
 // order, so the result is bit-for-bit MulAdd's — for every transpose case,
 // across shapes that exercise edge blocks, bands spanning several Ã
-// slices, and a single MC block split into bands.
+// slices, and a single MC block split into bands. The band count follows
+// the runtime's worker count, so the 2-worker runtime caps the split below
+// the four Ã slices the scalar nest's buffer holds.
 func TestMulAddTasksBitIdentical(t *testing.T) {
-	rt := sched.New(4, 1)
-	defer rt.Close()
+	rt2, rt4 := sched.New(2, 1), sched.New(4, 1)
+	defer rt2.Close()
+	defer rt4.Close()
 	rng := rand.New(rand.NewSource(501))
 	shapes := [][3]int{{96, 80, 64}, {33, 47, 29}, {130, 24, 70}, {16, 16, 16}, {12, 9, 30}}
 	for _, mode := range []Mode{ModeAuto, ModeScalar} {
@@ -35,18 +38,21 @@ func TestMulAddTasksBitIdentical(t *testing.T) {
 					}
 					a := randSlice(rng, rowsA*colsA)
 					b := randSlice(rng, rowsB*colsB)
-					c1 := randSlice(rng, m*n)
-					c2 := append([]float64(nil), c1...)
+					c0 := randSlice(rng, m*n)
+					c1 := append([]float64(nil), c0...)
 
 					// Small blocks force several Ã slices per band even at these sizes.
 					k1 := &Packed{MC: 16, KC: 12, NC: 20, Mode: mode}
 					k2 := &Packed{MC: 16, KC: 12, NC: 20, Mode: mode}
 					k1.MulAdd(ta, tb, m, n, kk, 1.25, a, rowsA, b, rowsB, c1, m)
-					k2.MulAddTasks(rt, 4, ta, tb, m, n, kk, 1.25, a, rowsA, b, rowsB, c2, m)
-					for i := range c1 {
-						if c1[i] != c2[i] {
-							t.Fatalf("mode=%v dims=%v ta=%v tb=%v: c[%d] = %v (tasks) vs %v (sequential)",
-								mode, dims, ta, tb, i, c2[i], c1[i])
+					for _, rt := range []*sched.Runtime{rt2, rt4} {
+						c2 := append([]float64(nil), c0...)
+						k2.MulAddTasks(rt, ta, tb, m, n, kk, 1.25, a, rowsA, b, rowsB, c2, m)
+						for i := range c1 {
+							if c1[i] != c2[i] {
+								t.Fatalf("mode=%v dims=%v ta=%v tb=%v workers=%d: c[%d] = %v (tasks) vs %v (sequential)",
+									mode, dims, ta, tb, rt.Workers(), i, c2[i], c1[i])
+							}
 						}
 					}
 				}
@@ -56,11 +62,13 @@ func TestMulAddTasksBitIdentical(t *testing.T) {
 }
 
 // TestMulAddTasksDegradesToMulAdd pins the fallback cases: a nil
-// submitter and a leaf of one register panel run the plain nest (still
-// correct); one MC block splits into bands and matches bit for bit.
+// submitter, a single-worker runtime and a leaf of one register panel run
+// the plain nest (still correct); one MC block splits into bands and
+// matches bit for bit.
 func TestMulAddTasksDegradesToMulAdd(t *testing.T) {
-	rt := sched.New(2, 3)
+	rt, rt1 := sched.New(2, 3), sched.New(1, 3)
 	defer rt.Close()
+	defer rt1.Close()
 	rng := rand.New(rand.NewSource(502))
 	cases := []struct {
 		name    string
@@ -69,6 +77,7 @@ func TestMulAddTasksDegradesToMulAdd(t *testing.T) {
 		threads bool
 	}{
 		{"nil submitter", 24, 16, nil, false},
+		{"one worker", 24, 16, rt1, false},
 		// m ≤ MR leaves one register panel: nothing to split.
 		{"one panel", 3, 64, rt, false},
 		// MC ≥ m is one MC block, which splits into MR-aligned bands.
@@ -84,10 +93,10 @@ func TestMulAddTasksDegradesToMulAdd(t *testing.T) {
 		seq := &Packed{MC: tc.mc, KC: 12, NC: 20}
 		seq.MulAdd(blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, want, m)
 		tk := &Packed{MC: tc.mc, KC: 12, NC: 20}
-		if threads := tk.bands(tk.impl(), tc.sub, 8, m, n, kk) != nil; threads != tc.threads {
+		if threads := tk.bands(tk.impl(), tc.sub, m, n, kk) != nil; threads != tc.threads {
 			t.Fatalf("%s: threaded = %v, want %v", tc.name, threads, tc.threads)
 		}
-		tk.MulAddTasks(tc.sub, 8, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, got, m)
+		tk.MulAddTasks(tc.sub, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, got, m)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s: diverged at %d", tc.name, i)
@@ -151,7 +160,7 @@ func TestMulAddTasksWorkspaceExact(t *testing.T) {
 				bOp := Operand{Ld: kk, Terms: []Term{{Data: b, Coeff: -1, Rows: kk, Cols: n}}}
 				k.FusedMulAddTasks(rt, m, n, kk, 1, aOp, bOp, []Dest{{Data: c, Ld: m, Coeff: 1, Rows: m, Cols: n}})
 			} else {
-				k.MulAddTasks(rt, 4, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, c, m)
+				k.MulAddTasks(rt, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, c, m)
 			}
 			if peak, want := arena.Peak(), k.LeafWorkspace(m, n, kk); peak != want {
 				t.Errorf("%v fused=%v: arena peak %d, LeafWorkspace %d", dims, fused, peak, want)

@@ -29,10 +29,9 @@ const (
 // strassen.SpanTracer: every recursion event increments a named counter,
 // and every node's span is recorded (timed, parented) and its latency fed
 // to a per-action histogram. Bridges pull workspace accounting from
-// memtrack.Tracker, goroutine dispatch counts from blas.ParallelKernel,
-// packing-work counters plus arena accounting from packed-style kernels
-// (internal/kernel), and scheduler counters from work-stealing runtimes
-// (internal/sched) into every Snapshot.
+// memtrack.Tracker, packing-work counters plus arena accounting from
+// packed-style kernels (internal/kernel), and scheduler counters from
+// work-stealing runtimes (internal/sched) into every Snapshot.
 //
 // A Collector is safe for concurrent use; attach one to many configs to
 // aggregate, or one per call to isolate.
@@ -44,7 +43,6 @@ type Collector struct {
 
 	mu       sync.Mutex
 	trackers []*memtrack.Tracker
-	kernels  []*blas.ParallelKernel
 	packed   []packedKernel
 	scheds   []*sched.Runtime
 	phases   *phase.Profiler
@@ -116,36 +114,24 @@ func (c *Collector) ObserveSched(rt *sched.Runtime) {
 	c.scheds = append(c.scheds, rt)
 }
 
-// ObserveKernel registers a kernel for Snapshot reporting. Two kernel
-// shapes carry observable state: *blas.ParallelKernel (dispatch counts) and
-// packed-style kernels with work counters and a packing arena (reported
-// under Snapshot.Packed, separate from Snapshot.Memory so the workspace
-// figure stays comparable to the paper's Table 1 bounds). Anything else is
-// ignored.
+// ObserveKernel registers a kernel for Snapshot reporting. Packed-style
+// kernels carry observable state: work counters and a packing arena
+// (reported under Snapshot.Packed, separate from Snapshot.Memory so the
+// workspace figure stays comparable to the paper's Table 1 bounds).
+// Anything else is ignored.
 func (c *Collector) ObserveKernel(k blas.Kernel) {
-	if pkd, ok := k.(packedKernel); ok {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for _, have := range c.packed {
-			if have == pkd {
-				return
-			}
-		}
-		c.packed = append(c.packed, pkd)
-		return
-	}
-	pk, ok := k.(*blas.ParallelKernel)
+	pkd, ok := k.(packedKernel)
 	if !ok {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, have := range c.kernels {
-		if have == pk {
+	for _, have := range c.packed {
+		if have == pkd {
 			return
 		}
 	}
-	c.kernels = append(c.kernels, pk)
+	c.packed = append(c.packed, pkd)
 }
 
 // Attach wires the collector into a DGEFMM configuration: installs itself
@@ -217,13 +203,6 @@ func (t teeTracer) BeginSpan(parent int64, e strassen.TraceEvent) int64 {
 
 func (t teeTracer) EndSpan(id int64) { t.spans.EndSpan(id) }
 
-// KernelStats is one observed ParallelKernel's dispatch accounting.
-type KernelStats struct {
-	Name       string `json:"name"`
-	Dispatches int64  `json:"dispatches"`
-	Goroutines int64  `json:"goroutines"`
-}
-
 // isaKernel is the optional structural interface through which a kernel
 // reports the instruction set its inner loop dispatches to ("avx2+fma",
 // "neon", "scalar"); internal/kernel's Packed implements it.
@@ -278,13 +257,12 @@ type SpanStats struct {
 }
 
 // Snapshot is the immutable stats struct the public API exposes: metrics,
-// aggregated workspace accounting, kernel dispatch counts and the span
-// summary, all taken at one instant.
+// aggregated workspace accounting, packed-kernel and scheduler counters,
+// phases and the span summary, all taken at one instant.
 type Snapshot struct {
 	TakenAt time.Time       `json:"taken_at"`
 	Metrics MetricsSnapshot `json:"metrics"`
 	Memory  memtrack.Stats  `json:"memory"`
-	Kernels []KernelStats   `json:"kernels,omitempty"`
 	Packed  []PackedStats   `json:"packed,omitempty"`
 	Sched   []sched.Stats   `json:"sched,omitempty"`
 	Phases  []phase.Stat    `json:"phases,omitempty"`
@@ -297,7 +275,6 @@ type Snapshot struct {
 func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
 	trackers := append([]*memtrack.Tracker(nil), c.trackers...)
-	kernels := append([]*blas.ParallelKernel(nil), c.kernels...)
 	packed := append([]packedKernel(nil), c.packed...)
 	scheds := append([]*sched.Runtime(nil), c.scheds...)
 	prof := c.phases
@@ -310,10 +287,6 @@ func (c *Collector) Snapshot() Snapshot {
 		s.Memory.Peak += ts.Peak
 		s.Memory.Allocs += ts.Allocs
 		s.Memory.Reused += ts.Reused
-	}
-	for _, k := range kernels {
-		d, g := k.Stats()
-		s.Kernels = append(s.Kernels, KernelStats{Name: k.Name(), Dispatches: d, Goroutines: g})
 	}
 	for _, k := range packed {
 		ma, pa, pb := k.Counters()
@@ -355,15 +328,6 @@ func (c *Collector) Snapshot() Snapshot {
 	c.Registry.Gauge("mem.peak_words").Set(s.Memory.Peak)
 	c.Registry.Gauge("mem.allocs").Set(s.Memory.Allocs)
 	c.Registry.Gauge("mem.reused").Set(s.Memory.Reused)
-	var disp, gor int64
-	for _, ks := range s.Kernels {
-		disp += ks.Dispatches
-		gor += ks.Goroutines
-	}
-	if len(s.Kernels) > 0 {
-		c.Registry.Gauge("kernel.parallel.dispatches").Set(disp)
-		c.Registry.Gauge("kernel.parallel.goroutines").Set(gor)
-	}
 	if len(s.Packed) > 0 {
 		var ma, fma, pw, arenaPeak, simdTiles, scalarTiles int64
 		for _, ps := range s.Packed {

@@ -3,8 +3,8 @@
 // histograms), a timed span recorder that turns the strassen package's
 // trace-event stream into a recursion tree with per-node wall time and
 // derived GFLOPS, and a Collector that bundles both with bridges into the
-// workspace accountant (internal/memtrack) and the parallel BLAS kernel
-// (internal/blas.ParallelKernel).
+// workspace accountant (internal/memtrack), the packed kernel
+// (internal/kernel) and the work-stealing runtime (internal/sched).
 //
 // The paper's evaluation is entirely measurement — MFLOPS against DGEMM,
 // temporary-memory high-water marks, where the cutoff criterion stops the

@@ -291,30 +291,6 @@ func TestSpanRecorderLimitDropsSubtrees(t *testing.T) {
 	}
 }
 
-func TestCollectorKernelBridge(t *testing.T) {
-	pk := &blas.ParallelKernel{Workers: 4}
-	col := NewCollector()
-	cfg := col.Attach(strassen.DefaultConfig(pk))
-	// One recursion level: the base problems keep 128 columns, enough for
-	// the parallel kernel to split into worker goroutines.
-	cfg.MaxDepth = 1
-	run(cfg, 256, 256, 256, 9)
-	snap := col.Snapshot()
-	if len(snap.Kernels) != 1 {
-		t.Fatalf("want 1 observed kernel, got %d", len(snap.Kernels))
-	}
-	ks := snap.Kernels[0]
-	if ks.Dispatches == 0 {
-		t.Error("no kernel dispatches recorded")
-	}
-	if ks.Goroutines == 0 {
-		t.Error("no worker goroutines recorded (200 cols should split)")
-	}
-	if snap.Metrics.Gauges["kernel.parallel.goroutines"] != ks.Goroutines {
-		t.Error("goroutine gauge not folded into metrics")
-	}
-}
-
 func TestCollectorSchedBridge(t *testing.T) {
 	rt := sched.New(2, 5)
 	defer rt.Close()

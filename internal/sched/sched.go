@@ -1,17 +1,18 @@
-// Package sched is the multi-core task runtime underneath DGEFMM's parallel
-// paths: a work-stealing fork-join scheduler in the Cilk/TBB mold, sized to
-// GOMAXPROCS, on which the Strassen engine runs its seven Winograd products
-// (and the R products of any ⟨m,k,n⟩ table algorithm) as a dependency DAG,
-// the packed kernel threads its leaves' rows, and the batch pool draws its core
-// budget.
+// Package sched is the multi-core task runtime underneath DGEFMM: a
+// work-stealing fork-join scheduler in the Cilk/TBB mold, on which the
+// Strassen engine runs its seven Winograd products (and the R products of
+// any ⟨m,k,n⟩ table algorithm) as a dependency DAG, the packed kernel
+// threads its leaves' rows, and the batch pool submits its calls.
 //
-// The design replaces three overlapping parallel mechanisms (the flat
-// product fan-out of strassen.Config.Parallel, blas.ParallelKernel's
-// column-split goroutines, and batch.Pool's fixed worker goroutines) with
-// one shared pool: every unit of parallel work in the process becomes a
-// task on one Runtime, so concurrently-running tasks never exceed the
-// worker count by construction — the paper's processors-share-one-machine
-// model, and the fix for the pool's historic core oversubscription.
+// The runtime is the one parallel path in the repository: a multiply runs
+// on more than one core only when its caller hands a *Runtime to
+// strassen.Config.Sched (or batch.Options.Sched, or DGEFMMTask). Every
+// unit of intra-call parallel work becomes a task on that Runtime, so
+// concurrently-running tasks never exceed its worker count by construction
+// — the paper's processors-share-one-machine model. There is no
+// process-global runtime; callers size and close their own. (A batch pool
+// without a runtime still runs separate calls side by side, each one
+// sequentially.)
 //
 // Topology: each worker owns a LIFO deque (newest-first execution keeps a
 // worker on the subtree it just forked, the cache-friendly order), thieves
@@ -31,7 +32,6 @@ package sched
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,9 +63,7 @@ type Submitter interface {
 
 // Runtime is a fixed pool of worker goroutines executing task DAGs.
 // Create with New, share freely (all methods are safe for concurrent
-// use), and Close when done — except the process-wide Shared runtime,
-// which lives for the life of the process like the runtime's own
-// scheduler.
+// use), and Close when done.
 type Runtime struct {
 	workers []*Worker
 	wg      sync.WaitGroup
@@ -148,23 +146,6 @@ func build(n int, seed int64) *Runtime {
 		rt.workers[i] = &Worker{rt: rt, idx: i, rng: rand.New(rand.NewSource(seed + int64(i)*0x9e3779b9))}
 	}
 	return rt
-}
-
-var (
-	sharedOnce sync.Once
-	sharedRT   *Runtime
-)
-
-// Shared returns the process-wide runtime, created on first use with
-// GOMAXPROCS workers. It is never closed; every subsystem that defaults
-// its parallelism (strassen DAG execution, the threaded kernel loop, the
-// batch pool) draws from this one pool so the process never oversubscribes
-// cores.
-func Shared() *Runtime {
-	sharedOnce.Do(func() {
-		sharedRT = New(runtime.GOMAXPROCS(0), 0)
-	})
-	return sharedRT
 }
 
 // Workers implements Submitter.

@@ -326,18 +326,6 @@ func TestEmptyAndRestartedDAG(t *testing.T) {
 	}
 }
 
-// TestSharedRuntimeSingleton pins that Shared returns one runtime sized
-// to GOMAXPROCS.
-func TestSharedRuntimeSingleton(t *testing.T) {
-	a, b := Shared(), Shared()
-	if a != b {
-		t.Fatal("Shared() returned distinct runtimes")
-	}
-	if a.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("shared runtime has %d workers, want GOMAXPROCS=%d", a.Workers(), runtime.GOMAXPROCS(0))
-	}
-}
-
 // TestNestedRunDoesNotDeadlock saturates every worker with a task that
 // itself submits a sub-DAG; helping must progress all of them.
 func TestNestedRunDoesNotDeadlock(t *testing.T) {

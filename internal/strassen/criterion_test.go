@@ -2,6 +2,7 @@ package strassen
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -169,6 +170,39 @@ func TestSetDefaultParams(t *testing.T) {
 // cutoff: each call looks its calibrated row up, so a table chosen after
 // DefaultConfig, the fused driver turned off after it, and a
 // SetDefaultParams made after it all reach the recursion.
+// TestCalibratedRowPerKernel: every built-in kernel, and the default one,
+// resolves to a row of its own name — "<kernel>+fused" for a fused call
+// where that row exists, else "<kernel>" — sequentially and on a runtime
+// with no row for its core count. None falls through to the blocked row
+// unless it is the blocked kernel: a kernel named outside the table (a
+// wrapper, say) would silently take blocked's τ.
+func TestCalibratedRowPerKernel(t *testing.T) {
+	rows := *defaultParams.Load()
+	names := append(blas.KernelNames(), kernel.Default().Name())
+	for _, name := range names {
+		own, ok := rows[name]
+		if !ok {
+			t.Errorf("kernel %q has no cutoff row", name)
+			continue
+		}
+		for _, fused := range []bool{false, true} {
+			want := own
+			if p, ok := rows[name+"+fused"]; fused && ok {
+				want = p
+			}
+			for _, cores := range []int{0, 3} {
+				if _, ok := rows[name+"@"+strconv.Itoa(cores)]; ok {
+					t.Fatalf("the table has a %s@%d row; pick a core count without one", name, cores)
+				}
+				if got := calibrated(name, "", fused, cores); got != want {
+					t.Errorf("calibrated(%q, fused=%v, cores=%d) = %+v, want its own row %+v",
+						name, fused, cores, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCalibratedRowResolvedPerCall(t *testing.T) {
 	kern := kernel.Default()
 	name := kern.Name()

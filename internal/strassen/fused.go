@@ -155,7 +155,6 @@ func (cfg *Config) fusedHooks() fusedKernel {
 // structural like leafSizer so the strassen package does not choose a
 // kernel implementation for its callers.
 type fusedKernel interface {
-	FusedMulAdd(m, n, kk int, alpha float64, a, b kernel.Operand, dests []kernel.Dest)
 	FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float64, a, b kernel.Operand, dests []kernel.Dest)
 	FusedDestLimit() int
 }

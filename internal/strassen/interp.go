@@ -240,7 +240,8 @@ func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) 
 // overhanging the matrices carries its shorter extent, and the kernel
 // reads the rest as +0.0 and writes none of it. No Strassen temporaries.
 // On a multi-worker runtime each record's rows split into bands run as
-// tasks (FusedMulAddTasks), bit-identical to the sequential hook.
+// tasks; without one (or on one worker) FusedMulAddTasks runs the
+// sequential hook, and the bits are the same either way.
 func (e *engine) fusedLevel(recs []fusedRecord, f *frame, alpha, beta float64) {
 	e.pass(passScale, phQ, f.c, matrix.View{}, matrix.View{}, beta)
 	var at, bt [4]kernel.Term
@@ -260,17 +261,7 @@ func (e *engine) fusedLevel(recs []fusedRecord, f *frame, alpha, beta float64) {
 		}
 		aOp.Terms = at[:len(rec.a)]
 		bOp.Terms = bt[:len(rec.b)]
-		e.fusedMulAdd(f.mq, f.nq, f.kq, alpha, aOp, bOp, dt[:len(rec.dst)])
-	}
-}
-
-// fusedMulAdd runs one fused product through the kernel's hooks, split
-// into row bands on a multi-worker runtime.
-func (e *engine) fusedMulAdd(m, n, k int, alpha float64, a, b kernel.Operand, dests []kernel.Dest) {
-	if e.threadLeaves() {
-		e.fk.FusedMulAddTasks(e.sub, m, n, k, alpha, a, b, dests)
-	} else {
-		e.fk.FusedMulAdd(m, n, k, alpha, a, b, dests)
+		e.fk.FusedMulAddTasks(e.sub, f.mq, f.nq, f.kq, alpha, aOp, bOp, dt[:len(rec.dst)])
 	}
 }
 

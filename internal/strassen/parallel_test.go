@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/blas"
-	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/memtrack"
 )
@@ -83,70 +82,6 @@ func TestParallelTrackerBalanced(t *testing.T) {
 	upper := PlanFor(&four, m, m, m, true).Words
 	if peak := run(four); peak < lower || peak > upper {
 		t.Errorf("peak %d outside the planned range [%d, %d]", peak, lower, upper)
-	}
-}
-
-func TestParallelKernelMatchesBase(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	for _, tb := range []blas.Transpose{blas.NoTrans, blas.Trans} {
-		m, k, n := 48, 40, 130 // n large enough to split across workers
-		rowsB, colsB := k, n
-		if tb.IsTrans() {
-			rowsB, colsB = n, k
-		}
-		a := matrix.NewRandom(m, k, rng)
-		b := matrix.NewRandom(rowsB, colsB, rng)
-		c1 := matrix.NewRandom(m, n, rng)
-		c2 := c1.Clone()
-		blas.DgemmKernel(&blas.BlockedKernel{}, blas.NoTrans, tb, m, n, k, 1.5,
-			a.Data, a.Stride, b.Data, b.Stride, 0.5, c1.Data, c1.Stride)
-		pk := &blas.ParallelKernel{Workers: 4, Base: &blas.BlockedKernel{}}
-		blas.DgemmKernel(pk, blas.NoTrans, tb, m, n, k, 1.5,
-			a.Data, a.Stride, b.Data, b.Stride, 0.5, c2.Data, c2.Stride)
-		// Column-split parallelism performs identical scalar arithmetic per
-		// element, so results are bit-identical.
-		if !c1.Equal(c2) {
-			t.Fatalf("tb=%c: parallel kernel differs from base", tb)
-		}
-	}
-}
-
-func TestParallelKernelDelegatesToTaskThreader(t *testing.T) {
-	// A base that can thread its own MC loop (kernel.Packed) runs through
-	// MulAddTasks on the shared runtime; results stay bit-for-bit the
-	// base's (MulAddTasks preserves block edges and KC order).
-	rng := rand.New(rand.NewSource(407))
-	m, k, n := 96, 48, 64
-	a := matrix.NewRandom(m, k, rng)
-	b := matrix.NewRandom(k, n, rng)
-	c1 := matrix.NewRandom(m, n, rng)
-	c2 := c1.Clone()
-	base := &kernel.Packed{MC: 16, KC: 12, NC: 20}
-	blas.DgemmKernel(base, blas.NoTrans, blas.NoTrans, m, n, k, 1.5,
-		a.Data, a.Stride, b.Data, b.Stride, 0.5, c1.Data, c1.Stride)
-	pk := &blas.ParallelKernel{Workers: 4, Base: &kernel.Packed{MC: 16, KC: 12, NC: 20}}
-	blas.DgemmKernel(pk, blas.NoTrans, blas.NoTrans, m, n, k, 1.5,
-		a.Data, a.Stride, b.Data, b.Stride, 0.5, c2.Data, c2.Stride)
-	if !c1.Equal(c2) {
-		t.Fatal("delegated parallel kernel differs from its base")
-	}
-}
-
-func TestParallelKernelSmallNInline(t *testing.T) {
-	// Below minParallelCols the kernel must not spawn and still be right.
-	rng := rand.New(rand.NewSource(405))
-	m, k, n := 20, 20, 8
-	a := matrix.NewRandom(m, k, rng)
-	b := matrix.NewRandom(k, n, rng)
-	c1 := matrix.NewDense(m, n)
-	c2 := matrix.NewDense(m, n)
-	blas.DgemmKernel(blas.NaiveKernel{}, blas.NoTrans, blas.NoTrans, m, n, k, 1,
-		a.Data, a.Stride, b.Data, b.Stride, 0, c1.Data, c1.Stride)
-	pk := &blas.ParallelKernel{Workers: 8, Base: blas.NaiveKernel{}}
-	blas.DgemmKernel(pk, blas.NoTrans, blas.NoTrans, m, n, k, 1,
-		a.Data, a.Stride, b.Data, b.Stride, 0, c2.Data, c2.Stride)
-	if !c1.Equal(c2) {
-		t.Fatal("inline fallback differs")
 	}
 }
 

@@ -418,26 +418,18 @@ func (e *engine) baseGemm(c *matrix.Dense, a, b matrix.View, alpha, beta float64
 		tb = blas.Trans
 	}
 	kern := e.kern
-	if e.threadLeaves() {
-		if tk, ok := kern.(taskLeafKernel); ok {
-			kern = taskKernel{tk, e.sub}
-		}
+	if tk, ok := kern.(taskLeafKernel); ok && e.sub != nil && e.sub.Workers() > 1 {
+		kern = taskKernel{tk, e.sub}
 	}
 	blas.DgemmKernel(kern, ta, tb, c.Rows, c.Cols, a.Cols, alpha,
 		a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
-}
-
-// threadLeaves reports whether leaves split their rows across the
-// engine's runtime: whenever it has more than one worker.
-func (e *engine) threadLeaves() bool {
-	return e.sub != nil && e.sub.Workers() > 1
 }
 
 // taskLeafKernel is the structural interface of a kernel whose leaf loop
 // nest can run as scheduler tasks (kernel.Packed implements it).
 type taskLeafKernel interface {
 	blas.Kernel
-	MulAddTasks(sub sched.Submitter, threads int, transA, transB blas.Transpose, m, n, k int, alpha float64,
+	MulAddTasks(sub sched.Submitter, transA, transB blas.Transpose, m, n, k int, alpha float64,
 		a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
 }
 
@@ -451,7 +443,7 @@ type taskKernel struct {
 
 func (t taskKernel) MulAdd(transA, transB blas.Transpose, m, n, k int, alpha float64,
 	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	t.MulAddTasks(t.sub, t.sub.Workers(), transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+	t.MulAddTasks(t.sub, transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 }
 
 // gemvN computes y ← alpha*V*x + beta*y for a logical view V (y has V.Rows
