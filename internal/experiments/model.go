@@ -37,11 +37,12 @@ func Model(w io.Writer, sc Scale) []ModelRow {
 		for m := lo; m <= hi; m += step {
 			orders = append(orders, m)
 		}
-		gemmFit, err := perfmodel.Fit(perfmodel.CollectGemm(kern, orders, 41))
+		gemmS, oneS := perfmodel.Collect(kern, orders, 41)
+		gemmFit, err := perfmodel.Fit(gemmS)
 		if err != nil {
 			continue
 		}
-		oneFit, err := perfmodel.Fit(perfmodel.CollectOneLevel(kern, orders, 42))
+		oneFit, err := perfmodel.Fit(oneS)
 		if err != nil {
 			continue
 		}

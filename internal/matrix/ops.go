@@ -2,273 +2,229 @@ package matrix
 
 import "fmt"
 
-// This file contains the elementwise "G operations" of the paper's cost model
-// (matrix add/subtract/scale-accumulate). They are the stage (1), (2) and (4)
-// kernels of the Winograd schedules. Each accepts transpose-aware Views as
-// sources so that DGEFMM's transposed-input cases need no extra storage.
+// This file holds the one elementwise kernel of the paper's cost model. Every
+// "G operation" of the Winograd schedules — the operand sums of stages (1)
+// and (2) and the C combinations of stage (4) — is a linear combination
+// dst ← Σ gᵢ·Xᵢ of blocks, and Lin computes all of them. Sources are
+// transpose-aware Views, so DGEFMM's transposed-input cases need no extra
+// storage.
 //
 // A source that pads (View.PadRows/PadCols) enters every element past its
-// stored part as +0.0, through the operation a zero-padded copy would run:
+// stored part as +0.0, through the arithmetic a zero-padded copy would run:
 // a missing x in a − x is 0 − x, not −x, so signed zeros and NaNs come out
-// as they would on the copy. Each operation runs its loops on the part
-// every source stores and the elementwise formula on the rest (rim).
+// as they would on the copy. Lin runs its loops on the part every source
+// stores and the elementwise formula on the rest (the rim).
 
-func checkSameShape(op string, r, c int, vs ...View) {
-	for _, v := range vs {
-		if v.Rows != r || v.Cols != c {
-			panic(fmt.Sprintf("matrix: %s shape mismatch: want %dx%d, got %dx%d", op, r, c, v.Rows, v.Cols))
-		}
-	}
+// Term is one g·X summand of Lin. A term with Dst set stands for dst's value
+// before the call; its X is unused.
+type Term struct {
+	G   float64
+	X   View
+	Dst bool
 }
 
-// stored returns the leading r×c part of an rows×cols domain that every
-// source stores (0×0 when that part is empty), and whether some source
-// pads the rest.
-func stored(rows, cols int, vs ...View) (r, c int, pads bool) {
-	r, c = rows, cols
-	for _, v := range vs {
-		if v.Padded() {
-			r, c, pads = min(r, v.Rows-v.PadRows), min(c, v.Cols-v.PadCols), true
+// linChunk is the number of rows Lin forms at once when it stages a column
+// in stack buffers: a transposed source's column is gathered into one, and a
+// sum of more than four terms carries its partial sum in one.
+const linChunk = 64
+
+// Lin computes dst ← Σ gᵢ·Xᵢ elementwise, adding the terms left to right in
+// their order.
+//   - A term with Dst set reads dst's old value.
+//   - A term with g = 0 reads nothing and drops out, as BLAS β = 0 does; a
+//     sum left with no term writes +0.0, even over NaN.
+//   - Each product g·x is rounded before it is added (float64(g*x)), so no
+//     architecture contracts it into a fused multiply-add. For g = ±1 the
+//     product is exact, so x + (−1)·y is x − y bit for bit.
+//   - Transposed and padded sources are handled once, for every term count;
+//     the loops are specialized by term count (1–4), and longer sums run as
+//     chains of them.
+func Lin(dst *Dense, terms ...Term) {
+	var buf [4]Term
+	ts := buf[:0]
+	staged := false
+	r, c := dst.Rows, dst.Cols
+	for _, t := range terms {
+		if !t.Dst && (t.X.Rows != dst.Rows || t.X.Cols != dst.Cols) {
+			panic(fmt.Sprintf("matrix: Lin shape mismatch: want %dx%d, got %dx%d", dst.Rows, dst.Cols, t.X.Rows, t.X.Cols))
+		}
+		if t.G == 0 {
+			continue
+		}
+		ts = append(ts, t)
+		if !t.Dst {
+			staged = staged || t.X.Trans
+			r, c = min(r, t.X.Rows-t.X.PadRows), min(c, t.X.Cols-t.X.PadCols)
 		}
 	}
-	if r == 0 || c == 0 {
-		r, c = 0, 0
+	switch {
+	case dst.Rows == 0 || dst.Cols == 0:
+		return
+	case len(ts) == 0:
+		dst.Zero()
+		return
+	case len(ts) == 1 && ts[0].Dst && ts[0].G == 1:
+		return // dst ← dst
 	}
-	return r, c, pads
-}
-
-// rim sets every element of dst outside its leading r×c part to
-// f(i, j, dst(i, j)).
-func rim(dst *Dense, r, c int, f func(i, j int, d float64) float64) {
+	if r == 0 {
+		c = 0 // a source stores no rows: all of dst is rim
+	}
+	d := strided{dst.Data, dst.Stride}
+	if staged || len(ts) > 4 {
+		var st staging
+		for j := 0; j < c; j++ {
+			st.column(d.col(j, r), ts, j)
+		}
+	} else {
+		var ys [4]strided
+		var gs [4]float64
+		for k, t := range ts {
+			ys[k], gs[k] = d, t.G
+			if !t.Dst {
+				ys[k] = strided{t.X.Data, t.X.Stride}
+			}
+		}
+		linN(r, c, d, len(ts), &ys, &gs)
+	}
 	for j := 0; j < dst.Cols; j++ {
 		lo := r
 		if j >= c {
 			lo = 0
 		}
-		col := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-		for i := lo; i < len(col); i++ {
-			col[i] = f(i, j, col[i])
+		for i := lo; i < dst.Rows; i++ {
+			dst.Data[i+j*dst.Stride] = linAt(ts, i, j, dst.Data[i+j*dst.Stride])
 		}
 	}
 }
 
-// Add computes dst = a + b.
-func Add(dst *Dense, a, b View) {
-	checkSameShape("Add", dst.Rows, dst.Cols, a, b)
-	if r, c, pads := stored(dst.Rows, dst.Cols, a, b); pads {
-		Add(dst.Slice(0, 0, r, c), a.Slice(0, 0, r, c), b.Slice(0, 0, r, c))
-		rim(dst, r, c, func(i, j int, _ float64) float64 { return a.At(i, j) + b.At(i, j) })
-		return
+// linAt is Lin's formula at one element (i, j) whose old dst value is d,
+// reading padding as +0.0.
+func linAt(ts []Term, i, j int, d float64) float64 {
+	var acc float64
+	for k, t := range ts {
+		x := d
+		if !t.Dst {
+			x = t.X.At(i, j)
+		}
+		if k == 0 {
+			acc = float64(t.G * x)
+		} else {
+			acc += float64(t.G * x)
+		}
 	}
-	if !a.Trans && !b.Trans {
-		for j := 0; j < dst.Cols; j++ {
-			d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			av := a.Data[j*a.Stride : j*a.Stride+dst.Rows]
-			bv := b.Data[j*b.Stride : j*b.Stride+dst.Rows]
-			for i := range d {
-				d[i] = av[i] + bv[i]
+	return acc
+}
+
+// strided is column-major storage: column j starts at data[j*ld].
+type strided struct {
+	data []float64
+	ld   int
+}
+
+// col returns the first rows words of column j.
+func (s strided) col(j, rows int) []float64 { return s.data[j*s.ld:][:rows] }
+
+// staging holds the stack buffers of a staged column: one gathered column
+// chunk per transposed source, and a partial sum.
+type staging struct {
+	src [4][linChunk]float64
+	acc [linChunk]float64
+}
+
+// column forms d, rows [0, len(d)) of dst's column j, from ts, which every
+// source stores there, in chunks of linChunk rows.
+func (st *staging) column(d []float64, ts []Term, j int) {
+	for lo := 0; lo < len(d); lo += linChunk {
+		dc := d[lo:min(lo+linChunk, len(d))]
+		out := dc
+		if len(ts) > 4 {
+			out = st.acc[:len(dc)]
+		}
+		var ys [4]strided
+		var gs [4]float64
+		for k := 0; k < len(ts); {
+			n := 0
+			if k > 0 {
+				ys[0], gs[0], n = strided{data: out}, 1, 1 // the partial sum so far
 			}
-		}
-		return
-	}
-	for j := 0; j < dst.Cols; j++ {
-		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-		for i := range d {
-			d[i] = a.at(i, j) + b.at(i, j)
-		}
-	}
-}
-
-// Sub computes dst = a - b.
-func Sub(dst *Dense, a, b View) {
-	checkSameShape("Sub", dst.Rows, dst.Cols, a, b)
-	if r, c, pads := stored(dst.Rows, dst.Cols, a, b); pads {
-		Sub(dst.Slice(0, 0, r, c), a.Slice(0, 0, r, c), b.Slice(0, 0, r, c))
-		rim(dst, r, c, func(i, j int, _ float64) float64 { return a.At(i, j) - b.At(i, j) })
-		return
-	}
-	if !a.Trans && !b.Trans {
-		for j := 0; j < dst.Cols; j++ {
-			d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			av := a.Data[j*a.Stride : j*a.Stride+dst.Rows]
-			bv := b.Data[j*b.Stride : j*b.Stride+dst.Rows]
-			for i := range d {
-				d[i] = av[i] - bv[i]
+			for ; n < 4 && k < len(ts); n, k = n+1, k+1 {
+				ys[n], gs[n] = strided{data: st.source(n, ts[k], dc, j, lo)}, ts[k].G
 			}
+			linN(len(dc), 1, strided{data: out}, n, &ys, &gs)
 		}
-		return
-	}
-	for j := 0; j < dst.Cols; j++ {
-		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-		for i := range d {
-			d[i] = a.at(i, j) - b.at(i, j)
+		if len(ts) > 4 {
+			copy(dc, out)
 		}
 	}
 }
 
-// AddAssign computes dst += x.
-func AddAssign(dst *Dense, x View) {
-	checkSameShape("AddAssign", dst.Rows, dst.Cols, x)
-	if r, c, pads := stored(dst.Rows, dst.Cols, x); pads {
-		AddAssign(dst.Slice(0, 0, r, c), x.Slice(0, 0, r, c))
-		rim(dst, r, c, func(i, j int, d float64) float64 { return d + x.At(i, j) })
-		return
-	}
-	if !x.Trans {
-		for j := 0; j < dst.Cols; j++ {
-			d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			xv := x.Data[j*x.Stride : j*x.Stride+dst.Rows]
-			for i := range d {
-				d[i] += xv[i]
-			}
-		}
-		return
-	}
-	for j := 0; j < dst.Cols; j++ {
-		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-		for i := range d {
-			d[i] += x.at(i, j)
-		}
-	}
-}
-
-// SubAssign computes dst -= x.
-func SubAssign(dst *Dense, x View) {
-	checkSameShape("SubAssign", dst.Rows, dst.Cols, x)
-	if r, c, pads := stored(dst.Rows, dst.Cols, x); pads {
-		SubAssign(dst.Slice(0, 0, r, c), x.Slice(0, 0, r, c))
-		rim(dst, r, c, func(i, j int, d float64) float64 { return d - x.At(i, j) })
-		return
-	}
-	if !x.Trans {
-		for j := 0; j < dst.Cols; j++ {
-			d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			xv := x.Data[j*x.Stride : j*x.Stride+dst.Rows]
-			for i := range d {
-				d[i] -= xv[i]
-			}
-		}
-		return
-	}
-	for j := 0; j < dst.Cols; j++ {
-		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-		for i := range d {
-			d[i] -= x.at(i, j)
-		}
-	}
-}
-
-// RevSubAssign computes dst = x - dst.
-func RevSubAssign(dst *Dense, x View) {
-	checkSameShape("RevSubAssign", dst.Rows, dst.Cols, x)
-	if r, c, pads := stored(dst.Rows, dst.Cols, x); pads {
-		RevSubAssign(dst.Slice(0, 0, r, c), x.Slice(0, 0, r, c))
-		rim(dst, r, c, func(i, j int, d float64) float64 { return x.At(i, j) - d })
-		return
-	}
-	if !x.Trans {
-		for j := 0; j < dst.Cols; j++ {
-			d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			xv := x.Data[j*x.Stride : j*x.Stride+dst.Rows]
-			for i := range d {
-				d[i] = xv[i] - d[i]
-			}
-		}
-		return
-	}
-	for j := 0; j < dst.Cols; j++ {
-		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-		for i := range d {
-			d[i] = x.at(i, j) - d[i]
-		}
-	}
-}
-
-// Axpby computes dst = alpha*x + beta*dst. It is the quadrant scale/update
-// kernel of STRASSEN2 (e.g. C12 ← β·C12 + R3). As in the BLAS, beta = 0
-// means dst is written, not read: dst = alpha*x even where dst holds NaN,
-// Inf or never-written workspace. Both products round before the add on
-// every architecture (no fused multiply-add), so padded and stored
-// elements round alike.
-func Axpby(dst *Dense, alpha float64, x View, beta float64) {
-	checkSameShape("Axpby", dst.Rows, dst.Cols, x)
+// source returns rows [lo, lo+len(dc)) of term t's column j: dst's own rows
+// dc, a slice of an untransposed source, or a transposed source's gathered
+// into buffer k.
+func (st *staging) source(k int, t Term, dc []float64, j, lo int) []float64 {
 	switch {
-	case beta == 0:
-		CopyScaled(dst, alpha, x)
-	case !x.Trans && beta == 1 && alpha == 1:
-		AddAssign(dst, x)
-	case x.Padded():
-		r, c, _ := stored(dst.Rows, dst.Cols, x)
-		Axpby(dst.Slice(0, 0, r, c), alpha, x.Slice(0, 0, r, c), beta)
-		rim(dst, r, c, func(i, j int, d float64) float64 { return float64(alpha*x.At(i, j)) + float64(beta*d) })
-	case !x.Trans:
-		for j := 0; j < dst.Cols; j++ {
-			d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			xv := x.Data[j*x.Stride : j*x.Stride+dst.Rows]
-			for i := range d {
-				d[i] = float64(alpha*xv[i]) + float64(beta*d[i])
-			}
-		}
-	default:
-		for j := 0; j < dst.Cols; j++ {
-			d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			for i := range d {
-				d[i] = float64(alpha*x.at(i, j)) + float64(beta*d[i])
-			}
-		}
+	case t.Dst:
+		return dc
+	case !t.X.Trans:
+		return t.X.Data[j*t.X.Stride+lo:][:len(dc)]
 	}
+	b := st.src[k][:len(dc)]
+	x := t.X.Data[j+lo*t.X.Stride:]
+	for i := range b {
+		b[i] = x[i*t.X.Stride]
+	}
+	return b
 }
 
-// CopyScaled computes dst = alpha*x.
-func CopyScaled(dst *Dense, alpha float64, x View) {
-	checkSameShape("CopyScaled", dst.Rows, dst.Cols, x)
-	if r, c, pads := stored(dst.Rows, dst.Cols, x); pads {
-		CopyScaled(dst.Slice(0, 0, r, c), alpha, x.Slice(0, 0, r, c))
-		rim(dst, r, c, func(i, j int, _ float64) float64 { return alpha * x.At(i, j) })
-		return
-	}
-	if !x.Trans {
-		for j := 0; j < dst.Cols; j++ {
-			d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			xv := x.Data[j*x.Stride : j*x.Stride+dst.Rows]
-			for i := range d {
-				d[i] = alpha * xv[i]
+// linN sets the leading rows×cols block of d to Σ g[k]·ys[k] over k < n,
+// left to right. A ys[k] may be d itself. Two-term sums x ± y, most of the
+// Winograd schedules' lin ops, skip the multiplies by ±1: traced square_b0
+// runs measured strassen.addsub.gbps about 5% higher with those loops.
+func linN(rows, cols int, d strided, n int, ys *[4]strided, g *[4]float64) {
+	g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
+	switch n {
+	case 1:
+		for j := 0; j < cols; j++ {
+			dc, y0 := d.col(j, rows), ys[0].col(j, rows)
+			if g0 == 1 {
+				copy(dc, y0)
+				continue
+			}
+			for i := range dc {
+				dc[i] = g0 * y0[i]
 			}
 		}
-		return
-	}
-	for j := 0; j < dst.Cols; j++ {
-		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-		for i := range d {
-			d[i] = alpha * x.at(i, j)
-		}
-	}
-}
-
-// AddSubAssign computes dst = x - y - dst in one pass. It implements the
-// STRASSEN1 tail step C21 ← C22 − C21 − C11 without an extra temporary.
-func AddSubAssign(dst *Dense, x, y View) {
-	checkSameShape("AddSubAssign", dst.Rows, dst.Cols, x, y)
-	if r, c, pads := stored(dst.Rows, dst.Cols, x, y); pads {
-		AddSubAssign(dst.Slice(0, 0, r, c), x.Slice(0, 0, r, c), y.Slice(0, 0, r, c))
-		rim(dst, r, c, func(i, j int, d float64) float64 { return x.At(i, j) - y.At(i, j) - d })
-		return
-	}
-	if !x.Trans && !y.Trans {
-		for j := 0; j < dst.Cols; j++ {
-			d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-			xv := x.Data[j*x.Stride : j*x.Stride+dst.Rows]
-			yv := y.Data[j*y.Stride : j*y.Stride+dst.Rows]
-			for i := range d {
-				d[i] = xv[i] - yv[i] - d[i]
+	case 2:
+		for j := 0; j < cols; j++ {
+			dc, y0, y1 := d.col(j, rows), ys[0].col(j, rows), ys[1].col(j, rows)
+			switch {
+			case g0 == 1 && g1 == 1:
+				for i := range dc {
+					dc[i] = y0[i] + y1[i]
+				}
+			case g0 == 1 && g1 == -1:
+				for i := range dc {
+					dc[i] = y0[i] - y1[i]
+				}
+			default:
+				for i := range dc {
+					dc[i] = float64(g0*y0[i]) + float64(g1*y1[i])
+				}
 			}
 		}
-		return
-	}
-	for j := 0; j < dst.Cols; j++ {
-		d := dst.Data[j*dst.Stride : j*dst.Stride+dst.Rows]
-		for i := range d {
-			d[i] = x.at(i, j) - y.at(i, j) - d[i]
+	case 3:
+		for j := 0; j < cols; j++ {
+			dc, y0, y1, y2 := d.col(j, rows), ys[0].col(j, rows), ys[1].col(j, rows), ys[2].col(j, rows)
+			for i := range dc {
+				dc[i] = float64(g0*y0[i]) + float64(g1*y1[i]) + float64(g2*y2[i])
+			}
+		}
+	case 4:
+		for j := 0; j < cols; j++ {
+			dc, y0, y1, y2, y3 := d.col(j, rows), ys[0].col(j, rows), ys[1].col(j, rows), ys[2].col(j, rows), ys[3].col(j, rows)
+			for i := range dc {
+				dc[i] = float64(g0*y0[i]) + float64(g1*y1[i]) + float64(g2*y2[i]) + float64(g3*y3[i])
+			}
 		}
 	}
 }

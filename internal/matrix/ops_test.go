@@ -1,130 +1,157 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// opsCase builds a destination (optionally a strided sub-view) and two
-// sources (optionally transposed views of strided parents) for kernel tests.
-func opsCase(t *testing.T, rng *rand.Rand, r, c int, transA, transB, strided bool) (dst *Dense, a, b View, aRef, bRef *Dense) {
-	t.Helper()
-	mk := func(trans bool) (View, *Dense) {
-		pr, pc := r, c
-		if trans {
-			pr, pc = c, r
-		}
-		parent := NewRandom(pr+2, pc+2, rng)
-		sub := parent.Slice(1, 1, pr, pc)
-		v := View{Rows: pr, Cols: pc, Stride: sub.Stride, Data: sub.Data}
-		if trans {
-			v = View{Rows: pc, Cols: pr, Stride: sub.Stride, Trans: true, Data: sub.Data}
-		}
-		return v, v.Dense()
+// linValue draws a test entry: mostly uniform in [−1, 1), with NaN, ±Inf and
+// ±0 mixed in.
+func linValue(rng *rand.Rand) float64 {
+	switch rng.Intn(12) {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return 0
+	case 4:
+		return math.Copysign(0, -1)
 	}
-	a, aRef = mk(transA)
-	b, bRef = mk(transB)
-	if strided {
-		parent := NewRandom(r+3, c+3, rng)
-		dst = parent.Slice(2, 2, r, c)
-	} else {
-		dst = NewRandom(r, c, rng)
-	}
-	return dst, a, b, aRef, bRef
+	return rng.Float64()*2 - 1
 }
 
-func forAllTransCombos(t *testing.T, f func(t *testing.T, ta, tb, strided bool)) {
-	for _, ta := range []bool{false, true} {
-		for _, tb := range []bool{false, true} {
-			for _, s := range []bool{false, true} {
-				f(t, ta, tb, s)
-			}
-		}
-	}
+// sameBits reports whether got is want bit for bit, or both are NaN (which
+// NaN an operation returns is the hardware's choice).
+func sameBits(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
 }
 
-func TestAddAllVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	forAllTransCombos(t, func(t *testing.T, ta, tb, strided bool) {
-		dst, a, b, aRef, bRef := opsCase(t, rng, 4, 5, ta, tb, strided)
-		Add(dst, a, b)
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 5; j++ {
-				want := aRef.At(i, j) + bRef.At(i, j)
-				if dst.At(i, j) != want {
-					t.Fatalf("Add ta=%v tb=%v strided=%v wrong at (%d,%d)", ta, tb, strided, i, j)
+// linSource builds an r×c source view inside a larger strided parent:
+// transposed or not, and padded (storing only sr×sc) when sr×sc is short of
+// r×c. Every parent entry comes from fill.
+func linSource(r, c, sr, sc int, trans bool, fill func() float64) View {
+	pr, pc := sr, sc
+	if trans {
+		pr, pc = sc, sr
+	}
+	parent := NewDense(pr+2, pc+3)
+	for i := range parent.Data {
+		parent.Data[i] = fill()
+	}
+	sub := parent.Slice(1, 2, pr, pc)
+	v := View{Rows: sr, Cols: sc, Stride: sub.Stride, Trans: trans, Data: sub.Data}
+	if sr == 0 || sc == 0 {
+		v.Data = nil
+	}
+	return v.PadTo(r, c)
+}
+
+// TestLin checks the elementwise kernel against a per-element reference loop
+// of its contract: terms summed left to right, each product rounded, zero
+// coefficients read nothing, a Dst term reads dst's old value, padding reads
+// +0.0. The table gives each term count's coefficients (±1, general and
+// zero; five and seven terms run as chains of the 1–4-term loops); every
+// row runs with dst at each term position and at none, on plain, transposed,
+// padded and mixed sources. Entries mix NaN, ±Inf and ±0 into random ones,
+// and 70 rows make the staged (transposed or chained) path take two chunks.
+func TestLin(t *testing.T) {
+	const r, c = 70, 5
+	rng := rand.New(rand.NewSource(11))
+	random := func() float64 { return linValue(rng) }
+	unread := func() float64 { return math.NaN() }
+	for _, gs := range [][]float64{
+		{1}, {-1}, {0.75}, {0},
+		{1, 1}, {1, -1}, {-1, 1}, {-1, -1}, {0.5, -2.5}, {1, 0}, {0, 1}, {0, 0},
+		{1, -1, -1}, {1, 1, 1}, {-3, 0.25, 1}, {1, 0, -1},
+		{1, -1, 1, -1}, {0.5, 1, -1, 2}, {1, 1, 0, 1},
+		{1, -1, 0.5, 1, -1}, {1, 1, -1, 1, 1, 1, -0.25},
+	} {
+		for at := -1; at < len(gs); at++ {
+			for variant := 0; variant < 6; variant++ {
+				name := fmt.Sprintf("g=%v dst@%d variant %d", gs, at, variant)
+				terms := make([]Term, len(gs))
+				for k, g := range gs {
+					terms[k].G = g
+					if k == at {
+						terms[k].Dst = true
+						continue
+					}
+					// Variant 0: plain sources; 1: all transposed; 2–5: a
+					// random mix of transposed and padded ones.
+					trans, sr, sc := variant == 1, r, c
+					if variant >= 2 {
+						trans = rng.Intn(2) == 0
+						if rng.Intn(2) == 0 {
+							sr, sc = r-rng.Intn(r+1), c-rng.Intn(c+1)
+						}
+					}
+					fill := random
+					if g == 0 {
+						fill = unread
+					}
+					terms[k].X = linSource(r, c, sr, sc, trans, fill)
+				}
+				parent := NewDense(r+3, c+2)
+				for i := range parent.Data {
+					parent.Data[i] = random()
+					if at >= 0 && gs[at] == 0 {
+						parent.Data[i] = math.NaN()
+					}
+				}
+				before := parent.Clone()
+				dst := parent.Slice(2, 1, r, c)
+				Lin(dst, terms...)
+				for pi := 0; pi < parent.Rows; pi++ {
+					for pj := 0; pj < parent.Cols; pj++ {
+						i, j := pi-2, pj-1
+						got, want := parent.At(pi, pj), before.At(pi, pj)
+						if i >= 0 && i < r && j >= 0 && j < c {
+							want = linReference(terms, i, j, want)
+						}
+						if !sameBits(got, want) {
+							t.Fatalf("%s: (%d,%d) of the parent is %v, want %v", name, pi, pj, got, want)
+						}
+					}
 				}
 			}
 		}
-	})
-}
-
-func TestSubAllVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	forAllTransCombos(t, func(t *testing.T, ta, tb, strided bool) {
-		dst, a, b, aRef, bRef := opsCase(t, rng, 5, 4, ta, tb, strided)
-		Sub(dst, a, b)
-		for i := 0; i < 5; i++ {
-			for j := 0; j < 4; j++ {
-				want := aRef.At(i, j) - bRef.At(i, j)
-				if dst.At(i, j) != want {
-					t.Fatalf("Sub wrong ta=%v tb=%v", ta, tb)
-				}
-			}
-		}
-	})
-}
-
-func TestAddAssignAndSubAssign(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, trans := range []bool{false, true} {
-		dst, a, _, aRef, _ := opsCase(t, rng, 3, 6, trans, false, true)
-		orig := dst.Clone()
-		AddAssign(dst, a)
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 6; j++ {
-				if dst.At(i, j) != orig.At(i, j)+aRef.At(i, j) {
-					t.Fatal("AddAssign wrong")
-				}
-			}
-		}
-		SubAssign(dst, a)
-		if !dst.EqualApprox(orig, 1e-15) {
-			t.Fatal("SubAssign should undo AddAssign")
-		}
 	}
-}
 
-func TestRevSubAssign(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, trans := range []bool{false, true} {
-		dst, a, _, aRef, _ := opsCase(t, rng, 4, 4, trans, false, false)
-		orig := dst.Clone()
-		RevSubAssign(dst, a)
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				if dst.At(i, j) != aRef.At(i, j)-orig.At(i, j) {
-					t.Fatal("RevSubAssign wrong")
-				}
-			}
-		}
+	// Each product rounds before its add: 1/3·3 rounds to 1, so 1/3·3 − 1
+	// is 0, where a fused multiply-add would leave −2⁻⁵⁴. The general term
+	// sits at every position of two to four terms, the others summing −1
+	// and +0, on plain and transposed sources.
+	third := 1.0 / 3
+	if math.FMA(third, 3, -1) == 0 {
+		t.Fatal("the FMA case does not separate: fma(1/3, 3, −1) is 0")
 	}
-}
-
-func TestAxpby(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, trans := range []bool{false, true} {
-		for _, ab := range [][2]float64{{1, 1}, {2, 0}, {-0.5, 3}, {0, 2}, {1, 0}} {
-			alpha, beta := ab[0], ab[1]
-			dst, x, _, xRef, _ := opsCase(t, rng, 3, 3, trans, false, true)
-			orig := dst.Clone()
-			Axpby(dst, alpha, x, beta)
-			for i := 0; i < 3; i++ {
-				for j := 0; j < 3; j++ {
-					want := alpha*xRef.At(i, j) + beta*orig.At(i, j)
-					if diff := dst.At(i, j) - want; diff > 1e-15 || diff < -1e-15 {
-						t.Fatalf("Axpby(%v,%v) trans=%v wrong", alpha, beta, trans)
+	constant := func(v float64, trans bool) View {
+		return linSource(r, c, r, c, trans, func() float64 { return v })
+	}
+	for n := 2; n <= 4; n++ {
+		for pos := 0; pos < n; pos++ {
+			for _, trans := range []bool{false, true} {
+				terms := make([]Term, n)
+				for k := range terms {
+					switch {
+					case k == pos:
+						terms[k] = Term{G: third, X: constant(3, trans)}
+					case k == (pos+1)%n:
+						terms[k] = Term{G: -1, X: constant(1, trans)}
+					default:
+						terms[k] = Term{G: 1, X: constant(0, trans)}
+					}
+				}
+				dst := NewDense(r, c)
+				Lin(dst, terms...)
+				for i, v := range dst.Data {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("%d terms, 1/3 at %d, trans=%v: word %d is %v, want +0 (contracted into an FMA?)", n, pos, trans, i, v)
 					}
 				}
 			}
@@ -132,71 +159,36 @@ func TestAxpby(t *testing.T) {
 	}
 }
 
-// TestAxpbyBetaZeroDoesNotReadDst: beta = 0 overwrites dst without reading
-// it, so NaN and Inf in dst do not reach the result.
-func TestAxpbyBetaZeroDoesNotReadDst(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, trans := range []bool{false, true} {
-		dst, x, _, xRef, _ := opsCase(t, rng, 3, 3, trans, false, true)
-		for i := range dst.Data {
-			dst.Data[i] = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
+// linReference is Lin's contract at element (i, j) whose old dst value is
+// d, written as a plain loop.
+func linReference(terms []Term, i, j int, d float64) float64 {
+	sum, started := 0.0, false
+	for _, tm := range terms {
+		if tm.G == 0 {
+			continue
 		}
-		Axpby(dst, 2, x, 0)
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				if got, want := dst.At(i, j), 2*xRef.At(i, j); got != want {
-					t.Fatalf("trans=%v: dst(%d,%d) = %v, want %v", trans, i, j, got, want)
-				}
-			}
+		x := d
+		if !tm.Dst {
+			x = tm.X.At(i, j)
 		}
-	}
-}
-
-func TestCopyScaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, trans := range []bool{false, true} {
-		dst, x, _, xRef, _ := opsCase(t, rng, 2, 5, trans, false, false)
-		CopyScaled(dst, -2, x)
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 5; j++ {
-				if dst.At(i, j) != -2*xRef.At(i, j) {
-					t.Fatal("CopyScaled wrong")
-				}
-			}
+		if p := float64(tm.G * x); started {
+			sum = sum + p
+		} else {
+			sum, started = p, true
 		}
 	}
-}
-
-func TestAddSubAssign(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	forAllTransCombos(t, func(t *testing.T, ta, tb, strided bool) {
-		dst, x, y, xRef, yRef := opsCase(t, rng, 4, 3, ta, tb, strided)
-		orig := dst.Clone()
-		AddSubAssign(dst, x, y)
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 3; j++ {
-				want := xRef.At(i, j) - yRef.At(i, j) - orig.At(i, j)
-				if dst.At(i, j) != want {
-					t.Fatal("AddSubAssign wrong")
-				}
-			}
-		}
-	})
+	return sum
 }
 
 func TestOpsShapeMismatchPanics(t *testing.T) {
 	a := ViewOf(NewDense(2, 3))
 	b := ViewOf(NewDense(3, 2))
 	dst := NewDense(2, 3)
-	for name, f := range map[string]func(){
-		"Add":          func() { Add(dst, a, b) },
-		"Sub":          func() { Sub(dst, a, b) },
-		"AddAssign":    func() { AddAssign(dst, b) },
-		"SubAssign":    func() { SubAssign(dst, b) },
-		"RevSubAssign": func() { RevSubAssign(dst, b) },
-		"Axpby":        func() { Axpby(dst, 1, b, 1) },
-		"CopyScaled":   func() { CopyScaled(dst, 1, b) },
-		"AddSubAssign": func() { AddSubAssign(dst, a, b) },
+	for name, terms := range map[string][]Term{
+		"x":          {{G: 1, X: b}},
+		"x+y":        {{G: 1, X: a}, {G: -1, X: b}},
+		"dst+x":      {{G: 1, Dst: true}, {G: 2, X: b}},
+		"zero coeff": {{G: 1, X: a}, {G: 0, X: b}},
 	} {
 		func() {
 			defer func() {
@@ -204,7 +196,7 @@ func TestOpsShapeMismatchPanics(t *testing.T) {
 					t.Fatalf("%s: want shape panic", name)
 				}
 			}()
-			f()
+			Lin(dst, terms...)
 		}()
 	}
 }
@@ -308,34 +300,28 @@ func TestPaddedOpsMatchZeroPaddedCopies(t *testing.T) {
 	}
 	// padded returns a view storing sr×sc of r×c, and its zero-padded copy.
 	padded := func(sr, sc int, trans bool) (View, View) {
-		pr, pc := sr, sc
-		if trans {
-			pr, pc = sc, sr
-		}
-		store := NewDense(pr+1, pc+1)
-		for i := range store.Data {
-			store.Data[i] = value()
-		}
-		v := View{Rows: sr, Cols: sc, Stride: store.Stride, Trans: trans, Data: store.Data}
+		v := linSource(r, c, sr, sc, trans, value)
 		ref := NewDense(r, c)
-		v.Materialize(ref.Slice(0, 0, sr, sc))
-		return v.PadTo(r, c), ViewOf(ref)
+		v.Stored().Materialize(ref.Slice(0, 0, sr, sc))
+		return v, ViewOf(ref)
 	}
+	dst := Term{G: 1, Dst: true}
 	ops := []struct {
-		name string
-		run  func(dst *Dense, x, y View)
+		name  string
+		terms func(x, y View) []Term
 	}{
-		{"Add", func(d *Dense, x, y View) { Add(d, x, y) }},
-		{"Sub", func(d *Dense, x, y View) { Sub(d, x, y) }},
-		{"AddAssign", func(d *Dense, x, _ View) { AddAssign(d, x) }},
-		{"SubAssign", func(d *Dense, x, _ View) { SubAssign(d, x) }},
-		{"RevSubAssign", func(d *Dense, x, _ View) { RevSubAssign(d, x) }},
-		{"AddSubAssign", func(d *Dense, x, y View) { AddSubAssign(d, x, y) }},
-		{"Axpby(1,0)", func(d *Dense, x, _ View) { Axpby(d, 1, x, 0) }},
-		{"Axpby(1,1)", func(d *Dense, x, _ View) { Axpby(d, 1, x, 1) }},
-		{"Axpby(-0.75,0.5)", func(d *Dense, x, _ View) { Axpby(d, -0.75, x, 0.5) }},
-		{"CopyScaled(-1)", func(d *Dense, x, _ View) { CopyScaled(d, -1, x) }},
-		{"Materialize", func(d *Dense, x, _ View) { x.Materialize(d) }},
+		{"x+y", func(x, y View) []Term { return []Term{{G: 1, X: x}, {G: 1, X: y}} }},
+		{"x−y", func(x, y View) []Term { return []Term{{G: 1, X: x}, {G: -1, X: y}} }},
+		{"dst+x", func(x, _ View) []Term { return []Term{dst, {G: 1, X: x}} }},
+		{"dst−x", func(x, _ View) []Term { return []Term{dst, {G: -1, X: x}} }},
+		{"x−dst", func(x, _ View) []Term { return []Term{{G: 1, X: x}, {G: -1, Dst: true}} }},
+		{"x−y−dst", func(x, y View) []Term { return []Term{{G: 1, X: x}, {G: -1, X: y}, {G: -1, Dst: true}} }},
+		{"x+0·dst", func(x, _ View) []Term { return []Term{{G: 1, X: x}, {G: 0, Dst: true}} }},
+		{"−0.75x+0.5dst", func(x, _ View) []Term { return []Term{{G: -0.75, X: x}, {G: 0.5, Dst: true}} }},
+		{"dst+1.5x", func(x, _ View) []Term { return []Term{dst, {G: 1.5, X: x}} }},
+		{"−x", func(x, _ View) []Term { return []Term{{G: -1, X: x}} }},
+		{"x+y−x+2y", func(x, y View) []Term { return []Term{{G: 1, X: x}, {G: 1, X: y}, {G: -1, X: x}, {G: 2, X: y}} }},
+		{"Materialize", nil},
 	}
 	extents := [][2]int{{r, c}, {r - 1, c}, {r, c - 2}, {r - 3, c - 1}, {0, 0}}
 	for _, op := range ops {
@@ -349,8 +335,13 @@ func TestPaddedOpsMatchZeroPaddedCopies(t *testing.T) {
 						d0.Data[i] = value()
 					}
 					got, want := d0.Clone(), d0.Clone()
-					op.run(got, x, y)
-					op.run(want, xr, yr)
+					if op.terms == nil {
+						x.Materialize(got)
+						xr.Materialize(want)
+					} else {
+						Lin(got, op.terms(x, y)...)
+						Lin(want, op.terms(xr, yr)...)
+					}
 					for i := range got.Data {
 						if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 							t.Fatalf("%s x stores %v y stores %v trans=%v: word %d is %v padded, %v on the copy",

@@ -12,8 +12,8 @@ import "fmt"
 // PadRows rows and PadCols columns of op(X) are not stored and read as
 // +0.0, so Data holds just the leading (Rows−PadRows)×(Cols−PadCols) part.
 // It behaves as a zero-padded copy of the stored part, without the copy: the
-// elementwise operations of ops.go read the padding through the same
-// arithmetic as a stored +0.0.
+// elementwise kernel Lin reads the padding through the same arithmetic as a
+// stored +0.0.
 type View struct {
 	Rows, Cols       int
 	Stride           int
@@ -40,12 +40,6 @@ func (v View) At(i, j int) float64 {
 	if i >= v.Rows-v.PadRows || j >= v.Cols-v.PadCols {
 		return 0
 	}
-	return v.at(i, j)
-}
-
-// at returns stored element (i, j) of op(X) without the padding check: the
-// inner loops of ops.go call it once stored has split the padding off.
-func (v View) at(i, j int) float64 {
 	if v.Trans {
 		i, j = j, i
 	}
@@ -109,23 +103,7 @@ func (v View) Materialize(dst *Dense) {
 	if dst.Rows != v.Rows || dst.Cols != v.Cols {
 		panic(fmt.Sprintf("matrix: Materialize shape mismatch: %dx%d vs %dx%d", dst.Rows, dst.Cols, v.Rows, v.Cols))
 	}
-	if r, c, pads := stored(v.Rows, v.Cols, v); pads {
-		v.Slice(0, 0, r, c).Materialize(dst.Slice(0, 0, r, c))
-		rim(dst, r, c, func(int, int, float64) float64 { return 0 })
-		return
-	}
-	if !v.Trans {
-		for j := 0; j < v.Cols; j++ {
-			copy(dst.Data[j*dst.Stride:j*dst.Stride+v.Rows], v.Data[j*v.Stride:j*v.Stride+v.Rows])
-		}
-		return
-	}
-	for j := 0; j < v.Cols; j++ {
-		dcol := dst.Data[j*dst.Stride : j*dst.Stride+v.Rows]
-		for i := range dcol {
-			dcol[i] = v.Data[j+i*v.Stride]
-		}
-	}
+	Lin(dst, Term{G: 1, X: v})
 }
 
 // Dense materializes op(X) into a freshly allocated Dense.

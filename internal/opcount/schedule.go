@@ -14,7 +14,7 @@ package opcount
 //
 //  2. In-place scheduling. STRASSEN1 realizes Winograd's 7 C-sized
 //     combinations with 9 elementwise passes over C-shaped blocks (one of
-//     them a fused add-sub pass costing 2 ops/element) because the C
+//     them C21 ← C22 − C11 − C21, costing 2 ops/element) because the C
 //     quadrants double as product buffers — a total of 9·mn/4 operations
 //     where the abstract schedule counts 7·mn/4. The A- and B-side counts
 //     (4 passes each) match the abstract schedule exactly.
@@ -43,8 +43,8 @@ func (c PhaseCounts) Total() int64 { return c.Mul + c.AddSub + c.Quadrant }
 // of the implemented STRASSEN1 schedule on an (m, k, n) problem whose
 // dimensions stay even for d halvings, with full 2mkn-cost leaves below.
 // Per level: 4 A-shaped passes (mk/4 each), 4 B-shaped passes (kn/4 each),
-// and 9 C-shaped passes (8 single-op + the fused AddSubAssign at 2 ops,
-// i.e. 9·mn/4 — the CopyFrom pass moves words but performs no arithmetic).
+// and 9 C-shaped passes (seven adds, C21 ← C22 − C11 − C21 at 2 ops and
+// the copy C11 ← P1, which moves words but performs no arithmetic: 9·mn/4).
 func Strassen1Counts(d, m, k, n int) PhaseCounts {
 	if d <= 0 {
 		return PhaseCounts{Mul: 2 * int64(m) * int64(k) * int64(n)}

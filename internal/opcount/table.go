@@ -3,20 +3,21 @@ package opcount
 // Analytic per-phase FLOP counts for the table-driven recursion
 // (internal/strassen's generalization of the schedules to arbitrary
 // ⟨M, K, N⟩ coefficient tables). The counts mirror the generic executor
-// pass for pass — the compiled table program's operand passes
-// (strassen's program.operand) and the destination accumulation
-// loop — under the same validity window as Strassen1Counts: β = 0,
-// dimensions grid-divisible for all d levels, fusion off.
+// op for op — the compiled table program's operand lin ops (strassen's
+// program.operand) and the destination accumulations — under the same
+// validity window as Strassen1Counts: β = 0, dimensions grid-divisible for
+// all d levels, fusion off.
 
 import "repro/internal/algo"
 
 // operandUnitOps is the per-element FLOP cost of materializing one table
-// column's operand combination, mirroring strassen's program.operand pass
-// selection exactly: a single +1 term is a free block view; two leading
-// terms forming a +1/+1, +1/−1 or −1/+1 pair start with one add/sub pass;
-// otherwise the first term is a scale-copy (free when its coefficient is
-// 1); every further ±1 term is one accumulate pass and every general
-// coefficient a two-op axpy pass.
+// column's operand combination, the one lin op strassen's program.operand
+// forms it with, under the interpreter's cost rule: a single +1 term is a
+// free block view; two leading terms forming a +1/+1, +1/−1 or −1/+1 pair
+// cost one add or subtract (program.operand puts a −1/+1 pair as +1/−1);
+// otherwise the first term costs one multiply (none when its coefficient
+// is 1); every further ±1 term is one add and every general coefficient a
+// multiply and an add.
 func operandUnitOps(terms []algo.Term) int64 {
 	if len(terms) == 1 && terms[0].Coeff == 1 {
 		return 0
@@ -44,8 +45,8 @@ func operandUnitOps(terms []algo.Term) int64 {
 }
 
 // destUnitOps is the per-element cost of accumulating a product into one
-// destination: one op for a ±1 coefficient (AddAssign/SubAssign), two for
-// a general coefficient (axpy).
+// destination, the lin op C ← C + g·P: one op for g = ±1, two (a multiply
+// and an add) for a general g.
 func destUnitOps(terms []algo.Term) int64 {
 	var ops int64
 	for _, tm := range terms {
@@ -61,7 +62,7 @@ func destUnitOps(terms []algo.Term) int64 {
 // TableCounts returns the exact per-phase FLOPs of d levels of the
 // table-driven recursion with table t on an (m, k, n) problem whose
 // dimensions stay grid-divisible for d splits, with full 2mkn-cost leaves
-// below, β = 0 and fusion off. AddSub covers the operand-formation passes
+// below, β = 0 and fusion off. AddSub covers the operand-formation lin ops
 // on A- and B-shaped blocks; Quadrant covers the per-product destination
 // accumulations (the β = 0 pre-scale is a pure store and counts no
 // FLOPs). The phase counters of a real call must match these totals

@@ -100,40 +100,43 @@ func Fit(samples []Sample) (Model, error) {
 	return mo, nil
 }
 
-// CollectGemm times plain DGEMM on the given square orders and returns
-// samples for fitting.
-func CollectGemm(kern blas.Kernel, orders []int, seed int64) []Sample {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Sample, 0, len(orders))
-	for _, m := range orders {
-		a := matrix.NewRandom(m, m, rng)
-		b := matrix.NewRandom(m, m, rng)
-		c := matrix.NewDense(m, m)
-		s := bench.BestOf(2, func() {
-			blas.DgemmKernel(kern, blas.NoTrans, blas.NoTrans, m, m, m, 1,
-				a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
-		})
-		out = append(out, Sample{M: m, K: m, N: m, Seconds: s})
-	}
-	return out
-}
+// collectRounds is how many times Collect times each sample.
+const collectRounds = 5
 
-// CollectOneLevel times one-level DGEFMM on the given square orders.
-func CollectOneLevel(kern blas.Kernel, orders []int, seed int64) []Sample {
+// Collect times plain DGEMM and one-level DGEFMM on the given square orders
+// and returns the samples for fitting each. At each order the two run back
+// to back, on the same operands, in collectRounds interleaved rounds, and
+// each sample keeps its fastest round: a burst of load from a co-running
+// process lands on both alike instead of skewing one curve against the
+// other.
+func Collect(kern blas.Kernel, orders []int, seed int64) (gemm, oneLevel []Sample) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := &strassen.Config{Kernel: kern, Criterion: strassen.Always{}, MaxDepth: 1, Tracker: memtrack.New()}
-	out := make([]Sample, 0, len(orders))
 	for _, m := range orders {
 		a := matrix.NewRandom(m, m, rng)
 		b := matrix.NewRandom(m, m, rng)
 		c := matrix.NewDense(m, m)
-		s := bench.BestOf(2, func() {
-			strassen.DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, m, m, 1,
-				a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
-		})
-		out = append(out, Sample{M: m, K: m, N: m, Seconds: s})
+		var tg, t1 float64
+		for round := 0; round < collectRounds; round++ {
+			g := bench.Seconds(func() {
+				blas.DgemmKernel(kern, blas.NoTrans, blas.NoTrans, m, m, m, 1,
+					a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+			})
+			o := bench.Seconds(func() {
+				strassen.DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, m, m, 1,
+					a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+			})
+			if round == 0 || g < tg {
+				tg = g
+			}
+			if round == 0 || o < t1 {
+				t1 = o
+			}
+		}
+		gemm = append(gemm, Sample{M: m, K: m, N: m, Seconds: tg})
+		oneLevel = append(oneLevel, Sample{M: m, K: m, N: m, Seconds: t1})
 	}
-	return out
+	return gemm, oneLevel
 }
 
 // PredictSquareCrossover scans orders in [lo, hi] and returns the smallest

@@ -1,18 +1,19 @@
 package strassen
 
 // The one interpreter: runs a level program on an exactly grid-divisible
-// problem. Each lin op lowers to one elementwise matrix kernel bracketed by
-// the phase of its destination (A and B blocks: strassen.addsub, the
-// stage (1)/(2) operand sums; C blocks: strassen.quadrant, the stage (4)
-// combinations); each mul op re-enters engine.mul one level deeper, so
-// the cutoff criterion and peeling apply independently at every level.
+// problem. Each lin op is one call of the elementwise kernel matrix.Lin,
+// bracketed by the phase of its destination (A and B blocks:
+// strassen.addsub, the stage (1)/(2) operand sums; C blocks:
+// strassen.quadrant, the stage (4) combinations); each mul op re-enters
+// engine.mul one level deeper, so the cutoff criterion and peeling apply
+// independently at every level.
 //
-// FLOP convention (matches internal/opcount: one add or one multiply each
-// count 1): a binary add/sub pass over an r×c destination is r·c FLOPs;
-// x − y − dst is 2·r·c; a copy is 0. Byte convention: 8 bytes per word
-// touched — a binary or in-place pass reads two operands and writes one
-// (24 B/elem), x − y − dst reads three and writes one (32 B/elem), a copy
-// reads one and writes one (16 B/elem).
+// Cost rule of a lin op dst ← Σ gᵢ·Yᵢ over an r×c destination, per element
+// and counting only the terms with gᵢ ≠ 0 (one add or one multiply each
+// count 1 FLOP, as in internal/opcount): the first term costs 1 FLOP unless
+// gᵢ = +1 (a copy); each later term costs 1, or 2 when gᵢ is not ±1 (a
+// multiply and an add). Bytes: 8 per source read plus 8 for the word
+// written, so a lone zeroing costs 8.
 
 import (
 	"repro/internal/kernel"
@@ -83,7 +84,7 @@ func (e *engine) exec(p *program, c *matrix.Dense, a, b matrix.View, alpha, beta
 		w := e.allocMat(m, n)
 		defer e.freeMat(w)
 		e.exec(p.fold, w, a, b, alpha, 0, depth)
-		e.pass(passAxpby, phQ, c, matrix.ViewOf(w).Slice(0, 0, c.Rows, c.Cols), matrix.View{}, beta)
+		e.lin(phQ, c, matrix.Term{G: 1, X: matrix.ViewOf(w).Slice(0, 0, c.Rows, c.Cols)}, matrix.Term{G: beta, Dst: true})
 		return
 	}
 	bl := p.blocks(m, k, n, extentOf(c, a, b))
@@ -134,71 +135,45 @@ func (e *engine) step(o *op, f *frame, alpha, beta float64, depth int) {
 	}
 	// A clipped C destination takes the part of each source it stores.
 	dst := f.dense(o.dst)
-	var x, y matrix.View
-	if o.px >= 0 {
-		x = f.view(o.terms[o.px].src).Slice(0, 0, dst.Rows, dst.Cols)
-	}
-	if o.py >= 0 {
-		y = f.view(o.terms[o.py].src).Slice(0, 0, dst.Rows, dst.Cols)
+	var buf [4]matrix.Term
+	ts := buf[:0]
+	for _, t := range o.terms {
+		mt := matrix.Term{G: t.coeff(beta), Dst: t.src == o.dst}
+		if !mt.Dst {
+			mt.X = f.view(t.src).Slice(0, 0, dst.Rows, dst.Cols)
+		}
+		ts = append(ts, mt)
 	}
 	id := phAS
 	if o.dst.shape == shapeC {
 		id = phQ
 	}
-	e.pass(o.pass, id, dst, x, y, o.terms[o.pg].coeff(beta))
+	e.lin(id, dst, ts...)
 }
 
-// pass runs one elementwise matrix kernel under a phase bracket.
-func (e *engine) pass(p pass, id phase.ID, dst *matrix.Dense, x, y matrix.View, g float64) {
-	if p == passScale && g == 1 {
+// lin runs matrix.Lin under a phase bracket charged by the cost rule above.
+// dst ← 1·dst runs nothing and is not charged.
+func (e *engine) lin(id phase.ID, dst *matrix.Dense, ts ...matrix.Term) {
+	if len(ts) == 1 && ts[0].Dst && ts[0].G == 1 {
 		return
 	}
-	n := int64(dst.Rows) * int64(dst.Cols)
-	flops, bytes := n, 24*n
-	s := e.prof.Begin(id)
-	switch p {
-	case passCopy:
-		x.Materialize(dst)
-		flops, bytes = 0, 16*n
-	case passAdd:
-		matrix.Add(dst, x, y)
-	case passSub:
-		matrix.Sub(dst, x, y)
-	case passAddAssign:
-		matrix.AddAssign(dst, x)
-	case passSubAssign:
-		matrix.SubAssign(dst, x)
-	case passRevSubAssign:
-		matrix.RevSubAssign(dst, x)
-	case passAddSubAssign:
-		matrix.AddSubAssign(dst, x, y)
-		flops, bytes = 2*n, 32*n
-	case passAxpby:
-		// x + g·dst: g = 0 is a pure copy (dst written, not read), g = 1
-		// one add per element, general g a multiply and an add.
-		matrix.Axpby(dst, 1, x, g)
-		switch g {
-		case 0:
-			flops, bytes = 0, 16*n
-		case 1:
+	var flops, reads int64
+	for _, t := range ts {
+		switch {
+		case t.G == 0:
+			continue
+		case reads == 0 && t.G == 1:
+		case reads == 0 || t.G == 1 || t.G == -1:
+			flops++
 		default:
-			flops = 2 * n
+			flops += 2
 		}
-	case passAccum:
-		matrix.Axpby(dst, g, x, 1)
-		flops = 2 * n
-	case passScaleCopy:
-		matrix.Axpby(dst, g, x, 0)
-		bytes = 16 * n
-	case passScale:
-		scaleInPlace(dst, g)
-		if g == 0 {
-			flops, bytes = 0, 8*n // Zero: write-only
-		} else {
-			bytes = 16 * n
-		}
+		reads++
 	}
-	s.End(flops, bytes)
+	n := int64(dst.Rows) * int64(dst.Cols)
+	s := e.prof.Begin(id)
+	matrix.Lin(dst, ts...)
+	s.End(flops*n, 8*(reads+1)*n)
 }
 
 // runTasks runs a DAG program on the engine's task runtime. The program
@@ -243,7 +218,7 @@ func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) 
 // tasks; without one (or on one worker) FusedMulAddTasks runs the
 // sequential hook, and the bits are the same either way.
 func (e *engine) fusedLevel(recs []fusedRecord, f *frame, alpha, beta float64) {
-	e.pass(passScale, phQ, f.c, matrix.View{}, matrix.View{}, beta)
+	e.lin(phQ, f.c, matrix.Term{G: beta, Dst: true})
 	var at, bt [4]kernel.Term
 	var dt [4]kernel.Dest
 	aOp := kernel.Operand{Ld: f.a.Stride, Trans: f.a.Trans}

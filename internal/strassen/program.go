@@ -18,7 +18,6 @@ package strassen
 // table) and are immutable afterwards.
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -73,23 +72,6 @@ const (
 	accBeta              // Z ← ±α·X·Y + β·Z
 )
 
-// pass names the matrix kernel one lin op lowers to.
-type pass uint8
-
-const (
-	passCopy         pass = iota // dst ← x
-	passAdd                      // dst ← x + y
-	passSub                      // dst ← x − y
-	passAddAssign                // dst ← dst + x
-	passSubAssign                // dst ← dst − x
-	passRevSubAssign             // dst ← x − dst
-	passAddSubAssign             // dst ← x − y − dst
-	passAxpby                    // dst ← x + g·dst
-	passAccum                    // dst ← dst + g·x
-	passScaleCopy                // dst ← g·x
-	passScale                    // dst ← g·dst
-)
-
 // op is one program step. A lin op writes dst from terms; a mul op writes
 // dst from the product of x and y.
 type op struct {
@@ -99,12 +81,6 @@ type op struct {
 	x, y  slot
 	neg   bool
 	acc   accum
-
-	// Lowering of a lin op, fixed when the program is built: the matrix
-	// kernel, the term indices of its x and y operands, and the term whose
-	// coefficient is the kernel's scalar g.
-	pass       pass
-	px, py, pg int
 }
 
 func lin(dst slot, terms ...term) op { return op{dst: dst, terms: terms} }
@@ -125,50 +101,6 @@ func (o *op) reads() []slot {
 		out[i] = t.src
 	}
 	return out
-}
-
-// lower picks the matrix kernel for a lin op from the pattern of its
-// terms, so each op is one elementwise pass with the paper's operation
-// order (two-term sums commute exactly; x − y − dst evaluates left to
-// right); any other pattern is a malformed program.
-func (o *op) lower() {
-	ts := o.terms
-	in := -1
-	for i, t := range ts {
-		if t.src == o.dst {
-			in = i
-		}
-	}
-	unit := func(i int, g float64) bool { return !ts[i].beta && ts[i].g == g }
-	set := func(p pass, px, py, pg int) { o.pass, o.px, o.py, o.pg = p, px, py, pg }
-	switch {
-	case len(ts) == 1 && in == 0:
-		set(passScale, -1, -1, 0)
-	case len(ts) == 1 && unit(0, 1):
-		set(passCopy, 0, -1, 0)
-	case len(ts) == 1:
-		set(passScaleCopy, 0, -1, 0)
-	case len(ts) == 2 && in == -1 && unit(0, 1) && unit(1, 1):
-		set(passAdd, 0, 1, 0)
-	case len(ts) == 2 && in == -1 && unit(0, 1) && unit(1, -1):
-		set(passSub, 0, 1, 0)
-	case len(ts) == 2 && in == -1 && unit(0, -1) && unit(1, 1):
-		set(passSub, 1, 0, 0)
-	case len(ts) == 2 && in == 0 && unit(0, 1) && unit(1, 1):
-		set(passAddAssign, 1, -1, 0)
-	case len(ts) == 2 && in == 0 && unit(0, 1) && unit(1, -1):
-		set(passSubAssign, 1, -1, 0)
-	case len(ts) == 2 && in == 0 && unit(0, 1) && !ts[1].beta:
-		set(passAccum, 1, -1, 1)
-	case len(ts) == 2 && in == 1 && unit(0, 1) && unit(1, -1):
-		set(passRevSubAssign, 0, -1, 0)
-	case len(ts) == 2 && in == 1 && unit(0, 1):
-		set(passAxpby, 0, -1, 1)
-	case len(ts) == 3 && in == 2 && unit(0, 1) && unit(1, -1) && unit(2, -1):
-		set(passAddSubAssign, 0, 1, 0)
-	default:
-		panic(fmt.Sprintf("strassen: lin op %+v has no matrix kernel", *o))
-	}
 }
 
 // task is one node of a DAG program: the consecutive ops ops[first:last]
@@ -203,15 +135,11 @@ type program struct {
 // cRead is one read of a written C block, src, into dst.
 type cRead struct{ src, dst slot }
 
-// build lowers every lin op and derives cReads; a malformed program
-// panics at init.
+// build derives cReads.
 func (p *program) build() *program {
 	written := map[slot]bool{}
 	for i := range p.ops {
 		o := &p.ops[i]
-		if !o.mul {
-			o.lower()
-		}
 		for _, r := range o.reads() {
 			into := o.dst
 			if o.mul && r != o.dst {
@@ -368,32 +296,24 @@ var strassen2 = func() *program {
 		}}).build()
 }()
 
-// operand appends the passes forming Σ terms (blocks of shape s) into dst
+// operand appends the lin op forming Σ terms (blocks of shape s) into dst
 // and returns the slot holding the operand: the block itself for a single
-// +1 term, dst otherwise. Two leading ±1 terms start with one Add/Sub pass
-// (a +1/−1 pair computes plus − minus regardless of column order); every
-// further term is one accumulate pass. internal/opcount's operandPasses
-// counts the same passes; change them together.
+// +1 term, dst otherwise. The terms keep their order, except that a −1/+1
+// pair in front is swapped to +1/−1: y − x needs no negation, and its bits
+// are those of −x + y. internal/opcount's operandUnitOps counts the op's
+// FLOPs; change them together.
 func (p *program) operand(dst slot, s shape, terms []algo.Term) slot {
-	blk := func(i int) slot { return slot{shape: s, idx: terms[i].Block} }
-	g := func(i int) float64 { return terms[i].Coeff }
 	if !needsTemp(terms) {
-		return blk(0)
+		return slot{shape: s, idx: terms[0].Block}
 	}
-	i := 1
-	switch {
-	case len(terms) >= 2 && g(0) == 1 && (g(1) == 1 || g(1) == -1):
-		p.ops = append(p.ops, lin(dst, plus(blk(0)), times(g(1), blk(1))))
-		i = 2
-	case len(terms) >= 2 && g(0) == -1 && g(1) == 1:
-		p.ops = append(p.ops, lin(dst, plus(blk(1)), minus(blk(0))))
-		i = 2
-	default:
-		p.ops = append(p.ops, lin(dst, times(g(0), blk(0))))
+	ts := make([]term, len(terms))
+	for i, tm := range terms {
+		ts[i] = times(tm.Coeff, slot{shape: s, idx: tm.Block})
 	}
-	for ; i < len(terms); i++ {
-		p.ops = append(p.ops, lin(dst, plus(dst), times(g(i), blk(i))))
+	if len(ts) >= 2 && ts[0].g == -1 && ts[1].g == 1 {
+		ts[0], ts[1] = ts[1], ts[0]
 	}
+	p.ops = append(p.ops, lin(dst, ts...))
 	return dst
 }
 

@@ -59,7 +59,7 @@ func TestProgramsExactOnUnitBlocks(t *testing.T) {
 				c := intRandom(p.m, p.n, rng)
 				want := c.Clone()
 				alpha := 3.0
-				scaleInPlace(want, beta)
+				matrix.Lin(want, matrix.Term{G: beta, Dst: true})
 				blas.NaiveKernel{}.MulAdd(blas.NoTrans, blas.NoTrans, p.m, p.n, p.k, alpha,
 					a.Data, a.Stride, b.Data, b.Stride, want.Data, want.Stride)
 				e := &engine{policy: policy{crit: Never{}}, kern: blas.NaiveKernel{}, sub: rt}
@@ -200,17 +200,4 @@ func TestWinogradDAGShape(t *testing.T) {
 			t.Errorf("lanes=%d: DAG level words %d, want %d", tc.lanes, got, want)
 		}
 	}
-}
-
-// TestMalformedLinPanics: a lin op whose term pattern has no matrix
-// kernel is rejected when the program is built.
-func TestMalformedLinPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("building a three-term sum into a fresh slot did not panic")
-		}
-	}()
-	A := grid(shapeA, 4)
-	(&program{m: 2, k: 2, n: 2, temps: [][]shape{{shapeA}},
-		ops: []op{lin(tmp(0, shapeA), plus(A[0]), plus(A[1]), plus(A[2]))}}).build()
 }

@@ -90,7 +90,7 @@ func TestQuickDGEFMMDistributive(t *testing.T) {
 		b1 := matrix.NewRandom(k, n, rng)
 		b2 := matrix.NewRandom(k, n, rng)
 		bSum := matrix.NewDense(k, n)
-		matrix.Add(bSum, matrix.ViewOf(b1), matrix.ViewOf(b2))
+		matrix.Lin(bSum, matrix.Term{G: 1, X: matrix.ViewOf(b1)}, matrix.Term{G: 1, X: matrix.ViewOf(b2)})
 
 		prod := func(b *matrix.Dense) *matrix.Dense {
 			c := matrix.NewDense(m, n)
@@ -99,7 +99,7 @@ func TestQuickDGEFMMDistributive(t *testing.T) {
 		}
 		lhs := prod(bSum)
 		rhs := prod(b1)
-		matrix.AddAssign(rhs, matrix.ViewOf(prod(b2)))
+		matrix.Lin(rhs, matrix.Term{G: 1, Dst: true}, matrix.Term{G: 1, X: matrix.ViewOf(prod(b2))})
 		return matrix.MaxAbsDiff(lhs, rhs) <= tol(k)*10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

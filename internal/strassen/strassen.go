@@ -61,7 +61,7 @@ func dgefmm(ctx context.Context, outer sched.Submitter, cfg *Config, transA, tra
 
 	cm := matrix.FromColMajor(m, n, ldc, c)
 	if alpha == 0 || k == 0 {
-		scaleInPlace(cm, beta)
+		matrix.Lin(cm, matrix.Term{G: beta, Dst: true})
 		return ctxErr(ctx)
 	}
 
@@ -290,7 +290,7 @@ func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, dep
 		return
 	}
 	if k == 0 || alpha == 0 {
-		scaleInPlace(c, beta)
+		matrix.Lin(c, matrix.Term{G: beta, Dst: true})
 		return
 	}
 	x := extentOf(c, a, b)
@@ -496,14 +496,4 @@ func (e *engine) allocMat(r, c int) *matrix.Dense {
 // freeMat returns scratch to the tracker.
 func (e *engine) freeMat(m *matrix.Dense) {
 	e.tracker.Free(m.Data)
-}
-
-func scaleInPlace(c *matrix.Dense, beta float64) {
-	switch beta {
-	case 1:
-	case 0:
-		c.Zero()
-	default:
-		c.Scale(beta)
-	}
 }

@@ -165,7 +165,7 @@ func (p *policy) accepts(m, k, n int, betaZero bool, depth int, x extent) bool {
 // destination, each carrying its stored extent — the same packed loop
 // nest, and the same bits, as MulAdd on zero-padded copies.
 func (e *engine) hookLeaf(c *matrix.Dense, a, b matrix.View, alpha, beta float64) {
-	scaleInPlace(c, beta)
+	matrix.Lin(c, matrix.Term{G: beta, Dst: true})
 	at := [1]kernel.Term{kernelTerm(a, 1)}
 	bt := [1]kernel.Term{kernelTerm(b, 1)}
 	dt := [1]kernel.Dest{{Data: c.Data, Ld: c.Stride, Coeff: 1, Rows: c.Rows, Cols: c.Cols}}

@@ -103,14 +103,15 @@ func TestNonFiniteOddShapes(t *testing.T) {
 	w2 := sched.New(2, 1)
 	defer w2.Close()
 	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
-	configs := []struct {
+	type config struct {
 		name string
 		cfg  func(m int) *Config
 		// want is a trace action the configuration must run on odd shapes,
 		// at β ≠ 0 and at β = 0 (where the materialized level is STRASSEN1,
 		// which peels).
 		want, wantZero string
-	}{
+	}
+	configs := []config{
 		{"peel", func(m int) *Config {
 			return &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOff}
 		}, "peel", "peel"},
@@ -124,9 +125,22 @@ func TestNonFiniteOddShapes(t *testing.T) {
 			return &Config{Kernel: &kernel.Packed{Mode: kernel.ModeSIMD, MC: 16, KC: 12, NC: 16},
 				Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn, Sched: w2, SchedLevels: 1}
 		}, "parallel", "parallel"},
-		{"table-323", func(m int) *Config {
-			return &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: (m + 8) / 9}, Algo: "323", Fused: FusedOn}
-		}, "table", "table"},
+	}
+	// Every built-in table, recursing two levels deep, forms its multi-term
+	// operands in one lin op each. The default table, winograd, compiles to
+	// a program only on DAG levels; the others run their sequential one.
+	for _, name := range []string{"323", "classic", "333", "424", "winograd"} {
+		tbl, _ := algo.ByName(name)
+		g := tbl.M * tbl.M
+		cc := config{name: "table-" + name, want: "table", wantZero: "table", cfg: func(m int) *Config {
+			return &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: (m + g - 1) / g}, Algo: name, Fused: FusedOn}
+		}}
+		if name == algo.DefaultName {
+			cc.want, cc.wantZero, cc.cfg = "parallel", "parallel", func(m int) *Config {
+				return &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn, Sched: w2, SchedLevels: 2}
+			}
+		}
+		configs = append(configs, cc)
 	}
 	seed := int64(0)
 	for _, dims := range [][3]int{{40, 40, 40}, {39, 39, 39}, {41, 35, 37}} {

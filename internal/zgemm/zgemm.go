@@ -183,9 +183,9 @@ func ZGEFMM(cfg *strassen.Config, transA, transB Transpose, m, n, k int,
 
 	// Sums for the third product.
 	as := matrix.NewDense(m, k)
-	matrix.Add(as, matrix.ViewOf(ar), matrix.ViewOf(ai))
+	matrix.Lin(as, matrix.Term{G: 1, X: matrix.ViewOf(ar)}, matrix.Term{G: 1, X: matrix.ViewOf(ai)})
 	bs := matrix.NewDense(k, n)
-	matrix.Add(bs, matrix.ViewOf(br), matrix.ViewOf(bi))
+	matrix.Lin(bs, matrix.Term{G: 1, X: matrix.ViewOf(br)}, matrix.Term{G: 1, X: matrix.ViewOf(bi)})
 
 	mul := func(dst, x, y *matrix.Dense) {
 		strassen.DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, n, k, 1,
