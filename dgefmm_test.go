@@ -251,16 +251,20 @@ func fuzzOracle(transA, transB Transpose, alpha float64, a, b *Matrix, beta floa
 
 // FuzzDGEFMM is the differential fuzz harness for the headline export: for
 // arbitrary (including odd and rectangular) shapes, all four op(A)/op(B)
-// combinations and random α/β, DGEFMM must stay within the Brent/Higham
-// forward-error bound of the naive triple-loop oracle. The seed corpus in
-// testdata/fuzz/FuzzDGEFMM pins odd sizes, transposes and β ≠ 0.
+// combinations, random α/β and either the naive kernel or the default one
+// (whose fused hooks run the last one or two levels, and on AVX2 the SIMD
+// tile's native write-out and assembly packers), DGEFMM must stay within
+// the Brent/Higham forward-error bound of the naive triple-loop oracle.
+// The seed corpus in testdata/fuzz/FuzzDGEFMM pins odd sizes, transposes,
+// β ≠ 0 and both kernels.
 func FuzzDGEFMM(f *testing.F) {
-	f.Add(int64(1), byte(31), byte(31), byte(31), false, false, 1.0, 0.0)
-	f.Add(int64(2), byte(64), byte(16), byte(40), true, false, -1.5, 0.5)
-	f.Add(int64(3), byte(9), byte(63), byte(27), false, true, 2.0, -1.0)
-	f.Add(int64(4), byte(33), byte(33), byte(33), true, true, 0.5, 1.0)
-	f.Add(int64(5), byte(1), byte(7), byte(2), false, false, 3.0, 0.25)
-	f.Fuzz(func(t *testing.T, seed int64, mb, nb, kb byte, ta, tb bool, alpha, beta float64) {
+	f.Add(int64(1), byte(31), byte(31), byte(31), false, false, 1.0, 0.0, false)
+	f.Add(int64(2), byte(64), byte(16), byte(40), true, false, -1.5, 0.5, false)
+	f.Add(int64(3), byte(9), byte(63), byte(27), false, true, 2.0, -1.0, true)
+	f.Add(int64(4), byte(33), byte(33), byte(33), true, true, 0.5, 1.0, true)
+	f.Add(int64(5), byte(1), byte(7), byte(2), false, false, 3.0, 0.25, false)
+	f.Add(int64(6), byte(63), byte(63), byte(63), false, false, 1.0, 0.0, true)
+	f.Fuzz(func(t *testing.T, seed int64, mb, nb, kb byte, ta, tb bool, alpha, beta float64, defaultKernel bool) {
 		m, n, k := int(mb)%64+1, int(nb)%64+1, int(kb)%64+1
 		alpha, beta = fuzzScalar(alpha), fuzzScalar(beta)
 		transA, transB := NoTrans, NoTrans
@@ -285,15 +289,16 @@ func FuzzDGEFMM(f *testing.F) {
 		want := fuzzOracle(transA, transB, alpha, a, b, beta, c0)
 
 		cfg := DefaultConfig(KernelByName("naive"))
+		if defaultKernel {
+			cfg = DefaultConfig(nil)
+		}
 		cfg.Criterion = SimpleCriterion{Tau: 8}
 		c := c0.Clone()
 		DGEFMM(cfg, transA, transB, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
 
-		// Recursion depth under Simple{Tau: 8}: halve until a dimension hits τ.
-		depth := 0
-		for mm, kk, nn := m, k, n; mm > 8 && kk > 8 && nn > 8; depth++ {
-			mm, kk, nn = mm/2, kk/2, nn/2
-		}
+		// The recursion depth the call ran (a two-level fused node counts
+		// twice).
+		depth := strassen.PlanFor(cfg, m, n, k, beta == 0).Depth
 		// Higham §23.2.2: error grows like 6^d·k·u·‖A‖‖B‖; entries are in
 		// [-1, 1) and α, β in [-2, 2], so scale by the scalars and allow a
 		// generous constant — real bugs produce O(1) errors, not O(100u).

@@ -103,6 +103,10 @@ func xerbla(routine string, arg int, msg string) {
 	panic(fmt.Sprintf("blas: %s: parameter %d invalid: %s", routine, arg, msg))
 }
 
+// Xerbla is xerbla for routines built on this package that validate
+// their arguments the same way (internal/strassen's DGEFMM).
+func Xerbla(routine string, arg int, msg string) { xerbla(routine, arg, msg) }
+
 func checkLD(routine string, arg int, name string, ld, minDim int) {
 	if ld < maxInt(1, minDim) {
 		xerbla(routine, arg, fmt.Sprintf("ld%s=%d < max(1,%d)", name, ld, minDim))

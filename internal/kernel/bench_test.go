@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/blas"
@@ -42,41 +43,58 @@ func BenchmarkPackedCompat512(b *testing.B) {
 	benchMulAdd(b, &Packed{Compat: true}, 512)
 }
 
-// BenchmarkFusedPack times the fused packers on one 256×256 block of 1- and
-// 2-term operands (1 term is the plain packA/packB copy) at leading
-// dimensions 256–1024, on the auto-dispatched tile's panel geometry. The
-// clipped rows give the second term an extent one row and one column short
-// of the block, as a virtually padded Strassen level hands the packers
-// (A22, B22). SetBytes follows the kernel.fused_pack phase: (terms+1)·8
-// bytes per packed word — every term read once, the packed word written
-// once.
+// BenchmarkFusedPack times the fused packers on one 256×256 block of 1- to
+// 4-term operands at leading dimensions 256–1024, on the auto-dispatched
+// tile's panel geometry. The clipped rows give every term past the first
+// an extent one row and one column short of the block, as a virtually
+// padded Strassen level hands the packers (A22, B22; the blocks of the
+// last grid row and column two fused levels down). Where the ISA forms
+// operands in assembly, each case also runs as /go with the assembly
+// switched off, timing the Go loops on the same block. SetBytes follows
+// the kernel.fused_pack phase: (terms+1)·8 bytes per packed word — every
+// term read once, the packed word written once.
 func BenchmarkFusedPack(b *testing.B) {
 	const blk = 256
-	mi := (&Packed{}).impl()
+	asm := (&Packed{}).impl()
+	goLoops := *asm
+	goLoops.packAN, goLoops.packBN = nil, nil
+	forms := []struct {
+		name string
+		mi   *microImpl
+	}{{"", asm}}
+	if asm.packAN != nil {
+		forms = append(forms, struct {
+			name string
+			mi   *microImpl
+		}{"/go", &goLoops})
+	}
 	for _, side := range []string{"A", "B"} {
-		for _, terms := range []string{"1", "2", "2/clipped"} {
+		for _, terms := range []string{"1", "2", "2/clipped", "3", "4", "4/clipped"} {
 			for _, ld := range []int{256, 512, 1024} {
-				b.Run(fmt.Sprintf("%s/terms=%s/ld=%d", side, terms, ld), func(b *testing.B) {
-					rng := rand.New(rand.NewSource(12))
-					op := Operand{Ld: ld}
-					n := int(terms[0] - '0')
-					for t := 0; t < n; t++ {
-						op.Terms = append(op.Terms, Term{Data: fill(rng, ld, blk, ld), Coeff: float64(1 - 2*t), Rows: blk, Cols: blk})
-					}
-					if terms == "2/clipped" {
-						op.Terms[1].Rows, op.Terms[1].Cols = blk-1, blk-1
-					}
-					dst := make([]float64, roundUpMul(blk, mi.mr)*roundUpMul(blk, mi.nr))
-					b.SetBytes(int64(n+1) * 8 * blk * blk)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if side == "A" {
-							packAFused(mi, dst, op, 0, 0, blk, blk)
-						} else {
-							packBFused(mi, dst, op, 0, 0, blk, blk)
+				for _, form := range forms {
+					b.Run(fmt.Sprintf("%s/terms=%s/ld=%d%s", side, terms, ld, form.name), func(b *testing.B) {
+						mi := form.mi
+						rng := rand.New(rand.NewSource(12))
+						op := Operand{Ld: ld}
+						n := int(terms[0] - '0')
+						for t := 0; t < n; t++ {
+							op.Terms = append(op.Terms, Term{Data: fill(rng, ld, blk, ld), Coeff: float64(1 - 2*(t%2)), Rows: blk, Cols: blk})
+							if t > 0 && strings.HasSuffix(terms, "/clipped") {
+								op.Terms[t].Rows, op.Terms[t].Cols = blk-1, blk-1
+							}
 						}
-					}
-				})
+						dst := make([]float64, roundUpMul(blk, mi.mr)*roundUpMul(blk, mi.nr))
+						b.SetBytes(int64(n+1) * 8 * blk * blk)
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if side == "A" {
+								packAFused(mi, dst, op, 0, 0, blk, blk)
+							} else {
+								packBFused(mi, dst, op, 0, 0, blk, blk)
+							}
+						}
+					})
+				}
 			}
 		}
 	}

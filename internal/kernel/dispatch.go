@@ -49,24 +49,24 @@ type microImpl struct {
 	full func(ap, bp, c []float64, ldc, kb int, alpha float64)
 	// edge computes the ragged rows×cols prefix of the tile.
 	edge func(ap, bp, c []float64, ldc, rows, cols, kb int, alpha float64)
-	// dual, when non-nil, computes one full mr×nr tile and scatters it into
-	// two destinations with independent scalars (c0 += alpha0·acc,
-	// c1 += alpha1·acc) — the fused Winograd write-out's two-quadrant fast
-	// path. Nil means the fused sweep captures the tile in a buffer and
-	// scatters scalar instead.
-	dual func(ap, bp, c0 []float64, ldc0 int, c1 []float64, ldc1 int, kb int, alpha0, alpha1 float64)
-	// packA2 and packB2, when non-nil, form micro-panels of a two-term
-	// non-transposed fused operand g0·x + g1·y at packing speed,
-	// bit-identical to the Go loops they replace. x and y start at the
-	// block's top-left element, share the leading dimension ld and store
-	// the block's first h0 and h1 rows; a row past a term's count reads as
-	// +0.0 through the same arithmetic. packA2 forms columns [0, cols) of
-	// the ⌈max(h0, h1)/mr⌉ mr-row panels; packB2 forms rows
-	// [0, ⌈max(h0, h1)/4⌉·4) of panels nr-column panels. Panels are depth
-	// words deep, and the caller keeps the formed rows inside the block.
-	// Nil means packAFused/packBFused run the Go loops.
-	packA2 func(dst, x, y []float64, ld, h0, h1, cols, depth int, g0, g1 float64)
-	packB2 func(dst, x, y []float64, ld, panels, h0, h1, depth int, g0, g1 float64)
+	// multi, when non-nil, computes tiles full mr×nr tiles down one column
+	// of register tiles (consecutive Ã micro-panels against one B̃
+	// micro-panel) and scatters each into ds[:nd] (nd ≤ 4) with
+	// independent scalars, C_d += alpha_d·acc in order — the fused
+	// write-out's native path, rounding like the tile's own scatter at each
+	// alpha. Nil means the fused sweep captures every tile in a buffer and
+	// scatters in Go instead.
+	multi func(ap, bp []float64, kb int, ds [4]tileDest, nd, tiles int)
+	// packAN and packBN, when non-nil, form micro-panels of a
+	// non-transposed fused operand of 1–4 terms (packTerms) at packing
+	// speed, bit-identical to the Go loops they replace: a row past a
+	// term's count reads as +0.0 through the same arithmetic. packAN forms
+	// columns [0, cols) of the ⌈max h/mr⌉ mr-row panels; packBN forms rows
+	// [0, ⌈max h/4⌉·4) of panels nr-column panels. Panels are depth words
+	// deep, and the caller keeps the formed rows inside the block. Nil
+	// means packAFused/packBFused run the Go loops.
+	packAN func(dst []float64, ts packTerms, ld, cols, depth int)
+	packBN func(dst []float64, ts packTerms, ld, panels, depth int)
 }
 
 // scalarImpl is the portable tile: the unrolled 4×4 register kernel that

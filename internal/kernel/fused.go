@@ -1,12 +1,14 @@
 package kernel
 
 // Operand-fused packing and multi-destination write-out: the kernel-side
-// half of the fused Winograd path (Huang et al., "Implementing Strassen's
+// half of the fused Strassen path (Huang et al., "Implementing Strassen's
 // Algorithm with BLIS", arXiv:1605.01078). A Strassen level's add/sub
 // linear combinations are folded into the two places the operands are
 // touched anyway — Ã/B̃ packing reads and the micro-kernel's C update — so
 // each level costs almost no extra memory traffic instead of a full set of
-// materialized S/T/M temporaries.
+// materialized S/T/M temporaries. Two levels of the 1969 construction fold
+// the same way ("two-level ABC"): every operand is a sum of at most four
+// blocks and every product feeds at most four.
 //
 // FusedMulAdd runs the exact NC/KC/MC loop nest of MulAdd over the same
 // arena-drawn packed panels (LeafWorkspace is unchanged), but:
@@ -19,11 +21,13 @@ package kernel
 //   - the write-out accumulates each computed product panel into every
 //     destination with its own ±1 coefficient (times the call's alpha),
 //     clipped to that destination's extent. One destination degenerates
-//     to the unfused sweep; two full SIMD tiles use the dual-scatter
-//     assembly tile when the ISA provides one; every other tile, full or
-//     ragged, runs the full tile over the zero-padded panels into a
-//     register-tile buffer and scatters the valid elements per
-//     destination.
+//     to the unfused sweep; the full tiles down a column that every
+//     destination touching it stores in full go to the ISA's
+//     multi-destination tile (up to four destinations written from
+//     registers) when the ISA provides one; every other tile — ragged,
+//     clipped, or on a tile without that path — runs the full tile over
+//     the zero-padded panels into a register-tile buffer and scatters the
+//     valid elements per destination.
 //
 // Bitwise contract: coefficients are ±1 in the Strassen tables, and both
 // negation and ±1 multiplication are exact in IEEE-754, so a fused pack
@@ -31,20 +35,21 @@ package kernel
 // one rounding per added term in term order. The packers round every
 // product before adding it (no FMA contraction) for any coefficients,
 // whether a word is formed by the Go loops or by the ISA's assembly
-// (microImpl.packA2/packB2: the micro-panels inside the block of a
-// two-term non-transposed operand on AVX2), so which of the two forms a
-// word never changes its bits (fusedpack_test.go). A missing entry goes
+// (microImpl.packAN/packBN: the micro-panels inside the block of a
+// non-transposed operand of 1–4 terms on AVX2), so which of the two forms
+// a word never changes its bits (fusedpack_test.go). A missing entry goes
 // through the same arithmetic as a stored +0.0 in both — a masked load in
 // the assembly — so a clipped pack equals the pack of a zero-padded copy
 // bit for bit, signed zeros included. The tile-buffer
 // capture (−0.0 buffer, alpha = 1) holds the accumulator exactly, and the
 // buffered scatter rounds like the tile's own write-out at alpha·coeff:
 // c + ad·acc (two roundings) on the scalar tile, FMA(ad, acc, c) on the
-// SIMD tiles, as their interior scatter and simdEdge do. An element
-// therefore rounds the same whether its tile is full or ragged, clipped
-// or not, and however many destinations share the sweep, and a fused
-// call matches the unfused kernel of the same tile on the materialized
-// operands bit for bit per destination (see fused_test.go).
+// SIMD tiles, as their interior scatter, simdEdge and the
+// multi-destination tile do. An element therefore rounds the same whether
+// its tile is full or ragged, clipped or not, and however many
+// destinations share the sweep, and a fused call matches the unfused
+// kernel of the same tile on the materialized operands bit for bit per
+// destination (see fused_test.go).
 
 import (
 	"math"
@@ -91,25 +96,77 @@ type Dest struct {
 	Rows, Cols int
 }
 
+// packTerms is a fused operand as the assembly packers take it: n = 1–4
+// terms, each with its storage from the block's top-left element (x, nil
+// when the term stores none of the block's rows), the block's leading rows
+// it stores (h) and its coefficient (g).
+type packTerms struct {
+	n int
+	x [4][]float64
+	h [4]int
+	g [4]float64
+}
+
+// span is the fewest and the most rows any term stores.
+func (ts *packTerms) span() (lo, hi int) {
+	lo, hi = ts.h[0], ts.h[0]
+	for _, h := range ts.h[1:ts.n] {
+		lo, hi = min(lo, h), max(hi, h)
+	}
+	return lo, hi
+}
+
+// asmTerms describes op's terms to the assembly packers for the block
+// whose top-left element is at offset off of every term's storage and
+// whose n rows (of op(·)) start at row i0. The packers form the rows some
+// term stores rounded up to whole steps of step rows, but no more than
+// the block's first whole rows; each term's row count is capped there. It
+// also returns that row count (0: nothing for the assembly to form).
+func asmTerms(op Operand, off, i0, n, step, whole int) (packTerms, int) {
+	ts := packTerms{n: len(op.Terms)}
+	hi := 0
+	for t, tm := range op.Terms {
+		ts.h[t] = within(tm.Rows, i0, n)
+		hi = max(hi, ts.h[t])
+	}
+	rows := min(roundUpMul(hi, step), whole)
+	for t, tm := range op.Terms {
+		ts.x[t] = from(tm, off, ts.h[t])
+		ts.h[t] = min(ts.h[t], rows)
+		ts.g[t] = tm.Coeff
+	}
+	return ts, rows
+}
+
+// tileDest is one destination of the multi-destination tile: the tile's
+// top-left element in C, C's leading dimension and the scalar
+// alpha·coeff.
+type tileDest struct {
+	c     []float64
+	ldc   int
+	alpha float64
+}
+
 // FusedCounters reports how many FusedMulAdd calls the kernel has served.
 // Packed words from fused calls fold into the regular packing counters.
 func (k *Packed) FusedCounters() (fusedMulAdds int64) {
 	return k.fusedMulAdds.Load()
 }
 
-// FusedDestLimit reports how many destinations FusedMulAdd accumulates
-// without leaving the active tile's native write-out. The SIMD tile
-// scatters one or two destinations in assembly (single and dual scatter)
-// but spills full tiles to a buffered scalar scatter beyond that, so its
-// limit is 2; the scalar tile pays the same per-element loop for any
-// count, so its limit is the packers' term maximum, 4. The Strassen
+// FusedDestLimit reports how many destinations FusedMulAdd writes from the
+// active tile's registers: 4 where the ISA has the multi-destination tile
+// (AVX2, which also forms operands of up to four terms in assembly), so
+// two fused levels of the 1969 construction run natively; 2 elsewhere,
+// the fan-out of one level. The scalar and NEON tiles scatter every extra
+// destination from a buffer, where two fused levels measured slower than
+// a materialized level over fused children (EXPERIMENTS.md). The Strassen
 // driver's only use of it is tableFusable: a table whose records fan out
-// past the limit runs its last level unfused.
+// past the limit does not run fused.
 func (k *Packed) FusedDestLimit() int {
-	if k.impl().dual != nil {
-		return 2
+	if k.impl().multi != nil {
+		return 4
 	}
-	return 4
+	return 2
 }
 
 // FusedMulAdd computes, for every destination d,
@@ -139,24 +196,20 @@ func packAFused(mi *microImpl, dst []float64, op Operand, ic, pc, mb, kb int) {
 		return
 	}
 	rowsAll, colsAll := stored(op.Terms, ic, pc, mb, kb)
-	if len(op.Terms) == 1 && op.Terms[0].Coeff == 1 && rowsAll == mb && colsAll == kb {
-		packA(mr, dst, op.Terms[0].Data, op.Ld, op.Trans, ic, pc, mb, kb)
+	lda := op.Ld
+	asm := !op.Trans && len(op.Terms) <= 4 && mi.packAN != nil
+	if !asm && len(op.Terms) == 1 && op.Terms[0].Coeff == 1 && rowsAll == mb && colsAll == kb {
+		packA(mr, dst, op.Terms[0].Data, lda, op.Trans, ic, pc, mb, kb)
 		return
 	}
-	lda := op.Ld
 	asmPanels, asmCols := 0, 0
-	if !op.Trans && len(op.Terms) == 2 && mi.packA2 != nil && colsAll > 0 {
-		// The ISA forms the columns both terms store of every micro-panel
+	if asm && colsAll > 0 {
+		// The ISA forms the columns every term stores of every micro-panel
 		// inside the block that a term stores rows of, reading the rows a
 		// term lacks as zero; the loop below forms the rest.
-		t0, t1 := op.Terms[0], op.Terms[1]
-		h0, h1 := within(t0.Rows, ic, mb), within(t1.Rows, ic, mb)
-		asmRows := min(roundUpMul(max(h0, h1), mr), mb-mb%mr)
-		if asmRows > 0 {
-			off := pc*lda + ic
-			asmPanels, asmCols = asmRows/mr, colsAll
-			mi.packA2(dst, from(t0, off, h0), from(t1, off, h1), lda, min(h0, asmRows), min(h1, asmRows),
-				asmCols, kb, t0.Coeff, t1.Coeff)
+		if ts, rows := asmTerms(op, pc*lda+ic, ic, mb, mr, mb-mb%mr); rows > 0 {
+			asmPanels, asmCols = rows/mr, colsAll
+			mi.packAN(dst, ts, lda, asmCols, kb)
 		}
 	}
 	for ip := 0; ip < mb; ip += mr {
@@ -264,25 +317,22 @@ func packBFused(mi *microImpl, dst []float64, op Operand, pc, jc, kb, nb int) {
 		return
 	}
 	rowsAll, colsAll := stored(op.Terms, pc, jc, kb, nb)
-	if len(op.Terms) == 1 && op.Terms[0].Coeff == 1 && rowsAll == kb && colsAll == nb {
-		packB(nr, dst, op.Terms[0].Data, op.Ld, op.Trans, pc, jc, kb, nb)
+	ldb := op.Ld
+	asm := !op.Trans && len(op.Terms) <= 4 && mi.packBN != nil
+	if !asm && len(op.Terms) == 1 && op.Terms[0].Coeff == 1 && rowsAll == kb && colsAll == nb {
+		packB(nr, dst, op.Terms[0].Data, ldb, op.Trans, pc, jc, kb, nb)
 		return
 	}
-	ldb := op.Ld
-	// The ISA forms rows [0, kb4) of every full micro-panel both terms
-	// store, kb4 covering the rows either term stores in whole 4-row
-	// steps inside the block and reading the rows a term lacks as zero;
-	// the loop below forms the rest.
+	// The ISA forms rows [0, kb4) of every full micro-panel every term
+	// stores, kb4 covering the rows some term stores in whole 4-row steps
+	// inside the block and reading the rows a term lacks as zero; the loop
+	// below forms the rest.
 	asmPanels, kb4 := 0, 0
-	if !op.Trans && len(op.Terms) == 2 && mi.packB2 != nil && colsAll >= nr {
-		t0, t1 := op.Terms[0], op.Terms[1]
-		h0, h1 := within(t0.Rows, pc, kb), within(t1.Rows, pc, kb)
-		kb4 = min(roundUpMul(max(h0, h1), 4), kb&^3)
-		if kb4 > 0 {
-			off := jc*ldb + pc
+	if asm && colsAll >= nr {
+		var ts packTerms
+		if ts, kb4 = asmTerms(op, jc*ldb+pc, pc, kb, 4, kb&^3); kb4 > 0 {
 			asmPanels = colsAll / nr
-			mi.packB2(dst, from(t0, off, h0), from(t1, off, h1), ldb, asmPanels, min(h0, kb4), min(h1, kb4),
-				kb, t0.Coeff, t1.Coeff)
+			mi.packBN(dst, ts, ldb, asmPanels, kb)
 		}
 	}
 	for jp := 0; jp < nb; jp += nr {
@@ -329,13 +379,13 @@ func packBFused(mi *microImpl, dst []float64, op Operand, pc, jc, kb, nb int) {
 				}
 				t0 := op.Terms[0]
 				x := t0.Data[col : col+whole]
-				for l := 0; l < whole; l++ {
+				for l := lo; l < whole; l++ {
 					d[l*nr] = t0.Coeff * x[l]
 				}
 				for _, t := range op.Terms[1:] {
 					x := t.Data[col : col+whole]
 					g := t.Coeff
-					for l := 0; l < whole; l++ {
+					for l := lo; l < whole; l++ {
 						d[l*nr] += float64(g * x[l])
 					}
 				}
@@ -475,12 +525,14 @@ func formRun(d []float64, inc, n int, terms []Term, off int, down bool, cross, l
 // macroKernelFused sweeps the packed panels once and accumulates every
 // register tile into all destinations, each clipped to its extent. One
 // destination is the unfused sweep at alpha·coeff over the tiles it
-// stores; a tile both of two destinations store in full uses the ISA's
-// dual-scatter tile when present; otherwise the full tile runs over the
-// zero-padded panels into a −0.0 buffer at alpha = 1 (an exact capture of
-// the accumulators, ragged tiles included) and each destination's valid
-// elements are scattered with the tile's own rounding: FMA(ad, acc, c) on
-// the SIMD tiles, c + ad·acc on the scalar tile.
+// stores; in a column of tiles every destination touching it stores in
+// full, the leading full tiles they all store go to the ISA's
+// multi-destination tile when present; every other tile runs the full
+// tile over the zero-padded panels into a −0.0 buffer at alpha = 1 (an
+// exact capture of the accumulators, ragged tiles included) and each
+// destination's valid elements are scattered with the tile's own
+// rounding: FMA(ad, acc, c) on the SIMD tiles, c + ad·acc on the scalar
+// tile.
 func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, jc, mb, nb, kb int, alpha float64) (fullTiles, edgeTiles int64) {
 	if len(dests) == 1 {
 		d := dests[0]
@@ -498,6 +550,7 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 		mv = max(mv, within(d.Rows, ic, mb))
 		nv = max(nv, within(d.Cols, jc, nb))
 	}
+	native := mi.multi != nil && len(dests) <= 4
 	var buf [SIMDTileMR * SIMDTileNR]float64
 	for jp := 0; jp < nv; jp += nr {
 		cols := nv - jp
@@ -505,7 +558,17 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 			cols = nr
 		}
 		bp := bpack[(jp/nr)*(nr*kb):]
-		for ip := 0; ip < mv; ip += mr {
+		// The leading full tiles of the column that every destination
+		// touching it stores in full run in one multi-destination call.
+		ip0 := 0
+		if native && cols == nr {
+			if ds, nd, rows := columnDests(dests, ic, jc+jp, mv, mr, nr, alpha); rows > 0 {
+				mi.multi(apack, bp, kb, ds, nd, rows/mr)
+				fullTiles += int64(rows / mr)
+				ip0 = rows
+			}
+		}
+		for ip := ip0; ip < mv; ip += mr {
 			rows := mv - ip
 			if rows > mr {
 				rows = mr
@@ -516,14 +579,6 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 				fullTiles++
 			} else {
 				edgeTiles++
-			}
-			if full && len(dests) == 2 && mi.dual != nil &&
-				fullIn(dests[0], ic+ip, jc+jp, mr, nr) && fullIn(dests[1], ic+ip, jc+jp, mr, nr) {
-				d0, d1 := dests[0], dests[1]
-				c0 := d0.Data[(jc+jp)*d0.Ld+ic+ip:]
-				c1 := d1.Data[(jc+jp)*d1.Ld+ic+ip:]
-				mi.dual(ap, bp, c0, d0.Ld, c1, d1.Ld, kb, alpha*d0.Coeff, alpha*d1.Coeff)
-				continue
 			}
 			buf = negZeroTile
 			mi.full(ap, bp, buf[:], mr, kb, 1)
@@ -553,10 +608,30 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 	return fullTiles, edgeTiles
 }
 
-// fullIn reports whether destination d stores the whole rows×cols tile at
-// (i, j).
-func fullIn(d Dest, i, j, rows, cols int) bool {
-	return d.Rows >= i+rows && d.Cols >= j+cols
+// columnDests lists the destinations of the column of tiles, nr columns
+// wide from column j, over rows [i, i+n), for the multi-destination tile:
+// those that store any of it, when each stores all of its columns. rows
+// is the leading whole tiles' worth of rows every listed destination
+// stores (0 when a destination stores part of the columns or none is
+// listed).
+func columnDests(dests []Dest, i, j, n, mr, nr int, alpha float64) (ds [4]tileDest, nd, rows int) {
+	rows = n - n%mr
+	for _, d := range dests {
+		dr, dc := within(d.Rows, i, n), within(d.Cols, j, nr)
+		switch {
+		case dr == 0 || dc == 0:
+			continue
+		case dc < nr:
+			return ds, 0, 0
+		}
+		rows = min(rows, dr-dr%mr)
+		ds[nd] = tileDest{c: d.Data[j*d.Ld+i:], ldc: d.Ld, alpha: alpha * d.Coeff}
+		nd++
+	}
+	if nd == 0 {
+		rows = 0
+	}
+	return ds, nd, rows
 }
 
 // fusedAcct is phaseAcct's counterpart for FusedMulAdd: fused packing

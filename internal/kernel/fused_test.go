@@ -195,14 +195,14 @@ func fusedBlockCrossing(t *testing.T, k *Packed, rng *rand.Rand) {
 	}
 }
 
-// TestFusedSIMDHigham exercises the SIMD dispatch (dual-scatter tile on
-// two-destination full tiles, buffer capture elsewhere) against the
+// TestFusedSIMDHigham exercises the SIMD dispatch (multi-destination tile
+// on full tiles, buffer capture on ragged ones) against the
 // materialized reference under the widened bound 2·γ_{k+4} for 2-term
 // operands. Off-host ModeSIMD degrades to scalar; the check stays valid.
 func TestFusedSIMDHigham(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	k := &Packed{Mode: ModeSIMD}
-	// Full-tile shapes (dual-scatter eligible), fringe shapes, and
+	// Full-tile shapes (multi-destination eligible), fringe shapes, and
 	// block-crossing sizes.
 	shapes := [][3]int{
 		{SIMDTileMR, SIMDTileNR, 16}, {2 * SIMDTileMR, 2 * SIMDTileNR, 32},
@@ -221,8 +221,8 @@ func TestFusedSIMDHigham(t *testing.T) {
 						dstCoeffs: []float64{1, -1},
 					}, rng, false)
 				}
-				// Four destinations force the buffer-capture scatter even on
-				// full tiles.
+				// Four destinations and four-term operands: the widest
+				// records of two fused levels.
 				runFusedCase(t, k, fusedCase{
 					m: s[0], n: s[1], kk: s[2],
 					ta: ta, tb: tb, alpha: -1,
@@ -237,7 +237,9 @@ func TestFusedSIMDHigham(t *testing.T) {
 
 // TestFusedSingleTermIsMulAdd pins the degenerate fused call (one term,
 // coefficient 1, one destination) to the plain MulAdd path bit for bit on
-// every dispatch mode — it literally shares the code.
+// every dispatch mode: the same loop nest, tile and write-out, with the
+// operands packed by packA/packB or, on AVX2, by the one-term assembly
+// packers, whose 1·x is exact.
 func TestFusedSingleTermIsMulAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, mode := range []Mode{ModeAuto, ModeScalar, ModeSIMD} {

@@ -142,19 +142,21 @@ var fusedPackClips = [][][2]int{
 	{{0, 1}, {1, 0}, {2, 2}},
 	{{9, 0}, {0, 6}, {5, 0}},
 	{{0, 0}, {200, 200}},
+	{{0, 0}, {1, 0}, {0, 1}, {1, 1}},
+	{{3, 0}, {0, 0}, {9, 2}, {200, 200}},
 }
 
 // TestFusedPackBitwise sweeps the ragged classes of the SIMD geometry —
 // mb mod 8, nb mod 4 and kb mod 4 all non-zero, plus whole panels — with
 // ld larger than the block, non-zero block offsets, every pair of
-// coefficients for two-term operands and a few one- and three-term ones,
-// both transposes, both sides and every fusedPackClips extent.
+// coefficients for two-term operands and a few one-, three- and four-term
+// ones, both transposes, both sides and every fusedPackClips extent.
 func TestFusedPackBitwise(t *testing.T) {
 	mi := simdImpl
 	if mi == nil {
 		t.Skipf("no SIMD micro-kernel on this host (ISA %s)", SIMDISA())
 	}
-	if mi.packA2 == nil {
+	if mi.packAN == nil {
 		t.Logf("ISA %s has no assembly packers; checking the Go loops on its geometry", mi.isa)
 	}
 	rng := rand.New(rand.NewSource(60))
@@ -168,7 +170,8 @@ func TestFusedPackBitwise(t *testing.T) {
 			multi = append(multi, []float64{g0, g1})
 		}
 	}
-	multi = append(multi, []float64{1}, []float64{-3}, []float64{1, -1, 0.5}, []float64{-1, 0.5, -3})
+	multi = append(multi, []float64{1}, []float64{-3}, []float64{1, -1, 0.5}, []float64{-1, 0.5, -3},
+		[]float64{1, -1, -1, 1}, []float64{-3, 1, 0.5, -1})
 	for _, sideB := range []bool{false, true} {
 		shapes := aShapes
 		if sideB {
@@ -201,6 +204,8 @@ func FuzzFusedPack(f *testing.F) {
 	f.Add(uint8(64), uint8(16), uint8(8), uint8(0), uint8(7), true, false, uint8(0xb4), uint8(2), uint16(0x0555), int64(3))
 	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), true, true, uint8(0x00), uint8(0), uint16(0), int64(4))
 	f.Add(uint8(64), uint8(64), uint8(0), uint8(0), uint8(3), false, false, uint8(0x04), uint8(1), uint16(0x0010), int64(5))
+	f.Add(uint8(29), uint8(33), uint8(3), uint8(5), uint8(2), false, false, uint8(0x6c), uint8(3), uint16(0x4a10), int64(6))
+	f.Add(uint8(17), uint8(41), uint8(0), uint8(4), uint8(1), false, true, uint8(0xb1), uint8(2), uint16(0x0401), int64(7))
 
 	f.Fuzz(func(t *testing.T, r8, c8, i8, j8, pad8 uint8, trans, sideB bool, coeffBits, terms8 uint8, clipBits uint16, seed int64) {
 		mi := simdImpl
@@ -209,7 +214,7 @@ func FuzzFusedPack(f *testing.F) {
 		}
 		rows, cols := int(r8%72)+1, int(c8%72)+1
 		i0, j0 := int(i8%12), int(j8%12)
-		coeffs := make([]float64, int(terms8%3)+1)
+		coeffs := make([]float64, int(terms8%4)+1)
 		short := make([][2]int, len(coeffs))
 		for i := range coeffs {
 			coeffs[i] = fusedPackCoeffs[coeffBits>>(2*i)&3]

@@ -8,7 +8,15 @@ package kernel
 func microTile8x4AVX2(kb int, alpha float64, ap, bp, c *float64, ldc int)
 
 //go:noescape
-func microTile8x4AVX2Dual(kb int, alpha0, alpha1 float64, ap, bp, c0 *float64, ldc0 int, c1 *float64, ldc1 int)
+func microTile8x4AVX2Multi(kb int, ap, bp *float64, dests *[4]rawDest, nd, tiles int)
+
+// rawDest is tileDest as the assembly reads it: 24 bytes of C pointer,
+// leading dimension and scalar.
+type rawDest struct {
+	c     *float64
+	ldc   int
+	alpha float64
+}
 
 // simdFull adapts the assembly tile to the microImpl signature. The slice
 // prefix re-slicings compile to bounds checks that document (and enforce)
@@ -23,17 +31,21 @@ func simdFull(ap, bp, c []float64, ldc, kb int, alpha float64) {
 	microTile8x4AVX2(kb, alpha, &ap[0], &bp[0], &c[0], ldc)
 }
 
-// avx2Dual adapts the dual-destination assembly tile (the fused Winograd
-// two-quadrant write-out) the same way.
-func avx2Dual(ap, bp, c0 []float64, ldc0 int, c1 []float64, ldc1 int, kb int, alpha0, alpha1 float64) {
-	if kb <= 0 {
+// avx2Multi adapts the multi-destination assembly tile (the fused
+// write-out of up to four C blocks) the same way, for tiles tiles down one
+// column: each destination's re-slicing bounds the 8·tiles × 4 panel it
+// writes.
+func avx2Multi(ap, bp []float64, kb int, ds [4]tileDest, nd, tiles int) {
+	if kb <= 0 || nd <= 0 || tiles <= 0 {
 		return
 	}
-	ap = ap[:SIMDTileMR*kb]
+	ap = ap[:SIMDTileMR*kb*tiles]
 	bp = bp[:SIMDTileNR*kb]
-	c0 = c0[:3*ldc0+SIMDTileMR]
-	c1 = c1[:3*ldc1+SIMDTileMR]
-	microTile8x4AVX2Dual(kb, alpha0, alpha1, &ap[0], &bp[0], &c0[0], ldc0, &c1[0], ldc1)
+	var raw [4]rawDest
+	for i, d := range ds[:nd] {
+		raw[i] = rawDest{c: &d.c[:3*d.ldc+SIMDTileMR*tiles][0], ldc: d.ldc, alpha: d.alpha}
+	}
+	microTile8x4AVX2Multi(kb, &ap[0], &bp[0], &raw, nd, tiles)
 }
 
 // newSIMDImpl probes the CPU and returns the AVX2+FMA tile, or nil when
@@ -48,8 +60,8 @@ func newSIMDImpl() *microImpl {
 		isa:    "avx2+fma",
 		full:   simdFull,
 		edge:   simdEdge,
-		dual:   avx2Dual,
-		packA2: avx2PackA2,
-		packB2: avx2PackB2,
+		multi:  avx2Multi,
+		packAN: avx2PackAN,
+		packBN: avx2PackBN,
 	}
 }

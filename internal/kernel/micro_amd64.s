@@ -134,19 +134,56 @@ scatter:
 	VZEROUPPER
 	RET
 
-// func microTile8x4AVX2Dual(kb int, alpha0, alpha1 float64, ap, bp, c0 *float64, ldc0 int, c1 *float64, ldc1 int)
+// func microTile8x4AVX2Multi(kb int, ap, bp *float64, dests *[4]rawDest, nd, tiles int)
 //
-// The fused Winograd write-out tile: the same 8×4 product accumulation as
-// microTile8x4AVX2, scattered into two destinations with independent
-// scalars — C0[:, j] += alpha0·acc_j, then C1[:, j] += alpha1·acc_j. The
-// accumulators Y0–Y7 survive the first scatter (it works in Y8/Y9 only),
-// so the product is computed once and written twice; with alpha ±1 each
-// FMA write-out is a single rounding, identical to the single-destination
-// scatter at that alpha.
-TEXT ·microTile8x4AVX2Dual(SB), NOSPLIT, $0-72
+// The fused write-out tile: the same 8×4 product accumulation as
+// microTile8x4AVX2, scattered into nd = 1–4 destinations, each with its own
+// C panel, leading dimension and scalar — dests[d] is (c, ldc, alpha),
+// 24 bytes, and C_d[:, j] += alpha_d·acc_j in order d = 0, 1, …. The
+// accumulators Y0–Y7 survive every scatter (it works in Y8/Y9 only), so
+// the product is computed once and written nd times; each FMA write-out is
+// a single rounding, identical to the single-destination scatter at that
+// alpha.
+//
+// It runs tiles ≥ 1 tiles down one column of register tiles: tile t reads
+// the t-th 8-row micro-panel of Ã (ap advances by 8·kb words, as the k
+// loop leaves it) against the same B̃ micro-panel, and writes 8·t rows
+// further down every destination (R10 is that byte offset).
+TEXT ·microTile8x4AVX2Multi(SB), NOSPLIT, $0-48
 	MOVQ kb+0(FP), CX
-	MOVQ ap+24(FP), SI
-	MOVQ bp+32(FP), BX
+	MOVQ ap+8(FP), SI
+	MOVQ tiles+40(FP), R12
+	XORQ R10, R10
+
+mtile:
+	MOVQ bp+16(FP), BX
+
+	// Prefetch every destination's tile (both lines each 8-row column can
+	// straddle): the k loop below hides the latency, so the write-out
+	// finds C in L1 rather than stalling on up to four blocks streamed
+	// from further out.
+	MOVQ dests+24(FP), R8
+	MOVQ nd+32(FP), R9
+
+mpre:
+	MOVQ       (R8), DI
+	ADDQ       R10, DI
+	MOVQ       8(R8), DX
+	SHLQ       $3, DX
+	PREFETCHT0 (DI)
+	PREFETCHT0 63(DI)
+	ADDQ       DX, DI
+	PREFETCHT0 (DI)
+	PREFETCHT0 63(DI)
+	ADDQ       DX, DI
+	PREFETCHT0 (DI)
+	PREFETCHT0 63(DI)
+	ADDQ       DX, DI
+	PREFETCHT0 (DI)
+	PREFETCHT0 63(DI)
+	ADDQ       $24, R8
+	DECQ       R9
+	JNZ        mpre
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -159,9 +196,9 @@ TEXT ·microTile8x4AVX2Dual(SB), NOSPLIT, $0-72
 
 	MOVQ CX, AX
 	SHRQ $1, AX
-	JZ   dtail
+	JZ   mtail
 
-dloop2:
+mloop2:
 	// k step l
 	VMOVUPD      (SI), Y8
 	VMOVUPD      32(SI), Y9
@@ -197,11 +234,11 @@ dloop2:
 	ADDQ $128, SI
 	ADDQ $64, BX
 	DECQ AX
-	JNZ  dloop2
+	JNZ  mloop2
 
-dtail:
+mtail:
 	TESTQ $1, CX
-	JZ    dscatter
+	JZ    mscatter
 
 	VMOVUPD      (SI), Y8
 	VMOVUPD      32(SI), Y9
@@ -217,12 +254,18 @@ dtail:
 	VFMADD231PD  Y10, Y9, Y5
 	VFMADD231PD  Y11, Y8, Y6
 	VFMADD231PD  Y11, Y9, Y7
+	ADDQ         $64, SI
 
-dscatter:
-	// First destination: C0[:, j] += alpha0 · acc_j.
-	VBROADCASTSD alpha0+8(FP), Y14
-	MOVQ         c0+40(FP), DI
-	MOVQ         ldc0+48(FP), DX
+mscatter:
+	MOVQ dests+24(FP), R8
+	MOVQ nd+32(FP), R9
+
+mdest:
+	// C_d[:, j] += alpha_d · acc_j.
+	MOVQ         (R8), DI
+	ADDQ         R10, DI
+	MOVQ         8(R8), DX
+	VBROADCASTSD 16(R8), Y14
 	SHLQ         $3, DX
 
 	VMOVUPD     (DI), Y8
@@ -256,42 +299,13 @@ dscatter:
 	VMOVUPD     Y8, (DI)
 	VMOVUPD     Y9, 32(DI)
 
-	// Second destination: C1[:, j] += alpha1 · acc_j.
-	VBROADCASTSD alpha1+16(FP), Y14
-	MOVQ         c1+56(FP), DI
-	MOVQ         ldc1+64(FP), DX
-	SHLQ         $3, DX
+	ADDQ $24, R8
+	DECQ R9
+	JNZ  mdest
 
-	VMOVUPD     (DI), Y8
-	VMOVUPD     32(DI), Y9
-	VFMADD231PD Y14, Y0, Y8
-	VFMADD231PD Y14, Y1, Y9
-	VMOVUPD     Y8, (DI)
-	VMOVUPD     Y9, 32(DI)
-	ADDQ        DX, DI
-
-	VMOVUPD     (DI), Y8
-	VMOVUPD     32(DI), Y9
-	VFMADD231PD Y14, Y2, Y8
-	VFMADD231PD Y14, Y3, Y9
-	VMOVUPD     Y8, (DI)
-	VMOVUPD     Y9, 32(DI)
-	ADDQ        DX, DI
-
-	VMOVUPD     (DI), Y8
-	VMOVUPD     32(DI), Y9
-	VFMADD231PD Y14, Y4, Y8
-	VFMADD231PD Y14, Y5, Y9
-	VMOVUPD     Y8, (DI)
-	VMOVUPD     Y9, 32(DI)
-	ADDQ        DX, DI
-
-	VMOVUPD     (DI), Y8
-	VMOVUPD     32(DI), Y9
-	VFMADD231PD Y14, Y6, Y8
-	VFMADD231PD Y14, Y7, Y9
-	VMOVUPD     Y8, (DI)
-	VMOVUPD     Y9, 32(DI)
+	ADDQ $64, R10
+	DECQ R12
+	JNZ  mtile
 
 	VZEROUPPER
 	RET

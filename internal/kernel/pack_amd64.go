@@ -1,69 +1,94 @@
 package kernel
 
 // AVX2 fused-packing glue. The assembly routines (pack_amd64.s) form the
-// micro-panels of a two-term non-transposed operand g0·X + g1·Y that lie
-// inside the block, up to the columns (Ã) or rows (B̃) both terms store.
+// micro-panels of a non-transposed operand Σ gₜ·Xₜ of 1–4 terms that lie
+// inside the block, up to the columns (Ã) or rows (B̃) every term stores.
 // Rows a term lacks — the last ones of a block clipped by virtual padding
 // — are read as +0.0 through masked loads in the same arithmetic.
 // packAFused/packBFused keep ragged panels, the columns a term lacks, the
 // B̃ depth mod 4 tail and every other operand shape in Go.
 
 //go:noescape
-func packA2AVX2(dst, x, y *float64, ld, panels, cols, depth int, g0, g1 float64)
+func packANAVX2(dst, x0, x1, x2, x3 *float64, ld, panels, cols, depth, nt int, coef *[4]float64)
 
 //go:noescape
-func packA2PartAVX2(dst, x, y *float64, ld, cols int, g0, g1 float64, mask *[16]int64)
+func packANPartAVX2(dst, x0, x1, x2, x3 *float64, ld, cols, nt int, coef *[4]float64, mask *[4 * SIMDTileMR]int64)
 
 //go:noescape
-func packB2AVX2(dst, x, y *float64, ld, panels, rows, depth int, g0, g1 float64)
+func packBNAVX2(dst, x0, x1, x2, x3 *float64, ld, panels, rows, depth, nt int, coef *[4]float64)
 
 //go:noescape
-func packB2PartAVX2(dst, x, y *float64, ld, panels, depth int, g0, g1 float64, mask *[8]int64)
+func packBNPartAVX2(dst, x0, x1, x2, x3 *float64, ld, panels, depth, nt int, coef *[4]float64, mask *[16]int64)
 
-// avx2PackA2 implements microImpl.packA2: the panels both terms store in
-// full go to packA2AVX2, each later one to packA2PartAVX2 with the rows
-// either term stores masked in. The re-slicings bound every source and
-// the destination to the exact extent the routines touch, as simdFull
-// does for the tile.
-func avx2PackA2(dst, x, y []float64, ld, h0, h1, cols, depth int, g0, g1 float64) {
+// avx2PackAN implements microImpl.packAN: the panels every term stores in
+// full go to packANAVX2, each later one to packANPartAVX2 with the rows
+// each term stores masked in. The re-slicings bound every source and the
+// destination to the exact extent the routines touch, as simdFull does
+// for the tile; a pointer past the term count is a placeholder the
+// routines never read.
+func avx2PackAN(dst []float64, ts packTerms, ld, cols, depth int) {
 	const mr = SIMDTileMR
-	panels := (max(h0, h1) + mr - 1) / mr
+	lo, hi := ts.span()
+	panels := (hi + mr - 1) / mr
 	if panels == 0 || cols <= 0 {
 		return
 	}
 	dst = dst[:(panels-1)*mr*depth+mr*cols]
-	full := min(h0, h1) / mr
+	var p [4]*float64
+	full := lo / mr
 	if full > 0 {
 		n := (cols-1)*ld + full*mr
-		packA2AVX2(&dst[0], &x[:n][0], &y[:n][0], ld, full, cols, depth, g0, g1)
+		for t := range p {
+			p[t] = &dst[0]
+			if t < ts.n {
+				p[t] = &ts.x[t][:n][0]
+			}
+		}
+		packANAVX2(&dst[0], p[0], p[1], p[2], p[3], ld, full, cols, depth, ts.n, &ts.g)
 	}
-	for p := full; p < panels; p++ {
-		var mask [2 * mr]int64
-		px := masked(x, mask[:mr], p*mr, h0-p*mr, (cols-1)*ld, &dst[0])
-		py := masked(y, mask[mr:], p*mr, h1-p*mr, (cols-1)*ld, &dst[0])
-		packA2PartAVX2(&dst[p*mr*depth], px, py, ld, cols, g0, g1, &mask)
+	for pn := full; pn < panels; pn++ {
+		var mask [4 * mr]int64
+		for t := range p {
+			p[t] = &dst[0]
+			if t < ts.n {
+				p[t] = masked(ts.x[t], mask[t*mr:(t+1)*mr], pn*mr, ts.h[t]-pn*mr, (cols-1)*ld, &dst[0])
+			}
+		}
+		packANPartAVX2(&dst[pn*mr*depth], p[0], p[1], p[2], p[3], ld, cols, ts.n, &ts.g, &mask)
 	}
 }
 
-// avx2PackB2 implements microImpl.packB2: the 4-row steps both terms
-// store in full go to packB2AVX2, each later one to packB2PartAVX2.
-func avx2PackB2(dst, x, y []float64, ld, panels, h0, h1, depth int, g0, g1 float64) {
+// avx2PackBN implements microImpl.packBN: the 4-row steps every term
+// stores in full go to packBNAVX2, each later one to packBNPartAVX2.
+func avx2PackBN(dst []float64, ts packTerms, ld, panels, depth int) {
 	const nr = SIMDTileNR
-	rows := (max(h0, h1) + 3) &^ 3
+	lo, hi := ts.span()
+	rows := (hi + 3) &^ 3
 	if panels <= 0 || rows == 0 {
 		return
 	}
 	dst = dst[:(panels-1)*nr*depth+nr*rows]
 	last := (panels*nr - 1) * ld // offset of the last column
-	full := min(h0, h1) &^ 3
+	var p [4]*float64
+	full := lo &^ 3
 	if full > 0 {
-		packB2AVX2(&dst[0], &x[:last+full][0], &y[:last+full][0], ld, panels, full, depth, g0, g1)
+		for t := range p {
+			p[t] = &dst[0]
+			if t < ts.n {
+				p[t] = &ts.x[t][:last+full][0]
+			}
+		}
+		packBNAVX2(&dst[0], p[0], p[1], p[2], p[3], ld, panels, full, depth, ts.n, &ts.g)
 	}
 	for s := full; s < rows; s += 4 {
-		var mask [8]int64
-		px := masked(x, mask[:4], s, h0-s, last, &dst[0])
-		py := masked(y, mask[4:], s, h1-s, last, &dst[0])
-		packB2PartAVX2(&dst[nr*s], px, py, ld, panels, depth, g0, g1, &mask)
+		var mask [16]int64
+		for t := range p {
+			p[t] = &dst[0]
+			if t < ts.n {
+				p[t] = masked(ts.x[t], mask[4*t:4*t+4], s, ts.h[t]-s, last, &dst[0])
+			}
+		}
+		packBNPartAVX2(&dst[nr*s], p[0], p[1], p[2], p[3], ld, panels, depth, ts.n, &ts.g, &mask)
 	}
 }
 

@@ -156,9 +156,9 @@ func TestSIMDFringeTail(t *testing.T) {
 // ragged in both dimensions, so its last tile row and column move between
 // ragged tiles of every size and full tiles as dm and dn grow. Both the
 // dispatched tile and the scalar tile are checked, through MulAdd and
-// through FusedMulAdd with one, two and three destinations — two is where
-// the SIMD tile's full tiles take the dual-scatter assembly and its ragged
-// ones the buffered scatter, which must round alike. The fused calls also
+// through FusedMulAdd with one to four destinations — from two on, the
+// SIMD tile's full tiles take the multi-destination assembly and its
+// ragged ones the buffered scatter, which must round alike. The fused calls also
 // run at the large shape with every destination's extent clipped to m×n:
 // a clipped tile must round like a full one and write nothing past the
 // extent.
@@ -200,14 +200,14 @@ func checkPositionIndependent(t *testing.T, k *Packed, rng *rand.Rand, ta, tb bl
 	k.MulAdd(ta, tb, m, n, kk, alpha, a, ar, b, br, small, bm)
 	requireLeadingBlockEqual(t, "MulAdd", big, small, m, n, bm, dm, dn)
 
-	// Fused: two-term operands over the same storage, 1, 2 and 3
-	// destinations, unclipped and clipped.
+	// Fused: two-term operands over the same storage, 1–4 destinations,
+	// unclipped and clipped.
 	a2, b2 := fill(rng, ar, ac, ar), fill(rng, br, bc, br)
 	aOp := Operand{Ld: ar, Trans: ta.IsTrans(), Terms: []Term{
 		{Data: a, Coeff: 1, Rows: bm, Cols: kk}, {Data: a2, Coeff: -1, Rows: bm, Cols: kk}}}
 	bOp := Operand{Ld: br, Trans: tb.IsTrans(), Terms: []Term{
 		{Data: b, Coeff: -1, Rows: kk, Cols: bn}, {Data: b2, Coeff: 1, Rows: kk, Cols: bn}}}
-	for _, coeffs := range [][]float64{{-1}, {1, -1}, {1, -1, 1}} {
+	for _, coeffs := range [][]float64{{-1}, {1, -1}, {1, -1, 1}, {-1, 1, 1, -1}} {
 		bigD := make([]Dest, len(coeffs))
 		smallD := make([]Dest, len(coeffs))
 		clipD := make([]Dest, len(coeffs))

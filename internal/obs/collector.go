@@ -66,7 +66,7 @@ func NewCollector() *Collector {
 // Event implements strassen.Tracer.
 func (c *Collector) Event(e strassen.TraceEvent) {
 	c.Registry.Counter(metricEventPrefix + e.Action).Add(1)
-	c.Registry.Gauge(metricMaxDepth).SetMax(int64(e.Depth))
+	c.Registry.Gauge(metricMaxDepth).SetMax(int64(e.Deepest()))
 }
 
 // BeginSpan implements strassen.SpanTracer.

@@ -195,10 +195,13 @@ func (p Params) Hybrid() Criterion {
 // EXPERIMENTS.md, "Crossover, re-measured and not applied"), one fused
 // SIMD level wins from n ≈ 160 up (the curve crosses between 128 and 160),
 // and the scalar packed tile's fused crossover sits near τ ≈ 192. The rows
-// are deliberately left at 448 and 136: lowering "simd+fused" adds a
-// materialized level to the 1024² benchmark workload and breaks its
-// workspace bound, so the change waits for a cutoff model that bounds the
-// depth (ROADMAP item 1).
+// are deliberately left at 448 and 136. On the AVX2 tile the 1024²
+// benchmark workload runs its two levels as one two-level fused node with
+// no Strassen temporaries; lowering "simd+fused" below 256 gives it a
+// third level, which runs as a materialized Winograd level above
+// two-level fused children on 128² leaves and brings back that level's
+// two 512² temporaries (4.19 MB), breaking the workspace bound, so the
+// change waits for a cutoff model that bounds the depth (ROADMAP item 1).
 // The "<kernel>/<algo>" rows apply when a non-default coefficient table
 // drives the recursion (Config.Algo / DGEFMM_ALGO); they come from
 // cmd/calibrate -algo sweeps on the development host (see EXPERIMENTS.md

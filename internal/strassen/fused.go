@@ -1,6 +1,6 @@
 package strassen
 
-// Fused levels: the last recursion level executed straight through the
+// Fused levels: the last recursion levels executed straight through the
 // kernel's operand-fused packing and multi-destination write-out hooks
 // (internal/kernel's FusedMulAdd), after Huang et al., "Implementing
 // Strassen's Algorithm with BLIS" (arXiv:1605.01078). A fused level is a
@@ -21,21 +21,32 @@ package strassen
 // trades Winograd's 15 O(n²) passes for 0 at the cost of re-reading
 // quadrants during packing.
 //
+// Two levels fuse as one ("two-level ABC"): the 1969 construction composed
+// with itself is 49 records on a 4×4 grid whose operands have at most four
+// terms and whose products have at most four destinations. It runs where
+// the kernel writes four destinations from registers (FusedDestLimit, the
+// AVX2 tile) and the level's grandchildren are base cases, in place of a
+// materialized level over seven fused children: the same leaves and
+// multiplications (the upper level's additions become the 1969 form's,
+// all inside packing and write-out), and no Strassen temporaries where
+// that level held two or three.
+// On the scalar and NEON tiles, which scatter extra destinations from a
+// buffer, two fused levels measured slower than that materialized level
+// (EXPERIMENTS.md), so their limit keeps one.
+//
 // Engagement: ScheduleAuto only (pinned schedules keep their exact
 // materialized form — the analytic opcount and workspace tests depend on
-// it), and only for the last level of the recursion, where the criterion
-// says the children are base cases. Deeper trees run a materialized level
-// and re-test at each child, so fusion always replaces the leaf-adjacent
-// level where the O(n²) overhead bites hardest relative to the O(n³)
-// saved. Under OddPeel a level the grid does not divide asks the same
-// question of its blocks rounded up to the grid (policy.padsVirtually):
-// when they are base cases it runs fused on those blocks, clipped to the
-// matrices, instead of peeling — the kernel reads the overhang as zero
-// and never writes it, so the padding is virtual and bit-identical to
-// running the level on zero-padded copies (fusedpad_test.go). (Fusing two levels through the composed 49-record table was
-// measured slower than a materialized level over fused children on the
-// scalar tile, and the SIMD tile's write-out cannot serve its 4-way
-// fan-out; see EXPERIMENTS.md.)
+// it), and only for the last levels of the recursion, where the criterion
+// says the children (or grandchildren) are base cases. Deeper trees run a
+// materialized level and re-test at each child, so fusion always replaces
+// the leaf-adjacent levels where the O(n²) overhead bites hardest relative
+// to the O(n³) saved. Under OddPeel a level the grid does not divide asks
+// the same question of its blocks rounded up to the grid
+// (policy.padsVirtually): when they fuse it runs fused on those blocks,
+// clipped to the matrices, instead of peeling — the kernel reads the
+// overhang as zero and never writes it, so the padding is virtual and
+// bit-identical to running the level on zero-padded copies
+// (fusedpad_test.go).
 
 import (
 	"fmt"
@@ -151,7 +162,8 @@ func (cfg *Config) fusedHooks() fusedKernel {
 // fusedKernel is the structural hook interface a kernel implements to serve
 // fused Strassen levels (internal/kernel's Packed does), with the hook's
 // threaded form for multi-worker runtimes and how many destinations its
-// write-out serves natively (which only gates tableFusable). Kept
+// write-out serves natively (which only gates tableFusable, and so
+// whether two levels fuse). Kept
 // structural like leafSizer so the strassen package does not choose a
 // kernel implementation for its callers.
 type fusedKernel interface {
@@ -185,6 +197,16 @@ var classic = func() *algo.Table {
 	t, _ := algo.ByName("classic")
 	return t
 }()
+
+// classic2 is the 1969 construction composed with itself: two levels as
+// one ⟨4,4,4⟩ table of 49 products, every operand ≤4 terms and every
+// product ≤4 destinations, all ±1.
+var classic2 = algo.MustCompose("classic2", classic, classic)
+
+// fused2 is the two-level fused program: classic2's records on the 4×4
+// grid. It counts as two recursion levels (Plan.Depth, the trace's
+// deepest level).
+var fused2 = &program{name: "fused2", m: 4, k: 4, n: 4, recs: tableFusedRecords(classic2)}
 
 // tableFusable reports whether a table's products fit the kernel's fused
 // hooks: ±1 coefficients (the hooks' bitwise contract), at most 4 operand

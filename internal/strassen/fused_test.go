@@ -1,6 +1,7 @@
 package strassen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/memtrack"
+	"repro/internal/sched"
 )
 
 // --- Record-table algebra -------------------------------------------------
@@ -69,7 +71,8 @@ func intRandom(rows, cols int, rng *rand.Rand) *matrix.Dense {
 // table (7 records) and from its composition with itself (49 records on
 // the 4×4 grid) reproduce the plain product exactly on integer matrices —
 // the algebraic correctness of the record derivation the fused levels
-// stream to the kernel.
+// stream to the kernel — and that the composed records do so through the
+// kernel's packers and write-out too.
 func TestFusedTablesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	level1 := tableFusedRecords(classic)
@@ -95,16 +98,51 @@ func TestFusedTablesExact(t *testing.T) {
 		want := matrix.NewDense(m, n)
 		blas.NaiveKernel{}.MulAdd(blas.NoTrans, blas.NoTrans, m, n, k, 1,
 			a.Data, a.Stride, b.Data, b.Stride, want.Data, want.Stride)
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				if got.At(i, j) != want.At(i, j) {
-					t.Fatalf("%d records g=%d dims=%v: exact mismatch at (%d,%d): %g vs %g",
-						len(tc.recs), tc.g, tc.dims, i, j, got.At(i, j), want.At(i, j))
-				}
+		requireExact(t, fmt.Sprintf("%d records g=%d dims=%v", len(tc.recs), tc.g, tc.dims), got, want)
+	}
+
+	// The composed records through the kernel: a two-level fused node on
+	// 64×64 blocks (full tiles, four destinations written from registers
+	// where the tile has the native write-out) and on clipped 63×61×62
+	// ones, exact on integers.
+	for _, dims := range [][3]int{{256, 256, 256}, {251, 243, 247}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		a := intRandom(m, k, rng)
+		b := intRandom(k, n, rng)
+		want := matrix.NewDense(m, n)
+		blas.NaiveKernel{}.MulAdd(blas.NoTrans, blas.NoTrans, m, n, k, 1,
+			a.Data, a.Stride, b.Data, b.Stride, want.Data, want.Stride)
+		pk := &kernel.Packed{}
+		ct := NewCountTracer()
+		cfg := &Config{Kernel: twoLevelKernel{pk}, Criterion: Simple{Tau: 64}, Fused: FusedOn, Tracer: ct}
+		got := matrix.NewDense(m, n)
+		DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, got.Data, got.Stride)
+		if ct.Count("fused2") != 1 || ct.Total() != 1 {
+			t.Fatalf("dims=%v: want one fused2 node, got %s", dims, ct)
+		}
+		requireExact(t, fmt.Sprintf("fused2 through the %s tile, dims=%v", pk.ISA(), dims), got, want)
+	}
+}
+
+// requireExact fails unless got equals want element for element.
+func requireExact(t *testing.T, what string, got, want *matrix.Dense) {
+	t.Helper()
+	for j := 0; j < want.Cols; j++ {
+		for i := 0; i < want.Rows; i++ {
+			if got.At(i, j) != want.At(i, j) {
+				t.Fatalf("%s: exact mismatch at (%d,%d): %g vs %g", what, i, j, got.At(i, j), want.At(i, j))
 			}
 		}
 	}
 }
+
+// twoLevelKernel reports a fused write-out limit of four, so two levels
+// fuse as one node on any tile: natively on the AVX2 tile, through the
+// buffered scatter elsewhere. It lets the two-level tests run on every
+// host.
+type twoLevelKernel struct{ *kernel.Packed }
+
+func (twoLevelKernel) FusedDestLimit() int { return 4 }
 
 // --- Mode resolution ------------------------------------------------------
 
@@ -378,5 +416,75 @@ func TestFusedNoTemporaries(t *testing.T) {
 	Multiply(cfg, c, blas.NoTrans, blas.NoTrans, 1, a, b, 0)
 	if tr.Peak() != 0 {
 		t.Errorf("fully fused multiply drew %d Strassen workspace words, want 0", tr.Peak())
+	}
+}
+
+// TestFusedTwoLevels: where the kernel writes four destinations natively,
+// a level whose grandchildren are base cases runs as one fused2 node (49
+// kernel calls) that PlanFor and the trace count as two levels, with no
+// Strassen workspace; above it a materialized level runs as before; a DAG
+// level keeps its children's single fused level below it; FusedOff and
+// pinned schedules never fuse; and the results stay within the error band
+// of the oracle. The default configuration runs square_b0's 1024³ this way
+// on the AVX2 tile.
+func TestFusedTwoLevels(t *testing.T) {
+	skipIfAlgoPinned(t)
+	w2 := sched.New(2, 1)
+	defer w2.Close()
+	rng := rand.New(rand.NewSource(64))
+	cases := []struct {
+		n     int
+		mode  FusedMode
+		sch   Schedule
+		rt    *sched.Runtime
+		trace string // the CountTracer summary
+		calls int64  // fused kernel calls
+		depth int
+	}{
+		{64, FusedOn, ScheduleAuto, nil, "depth≤1: fused2=1", 49, 2},
+		{128, FusedOn, ScheduleAuto, nil, "depth≤2: fused2=7 strassen1=1", 343, 3},
+		{64, FusedOn, ScheduleAuto, w2, "depth≤1: fused1=7 parallel=1", 49, 2},
+		{128, FusedOn, ScheduleAuto, w2, "depth≤2: fused2=7 parallel=1", 343, 3},
+		{64, FusedOff, ScheduleAuto, nil, "depth≤2: base=49 strassen1=8", 0, 2},
+		{64, FusedOn, ScheduleStrassen1, nil, "depth≤2: base=49 strassen1=8", 0, 2},
+	}
+	for _, tc := range cases {
+		pk := &kernel.Packed{MC: 16, KC: 12, NC: 16}
+		tr, ct := memtrack.New(), NewCountTracer()
+		cfg := &Config{Kernel: twoLevelKernel{pk}, Criterion: Simple{Tau: 16}, Fused: tc.mode, Schedule: tc.sch, Tracer: ct, Tracker: tr}
+		if tc.rt != nil {
+			cfg.Sched, cfg.SchedLevels = tc.rt, 1
+		}
+		a := matrix.NewRandom(tc.n, tc.n, rng)
+		b := matrix.NewRandom(tc.n, tc.n, rng)
+		c := matrix.NewRandom(tc.n, tc.n, rng)
+		want := refMul(blas.NoTrans, blas.NoTrans, -0.5, a, b, 0, c)
+		Multiply(cfg, c, blas.NoTrans, blas.NoTrans, -0.5, a, b, 0)
+		what := fmt.Sprintf("n=%d fused=%v schedule=%v runtime=%v", tc.n, tc.mode, tc.sch, tc.rt != nil)
+		if got := ct.String(); got != tc.trace || pk.FusedCounters() != tc.calls {
+			t.Errorf("%s: trace %q with %d fused calls, want %q with %d", what, got, pk.FusedCounters(), tc.trace, tc.calls)
+		}
+		plan := PlanFor(cfg, tc.n, tc.n, tc.n, true)
+		if plan.Depth != tc.depth || (tc.rt == nil && plan.Words != tr.Peak()) {
+			t.Errorf("%s: plan depth %d words %d, want depth %d and the measured peak %d", what, plan.Depth, plan.Words, tc.depth, tr.Peak())
+		}
+		if tc.trace == "depth≤1: fused2=1" && tr.Peak() != 0 {
+			t.Errorf("%s: a two-level fused node drew %d Strassen words, want 0", what, tr.Peak())
+		}
+		if d := matrix.MaxAbsDiff(c, want); d > tol(tc.n) {
+			t.Errorf("%s: maxdiff %g", what, d)
+		}
+	}
+
+	// A kernel that scatters extra destinations from a buffer keeps one
+	// fused level, whatever the tile.
+	if (&kernel.Packed{Mode: kernel.ModeScalar}).FusedDestLimit() != 2 {
+		t.Error("the scalar tile must fuse one level")
+	}
+	// The default configuration on square_b0's shape.
+	if (&kernel.Packed{}).FusedDestLimit() >= 4 && envFused() != "off" {
+		if p := PlanFor(nil, 1024, 1024, 1024, true); p.Depth != 2 || p.Words != 0 {
+			t.Errorf("default 1024³ β = 0 plan: depth %d words %d, want 2 and 0", p.Depth, p.Words)
+		}
 	}
 }

@@ -82,11 +82,13 @@ func paddedCopy(m *matrix.Dense, rp, cp int) *matrix.Dense {
 	return out
 }
 
-// padCase is one oracle run: a path's grid g, levels materialized levels
-// above the fused one (or above hook leaves, where the last level is not
-// fusable), each dimension g^(levels+1)·q short by s, base cases of
-// τ = q, and a sequential call (workers 0) or a runtime of 1 or 2
-// workers, whose top level runs as a task DAG.
+// padCase is one oracle run: a path's grid g, levels recursion levels
+// above the last one (materialized levels above the fused one, or above
+// hook leaves where the last level is not fusable; on a kernel that fuses
+// two levels the last two fuse as one, see twoLevel), each dimension
+// g^(levels+1)·q short by s, base cases of τ = q, and a sequential call
+// (workers 0) or a runtime of 1 or 2 workers, whose top level runs as a
+// task DAG.
 type padCase struct {
 	kern, levels int
 	path         string
@@ -118,16 +120,25 @@ func (pc padCase) String() string {
 		padKernels[pc.kern].name, pc.path, pc.levels, pc.q, pc.s, pc.ta, pc.tb, pc.beta, pc.workers)
 }
 
+// twoLevel reports whether the case's last two levels fuse as one node
+// (fused2) at depth levels−1: on the default path, where the kernel writes
+// four destinations natively, when that depth is a sequential level (the
+// top level of a runtime call is a DAG level).
+func (pc padCase) twoLevel(pk *kernel.Packed) bool {
+	return pc.path == algo.DefaultName && pk.FusedDestLimit() >= 4 && pc.levels > 0 && (pc.workers == 0 || pc.levels > 1)
+}
+
 // peels reports whether the case's top level must peel: on the default
-// path at β = 0 a sequential call's top level is STRASSEN1, which fails
-// (b) where its C blocks overhang in m or n — C21 ← C22 − C11 − C21
-// needs the column C22 lacks, C12 ← C12 + C21 the row C21 lacks. (A DAG
-// top level writes its products to temporaries, so its STRASSEN1
-// children's C blocks overhang only where their own shape is odd, which
-// the shortfalls below avoid.) Everything else the oracle runs pads
-// virtually at every level.
-func (pc padCase) peels() bool {
-	return pc.levels > 0 && pc.path == algo.DefaultName && pc.beta == 0 && pc.workers == 0 && (pc.s[0] > 0 || pc.s[2] > 0)
+// path at β = 0 a sequential call's top level is STRASSEN1 unless it is
+// the two-level fused node, and STRASSEN1 fails (b) where its C blocks
+// overhang in m or n — C21 ← C22 − C11 − C21 needs the column C22 lacks,
+// C12 ← C12 + C21 the row C21 lacks. (A DAG top level writes its products
+// to temporaries, so its STRASSEN1 children's C blocks overhang only where
+// their own shape is odd, which the shortfalls below avoid.) Everything
+// else the oracle runs pads virtually at every level.
+func (pc padCase) peels(pk *kernel.Packed) bool {
+	return pc.levels > 0 && pc.path == algo.DefaultName && pc.beta == 0 && pc.workers == 0 && (pc.s[0] > 0 || pc.s[2] > 0) &&
+		!(pc.twoLevel(pk) && pc.levels == 1)
 }
 
 // checkPad runs one case with OddPeel, padding virtually, and against
@@ -182,14 +193,14 @@ func checkPad(t *testing.T, pc padCase) {
 	DGEFMM(cfg(OddPeel, tr), transA, transB, m, n, k, pc.alpha, a.Data, a.Stride, b.Data, b.Stride, pc.beta, got, c0.Stride)
 	levels := make([]string, pc.levels+1) // the first action at each depth
 	for _, e := range tr.Events {
-		if (strings.HasPrefix(e.Action, "fixup") || e.Action == "peel") && !pc.peels() {
+		if (strings.HasPrefix(e.Action, "fixup") || e.Action == "peel") && !pc.peels(pk) {
 			t.Fatalf("%s: %s at depth %d", pc, e.Action, e.Depth)
 		}
 		if e.Depth <= pc.levels && levels[e.Depth] == "" {
 			levels[e.Depth] = e.Action
 		}
 	}
-	if pc.peels() {
+	if pc.peels(pk) {
 		if levels[0] != "peel" {
 			t.Fatalf("%s: the top level pads virtually (%v); want it to peel", pc, levels)
 		}
@@ -197,29 +208,41 @@ func checkPad(t *testing.T, pc padCase) {
 	}
 	// The last level is fused unless the kernel cannot fuse the table or
 	// it is the top level of a runtime call (a DAG level over hook leaves).
+	// Where the last two fuse as one, the fused node sits a level higher
+	// and no node starts at the last depth.
 	lastFused := fusable(pk, pc.path) && (pc.workers == 0 || pc.levels > 0)
+	fusedAt, fusedName := pc.levels, "fused1"
+	if pc.twoLevel(pk) {
+		fusedAt, fusedName = pc.levels-1, "fused2"
+	}
 	for d, act := range levels {
-		fused := act == "fused1"
-		if act == "" || act == "peel" || act == "base" || fused != (d == pc.levels && lastFused) ||
+		if d > fusedAt && lastFused {
+			if act != "" {
+				t.Fatalf("%s: depth %d runs %q below the fused node (levels %v)", pc, d, act, levels)
+			}
+			continue
+		}
+		fused := act == fusedName
+		if act == "" || act == "peel" || act == "base" || fused != (d == fusedAt && lastFused) ||
 			(d == 0 && pc.workers > 0) != (act == "parallel") {
 			t.Fatalf("%s: depth %d runs %q (levels %v)", pc, d, act, levels)
 		}
 	}
 
-	// Every level above the last runs all the table's products, so a
-	// fused last level traces once per product path; a sequential fused
-	// top level is the only event of its call.
+	// Every level above the fused one runs all the table's products, so
+	// it traces once per product path; a sequential fused top level is the
+	// only event of its call.
 	counts := tally(tr.Events)
 	tbl, _ := algo.ByName(pc.path)
 	wantFused := 0
 	if lastFused {
 		wantFused = 1
-		for range pc.levels {
+		for range fusedAt {
 			wantFused *= tbl.R
 		}
 	}
-	if counts["fused1"] != wantFused || (pc.levels == 0 && pc.workers == 0 && len(tr.Events) != 1) {
-		t.Fatalf("%s: want %d fused1 levels, got %v", pc, wantFused, counts)
+	if counts[fusedName] != wantFused || (fusedAt == 0 && pc.workers == 0 && len(tr.Events) != 1) {
+		t.Fatalf("%s: want %d %s levels, got %v", pc, wantFused, fusedName, counts)
 	}
 
 	want := append([]float64(nil), c0.Data...)
@@ -231,7 +254,7 @@ func checkPad(t *testing.T, pc padCase) {
 		ref := tally(rtr.Events)
 		pads := ref["pad-dynamic"]
 		delete(ref, "pad-dynamic")
-		if pads < 1 || (pc.levels == 0 && pads != 1) || !maps.Equal(ref, counts) {
+		if pads < 1 || (fusedAt == 0 && lastFused && pads != 1) || !maps.Equal(ref, counts) {
 			t.Fatalf("%s: reference padded %d times and ran %v; the virtual run ran %v", pc, pads, ref, counts)
 		}
 	} else {
@@ -344,8 +367,12 @@ func TestFusedPadMatchesRealPadding(t *testing.T) {
 // (which peels where STRASSEN1 cannot pad, see padCase.peels), on the
 // Compat kernel and the SIMD tile with small blocks, sequentially and on
 // 1- and 2-worker runtimes (-short: the Compat kernel, sequential and 2
-// workers). Two levels of a wider table run thousands of tiny leaves, so
-// those cases take one shortfall, β and transpose pair.
+// workers). Where the SIMD tile fuses the default path's last two levels
+// as one node, the trees also run a level deeper, so that two
+// materialized levels still run above it (one level runs none above it
+// sequentially: the fused node is the top). Two levels of a wider table
+// run thousands of tiny leaves, so those cases take one shortfall, β and
+// transpose pair.
 func TestMaterializedPadMatchesRealPadding(t *testing.T) {
 	kerns, workers := []int{0, 2}, []int{0, 1, 2}
 	if testing.Short() {
@@ -355,7 +382,11 @@ func TestMaterializedPadMatchesRealPadding(t *testing.T) {
 	for _, kern := range kerns {
 		for _, path := range AlgoNames() {
 			tbl, _ := algo.ByName(path)
-			for _, levels := range []int{1, 2} {
+			levelsSet := []int{1, 2}
+			if (padCase{path: path, levels: 3}).twoLevel(padKernels[kern].make()) {
+				levelsSet = append(levelsSet, 3)
+			}
+			for _, levels := range levelsSet {
 				q, shorts, betas, trs := 4, shortfalls(path, levels), []float64{0, 1, 0.25}, []int{0, 1, 2, 3}
 				if tbl.M*tbl.K*tbl.N > 8 {
 					q = 3 - levels/2
@@ -379,7 +410,8 @@ func TestMaterializedPadMatchesRealPadding(t *testing.T) {
 	}
 }
 
-// FuzzFusedPad fuzzes the oracles over block size, levels, per-dimension
+// FuzzFusedPad fuzzes the oracles over block size, levels (up to three on
+// the default path, whose last two may fuse as one node), per-dimension
 // shortfall, transposes, β, kernel, path and workers. CI runs a 10s
 // smoke; testdata/fuzz/FuzzFusedPad holds seeds with materialized levels.
 func FuzzFusedPad(f *testing.F) {
@@ -389,13 +421,16 @@ func FuzzFusedPad(f *testing.F) {
 	f.Add(uint8(5), uint8(2), uint8(2), uint8(2), true, true, uint8(1), uint8(2), uint8(3), int64(4), uint8(0), uint8(0))
 
 	f.Fuzz(func(t *testing.T, q8, sm, sk, sn uint8, ta, tb bool, betaSel, kernSel, pathSel uint8, seed int64, levels8, workers8 uint8) {
-		pc := padCase{kern: int(kernSel) % len(padKernels), levels: int(levels8 % 3), ta: ta, tb: tb,
+		pc := padCase{kern: int(kernSel) % len(padKernels), levels: int(levels8 % 4), ta: ta, tb: tb,
 			alpha: 1.25, beta: [3]float64{0, 1, 0.25}[betaSel%3], workers: int(workers8 % 3), seed: seed}
 		paths := padPaths(padKernels[pc.kern].make())
 		if pc.levels > 0 {
 			paths = AlgoNames()
 		}
 		pc.path = paths[int(pathSel)%len(paths)]
+		if pc.path != algo.DefaultName {
+			pc.levels = min(pc.levels, 2) // wider grids: thousands of leaves
+		}
 		tbl, _ := algo.ByName(pc.path)
 		pc.q = int(q8%40) + 4
 		if pc.levels > 0 {

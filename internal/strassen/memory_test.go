@@ -204,35 +204,51 @@ func TestTrackerReuseAcrossLevels(t *testing.T) {
 }
 
 // TestPlanMatchesMeasuredVirtualPadding: on odd shapes whose levels pad
-// virtually — a fused level at the top or below a materialized one, a
-// materialized level over fused children (as odd_update runs 1023³), on
+// virtually — a fused level (one or two levels fused as one node) at the
+// top or below a materialized one, a materialized level over fused
+// children (as odd_update ran 1023³ before its two levels fused), on
 // rectangular shapes and on a wider table's grid — PlanFor still equals
 // the measured Strassen workspace peak and the kernel arena peak to the
 // word. Fused leaves pack their rounded-up block shape, so KernelWords
 // follows the padded blocks, and a virtually padded materialized level's
 // temporaries have the rounded-up block shape. Peel counts are per β: a
 // β = 0 default level is STRASSEN1, which peels where its C blocks
-// overhang in m or n.
+// overhang in m or n. A kernel that fuses two levels runs each tree one
+// level deeper, so that the same levels run above its fused node.
 func TestPlanMatchesMeasuredVirtualPadding(t *testing.T) {
-	cases := []struct {
+	type tree struct {
 		m, k, n, tau int
-		algo         string
-		fused        int    // expected fused1 trace events
+		fused        string // the fused node's trace action
+		nodes        int    // how many fused nodes run
 		peels        [2]int // expected peel events at β = 0 and β = 0.5
+	}
+	cases := []struct {
+		algo     string
+		one, two tree // on a kernel that fuses one level and on one that fuses two
 	}{
-		{33, 33, 33, 17, "default", 1, [2]int{0, 0}},    // the top level pads virtually
-		{67, 67, 67, 17, "default", 7, [2]int{1, 0}},    // a materialized level over 7 fused children
-		{127, 127, 127, 40, "default", 7, [2]int{1, 0}}, // the same, odd_update's tree in miniature
-		{35, 27, 41, 21, "default", 1, [2]int{0, 0}},    // rectangular, every dimension odd
-		{34, 19, 34, 17, "default", 1, [2]int{0, 0}},    // only k odd
-		{68, 67, 68, 17, "default", 7, [2]int{0, 0}},    // only k odd below a STRASSEN1 level, which pads too
-		{29, 17, 29, 10, "323", 1, [2]int{0, 0}},        // a 3×2×3 grid
+		// The top level pads virtually.
+		{"default", tree{33, 33, 33, 17, "fused1", 1, [2]int{0, 0}}, tree{67, 67, 67, 17, "fused2", 1, [2]int{0, 0}}},
+		// A materialized level over 7 fused children.
+		{"default", tree{67, 67, 67, 17, "fused1", 7, [2]int{1, 0}}, tree{135, 135, 135, 17, "fused2", 7, [2]int{1, 0}}},
+		// The same, odd_update's tree in miniature.
+		{"default", tree{127, 127, 127, 40, "fused1", 7, [2]int{1, 0}}, tree{255, 255, 255, 40, "fused2", 7, [2]int{1, 0}}},
+		// Rectangular, every dimension odd; only k odd.
+		{"default", tree{35, 27, 41, 21, "fused1", 1, [2]int{0, 0}}, tree{35, 27, 41, 21, "fused1", 1, [2]int{0, 0}}},
+		{"default", tree{34, 19, 34, 17, "fused1", 1, [2]int{0, 0}}, tree{34, 19, 34, 17, "fused1", 1, [2]int{0, 0}}},
+		// Only k odd below a STRASSEN1 level, which pads too.
+		{"default", tree{68, 67, 68, 17, "fused1", 7, [2]int{0, 0}}, tree{136, 135, 136, 17, "fused2", 7, [2]int{0, 0}}},
+		// A 3×2×3 grid.
+		{"323", tree{29, 17, 29, 10, "fused1", 1, [2]int{0, 0}}, tree{29, 17, 29, 10, "fused1", 1, [2]int{0, 0}}},
 	}
 	for _, kc := range []func() *kernel.Packed{
 		func() *kernel.Packed { return &kernel.Packed{Compat: true} },
 		func() *kernel.Packed { return &kernel.Packed{Mode: kernel.ModeSIMD, MC: 16, KC: 12, NC: 16} },
 	} {
-		for _, tc := range cases {
+		for _, c := range cases {
+			tc := c.one
+			if kc().FusedDestLimit() >= 4 {
+				tc = c.two
+			}
 			for bi, beta := range []float64{0, 0.5} {
 				rng := rand.New(rand.NewSource(int64(tc.m*7 + tc.k*3 + tc.n)))
 				pk := kc()
@@ -240,17 +256,17 @@ func TestPlanMatchesMeasuredVirtualPadding(t *testing.T) {
 				pk.SetArena(arena)
 				tr := memtrack.New()
 				ct := NewCountTracer()
-				cfg := &Config{Kernel: pk, Criterion: Simple{Tau: tc.tau}, Algo: tc.algo, Fused: FusedOn}
+				cfg := &Config{Kernel: pk, Criterion: Simple{Tau: tc.tau}, Algo: c.algo, Fused: FusedOn}
 				plan := PlanFor(cfg, tc.m, tc.n, tc.k, beta == 0)
 				run := *cfg
 				run.Tracker, run.Tracer = tr, ct
 				a := matrix.NewRandom(tc.m, tc.k, rng)
 				b := matrix.NewRandom(tc.k, tc.n, rng)
-				c := matrix.NewRandom(tc.m, tc.n, rng)
+				cm := matrix.NewRandom(tc.m, tc.n, rng)
 				DGEFMM(&run, blas.NoTrans, blas.NoTrans, tc.m, tc.n, tc.k, 1,
-					a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
-				if ct.Count("fused1") != tc.fused || ct.Count("peel") != tc.peels[bi] {
-					t.Fatalf("%+v beta=%g: want %d fused1 and %d peel events, got %s", tc, beta, tc.fused, tc.peels[bi], ct)
+					a.Data, a.Stride, b.Data, b.Stride, beta, cm.Data, cm.Stride)
+				if ct.Count(tc.fused) != tc.nodes || ct.Count("peel") != tc.peels[bi] {
+					t.Fatalf("%+v beta=%g: want %d %s and %d peel events, got %s", tc, beta, tc.nodes, tc.fused, tc.peels[bi], ct)
 				}
 				if plan.Words != tr.Peak() || plan.KernelWords != arena.Peak() {
 					t.Errorf("%+v beta=%g: plan words/kernel words %d/%d, measured %d/%d",
@@ -265,31 +281,43 @@ func TestPlanMatchesMeasuredVirtualPadding(t *testing.T) {
 }
 
 // TestVirtualPadWorkspaceGrowth pins what padding a materialized level
-// virtually costs against peeling it, on shapes shaped like odd_update
-// (an odd top level running STRASSEN2 over fused children): the three
-// temporaries grow from ⌊m/2⌋² to ⌈m/2⌉² words each, and nothing else
-// moves — the fused children pack the same 256-block leaves either way.
-// At 1023³ that is 3·(512² − 511²) = 3,069 words, odd_update's
-// workspace_mb going from 7.31548 to 7.340032.
+// virtually costs against peeling it, on an odd top level running
+// STRASSEN2 over fused children (odd_update's tree before its two levels
+// fused): the three temporaries grow from ⌊m/2⌋² to ⌈m/2⌉² words each, and
+// nothing else moves — the fused children pack the same leaves either
+// way. On a kernel that fuses two levels the tree is one level deeper
+// (2047³ and 255³ where one fused level takes 1023³ and 127³), so that
+// the STRASSEN2 level still runs; odd_update's own 1023³ then runs as
+// one two-level fused node with no Strassen temporaries.
 func TestVirtualPadWorkspaceGrowth(t *testing.T) {
 	pk := &kernel.Packed{Mode: kernel.ModeSIMD}
+	fusedLevels := 1
+	if pk.FusedDestLimit() >= 4 {
+		fusedLevels = 2
+	}
 	for _, tc := range []struct{ m, tau int }{{1023, 448}, {127, 40}} {
+		m := (tc.m+1)<<(fusedLevels-1) - 1
 		cfg := &Config{Kernel: pk, Criterion: Simple{Tau: tc.tau}, Fused: FusedOn}
-		plan := PlanFor(cfg, tc.m, tc.m, tc.m, false)
-		hi, lo := int64(tc.m+1)/2, int64(tc.m)/2
-		if plan.Words != 3*hi*hi || plan.Depth != 2 {
-			t.Errorf("%d³: Words %d at depth %d, want 3·%d² = %d at depth 2", tc.m, plan.Words, plan.Depth, hi, 3*hi*hi)
+		plan := PlanFor(cfg, m, m, m, false)
+		hi, lo := int64(m+1)/2, int64(m)/2
+		if plan.Words != 3*hi*hi || plan.Depth != 1+fusedLevels {
+			t.Errorf("%d³: Words %d at depth %d, want 3·%d² = %d at depth %d", m, plan.Words, plan.Depth, hi, 3*hi*hi, 1+fusedLevels)
 		}
-		if want := pk.LeafWorkspace(int(hi+1)/2, int(hi+1)/2, int(hi+1)/2); plan.KernelWords != want {
-			t.Errorf("%d³: KernelWords %d, want one fused leaf of the padded blocks, %d", tc.m, plan.KernelWords, want)
+		leaf := int(hi) >> fusedLevels
+		if want := pk.LeafWorkspace(leaf, leaf, leaf); plan.KernelWords != want {
+			t.Errorf("%d³: KernelWords %d, want one fused leaf of the padded blocks, %d", m, plan.KernelWords, want)
 		}
-		peeled := PlanFor(cfg, tc.m-1, tc.m-1, tc.m-1, false) // the core a peel would run
+		peeled := PlanFor(cfg, m-1, m-1, m-1, false) // the core a peel would run
 		if got, want := plan.Words-peeled.Words, 3*(hi*hi-lo*lo); got != want || plan.KernelWords != peeled.KernelWords {
 			t.Errorf("%d³: virtual padding grows Words by %d and KernelWords by %d, want %d and 0",
-				tc.m, got, plan.KernelWords-peeled.KernelWords, want)
+				m, got, plan.KernelWords-peeled.KernelWords, want)
 		}
 	}
-	if got := PlanFor(&Config{Kernel: pk, Criterion: Simple{Tau: 448}, Fused: FusedOn}, 1023, 1023, 1023, false).Words; got != 786432 {
-		t.Errorf("1023³ Words = %d, want 786,432 (3·512²)", got)
+	want, depth := int64(786432), 2 // 3·512²: STRASSEN2 over fused children
+	if fusedLevels == 2 {
+		want = 0 // one two-level fused node
+	}
+	if p := PlanFor(&Config{Kernel: pk, Criterion: Simple{Tau: 448}, Fused: FusedOn}, 1023, 1023, 1023, false); p.Words != want || p.Depth != depth {
+		t.Errorf("1023³ Words = %d at depth %d, want %d at depth %d", p.Words, p.Depth, want, depth)
 	}
 }

@@ -194,17 +194,14 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int, x extent) simResult
 	case !s.recurse(m, k, n, depth):
 		r.kernel = s.leafWords(m, n, k)
 	case s.odd == OddPadDynamic:
-		s.plan.Depth = max(s.plan.Depth, depth+1)
 		mp, kp, np := m+(m&1), k+(k&1), n+(n&1)
 		r = s.level(mp, kp, np, betaZero, depth, full(mp, kp, np))
 		if mp != m || kp != k || np != n {
 			r.words += int64(mp)*int64(kp) + int64(kp)*int64(np) + int64(mp)*int64(np)
 		}
 	case s.padsVirtually(m, k, n, betaZero, depth, x):
-		s.plan.Depth = max(s.plan.Depth, depth+1)
 		r = s.level(m, k, n, betaZero, depth, x)
 	default: // peeling, first or last: a level on the core, then fixups
-		s.plan.Depth = max(s.plan.Depth, depth+1)
 		gm, gk, gn := s.grid()
 		me, ke, ne := m-m%gm, k-k%gk, n-n%gn
 		r = s.level(me, ke, ne, betaZero, depth, full(me, ke, ne))
@@ -226,7 +223,8 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int, x extent) simResult
 }
 
 // level accounts one level program on operands that store x, on a
-// grid-divisible problem or one padding virtually: a fused level draws
+// grid-divisible problem or one padding virtually, and the recursion
+// levels it runs (two for the two-level fused form): a fused level draws
 // only the kernel's panels at the (rounded-up) block shape; any other
 // needs its declared temporaries plus its worst child — or, on a DAG
 // level, lanes concurrent children, each of which can be inside a kernel
@@ -235,6 +233,7 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int, x extent) simResult
 // and product.
 func (s *planSim) level(m, k, n int, betaZero bool, depth int, x extent) simResult {
 	p := s.levelProgram(m, k, n, betaZero, depth)
+	s.plan.Depth = max(s.plan.Depth, depth+p.levels())
 	if p.recs != nil {
 		return simResult{kernel: s.leafWords(ceilDiv(m, p.m), ceilDiv(n, p.n), ceilDiv(k, p.k))}
 	}

@@ -156,6 +156,16 @@ func (p *program) build() *program {
 	return p
 }
 
+// levels is how many recursion levels the program runs: two for the
+// two-level fused program, one node that folds its children's level into
+// its records.
+func (p *program) levels() int {
+	if p == fused2 {
+		return 2
+	}
+	return 1
+}
+
 // products returns the number of mul ops (the level's fan-out).
 func (p *program) products() int {
 	r := 0

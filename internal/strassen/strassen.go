@@ -2,6 +2,7 @@ package strassen
 
 import (
 	"context"
+	"unsafe"
 
 	"repro/internal/algo"
 	"repro/internal/blas"
@@ -52,12 +53,14 @@ func dgefmm(ctx context.Context, outer sched.Submitter, cfg *Config, transA, tra
 		cfg = DefaultConfig(nil)
 	}
 	// Run the identical checks DGEMM performs, by calling it with alpha=0,
-	// beta=1 so no arithmetic happens but every argument is vetted. This
-	// guarantees DGEFMM accepts exactly the inputs DGEMM accepts.
+	// beta=1 so no arithmetic happens but every argument is vetted. DGEFMM
+	// accepts exactly the inputs DGEMM accepts, except an aliased C
+	// (checkAliasing).
 	blas.Dgemm(transA, transB, m, n, k, 0, a, lda, b, ldb, 1, c, ldc)
 	if m == 0 || n == 0 {
 		return ctxErr(ctx)
 	}
+	checkAliasing(transA, transB, m, n, k, a, lda, b, ldb, c, ldc)
 
 	cm := matrix.FromColMajor(m, n, ldc, c)
 	if alpha == 0 || k == 0 {
@@ -94,6 +97,67 @@ func dgefmm(ctx context.Context, outer sched.Submitter, cfg *Config, transA, tra
 		e.mul(cm, av, bv, alpha, beta, 0)
 	}
 	return ctxErr(ctx)
+}
+
+// checkAliasing rejects, through xerbla, a C whose addressed elements
+// intersect those of op(A) or op(B): the recursion writes C (STRASSEN1
+// uses it as scratch, a fused level updates several C blocks per product)
+// while it still reads A and B, so an overlapping C would be silently
+// wrong. Disjoint blocks of one array — an LU trailing update, columns
+// interleaved through a leading dimension — are accepted.
+func checkAliasing(transA, transB blas.Transpose, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	ra, ca := m, k
+	if transA.IsTrans() {
+		ra, ca = k, m
+	}
+	rb, cb := k, n
+	if transB.IsTrans() {
+		rb, cb = n, k
+	}
+	if overlaps(c, ldc, m, n, a, lda, ra, ca) {
+		blas.Xerbla("DGEFMM", 12, "c overlaps a")
+	}
+	if overlaps(c, ldc, m, n, b, ldb, rb, cb) {
+		blas.Xerbla("DGEFMM", 12, "c overlaps b")
+	}
+}
+
+// overlaps reports whether the rows×cols column-major matrix x (leading
+// dimension ldx) and the r×s matrix y (ldy) share an element. Matrices in
+// different arrays never do; in one array, each column of x is an
+// interval of element offsets, and it meets y's column i when y's column
+// start, off + i·ldy, lies in (lo − r, hi).
+func overlaps(x []float64, ldx, rows, cols int, y []float64, ldy, r, s int) bool {
+	if rows == 0 || cols == 0 || r == 0 || s == 0 {
+		return false
+	}
+	px := uintptr(unsafe.Pointer(unsafe.SliceData(x)))
+	py := uintptr(unsafe.Pointer(unsafe.SliceData(y)))
+	off := int(py-px) / 8 // y's first element, in elements from x's
+	if py < px {
+		off = -int(px-py) / 8
+	}
+	if off >= (cols-1)*ldx+rows || off+(s-1)*ldy+r <= 0 {
+		return false // the spans are apart
+	}
+	for j := 0; j < cols; j++ {
+		lo, hi := j*ldx, j*ldx+rows
+		first := max(-floorDiv(off-lo+r-1, ldy), 0) // ⌈(lo − r + 1 − off)/ldy⌉
+		last := min(floorDiv(hi-1-off, ldy), s-1)
+		if first <= last {
+			return true
+		}
+	}
+	return false
+}
+
+// floorDiv is ⌊a/b⌋ for positive b.
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b != 0 && a < 0 {
+		q--
+	}
+	return q
 }
 
 // ctxErr adapts the optional context to the error DGEFMMCtx reports.
@@ -231,8 +295,12 @@ func (p *policy) criterion(m, k, n int) bool {
 // dagLevels levels; the fused form when levels may run fused (fk), the
 // children would be base cases and the table fits the hooks (the default
 // path fuses Strassen's 1969 construction, whose operands have at most two
-// terms, where Winograd's have up to four);
-// otherwise the table's sequential program, or on the default path the
+// terms, where Winograd's have up to four); on the default path, the
+// two-level fused form when the children would recurse once more as a
+// sequential level, their children would be base cases and the composed
+// records fit the kernel's native limits (a fused node clips its blocks
+// to the matrices whatever the odd strategy, so the shape need not divide
+// by 4); otherwise the table's sequential program, or on the default path the
 // schedule β selects (Table 1). A program runs on a shape the grid does
 // not divide only when it pads virtually (virtual.go); otherwise it gets
 // the divisible core from peeling or padding.
@@ -247,8 +315,15 @@ func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 			ft = classic
 		}
 		gm, gk, gn := p.grid()
-		if !p.recurse(ceilDiv(m, gm), ceilDiv(k, gk), ceilDiv(n, gn), depth+1) && tableFusable(ft, p.fk.FusedDestLimit()) {
-			return programsFor(ft).fused
+		mq, kq, nq := ceilDiv(m, gm), ceilDiv(k, gk), ceilDiv(n, gn)
+		limit := p.fk.FusedDestLimit()
+		if !p.recurse(mq, kq, nq, depth+1) {
+			if tableFusable(ft, limit) {
+				return programsFor(ft).fused
+			}
+		} else if p.tbl == nil && depth+1 >= p.dagLevels &&
+			!p.recurse(ceilDiv(mq, gm), ceilDiv(kq, gk), ceilDiv(nq, gn), depth+2) && tableFusable(classic2, limit) {
+			return fused2
 		}
 	}
 	if p.tbl != nil {

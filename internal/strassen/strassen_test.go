@@ -261,6 +261,73 @@ func TestDGEFMMValidatesLikeDGEMM(t *testing.T) {
 	DGEFMM(cfg, blas.NoTrans, blas.NoTrans, 4, 4, 4, 1, make([]float64, 16), 3 /* lda < m */, make([]float64, 16), 4, 0, make([]float64, 16), 4)
 }
 
+// TestDGEFMMRejectsAliasedC: a C whose elements overlap op(A)'s or
+// op(B)'s is rejected with a DGEMM-style panic — the same slice, a C
+// shifted one column into A, one sharing a single element of a transposed
+// B — before any element of C is written.
+func TestDGEFMMRejectsAliasedC(t *testing.T) {
+	const n = 8
+	buf := make([]float64, 3*n*n)
+	for i := range buf {
+		buf[i] = float64(i%7) - 3
+	}
+	cases := []struct {
+		name          string
+		ta, tb        blas.Transpose
+		a, b, c       []float64
+		lda, ldb, ldc int
+	}{
+		{"c is a", blas.NoTrans, blas.NoTrans, buf, buf[2*n*n:], buf, n, n, n},
+		{"c one column into a", blas.NoTrans, blas.NoTrans, buf, buf[2*n*n:], buf[(n-1)*n:], n, n, n},
+		{"c meets the last element of bᵀ", blas.NoTrans, blas.Trans, buf[2*n*n:], buf, buf[n*n-1:], n, n, n},
+	}
+	for _, tc := range cases {
+		before := append([]float64(nil), buf...)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: DGEFMM accepted an aliased C", tc.name)
+				}
+			}()
+			DGEFMM(testConfig(ScheduleAuto, OddPeel), tc.ta, tc.tb, n, n, n, 1, tc.a, tc.lda, tc.b, tc.ldb, 0, tc.c, tc.ldc)
+		}()
+		for i := range buf {
+			if buf[i] != before[i] {
+				t.Fatalf("%s: element %d written before the rejection", tc.name, i)
+			}
+		}
+	}
+}
+
+// TestDGEFMMAcceptsDisjointBlocks: disjoint blocks of one array stay
+// accepted and correct — an LU trailing update A22 ← A22 − A21·A12 on one
+// matrix, and A, B and C interleaved row-wise through a leading dimension
+// three times their height, whose spans overlap though no element does.
+func TestDGEFMMAcceptsDisjointBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	cfg := testConfig(ScheduleAuto, OddPeel)
+
+	// LU trailing update on a 40×40 matrix with a 9-wide panel.
+	const n, p = 40, 9
+	lu := matrix.NewRandom(n, n, rng)
+	a21, a12, a22 := lu.Slice(p, 0, n-p, p), lu.Slice(0, p, p, n-p), lu.Slice(p, p, n-p, n-p)
+	want := refMul(blas.NoTrans, blas.NoTrans, -1, a21.Clone(), a12.Clone(), 1, a22.Clone())
+	DGEFMM(cfg, blas.NoTrans, blas.NoTrans, n-p, n-p, p, -1, a21.Data, a21.Stride, a12.Data, a12.Stride, 1, a22.Data, a22.Stride)
+	if d := matrix.MaxAbsDiff(a22, want); d > tol(p) {
+		t.Fatalf("LU trailing update: maxdiff=%g", d)
+	}
+
+	// Row-interleaved 20×20 operands in one 60-row array.
+	const m = 20
+	all := matrix.NewRandom(3*m, m, rng)
+	a, b, c := all.Slice(0, 0, m, m), all.Slice(m, 0, m, m), all.Slice(2*m, 0, m, m)
+	want = refMul(blas.Trans, blas.NoTrans, 0.5, a.Clone(), b.Clone(), -2, c.Clone())
+	DGEFMM(cfg, blas.Trans, blas.NoTrans, m, m, m, 0.5, a.Data, a.Stride, b.Data, b.Stride, -2, c.Data, c.Stride)
+	if d := matrix.MaxAbsDiff(c, want); d > tol(m) {
+		t.Fatalf("interleaved operands: maxdiff=%g", d)
+	}
+}
+
 func TestDeepRecursionPowerOfTwo(t *testing.T) {
 	// Force several recursion levels and check accuracy holds.
 	rng := rand.New(rand.NewSource(52))

@@ -19,13 +19,26 @@ type TraceEvent struct {
 	M, K, N int
 	// Action identifies the node kind: "base" (cutoff reached, DGEMM ran),
 	// a level program's name — "strassen1", "strassen2", "original",
-	// "table", "parallel" (task DAG) or "fused1" —, "peel", "peel-first",
+	// "table", "parallel" (task DAG), "fused1" or "fused2" (two levels
+	// fused as one node) —, "peel", "peel-first",
 	// "pad-dynamic", "pad-static" (odd handling), or "fixup-ger",
 	// "fixup-col", "fixup-row", "fixup-gemm-k/n/m" (peeling repairs). A
 	// level node on a shape the grid does not divide, or below such a
 	// node, is a level padding virtually (no "peel" node and no fixups
 	// around it).
 	Action string
+}
+
+// Deepest is the deepest recursion depth the node reaches itself: its
+// Depth, or the level below for a two-level fused node, which runs its
+// children's level inside its own records. A tree's deepest node
+// therefore reports the same figure whether its last two levels fuse or
+// not.
+func (e TraceEvent) Deepest() int {
+	if e.Action == fused2.name {
+		return e.Depth + 1
+	}
+	return e.Depth
 }
 
 // Tracer receives recursion events. Implementations must be safe for
@@ -78,8 +91,8 @@ func (t *CountTracer) Event(e TraceEvent) {
 	defer t.mu.Unlock()
 	t.counts[e.Action]++
 	t.events++
-	if e.Depth > t.maxDepth {
-		t.maxDepth = e.Depth
+	if d := e.Deepest(); d > t.maxDepth {
+		t.maxDepth = d
 	}
 }
 
@@ -90,7 +103,7 @@ func (t *CountTracer) Count(action string) int {
 	return t.counts[action]
 }
 
-// MaxDepth returns the deepest recursion seen.
+// MaxDepth returns the deepest recursion seen (TraceEvent.Deepest).
 func (t *CountTracer) MaxDepth() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -48,6 +48,7 @@ func TestVirtualPadEligibility(t *testing.T) {
 		entries["table/"+name] = entry{name, programsFor(tbl).seq, false, always}
 		entries["fused1/"+name] = entry{name, programsFor(tbl).fused, false, always}
 	}
+	entries["fused2"] = entry{algo.DefaultName, fused2, true, always}
 	for name, e := range entries {
 		cfg := &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: 8}, Algo: e.path, Fused: FusedOn}
 		var pads []string
@@ -92,8 +93,9 @@ func TestVirtualPadEligibility(t *testing.T) {
 
 // TestNonFiniteOddShapes: ±Inf and NaN in A, B and C, with every other
 // entry finite and moderate so nothing overflows. On even and odd shapes,
-// through the peel path, virtually padded fused and materialized levels
-// and a 2-worker DAG, every entry DGEMM makes non-finite is non-finite in
+// through the peel path, virtually padded fused levels (one, and two fused
+// as one node) and materialized levels, the default kernel's sequential
+// SIMD tile and a 2-worker DAG, every entry DGEMM makes non-finite is non-finite in
 // DGEFMM too. DGEFMM may make further entries NaN (Inf − Inf in its sums,
 // 0·Inf against virtual padding's zeros), never fewer: an entry of A or B
 // reaches every C entry DGEMM multiplies it into through some product,
@@ -125,7 +127,25 @@ func TestNonFiniteOddShapes(t *testing.T) {
 			return &Config{Kernel: &kernel.Packed{Mode: kernel.ModeSIMD, MC: 16, KC: 12, NC: 16},
 				Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn, Sched: w2, SchedLevels: 1}
 		}, "parallel", "parallel"},
+		// The default kernel on the sequential path: its SIMD tile where
+		// the host has one, through the fused packers and write-out.
+		{"default-kernel", func(m int) *Config {
+			return &Config{Kernel: kernel.Default(), Criterion: Simple{Tau: (m + 1) / 2}, Fused: FusedOn}
+		}, "fused1", "fused1"},
 	}
+	// Two levels fused as one node on blocks of ⌈m/4⌉: at m = 39 = 4·10 − 1
+	// the blocks' last tile rows and columns are ragged and the last block
+	// row and column clipped, so ragged and clipped tiles scatter to up to
+	// four destinations. A kernel that fuses one level runs a materialized
+	// level over fused children instead.
+	two := &kernel.Packed{}
+	wantTwo := [2]string{"fused2", "fused2"}
+	if two.FusedDestLimit() < 4 {
+		wantTwo = [2]string{"strassen2", "peel"}
+	}
+	configs = append(configs, config{"two-level-fused", func(m int) *Config {
+		return &Config{Kernel: two, Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn}
+	}, wantTwo[0], wantTwo[1]})
 	// Every built-in table, recursing two levels deep, forms its multi-term
 	// operands in one lin op each. The default table, winograd, compiles to
 	// a program only on DAG levels; the others run their sequential one.
