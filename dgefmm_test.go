@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/stability"
 	"repro/internal/strassen"
 )
@@ -255,16 +256,19 @@ func fuzzOracle(transA, transB Transpose, alpha float64, a, b *Matrix, beta floa
 // (whose fused hooks run the last one or two levels, and on AVX2 the SIMD
 // tile's native write-out and assembly packers), DGEFMM must stay within
 // the Brent/Higham forward-error bound of the naive triple-loop oracle.
+// A workers input of 1–3 runs the call on a task runtime of that many
+// workers — the product DAG, the threaded leaves and the fused levels'
+// step pipeline — and requires the bits a 1-worker runtime produces.
 // The seed corpus in testdata/fuzz/FuzzDGEFMM pins odd sizes, transposes,
-// β ≠ 0 and both kernels.
+// β ≠ 0, both kernels and multi-worker runtimes.
 func FuzzDGEFMM(f *testing.F) {
-	f.Add(int64(1), byte(31), byte(31), byte(31), false, false, 1.0, 0.0, false)
-	f.Add(int64(2), byte(64), byte(16), byte(40), true, false, -1.5, 0.5, false)
-	f.Add(int64(3), byte(9), byte(63), byte(27), false, true, 2.0, -1.0, true)
-	f.Add(int64(4), byte(33), byte(33), byte(33), true, true, 0.5, 1.0, true)
-	f.Add(int64(5), byte(1), byte(7), byte(2), false, false, 3.0, 0.25, false)
-	f.Add(int64(6), byte(63), byte(63), byte(63), false, false, 1.0, 0.0, true)
-	f.Fuzz(func(t *testing.T, seed int64, mb, nb, kb byte, ta, tb bool, alpha, beta float64, defaultKernel bool) {
+	f.Add(int64(1), byte(31), byte(31), byte(31), false, false, 1.0, 0.0, false, byte(0))
+	f.Add(int64(2), byte(64), byte(16), byte(40), true, false, -1.5, 0.5, false, byte(2))
+	f.Add(int64(3), byte(9), byte(63), byte(27), false, true, 2.0, -1.0, true, byte(0))
+	f.Add(int64(4), byte(33), byte(33), byte(33), true, true, 0.5, 1.0, true, byte(3))
+	f.Add(int64(5), byte(1), byte(7), byte(2), false, false, 3.0, 0.25, false, byte(0))
+	f.Add(int64(6), byte(63), byte(63), byte(63), false, false, 1.0, 0.0, true, byte(2))
+	f.Fuzz(func(t *testing.T, seed int64, mb, nb, kb byte, ta, tb bool, alpha, beta float64, defaultKernel bool, workers byte) {
 		m, n, k := int(mb)%64+1, int(nb)%64+1, int(kb)%64+1
 		alpha, beta = fuzzScalar(alpha), fuzzScalar(beta)
 		transA, transB := NoTrans, NoTrans
@@ -293,8 +297,28 @@ func FuzzDGEFMM(f *testing.F) {
 			cfg = DefaultConfig(nil)
 		}
 		cfg.Criterion = SimpleCriterion{Tau: 8}
+		w := int(workers % 4)
+		if w > 0 {
+			rt := sched.New(w, seed)
+			defer rt.Close()
+			cfg.Sched = rt
+		}
 		c := c0.Clone()
 		DGEFMM(cfg, transA, transB, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
+		if w > 0 {
+			one := sched.New(1, seed)
+			defer one.Close()
+			ref := *cfg
+			ref.Sched = one
+			c1 := c0.Clone()
+			DGEFMM(&ref, transA, transB, m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, c1.Data, c1.Stride)
+			for i := range c1.Data {
+				if math.Float64bits(c.Data[i]) != math.Float64bits(c1.Data[i]) {
+					t.Fatalf("m=%d n=%d k=%d ta=%v tb=%v α=%g β=%g: word %d is %v on %d workers, %v on one",
+						m, n, k, ta, tb, alpha, beta, i, c.Data[i], w, c1.Data[i])
+				}
+			}
+		}
 
 		// The recursion depth the call ran (a two-level fused node counts
 		// twice).

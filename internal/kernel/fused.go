@@ -96,6 +96,13 @@ type Dest struct {
 	Rows, Cols int
 }
 
+// Product is one product of a fused call: Ã = A, B̃ = B, accumulated into
+// every destination in Dests.
+type Product struct {
+	A, B  Operand
+	Dests []Dest
+}
+
 // packTerms is a fused operand as the assembly packers take it: n = 1–4
 // terms, each with its storage from the block's top-left element (x, nil
 // when the term stores none of the block's rows), the block's leading rows
@@ -147,7 +154,8 @@ type tileDest struct {
 	alpha float64
 }
 
-// FusedCounters reports how many FusedMulAdd calls the kernel has served.
+// FusedCounters reports how many fused products the kernel has served:
+// one per FusedMulAdd call, one per product of a FusedMulAddTasks call.
 // Packed words from fused calls fold into the regular packing counters.
 func (k *Packed) FusedCounters() (fusedMulAdds int64) {
 	return k.fusedMulAdds.Load()
@@ -178,9 +186,16 @@ func (k *Packed) FusedDestLimit() int {
 // pre-applies beta; write-out is pure accumulation. The combination runs
 // inside the packing and the C update — no operand or product temporaries
 // beyond the same two packed panels MulAdd draws (LeafWorkspace of the
-// block shape m×n×k, whatever the extents).
+// block shape m×n×k, whatever the extents). It runs on the calling
+// goroutine; FusedMulAddTasks takes a list of products and a submitter.
 func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []Dest) {
-	k.FusedMulAddTasks(nil, m, n, kk, alpha, a, b, dests)
+	l := k.newLeaf(m, n, kk, alpha)
+	l.fused, l.one = true, Product{A: a, B: b, Dests: dests}
+	if m <= 0 || n <= 0 || kk <= 0 || alpha == 0 || !l.one.live() {
+		return
+	}
+	l.runSeq()
+	k.fusedMulAdds.Add(1)
 }
 
 // packAFused packs the mb×kb block with top-left (ic, pc) of the fused
@@ -665,13 +680,12 @@ func (a *fusedAcct) macro(mi *microImpl, ns int64, mb, nb, kb int, ft, et int64,
 	a.sweepAcct.macro(mi, ns, mb, nb, kb, ft, et)
 }
 
-// flush records the call's totals. Fused packing reads every term once and
-// writes the packed word ((terms+1)·8 bytes per word) and performs
-// (terms−1) adds per word.
-func (a *fusedAcct) flush(p *phase.Profiler, aTerms, bTerms int, packedA, packedB int64) {
-	flops := int64(aTerms-1)*packedA + int64(bTerms-1)*packedB
-	bytes := int64(aTerms+1)*8*packedA + int64(bTerms+1)*8*packedB
-	p.Add(phase.KernelFusedPack, a.packNS, flops, bytes)
+// flush records the call's totals, with the fused packing's FLOPs and
+// bytes: (terms−1) adds per packed word, and (terms+1)·8 bytes (every
+// term read once, the packed word written), summed over the call's
+// products (bandAcct.packTerms).
+func (a *fusedAcct) flush(p *phase.Profiler, packFlops, packBytes int64) {
+	p.Add(phase.KernelFusedPack, a.packNS, packFlops, packBytes)
 	a.sweepAcct.flush(p)
 	if a.writeFlops > 0 || a.writeNS > 0 {
 		p.Add(phase.KernelFusedWriteout, a.writeNS, a.writeFlops, a.writeBytes)

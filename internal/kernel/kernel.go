@@ -19,8 +19,9 @@
 // Packing buffers are drawn from an internal/memtrack arena, so workspace
 // stays measurable and bounded the same way the Strassen temporaries are
 // (Boyer et al., arXiv:0707.2347 motivate keeping scratch inside the
-// accounted budget): LeafWorkspace gives the closed-form words per call and
-// tests assert the measured arena peak equals it. The arena's free list
+// accounted budget): LeafWorkspace gives the closed-form words per call
+// (CallWorkspace adds the second B̃ panel of a threaded multi-step call)
+// and tests assert the measured arena peak equals it. The arena's free list
 // makes the steady state allocation-free, and because every MulAdd draws
 // its own buffers, a single *Packed is safe for concurrent use — unlike
 // blas.BlockedKernel, whose packing buffers are per-instance state.
@@ -182,9 +183,9 @@ func (k *Packed) effBlocks(mi *microImpl, m, n, kk int) (mcE, kcE, ncE int) {
 // LeafWorkspace returns the exact packing workspace, in float64 words, one
 // MulAdd of the given logical shape draws from the arena: the Ã panel plus
 // the B̃ panel at the clamped blocking (which follows the active tile's
-// panel shapes — an 8-row SIMD Ã panel rounds m up to 8, not 4).
-// strassen.PlanFor folds the maximum over a plan's base cases into
-// Plan.KernelWords.
+// panel shapes — an 8-row SIMD Ã panel rounds m up to 8, not 4). A
+// sequential call, or a threaded call of one (jc, pc) step, draws exactly
+// this; see CallWorkspace for the rest.
 func (k *Packed) LeafWorkspace(m, n, kk int) int64 {
 	if m <= 0 || n <= 0 || kk <= 0 {
 		return 0

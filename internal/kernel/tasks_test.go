@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -140,13 +141,15 @@ func TestRowBands(t *testing.T) {
 }
 
 // TestMulAddTasksWorkspaceExact: the bands share the sequential nest's Ã
-// buffer, so a threaded call's arena peak is exactly LeafWorkspace, for
-// plain and fused leaves, whether the rows fill one MC block or several.
+// buffer, so a threaded call's arena peak is exactly CallWorkspace, for
+// plain and fused leaves, whether the rows fill one MC block or several:
+// LeafWorkspace plus the second B̃ panel of the pipeline on these
+// multi-panel shapes, LeafWorkspace on a one-panel one.
 func TestMulAddTasksWorkspaceExact(t *testing.T) {
 	rt := sched.New(4, 9)
 	defer rt.Close()
 	rng := rand.New(rand.NewSource(503))
-	for _, dims := range [][3]int{{96, 64, 48}, {40, 30, 20}, {130, 70, 90}} {
+	for _, dims := range [][3]int{{96, 64, 48}, {40, 30, 20}, {130, 70, 90}, {40, 20, 12}} {
 		m, n, kk := dims[0], dims[1], dims[2]
 		for _, fused := range []bool{false, true} {
 			k := &Packed{MC: 48, KC: 12, NC: 20}
@@ -158,12 +161,19 @@ func TestMulAddTasksWorkspaceExact(t *testing.T) {
 			if fused {
 				aOp := Operand{Ld: m, Terms: []Term{{Data: a, Coeff: 1, Rows: m, Cols: kk}}}
 				bOp := Operand{Ld: kk, Terms: []Term{{Data: b, Coeff: -1, Rows: kk, Cols: n}}}
-				k.FusedMulAddTasks(rt, m, n, kk, 1, aOp, bOp, []Dest{{Data: c, Ld: m, Coeff: 1, Rows: m, Cols: n}})
+				k.FusedMulAddTasks(rt, m, n, kk, 1, []Product{{A: aOp, B: bOp, Dests: []Dest{{Data: c, Ld: m, Coeff: 1, Rows: m, Cols: n}}}}, nil)
 			} else {
 				k.MulAddTasks(rt, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, c, m)
 			}
-			if peak, want := arena.Peak(), k.LeafWorkspace(m, n, kk); peak != want {
-				t.Errorf("%v fused=%v: arena peak %d, LeafWorkspace %d", dims, fused, peak, want)
+			want, panel := k.LeafWorkspace(m, n, kk), int64(0)
+			if _, kcE, ncE := k.effBlocks(k.impl(), m, n, kk); (n+ncE-1)/ncE*((kk+kcE-1)/kcE) > 1 {
+				panel = int64(kcE * ncE)
+			}
+			if got := k.CallWorkspace(rt.Workers(), 1, m, n, kk); got != want+panel {
+				t.Errorf("%v: CallWorkspace %d, want LeafWorkspace %d + %d", dims, got, want, panel)
+			}
+			if peak := arena.Peak(); peak != want+panel {
+				t.Errorf("%v fused=%v: arena peak %d, CallWorkspace %d", dims, fused, peak, want+panel)
 			}
 			if live := arena.Live(); live != 0 {
 				t.Fatalf("%v fused=%v: %d arena words leaked", dims, fused, live)
@@ -208,7 +218,7 @@ func TestFusedMulAddTasksBitIdentical(t *testing.T) {
 							seq := &Packed{Mode: mode, MC: 32, KC: 24, NC: 40}
 							seq.FusedMulAdd(m, n, kk, 0.75, aOp, bOp, want)
 							tk := &Packed{Mode: mode, MC: 32, KC: 24, NC: 40}
-							tk.FusedMulAddTasks(rt, m, n, kk, 0.75, aOp, bOp, got)
+							tk.FusedMulAddTasks(rt, m, n, kk, 0.75, []Product{{A: aOp, B: bOp, Dests: got}}, nil)
 							for d := range want {
 								for i, w := range want[d].Data {
 									if math.Float64bits(got[d].Data[i]) != math.Float64bits(w) {
@@ -231,4 +241,137 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 		s[i] = rng.NormFloat64()
 	}
 	return s
+}
+
+// TestFusedMulAddTasksPipeline: a record list whose steps outnumber its
+// records — small blocks, so every record crosses several KC and NC
+// panels — runs through the pipeline on 2- and 3-worker runtimes and
+// writes every destination bit for bit as β applied up front and then
+// per-record FusedMulAdd calls in order do. Records take 1–4 terms per
+// operand and 1–4 of a shared pool of destinations (so several records
+// accumulate into each), with clipped terms and clipped, ragged
+// destinations, both transposes and β ∈ {0, ¼, 1}; the pre pass covers
+// every row once, and the arena peak is CallWorkspace: LeafWorkspace plus
+// the second B̃ panel. A plain multi-panel MulAddTasks call runs through
+// the same pipeline and matches MulAdd.
+func TestFusedMulAddTasksPipeline(t *testing.T) {
+	rt2, rt3 := sched.New(2, 11), sched.New(3, 12)
+	defer rt2.Close()
+	defer rt3.Close()
+	rng := rand.New(rand.NewSource(505))
+	const records, pool = 5, 4
+	for _, mode := range []Mode{ModeScalar, ModeSIMD} {
+		for _, dims := range [][3]int{{37, 45, 29}, {64, 33, 40}} {
+			m, n, kk := dims[0], dims[1], dims[2]
+			for _, trans := range []bool{false, true} {
+				for _, clip := range []int{0, 3} {
+					for _, beta := range []float64{0, 0.25, 1} {
+						ar, ac := opDims(trans, m, kk)
+						br, bc := opDims(trans, kk, n)
+						dests := make([][]float64, pool)
+						for d := range dests {
+							dests[d] = fill(rng, m, n, m+2)
+						}
+						prods := make([]Product, records)
+						for r := range prods {
+							p := Product{A: Operand{Ld: ar, Trans: trans}, B: Operand{Ld: br, Trans: trans}}
+							for i := range r%4 + 1 {
+								p.A.Terms = append(p.A.Terms, Term{Data: fill(rng, ar, ac, ar), Coeff: float64(1 - 2*(i%2)), Rows: m - i*clip, Cols: kk})
+							}
+							for i := range (r+1)%4 + 1 {
+								p.B.Terms = append(p.B.Terms, Term{Data: fill(rng, br, bc, br), Coeff: float64(2*(i%2) - 1), Rows: kk - i*clip, Cols: n})
+							}
+							for i := range (r+2)%4 + 1 {
+								d := (r + i) % pool
+								p.Dests = append(p.Dests, Dest{Ld: m + 2, Coeff: float64(1 - 2*((r+i)%2)), Rows: m - d*clip, Cols: n - d*clip})
+							}
+							prods[r] = p
+						}
+						scale := func(c [][]float64, lo, hi int) {
+							for d, x := range c {
+								for j := 0; j < n-d*clip; j++ {
+									for i := lo; i < min(hi, m-d*clip); i++ {
+										if beta == 0 {
+											x[j*(m+2)+i] = 0
+										} else {
+											x[j*(m+2)+i] *= beta
+										}
+									}
+								}
+							}
+						}
+						bind := func(c [][]float64) []Product {
+							out := make([]Product, len(prods))
+							for r, p := range prods {
+								ds := append([]Dest(nil), p.Dests...)
+								for i := range ds {
+									ds[i].Data = c[(r+i)%pool]
+								}
+								out[r] = Product{A: p.A, B: p.B, Dests: ds}
+							}
+							return out
+						}
+						want := make([][]float64, pool)
+						for d := range want {
+							want[d] = append([]float64(nil), dests[d]...)
+						}
+						seq := &Packed{Mode: mode, MC: 16, KC: 12, NC: 16}
+						scale(want, 0, m)
+						for _, p := range bind(want) {
+							seq.FusedMulAdd(m, n, kk, -0.5, p.A, p.B, p.Dests)
+						}
+						for _, rt := range []*sched.Runtime{rt2, rt3} {
+							what := fmt.Sprintf("mode=%v %v trans=%v clip=%d β=%g workers=%d", mode, dims, trans, clip, beta, rt.Workers())
+							got := make([][]float64, pool)
+							for d := range got {
+								got[d] = append([]float64(nil), dests[d]...)
+							}
+							covered := make([]int, m)
+							tk := &Packed{Mode: mode, MC: 16, KC: 12, NC: 16}
+							arena := memtrack.New()
+							tk.SetArena(arena)
+							tk.FusedMulAddTasks(rt, m, n, kk, -0.5, bind(got), func(lo, hi int) {
+								for i := lo; i < hi; i++ {
+									covered[i]++
+								}
+								scale(got, lo, hi)
+							})
+							for i, c := range covered {
+								if c != 1 {
+									t.Fatalf("%s: pre covered row %d %d times", what, i, c)
+								}
+							}
+							for d := range want {
+								for i, w := range want[d] {
+									if math.Float64bits(got[d][i]) != math.Float64bits(w) {
+										t.Fatalf("%s: dest %d word %d = %v (pipeline) vs %v (per record)", what, d, i, got[d][i], w)
+									}
+								}
+							}
+							_, kcE, ncE := tk.effBlocks(tk.impl(), m, n, kk)
+							if w, peak := tk.LeafWorkspace(m, n, kk)+int64(kcE*ncE), arena.Peak(); peak != w || tk.CallWorkspace(rt.Workers(), records, m, n, kk) != w {
+								t.Fatalf("%s: arena peak %d, CallWorkspace %d, want %d", what, peak, tk.CallWorkspace(rt.Workers(), records, m, n, kk), w)
+							}
+							if fc := tk.FusedCounters(); fc != records {
+								t.Fatalf("%s: %d fused products counted, want %d", what, fc, records)
+							}
+						}
+					}
+				}
+			}
+			// The plain nest: one product, several panels.
+			a, b, c0 := fill(rng, m, kk, m), fill(rng, kk, n, kk), fill(rng, m, n, m)
+			want := append([]float64(nil), c0...)
+			(&Packed{Mode: mode, MC: 16, KC: 12, NC: 16}).MulAdd(blas.NoTrans, blas.NoTrans, m, n, kk, 1.5, a, m, b, kk, want, m)
+			for _, rt := range []*sched.Runtime{rt2, rt3} {
+				got := append([]float64(nil), c0...)
+				(&Packed{Mode: mode, MC: 16, KC: 12, NC: 16}).MulAddTasks(rt, blas.NoTrans, blas.NoTrans, m, n, kk, 1.5, a, m, b, kk, got, m)
+				for i, w := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(w) {
+						t.Fatalf("mode=%v %v workers=%d: plain c[%d] = %v (pipeline) vs %v (MulAdd)", mode, dims, rt.Workers(), i, got[i], w)
+					}
+				}
+			}
+		}
+	}
 }

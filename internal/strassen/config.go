@@ -136,15 +136,21 @@ type Config struct {
 	Tracker *memtrack.Tracker
 	// Sched, if non-nil, executes the recursion on this work-stealing task
 	// runtime (internal/sched): the top SchedLevels recursion levels expand
-	// their products into a dependency DAG and the packed kernel's large
-	// leaves, fused or not, thread by row bands. Multiple Configs may share
-	// one runtime — tasks from concurrent calls interleave under a single
-	// core budget.
+	// their products into a dependency DAG, and the packed kernel's calls —
+	// leaves and fused levels — thread by row bands, a fused level's
+	// records as one pipeline of (record, jc, pc) steps. Multiple Configs
+	// may share one runtime — tasks from concurrent calls interleave under
+	// a single core budget.
 	Sched *sched.Runtime
 	// SchedLevels bounds how many top levels expand into task DAGs; 0 picks
 	// enough levels that the product fan-out covers the runtime's workers
 	// (capped at 3). Ignored when no task runtime is active. Each DAG level
-	// runs at most the runtime's worker count of products at once.
+	// runs at most the runtime's worker count of products at once. A level
+	// whose last two levels fuse as one node (fused2, on a kernel that
+	// writes four destinations from registers) runs that node instead of a
+	// DAG: its one kernel call threads on the runtime and holds no
+	// Strassen temporaries, so a DAG level only runs above levels whose
+	// children still recurse.
 	SchedLevels int
 	// Tracer, if non-nil, receives one TraceEvent per recursion decision
 	// (base-case, schedule level, peel/pad action, fixup). A Tracer that

@@ -29,7 +29,13 @@ package strassen
 // materialized level over seven fused children: the same leaves and
 // multiplications (the upper level's additions become the 1969 form's,
 // all inside packing and write-out), and no Strassen temporaries where
-// that level held two or three.
+// that level held two or three. On a task runtime it also takes the place
+// of a DAG level over fused children and its six temporaries: a fused
+// level hands all its records to the kernel in one call, which pipelines
+// their (record, jc, pc) steps over the workers (kernel/tasks.go). One
+// fused level keeps the DAG above it: in a DAG level's place its 1969
+// records would change the bits of every runtime configuration on the
+// tiles that fuse one level (the Compat rows of testdata/golden.txt).
 // On the scalar and NEON tiles, which scatter extra destinations from a
 // buffer, two fused levels measured slower than that materialized level
 // (EXPERIMENTS.md), so their limit keeps one.
@@ -160,14 +166,15 @@ func (cfg *Config) fusedHooks() fusedKernel {
 }
 
 // fusedKernel is the structural hook interface a kernel implements to serve
-// fused Strassen levels (internal/kernel's Packed does), with the hook's
-// threaded form for multi-worker runtimes and how many destinations its
-// write-out serves natively (which only gates tableFusable, and so
-// whether two levels fuse). Kept
-// structural like leafSizer so the strassen package does not choose a
-// kernel implementation for its callers.
+// fused Strassen levels (internal/kernel's Packed does): one call runs a
+// level's whole record list, threaded on a multi-worker runtime, with the
+// level's β pass at the head of each row band (pre); FusedDestLimit is how
+// many destinations its write-out serves natively (which only gates
+// tableFusable, and so whether two levels fuse). Kept structural like
+// leafSizer so the strassen package does not choose a kernel
+// implementation for its callers.
 type fusedKernel interface {
-	FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float64, a, b kernel.Operand, dests []kernel.Dest)
+	FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float64, prods []kernel.Product, pre func(lo, hi int))
 	FusedDestLimit() int
 }
 

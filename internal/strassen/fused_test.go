@@ -421,12 +421,15 @@ func TestFusedNoTemporaries(t *testing.T) {
 
 // TestFusedTwoLevels: where the kernel writes four destinations natively,
 // a level whose grandchildren are base cases runs as one fused2 node (49
-// kernel calls) that PlanFor and the trace count as two levels, with no
-// Strassen workspace; above it a materialized level runs as before; a DAG
-// level keeps its children's single fused level below it; FusedOff and
-// pinned schedules never fuse; and the results stay within the error band
-// of the oracle. The default configuration runs square_b0's 1024³ this way
-// on the AVX2 tile.
+// fused products) that PlanFor and the trace count as two levels, with no
+// Strassen workspace — on a 2-worker runtime too, where it takes the place
+// of the DAG level and its one kernel call threads; above it a
+// materialized level, or a DAG level whose children still recurse, runs
+// as before; on a kernel that fuses one level, the DAG level keeps its
+// children's single fused level below it; FusedOff and pinned schedules
+// never fuse; and the results stay within the error band of the oracle.
+// The default configuration runs square_b0's 1024³ this way on the AVX2
+// tile.
 func TestFusedTwoLevels(t *testing.T) {
 	skipIfAlgoPinned(t)
 	w2 := sched.New(2, 1)
@@ -438,20 +441,28 @@ func TestFusedTwoLevels(t *testing.T) {
 		sch   Schedule
 		rt    *sched.Runtime
 		trace string // the CountTracer summary
-		calls int64  // fused kernel calls
+		calls int64  // fused products
 		depth int
+		// oneLevel runs the scalar tile's own limit, which fuses one level.
+		oneLevel bool
 	}{
-		{64, FusedOn, ScheduleAuto, nil, "depth≤1: fused2=1", 49, 2},
-		{128, FusedOn, ScheduleAuto, nil, "depth≤2: fused2=7 strassen1=1", 343, 3},
-		{64, FusedOn, ScheduleAuto, w2, "depth≤1: fused1=7 parallel=1", 49, 2},
-		{128, FusedOn, ScheduleAuto, w2, "depth≤2: fused2=7 parallel=1", 343, 3},
-		{64, FusedOff, ScheduleAuto, nil, "depth≤2: base=49 strassen1=8", 0, 2},
-		{64, FusedOn, ScheduleStrassen1, nil, "depth≤2: base=49 strassen1=8", 0, 2},
+		{64, FusedOn, ScheduleAuto, nil, "depth≤1: fused2=1", 49, 2, false},
+		{128, FusedOn, ScheduleAuto, nil, "depth≤2: fused2=7 strassen1=1", 343, 3, false},
+		{64, FusedOn, ScheduleAuto, w2, "depth≤1: fused2=1", 49, 2, false},
+		{128, FusedOn, ScheduleAuto, w2, "depth≤2: fused2=7 parallel=1", 343, 3, false},
+		{64, FusedOn, ScheduleAuto, w2, "depth≤1: fused1=7 parallel=1", 49, 2, true},
+		{64, FusedOff, ScheduleAuto, nil, "depth≤2: base=49 strassen1=8", 0, 2, false},
+		{64, FusedOn, ScheduleStrassen1, nil, "depth≤2: base=49 strassen1=8", 0, 2, false},
 	}
 	for _, tc := range cases {
 		pk := &kernel.Packed{MC: 16, KC: 12, NC: 16}
+		var kern blas.Kernel = twoLevelKernel{pk}
+		if tc.oneLevel {
+			pk.Mode = kernel.ModeScalar
+			kern = pk
+		}
 		tr, ct := memtrack.New(), NewCountTracer()
-		cfg := &Config{Kernel: twoLevelKernel{pk}, Criterion: Simple{Tau: 16}, Fused: tc.mode, Schedule: tc.sch, Tracer: ct, Tracker: tr}
+		cfg := &Config{Kernel: kern, Criterion: Simple{Tau: 16}, Fused: tc.mode, Schedule: tc.sch, Tracer: ct, Tracker: tr}
 		if tc.rt != nil {
 			cfg.Sched, cfg.SchedLevels = tc.rt, 1
 		}
@@ -460,7 +471,7 @@ func TestFusedTwoLevels(t *testing.T) {
 		c := matrix.NewRandom(tc.n, tc.n, rng)
 		want := refMul(blas.NoTrans, blas.NoTrans, -0.5, a, b, 0, c)
 		Multiply(cfg, c, blas.NoTrans, blas.NoTrans, -0.5, a, b, 0)
-		what := fmt.Sprintf("n=%d fused=%v schedule=%v runtime=%v", tc.n, tc.mode, tc.sch, tc.rt != nil)
+		what := fmt.Sprintf("n=%d fused=%v schedule=%v runtime=%v one-level=%v", tc.n, tc.mode, tc.sch, tc.rt != nil, tc.oneLevel)
 		if got := ct.String(); got != tc.trace || pk.FusedCounters() != tc.calls {
 			t.Errorf("%s: trace %q with %d fused calls, want %q with %d", what, got, pk.FusedCounters(), tc.trace, tc.calls)
 		}

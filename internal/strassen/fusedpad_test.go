@@ -122,10 +122,10 @@ func (pc padCase) String() string {
 
 // twoLevel reports whether the case's last two levels fuse as one node
 // (fused2) at depth levels−1: on the default path, where the kernel writes
-// four destinations natively, when that depth is a sequential level (the
-// top level of a runtime call is a DAG level).
+// four destinations natively — on a runtime too, where a fused2 top level
+// takes the place of the DAG level.
 func (pc padCase) twoLevel(pk *kernel.Packed) bool {
-	return pc.path == algo.DefaultName && pk.FusedDestLimit() >= 4 && pc.levels > 0 && (pc.workers == 0 || pc.levels > 1)
+	return pc.path == algo.DefaultName && pk.FusedDestLimit() >= 4 && pc.levels > 0
 }
 
 // peels reports whether the case's top level must peel: on the default
@@ -209,12 +209,14 @@ func checkPad(t *testing.T, pc padCase) {
 	// The last level is fused unless the kernel cannot fuse the table or
 	// it is the top level of a runtime call (a DAG level over hook leaves).
 	// Where the last two fuse as one, the fused node sits a level higher
-	// and no node starts at the last depth.
+	// and no node starts at the last depth. The top level of a runtime call
+	// is a DAG level unless it is that node.
 	lastFused := fusable(pk, pc.path) && (pc.workers == 0 || pc.levels > 0)
 	fusedAt, fusedName := pc.levels, "fused1"
 	if pc.twoLevel(pk) {
 		fusedAt, fusedName = pc.levels-1, "fused2"
 	}
+	topFused := lastFused && fusedAt == 0
 	for d, act := range levels {
 		if d > fusedAt && lastFused {
 			if act != "" {
@@ -224,14 +226,14 @@ func checkPad(t *testing.T, pc padCase) {
 		}
 		fused := act == fusedName
 		if act == "" || act == "peel" || act == "base" || fused != (d == fusedAt && lastFused) ||
-			(d == 0 && pc.workers > 0) != (act == "parallel") {
+			(d == 0 && pc.workers > 0 && !topFused) != (act == "parallel") {
 			t.Fatalf("%s: depth %d runs %q (levels %v)", pc, d, act, levels)
 		}
 	}
 
 	// Every level above the fused one runs all the table's products, so
-	// it traces once per product path; a sequential fused top level is the
-	// only event of its call.
+	// it traces once per product path; a fused top level is the only event
+	// of its call.
 	counts := tally(tr.Events)
 	tbl, _ := algo.ByName(pc.path)
 	wantFused := 0
@@ -241,7 +243,7 @@ func checkPad(t *testing.T, pc padCase) {
 			wantFused *= tbl.R
 		}
 	}
-	if counts[fusedName] != wantFused || (fusedAt == 0 && pc.workers == 0 && len(tr.Events) != 1) {
+	if counts[fusedName] != wantFused || (topFused && len(tr.Events) != 1) {
 		t.Fatalf("%s: want %d %s levels, got %v", pc, wantFused, fusedName, counts)
 	}
 
@@ -254,7 +256,7 @@ func checkPad(t *testing.T, pc padCase) {
 		ref := tally(rtr.Events)
 		pads := ref["pad-dynamic"]
 		delete(ref, "pad-dynamic")
-		if pads < 1 || (fusedAt == 0 && lastFused && pads != 1) || !maps.Equal(ref, counts) {
+		if pads < 1 || (topFused && pads != 1) || !maps.Equal(ref, counts) {
 			t.Fatalf("%s: reference padded %d times and ran %v; the virtual run ran %v", pc, pads, ref, counts)
 		}
 	} else {
@@ -369,8 +371,9 @@ func TestFusedPadMatchesRealPadding(t *testing.T) {
 // 1- and 2-worker runtimes (-short: the Compat kernel, sequential and 2
 // workers). Where the SIMD tile fuses the default path's last two levels
 // as one node, the trees also run a level deeper, so that two
-// materialized levels still run above it (one level runs none above it
-// sequentially: the fused node is the top). Two levels of a wider table
+// materialized levels still run above it (one level runs none above it:
+// the fused node is the top, on a runtime in place of the DAG level, and
+// a runtime's DAG level runs at two and three). Two levels of a wider table
 // run thousands of tiny leaves, so those cases take one shortfall, β and
 // transpose pair.
 func TestMaterializedPadMatchesRealPadding(t *testing.T) {

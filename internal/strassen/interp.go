@@ -16,6 +16,8 @@ package strassen
 // written, so a lone zeroing costs 8.
 
 import (
+	"sync"
+
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/phase"
@@ -91,7 +93,7 @@ func (e *engine) exec(p *program, c *matrix.Dense, a, b matrix.View, alpha, beta
 	f := &frame{blocks: bl, c: c,
 		a: a.PadTo(p.m*bl.mq, p.k*bl.kq), b: b.PadTo(p.k*bl.kq, p.n*bl.nq)}
 	if p.recs != nil {
-		e.fusedLevel(p.recs, f, alpha, beta)
+		e.fusedLevel(p, f, alpha, beta)
 		return
 	}
 	f.tmp = make([][]float64, len(p.temps))
@@ -209,35 +211,97 @@ func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) 
 	_ = e.sub.Run(e.runCtx(), d)
 }
 
-// fusedLevel streams a fused level's records through the kernel's hooks:
-// β applied once up front, then each record's operand terms and
-// destinations passed as the stored parts of their blocks — a block
-// overhanging the matrices carries its shorter extent, and the kernel
-// reads the rest as +0.0 and writes none of it. No Strassen temporaries.
-// On a multi-worker runtime each record's rows split into bands run as
-// tasks; without one (or on one worker) FusedMulAddTasks runs the
-// sequential hook, and the bits are the same either way.
-func (e *engine) fusedLevel(recs []fusedRecord, f *frame, alpha, beta float64) {
-	e.lin(phQ, f.c, matrix.Term{G: beta, Dst: true})
-	var at, bt [4]kernel.Term
-	var dt [4]kernel.Dest
+// fusedLevel streams a fused level's records through the kernel's hooks
+// in one call: each record's operand terms and destinations are the
+// stored parts of their blocks — a block overhanging the matrices carries
+// its shorter extent, and the kernel reads the rest as +0.0 and writes
+// none of it. No Strassen temporaries. β is the call's pre pass: the
+// kernel runs it over each row band of the blocks before the band's first
+// write — at the head of each band's task chain on a multi-worker
+// runtime, over all rows up front otherwise — and the bits are the same
+// either way.
+func (e *engine) fusedLevel(p *program, f *frame, alpha, beta float64) {
+	fc := fusedCalls.Get().(*fusedCall)
+	defer fc.release()
+	nt, nd := 0, 0
+	for _, rec := range p.recs {
+		nt += len(rec.a) + len(rec.b)
+		nd += len(rec.dst)
+	}
+	// Sized up front: the records' slices point into these arrays.
+	fc.terms = grow(fc.terms, nt)
+	fc.dests = grow(fc.dests, nd)
+	fc.blocks = grow(fc.blocks, p.m*p.n)
+	fc.prods = grow(fc.prods, len(p.recs))
+	for i := range p.m * p.n {
+		q := f.dense(slot{shape: shapeC, idx: i})
+		fc.blocks = append(fc.blocks, kernel.Dest{Data: q.Data, Ld: q.Stride, Rows: q.Rows, Cols: q.Cols})
+	}
 	aOp := kernel.Operand{Ld: f.a.Stride, Trans: f.a.Trans}
 	bOp := kernel.Operand{Ld: f.b.Stride, Trans: f.b.Trans}
-	for _, rec := range recs {
-		for i, t := range rec.a {
-			at[i] = kernelTerm(f.a.Slice(t.r*f.mq, t.c*f.kq, f.mq, f.kq), t.g)
+	for _, rec := range p.recs {
+		t0 := len(fc.terms)
+		for _, t := range rec.a {
+			fc.terms = append(fc.terms, kernelTerm(f.a.Slice(t.r*f.mq, t.c*f.kq, f.mq, f.kq), t.g))
 		}
-		for i, t := range rec.b {
-			bt[i] = kernelTerm(f.b.Slice(t.r*f.kq, t.c*f.nq, f.kq, f.nq), t.g)
+		t1 := len(fc.terms)
+		for _, t := range rec.b {
+			fc.terms = append(fc.terms, kernelTerm(f.b.Slice(t.r*f.kq, t.c*f.nq, f.kq, f.nq), t.g))
 		}
-		for i, t := range rec.dst {
-			q := f.dense(slot{shape: shapeC, idx: t.r*f.gn + t.c})
-			dt[i] = kernel.Dest{Data: q.Data, Ld: q.Stride, Coeff: t.g, Rows: q.Rows, Cols: q.Cols}
+		d0 := len(fc.dests)
+		for _, t := range rec.dst {
+			d := fc.blocks[t.r*f.gn+t.c]
+			d.Coeff = t.g
+			fc.dests = append(fc.dests, d)
 		}
-		aOp.Terms = at[:len(rec.a)]
-		bOp.Terms = bt[:len(rec.b)]
-		e.fk.FusedMulAddTasks(e.sub, f.mq, f.nq, f.kq, alpha, aOp, bOp, dt[:len(rec.dst)])
+		aOp.Terms, bOp.Terms = fc.terms[t0:t1:t1], fc.terms[t1:len(fc.terms):len(fc.terms)]
+		fc.prods = append(fc.prods, kernel.Product{A: aOp, B: bOp, Dests: fc.dests[d0:len(fc.dests):len(fc.dests)]})
 	}
+	// β over rows [lo, hi) of every block row of C: all of C in one pass
+	// when the band is every row.
+	pre := func(lo, hi int) {
+		if lo == 0 && hi >= f.mq {
+			e.lin(phQ, f.c, matrix.Term{G: beta, Dst: true})
+			return
+		}
+		for i := 0; i < f.c.Rows; i += f.mq {
+			if r0, r1 := i+lo, min(i+hi, f.c.Rows); r0 < r1 {
+				e.lin(phQ, f.c.Slice(r0, 0, r1-r0, f.c.Cols), matrix.Term{G: beta, Dst: true})
+			}
+		}
+	}
+	e.fk.FusedMulAddTasks(e.sub, f.mq, f.nq, f.kq, alpha, fc.prods, pre)
+}
+
+// fusedCall is the record list of one fused level as the kernel takes it:
+// the products and the terms and destinations they slice. Calls reuse
+// them through fusedCalls, so a level's list costs no garbage in steady
+// state.
+type fusedCall struct {
+	prods  []kernel.Product
+	terms  []kernel.Term
+	dests  []kernel.Dest
+	blocks []kernel.Dest // the level's C blocks, by grid index
+}
+
+var fusedCalls = sync.Pool{New: func() any { return new(fusedCall) }}
+
+// release drops the list's references to the call's matrices and returns
+// it to the pool.
+func (fc *fusedCall) release() {
+	clear(fc.prods)
+	clear(fc.terms)
+	clear(fc.dests)
+	clear(fc.blocks)
+	fusedCalls.Put(fc)
+}
+
+// grow returns s emptied, with room for n elements.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // kernelTerm is a block view as a fused operand term: its stored part, with

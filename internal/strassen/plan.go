@@ -105,9 +105,9 @@ func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 	if pol.tbl != nil {
 		p.Algo = pol.tbl.Name
 	}
-	s := &planSim{policy: pol, plan: p, memo: make(map[planKey]simResult)}
+	s := &planSim{policy: pol, plan: p, memo: make(map[planKey]simResult), workers: cores}
 	if ls, ok := cfg.kernel().(leafSizer); ok {
-		s.leaf = ls.LeafWorkspace
+		s.leaf = ls.CallWorkspace
 	}
 	var r simResult
 	if s.odd == OddPadStatic {
@@ -121,13 +121,14 @@ func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 
 // leafSizer is the structural interface a kernel implements to report its
 // per-call workspace (internal/kernel's Packed does): the exact words one
-// MulAdd of the given logical shape draws from the kernel's arena — also
-// when a multi-worker runtime threads the leaf, whose row bands share the
-// sequential leaf's panels (MulAddTasks, FusedMulAddTasks). Kept
-// structural so the strassen package does not choose a kernel
-// implementation for its callers.
+// call of products products of the given logical shape draws from the
+// kernel's arena on a runtime of workers workers — the sequential leaf's
+// two panels, which a threaded call's row bands share, plus a second B̃
+// panel when a threaded call has more than one (product, jc, pc) step
+// (MulAddTasks, FusedMulAddTasks). Kept structural so the strassen package
+// does not choose a kernel implementation for its callers.
 type leafSizer interface {
-	LeafWorkspace(m, n, k int) int64
+	CallWorkspace(workers, products, m, n, k int) int64
 }
 
 // resolveSchedule maps the auto schedule to the concrete schedule β selects
@@ -166,16 +167,20 @@ type simResult struct {
 type planSim struct {
 	policy
 	plan *Plan
-	leaf func(m, n, k int) int64 // nil for kernels without accounted workspace
+	leaf func(workers, products, m, n, k int) int64 // nil for kernels without accounted workspace
 	memo map[planKey]simResult
+	// workers is the task runtime's worker count (0 without one): every
+	// kernel call of the recursion runs on it.
+	workers int
 }
 
-// leafWords is the kernel workspace of one base-case multiply.
-func (s *planSim) leafWords(m, n, k int) int64 {
+// leafWords is the kernel workspace of one kernel call of products
+// products: a base-case multiply (one), or a fused level (its records).
+func (s *planSim) leafWords(products, m, n, k int) int64 {
 	if s.leaf == nil {
 		return 0
 	}
-	return s.leaf(m, n, k)
+	return s.leaf(s.workers, products, m, n, k)
 }
 
 // sim mirrors engine.mul on a subproblem whose operands store x: cutoff
@@ -192,7 +197,7 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int, x extent) simResult
 	var r simResult
 	switch {
 	case !s.recurse(m, k, n, depth):
-		r.kernel = s.leafWords(m, n, k)
+		r.kernel = s.leafWords(1, m, n, k)
 	case s.odd == OddPadDynamic:
 		mp, kp, np := m+(m&1), k+(k&1), n+(n&1)
 		r = s.level(mp, kp, np, betaZero, depth, full(mp, kp, np))
@@ -214,7 +219,7 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int, x extent) simResult
 			{m - me, m - me, n, k},   // peeled rows
 		} {
 			if fix.rem > 1 {
-				r.kernel = max(r.kernel, s.leafWords(fix.m, fix.n, fix.k))
+				r.kernel = max(r.kernel, s.leafWords(1, fix.m, fix.n, fix.k))
 			}
 		}
 	}
@@ -225,7 +230,8 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int, x extent) simResult
 // level accounts one level program on operands that store x, on a
 // grid-divisible problem or one padding virtually, and the recursion
 // levels it runs (two for the two-level fused form): a fused level draws
-// only the kernel's panels at the (rounded-up) block shape; any other
+// only the kernel's panels of one call of its records at the (rounded-up)
+// block shape; any other
 // needs its declared temporaries plus its worst child — or, on a DAG
 // level, lanes concurrent children, each of which can be inside a kernel
 // leaf at once. A DAG level's temporaries are its lanes' buffers
@@ -235,7 +241,7 @@ func (s *planSim) level(m, k, n int, betaZero bool, depth int, x extent) simResu
 	p := s.levelProgram(m, k, n, betaZero, depth)
 	s.plan.Depth = max(s.plan.Depth, depth+p.levels())
 	if p.recs != nil {
-		return simResult{kernel: s.leafWords(ceilDiv(m, p.m), ceilDiv(n, p.n), ceilDiv(k, p.k))}
+		return simResult{kernel: s.leafWords(len(p.recs), ceilDiv(m, p.m), ceilDiv(n, p.n), ceilDiv(k, p.k))}
 	}
 	own := p.words(m, k, n)
 	body, bz := p, betaZero
@@ -264,7 +270,7 @@ func (s *planSim) simStatic(m, k, n int, betaZero bool) simResult {
 	d := s.predictDepth(m, k, n)
 	s.plan.Depth = d
 	if d == 0 {
-		return simResult{kernel: s.leafWords(m, n, k)}
+		return simResult{kernel: s.leafWords(1, m, n, k)}
 	}
 	unit := 1 << uint(d)
 	mp, kp, np := roundUp(m, unit), roundUp(k, unit), roundUp(n, unit)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/memtrack"
+	"repro/internal/sched"
 )
 
 // planTestConfigs spans the schedule × odd-strategy × criterion space the
@@ -127,6 +128,51 @@ func TestPlanKernelWordsMatchMeasuredArenaPeak(t *testing.T) {
 				}
 				if live := arena.Live(); live != 0 {
 					t.Errorf("cfg#%d dims=%v beta=%g: %d kernel arena words leaked", ci, dims, beta, live)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanKernelWordsFused2Runtimes: a two-level fused node is one kernel
+// call of 49 products. On a 1-worker runtime it runs inline and draws
+// LeafWorkspace of its blocks; on 2 and 3 workers its steps run as the
+// kernel's pipeline, which draws one more B̃ panel. Either way the measured
+// arena peak equals the plan's KernelWords, with no Strassen temporaries,
+// on even shapes and on odd ones whose blocks are clipped.
+func TestPlanKernelWordsFused2Runtimes(t *testing.T) {
+	skipIfAlgoPinned(t)
+	rng := rand.New(rand.NewSource(44))
+	for _, workers := range []int{1, 2, 3} {
+		rt := sched.New(workers, 1)
+		defer rt.Close()
+		for _, m := range []int{64, 61} {
+			for _, beta := range []float64{0, 0.5} {
+				pk := &kernel.Packed{MC: 16, KC: 12, NC: 16}
+				arena := memtrack.New()
+				pk.SetArena(arena)
+				ct := NewCountTracer()
+				cfg := &Config{Kernel: twoLevelKernel{pk}, Criterion: Simple{Tau: 16}, Fused: FusedOn, Sched: rt, Tracer: ct}
+				plan := PlanFor(cfg, m, m, m, beta == 0)
+				a := matrix.NewRandom(m, m, rng)
+				b := matrix.NewRandom(m, m, rng)
+				c := matrix.NewRandom(m, m, rng)
+				cfg.Tracker = memtrack.New()
+				DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, m, m, 1, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
+				if ct.Count("fused2") != 1 || ct.Total() != 1 {
+					t.Fatalf("workers=%d m=%d β=%g: want one fused2 node, got %s", workers, m, beta, ct)
+				}
+				want := pk.LeafWorkspace(16, 16, 16)
+				if workers > 1 {
+					want += 12 * 16 // the pipeline's second B̃ panel, KC×NC
+				}
+				if peak := arena.Peak(); peak != plan.KernelWords || peak != want {
+					t.Errorf("workers=%d m=%d β=%g: kernel arena peak %d, plan KernelWords %d, want %d",
+						workers, m, beta, peak, plan.KernelWords, want)
+				}
+				if plan.Words != 0 || cfg.Tracker.Peak() != 0 || arena.Live() != 0 {
+					t.Errorf("workers=%d m=%d β=%g: plan words %d, Strassen peak %d, %d kernel words live",
+						workers, m, beta, plan.Words, cfg.Tracker.Peak(), arena.Live())
 				}
 			}
 		}

@@ -291,39 +291,50 @@ func (p *policy) criterion(m, k, n int) bool {
 }
 
 // levelProgram picks the program one level runs on (m, k, n), split into
-// blocks of the grid rounded up (ceilDiv): the task DAG on the top
-// dagLevels levels; the fused form when levels may run fused (fk), the
-// children would be base cases and the table fits the hooks (the default
-// path fuses Strassen's 1969 construction, whose operands have at most two
-// terms, where Winograd's have up to four); on the default path, the
-// two-level fused form when the children would recurse once more as a
-// sequential level, their children would be base cases and the composed
-// records fit the kernel's native limits (a fused node clips its blocks
-// to the matrices whatever the odd strategy, so the shape need not divide
-// by 4); otherwise the table's sequential program, or on the default path the
-// schedule β selects (Table 1). A program runs on a shape the grid does
-// not divide only when it pads virtually (virtual.go); otherwise it gets
-// the divisible core from peeling or padding.
+// blocks of the grid rounded up (ceilDiv). In order:
+//
+//   - on the default path, the two-level fused form when the kernel fuses
+//     levels (fk), the children would recurse once more, their children
+//     would be base cases and the composed records fit the kernel's native
+//     limits — also on a level that would otherwise run as a task DAG: the
+//     node's one kernel call threads its steps on the runtime itself (a
+//     fused node clips its blocks to the matrices whatever the odd
+//     strategy, so the shape need not divide by 4);
+//   - the task DAG on the top dagLevels levels, which therefore runs only
+//     above nodes whose children still recurse (one fused level never
+//     pre-empts it);
+//   - the fused form when levels may run fused, the children would be base
+//     cases and the table fits the hooks (the default path fuses
+//     Strassen's 1969 construction, whose operands have at most two terms,
+//     where Winograd's have up to four);
+//   - otherwise the table's sequential program, or on the default path the
+//     schedule β selects (Table 1).
+//
+// A program runs on a shape the grid does not divide only when it pads
+// virtually (virtual.go); otherwise it gets the divisible core from
+// peeling or padding.
 func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
+	leafChildren := false
+	if p.fk != nil {
+		gm, gk, gn := p.grid()
+		mq, kq, nq := ceilDiv(m, gm), ceilDiv(k, gk), ceilDiv(n, gn)
+		leafChildren = !p.recurse(mq, kq, nq, depth+1)
+		if p.tbl == nil && !leafChildren && tableFusable(classic2, p.fk.FusedDestLimit()) &&
+			!p.recurse(ceilDiv(mq, gm), ceilDiv(kq, gk), ceilDiv(nq, gn), depth+2) {
+			return fused2
+		}
+	}
 	if depth < p.dagLevels {
 		t := p.table()
 		return programsFor(t).dag(p.dagLanes(t.R))
 	}
-	if p.fk != nil {
+	if leafChildren {
 		ft := p.tbl
 		if ft == nil {
 			ft = classic
 		}
-		gm, gk, gn := p.grid()
-		mq, kq, nq := ceilDiv(m, gm), ceilDiv(k, gk), ceilDiv(n, gn)
-		limit := p.fk.FusedDestLimit()
-		if !p.recurse(mq, kq, nq, depth+1) {
-			if tableFusable(ft, limit) {
-				return programsFor(ft).fused
-			}
-		} else if p.tbl == nil && depth+1 >= p.dagLevels &&
-			!p.recurse(ceilDiv(mq, gm), ceilDiv(kq, gk), ceilDiv(nq, gn), depth+2) && tableFusable(classic2, limit) {
-			return fused2
+		if tableFusable(ft, p.fk.FusedDestLimit()) {
+			return programsFor(ft).fused
 		}
 	}
 	if p.tbl != nil {

@@ -25,9 +25,13 @@ package strassen
 // combinations are the paper's S1..S4/T1..T4) that is at most
 // lanes·(mk/4 + kn/4 + mn/4) words — 6 blocks at two lanes, 3 at one,
 // against 4·mk/4 + 4·kn/4 + 7·mn/4 with a buffer per operand and product.
-// Leaves under a DAG level thread too (kernel.MulAddTasks and
-// FusedMulAddTasks), so a lane that finishes early helps the others'
-// leaves instead of idling.
+// Leaves and fused levels under a DAG level thread too (kernel.MulAddTasks
+// and FusedMulAddTasks), so a lane that finishes early helps the others'
+// calls instead of idling. A level whose last two levels fuse as one node
+// runs that node instead of a DAG (policy.levelProgram): its 49 records
+// are one kernel call whose steps pipeline over the workers, with no
+// temporaries, so the DAG only runs on levels above nodes whose children
+// still recurse.
 
 import (
 	"context"

@@ -169,7 +169,9 @@ func (e *engine) hookLeaf(c *matrix.Dense, a, b matrix.View, alpha, beta float64
 	at := [1]kernel.Term{kernelTerm(a, 1)}
 	bt := [1]kernel.Term{kernelTerm(b, 1)}
 	dt := [1]kernel.Dest{{Data: c.Data, Ld: c.Stride, Coeff: 1, Rows: c.Rows, Cols: c.Cols}}
-	e.fk.FusedMulAddTasks(e.sub, a.Rows, b.Cols, a.Cols, alpha,
-		kernel.Operand{Terms: at[:], Ld: a.Stride, Trans: a.Trans},
-		kernel.Operand{Terms: bt[:], Ld: b.Stride, Trans: b.Trans}, dt[:])
+	e.fk.FusedMulAddTasks(e.sub, a.Rows, b.Cols, a.Cols, alpha, []kernel.Product{{
+		A:     kernel.Operand{Terms: at[:], Ld: a.Stride, Trans: a.Trans},
+		B:     kernel.Operand{Terms: bt[:], Ld: b.Stride, Trans: b.Trans},
+		Dests: dt[:],
+	}}, nil)
 }

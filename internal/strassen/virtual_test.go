@@ -123,9 +123,11 @@ func TestNonFiniteOddShapes(t *testing.T) {
 		{"materialized-pad", func(m int) *Config {
 			return &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn}
 		}, "strassen2", "peel"},
+		// Three levels, so that the DAG still runs on a kernel that fuses
+		// the last two as one node.
 		{"dag-w2", func(m int) *Config {
 			return &Config{Kernel: &kernel.Packed{Mode: kernel.ModeSIMD, MC: 16, KC: 12, NC: 16},
-				Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn, Sched: w2, SchedLevels: 1}
+				Criterion: Simple{Tau: (m + 7) / 8}, Fused: FusedOn, Sched: w2, SchedLevels: 1}
 		}, "parallel", "parallel"},
 		// The default kernel on the sequential path: its SIMD tile where
 		// the host has one, through the fused packers and write-out.
@@ -146,6 +148,17 @@ func TestNonFiniteOddShapes(t *testing.T) {
 	configs = append(configs, config{"two-level-fused", func(m int) *Config {
 		return &Config{Kernel: two, Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn}
 	}, wantTwo[0], wantTwo[1]})
+	// The same node on a 2-worker runtime takes the place of the DAG level,
+	// its kernel call threading over small blocks; a kernel that fuses one
+	// level runs the DAG over fused children.
+	wantTwoW2 := "fused2"
+	if (&kernel.Packed{Mode: kernel.ModeSIMD}).FusedDestLimit() < 4 {
+		wantTwoW2 = "parallel"
+	}
+	configs = append(configs, config{"two-level-fused-w2", func(m int) *Config {
+		return &Config{Kernel: &kernel.Packed{Mode: kernel.ModeSIMD, MC: 16, KC: 12, NC: 16},
+			Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn, Sched: w2, SchedLevels: 1}
+	}, wantTwoW2, wantTwoW2})
 	// Every built-in table, recursing two levels deep, forms its multi-term
 	// operands in one lin op each. The default table, winograd, compiles to
 	// a program only on DAG levels; the others run their sequential one.
