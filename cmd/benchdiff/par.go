@@ -11,15 +11,16 @@ import (
 )
 
 // The par.* family gates the multi-core task runtime: whole multiplies
-// executed as a seven-product DAG on a work-stealing runtime, plus the
-// speedup-vs-workers curve. The family is measured only on hosts with more
-// than one CPU and every metric is capability-gated behind "multicore" —
-// on a single-core host the DAG serializes onto one worker and its numbers
-// would measure scheduler overhead, not parallel execution (see
-// EXPERIMENTS.md for the methodology and the 1-CPU caveats).
+// whose kernel calls and lin passes thread on a work-stealing runtime,
+// plus the speedup-vs-workers curve. The family is measured only on hosts
+// with more than one CPU and every metric is capability-gated behind
+// "multicore" — on a single-core host the tasks serialize onto one worker
+// and their numbers would measure scheduler overhead, not parallel
+// execution (see EXPERIMENTS.md for the methodology and the 1-CPU
+// caveats).
 
-// parMultiplyGflops times a full DGEFMM call whose product DAG runs on a
-// dedicated workers-sized runtime (default configuration otherwise).
+// parMultiplyGflops times a full DGEFMM call threaded on a dedicated
+// workers-sized runtime (default configuration otherwise).
 func parMultiplyGflops(name string, n, workers, reps int) float64 {
 	rt := sched.New(workers, 211)
 	defer rt.Close()

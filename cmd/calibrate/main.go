@@ -154,9 +154,10 @@ func main() {
 
 		// The -cores sweep re-measures the square crossover with both arms
 		// on a c-worker runtime — DGEMM with its leaf threaded by row bands
-		// against a one-level seven-product DAG — because τ is a function
-		// of the worker count: the DAG arm's speedup saturates at 7 tasks
-		// while the threaded leaf's keeps scaling, so the crossover moves
+		// against one level whose passes thread by column bands and whose
+		// seven leaves thread by row bands — because τ is a function of the
+		// worker count: the level's O(n²) passes and its smaller leaves
+		// scale differently from one large leaf, so the crossover moves
 		// with c. A kernel whose leaves cannot thread fails the sweep.
 		// Rows install under "<kernel>@<cores>"; the rectangular parameters
 		// are carried over from the sequential sweep above (the thin-

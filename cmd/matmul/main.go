@@ -48,7 +48,7 @@ func main() {
 		tb         = flag.Bool("tb", false, "use Bᵀ")
 		alpha      = flag.Float64("alpha", 1, "alpha scalar")
 		trace      = flag.Bool("trace", false, "print a recursion trace summary")
-		par        = flag.Int("parallel", 0, "run the recursion's products on a work-stealing runtime with this many workers")
+		par        = flag.Int("parallel", 0, "thread the multiply's kernel calls and lin passes on a work-stealing runtime with this many workers")
 		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot (JSON) to this file when done")
 		traceOut   = flag.String("trace-out", "", "write the recorded spans (Chrome trace-event JSON) to this file when done")
 		httpAddr   = flag.String("http", "", "serve live expvar/pprof/metrics endpoints on this address (e.g. :6060)")

@@ -175,9 +175,8 @@ func TestPublicParallelConfig(t *testing.T) {
 	rt := sched.New(4, 1)
 	defer rt.Close()
 	cfg.Sched = rt
-	cfg.SchedLevels = 2
 	Multiply(cfg, c2, NoTrans, NoTrans, 1, a, b, 0)
-	if !c1.EqualApprox(c2, 1e-10) {
-		t.Fatal("parallel config changes the result")
+	if !c1.Equal(c2) {
+		t.Fatal("a task runtime changes the result's bits")
 	}
 }

@@ -19,8 +19,8 @@
 //     the arenas (Stats.PlanWords); each call still resolves its own
 //     cutoff, as a lone DGEFMM does.
 //   - Core budgeting: with a work-stealing runtime attached (Options.Sched
-//     or Config.Sched) the budget is structural: every call executes as a
-//     task DAG on the runtime, whose worker count caps tasks in flight
+//     or Config.Sched) the budget is structural: every call threads its
+//     passes and kernel calls on the runtime, whose worker count caps tasks in flight
 //     regardless of how many pool workers submit concurrently. Without
 //     one, every call runs sequentially on its pool worker, so the
 //     parallelism is across calls only.
@@ -75,8 +75,8 @@ type Call struct {
 	// Ctx, if non-nil, cancels the call: a context already done when a
 	// worker picks the call up skips it outright, and one that expires
 	// mid-execution stops the running multiply at the next product
-	// boundary (the recursion polls the context between products, and the
-	// task DAG drains its remaining bodies). Either way the call reports
+	// boundary (the recursion polls the context between products, and a
+	// threaded pass skips its remaining tasks). Either way the call reports
 	// the context's error without disturbing the rest of the batch; its C
 	// may hold a partial result the caller must discard.
 	Ctx context.Context
@@ -126,7 +126,7 @@ type Options struct {
 	Collector *obs.Collector
 	// Sched, if non-nil, routes every call through this work-stealing
 	// runtime: a pool worker submits its call as a task and the runtime's
-	// workers execute the call's product DAG and threaded leaves, so
+	// workers execute the call's threaded passes and leaves, so
 	// intra-call parallelism across all concurrent calls shares the
 	// runtime's single core budget (tasks in flight never exceed its
 	// worker count, however many pool workers submit). Equivalent to
@@ -412,7 +412,7 @@ func (p *Pool) run(w *worker, j job) {
 	var err error
 	if p.sched != nil {
 		// Routed execution: the pool worker is a pure submitter. The call
-		// runs as a task DAG on the pool's runtime, so intra-call
+		// runs as a task on the pool's runtime and threads there, so intra-call
 		// parallelism across every concurrent call draws from the
 		// runtime's single worker budget.
 		rctx := c.Ctx

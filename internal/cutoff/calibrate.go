@@ -68,7 +68,8 @@ func SetConfigHook(fn func(*strassen.Config)) { configHook = fn }
 // timePair measures DGEMM and one-level DGEFMM on an m×k × k×n problem and
 // returns the two per-call times in seconds. With a runtime rt both arms
 // run on it: DGEMM as a DGEFMM base case, whose leaf threads by row bands,
-// and the level as a product DAG.
+// and the level with its lin passes threaded by column bands and its
+// products' leaves by row bands.
 func timePair(kern blas.Kernel, fused strassen.FusedMode, rt *sched.Runtime, m, k, n int, alpha, beta float64, rng *rand.Rand) (tGemm, tOneLevel float64) {
 	a := matrix.NewRandom(m, k, rng)
 	b := matrix.NewRandom(k, n, rng)
@@ -80,7 +81,7 @@ func timePair(kern blas.Kernel, fused strassen.FusedMode, rt *sched.Runtime, m, 
 			a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
 	}
 	if rt != nil {
-		cfg.Sched, cfg.SchedLevels = rt, 1
+		cfg.Sched = rt
 		base := &strassen.Config{Kernel: kern, Criterion: strassen.Never{}, Sched: rt}
 		gemm = func() {
 			strassen.DGEFMM(base, blas.NoTrans, blas.NoTrans, m, n, k, alpha,

@@ -113,9 +113,10 @@ func AblationPeeling(w io.Writer, sc Scale) []AblationRow {
 	return rows
 }
 
-// AblationParallel compares the sequential engine with the task-parallel
-// schedule on 2- and 4-worker runtimes — the Section 5 parallelism item.
-// On a single-CPU host the interest is overhead, not speedup.
+// AblationParallel compares the sequential engine with the same calls on
+// 2- and 4-worker task runtimes, which thread each level's passes by
+// column bands and its leaves by row bands — the Section 5 parallelism
+// item. On a single-CPU host the interest is overhead, not speedup.
 func AblationParallel(w io.Writer, sc Scale) []AblationRow {
 	kern := kernelOf("blocked")
 	tau := strassen.DefaultParams("blocked").Tau
@@ -124,10 +125,10 @@ func AblationParallel(w io.Writer, sc Scale) []AblationRow {
 	rows := []AblationRow{{Name: "sequential", Seconds: timeConfig(seq, m, 1, 0, 293)}}
 	for _, workers := range []int{2, 4} {
 		rt := sched.New(workers, 293)
-		dag := configFor(kern)
-		dag.Sched = rt
-		name := fmt.Sprintf("work-stealing DAG runtime (%d)", workers)
-		rows = append(rows, AblationRow{Name: name, Seconds: timeConfig(dag, m, 1, 0, 293)})
+		par := configFor(kern)
+		par.Sched = rt
+		name := fmt.Sprintf("task runtime (%d)", workers)
+		rows = append(rows, AblationRow{Name: name, Seconds: timeConfig(par, m, 1, 0, 293)})
 		rt.Close()
 	}
 

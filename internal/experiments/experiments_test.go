@@ -224,7 +224,7 @@ func TestAblationsQuick(t *testing.T) {
 		t.Fatal("peeling rows")
 	}
 	if rows := AblationParallel(io.Discard, quick); len(rows) != 3 {
-		t.Fatal("parallel rows: want sequential, DAG runtime (2), DAG runtime (4)")
+		t.Fatal("parallel rows: want sequential, task runtime (2), task runtime (4)")
 	}
 	rows := AblationKernels(io.Discard, quick)
 	if len(rows) != len(blas.KernelNames()) {

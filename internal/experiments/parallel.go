@@ -19,9 +19,9 @@ type ParallelRow struct {
 
 // ParallelScaling measures the speedup-vs-workers curve of the task
 // runtime — the multi-core experiment the paper's Section 5 leaves as
-// future work. One DGEFMM per worker count w runs its product DAG (and,
-// for the packed kernel, its threaded leaf loops) on a dedicated w-worker
-// runtime; speedups are against the plain sequential engine, so the
+// future work. One DGEFMM per worker count w runs its column-banded lin
+// passes (and, for the packed kernel, its threaded leaf loops) on a
+// dedicated w-worker runtime; speedups are against the plain sequential engine, so the
 // one-worker row exposes the scheduler's overhead floor. Worker counts
 // double from 1 up to GOMAXPROCS (always including GOMAXPROCS); on a
 // single-CPU host every row collapses to roughly the sequential time and

@@ -376,7 +376,8 @@ func (l *leaf) finish(a bandAcct) {
 // sub may be an external *sched.Runtime or the *sched.Worker handle of a
 // running task — bands then go to the worker's own deque, the worker
 // executes them itself and idle workers steal, which is what lets a
-// Strassen product task thread its leaves without blocking the pool. With
+// multiply that runs inside a task (strassen.DGEFMMTask, the batch pool)
+// thread its leaves without blocking the pool. With
 // a nil submitter, fewer than two bands, or a single-worker runtime, it
 // runs as MulAdd.
 func (k *Packed) MulAddTasks(sub sched.Submitter, transA, transB blas.Transpose, m, n, kk int, alpha float64,

@@ -182,10 +182,11 @@ func TestCollectorMatchesCountTracer(t *testing.T) {
 	}
 }
 
-// TestParallelSpanTreeComplete runs the task-parallel schedule with both a
-// recording tracer and the collector attached and checks — under -race in
-// CI — that the resulting tree is complete and well-parented: no dropped
-// spans, no orphans, every child nested inside its parent's interval.
+// TestParallelSpanTreeComplete runs a call on a 4-worker task runtime
+// with both a recording tracer and the collector attached and checks —
+// under -race in CI — that the resulting tree is complete and
+// well-parented: no dropped spans, no orphans, every child nested inside
+// its parent's interval, and the levels the call runs without a runtime.
 func TestParallelSpanTreeComplete(t *testing.T) {
 	ref := &strassen.LogTracer{}
 	col := NewCollector()
@@ -194,10 +195,9 @@ func TestParallelSpanTreeComplete(t *testing.T) {
 	rt := sched.New(4, 1)
 	defer rt.Close()
 	cfg.Sched = rt
-	cfg.SchedLevels = 2
 	cfg.Tracer = ref
 	col.Attach(cfg)            // tees: events to ref, spans to col
-	run(cfg, 257, 255, 259, 7) // odd dims: peeling + fixups inside parallel products
+	run(cfg, 257, 255, 259, 7) // odd dims: peeling + fixups on the runtime
 
 	spans := col.Spans.Spans()
 	if len(spans) == 0 {
@@ -213,13 +213,13 @@ func TestParallelSpanTreeComplete(t *testing.T) {
 	for _, s := range spans {
 		byID[s.ID] = s
 	}
-	roots, parallels := 0, 0
+	roots, levels := 0, 0
 	for _, s := range spans {
 		if s.DurNS < 0 {
 			t.Fatalf("span %d never ended", s.ID)
 		}
-		if s.Action == "parallel" {
-			parallels++
+		if s.Action == "strassen1" {
+			levels++
 		}
 		if s.Parent == 0 {
 			roots++
@@ -244,25 +244,8 @@ func TestParallelSpanTreeComplete(t *testing.T) {
 	if roots != 1 {
 		t.Errorf("want exactly one root, got %d", roots)
 	}
-	if parallels == 0 {
-		t.Error("parallel schedule produced no parallel spans")
-	}
-	// Concurrent siblings must land on distinct display tracks.
-	for _, s := range spans {
-		if s.Action != "parallel" {
-			continue
-		}
-		tracks := make(map[int]int64)
-		for _, ch := range spans {
-			if ch.Parent != s.ID {
-				continue
-			}
-			if other, clash := tracks[ch.Track]; clash {
-				t.Fatalf("children %d and %d of parallel span %d share track %d",
-					other, ch.ID, s.ID, ch.Track)
-			}
-			tracks[ch.Track] = ch.ID
-		}
+	if levels == 0 {
+		t.Error("the runtime call produced no strassen1 level spans")
 	}
 }
 
@@ -310,7 +293,7 @@ func TestCollectorSchedBridge(t *testing.T) {
 		t.Errorf("workers = %d, want 2", ss.Workers)
 	}
 	if ss.TasksRun == 0 {
-		t.Error("no scheduler tasks recorded for a DAG-routed multiply")
+		t.Error("no scheduler tasks recorded for a runtime multiply")
 	}
 	if ss.MaxRunning < 1 || ss.MaxRunning > int64(ss.Workers) {
 		t.Errorf("max_running = %d outside [1, %d]", ss.MaxRunning, ss.Workers)

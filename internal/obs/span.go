@@ -13,7 +13,7 @@ import (
 
 // Span is one timed node of the DGEFMM recursion tree: the trace event's
 // identity (action, depth, problem shape) plus wall-clock timing relative
-// to the recorder's epoch and a display track for Chrome trace export.
+// to the recorder's epoch.
 type Span struct {
 	// ID is the span's identifier (≥ 1); Parent is the enclosing span's ID,
 	// 0 for a root.
@@ -25,10 +25,6 @@ type Span struct {
 	M      int    `json:"m"`
 	K      int    `json:"k"`
 	N      int    `json:"n"`
-	// Track is the display lane: children of a "parallel" node each get a
-	// fresh track (they genuinely overlap in time), everything else inherits
-	// its parent's track.
-	Track int `json:"track"`
 	// StartNS is nanoseconds since the recorder's epoch; DurNS is the span's
 	// wall time, or -1 while the span is still open.
 	StartNS int64 `json:"start_ns"`
@@ -55,7 +51,7 @@ func (s Span) GFLOPS() float64 {
 
 // SpanRecorder implements strassen.SpanTracer: it records every traced
 // recursion node as a timed, parented Span. It is safe for concurrent use
-// by the parallel schedule.
+// by calls that share it.
 type SpanRecorder struct {
 	// Limit bounds the number of recorded spans (0 = unlimited). Once
 	// reached, whole subtrees are dropped — BeginSpan returns a negative ID
@@ -63,12 +59,11 @@ type SpanRecorder struct {
 	// counting elsewhere stays exact. Dropped() reports how many were shed.
 	Limit int
 
-	epoch     time.Time
-	mu        sync.Mutex
-	spans     []Span
-	open      int
-	dropped   int64
-	nextTrack int
+	epoch   time.Time
+	mu      sync.Mutex
+	spans   []Span
+	open    int
+	dropped int64
 }
 
 // NewSpanRecorder returns an empty recorder with its epoch set to now and
@@ -97,20 +92,10 @@ func (r *SpanRecorder) BeginSpan(parent int64, e strassen.TraceEvent) int64 {
 		return -1
 	}
 	id := int64(len(r.spans)) + 1
-	track := 0
-	if parent >= 1 && parent <= int64(len(r.spans)) {
-		ps := &r.spans[parent-1]
-		if ps.Action == "parallel" {
-			r.nextTrack++
-			track = r.nextTrack
-		} else {
-			track = ps.Track
-		}
-	}
 	r.spans = append(r.spans, Span{
 		ID: id, Parent: parent,
 		Action: e.Action, Depth: e.Depth, M: e.M, K: e.K, N: e.N,
-		Track: track, StartNS: now, DurNS: -1,
+		StartNS: now, DurNS: -1,
 	})
 	r.open++
 	return id
@@ -172,7 +157,6 @@ func (r *SpanRecorder) Reset() {
 	r.spans = nil
 	r.open = 0
 	r.dropped = 0
-	r.nextTrack = 0
 	r.epoch = time.Now()
 }
 
@@ -234,8 +218,8 @@ type chromeEvent struct {
 
 // WriteChromeTrace writes the spans in Chrome trace-event format (a JSON
 // array of complete events), loadable in Perfetto (ui.perfetto.dev) or
-// chrome://tracing. Tracks (tid) separate concurrently running subtrees so
-// the parallel schedule renders as overlapping lanes.
+// chrome://tracing. A call's spans nest on its calling goroutine, so they
+// share one track.
 func (r *SpanRecorder) WriteChromeTrace(w io.Writer) error {
 	spans := r.Spans()
 	events := make([]chromeEvent, 0, len(spans))
@@ -250,7 +234,7 @@ func (r *SpanRecorder) WriteChromeTrace(w io.Writer) error {
 			TS:   float64(s.StartNS) / 1e3,
 			Dur:  float64(s.DurNS) / 1e3,
 			PID:  1,
-			TID:  s.Track + 1,
+			TID:  1,
 			Args: map[string]any{
 				"depth":  s.Depth,
 				"gflops": s.GFLOPS(),

@@ -13,7 +13,8 @@ import (
 // dependency has finished. Each output buffer in a well-formed DAG is
 // written by exactly one task, so results are independent of execution
 // order — the property that makes parallel runs bit-for-bit equal to
-// sequential ones on a deterministic kernel, and that FuzzSchedDAG pins.
+// sequential ones on a deterministic kernel, and that FuzzDGEFMM pins for
+// whole multiplies.
 //
 // Add may also be called from inside a running task (the node is enqueued
 // immediately), but every dependency passed must already be part of the

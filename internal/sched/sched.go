@@ -1,8 +1,8 @@
 // Package sched is the multi-core task runtime underneath DGEFMM: a
 // work-stealing fork-join scheduler in the Cilk/TBB mold, on which the
-// Strassen engine runs its seven Winograd products (and the R products of
-// any ⟨m,k,n⟩ table algorithm) as a dependency DAG, the packed kernel
-// threads its leaves' rows, and the batch pool submits its calls.
+// Strassen engine threads each level's lin passes by column bands, the
+// packed kernel threads its calls' rows (a fused level's records as one
+// step pipeline), and the batch pool submits its calls.
 //
 // The runtime is the one parallel path in the repository: a multiply runs
 // on more than one core only when its caller hands a *Runtime to

@@ -134,30 +134,24 @@ type Config struct {
 	Algo string
 	// Tracker, if non-nil, accounts all temporary workspace words.
 	Tracker *memtrack.Tracker
-	// Sched, if non-nil, executes the recursion on this work-stealing task
-	// runtime (internal/sched): the top SchedLevels recursion levels expand
-	// their products into a dependency DAG, and the packed kernel's calls —
-	// leaves and fused levels — thread by row bands, a fused level's
-	// records as one pipeline of (record, jc, pc) steps. Multiple Configs
-	// may share one runtime — tasks from concurrent calls interleave under
-	// a single core budget.
+	// Sched, if non-nil, threads the call on this work-stealing task
+	// runtime (internal/sched). The recursion runs the same level
+	// programs, in the same order, as without it; each materialized
+	// level's lin passes split into one task per column band of their
+	// destination, and the packed kernel's calls — leaves and fused levels
+	// — thread by row bands, a fused level's records as one pipeline of
+	// (record, jc, pc) steps. So the result's bits and the Strassen
+	// workspace are those of the call without a runtime, on every worker
+	// count. Multiple Configs may share one runtime — tasks from
+	// concurrent calls interleave under a single core budget.
 	Sched *sched.Runtime
-	// SchedLevels bounds how many top levels expand into task DAGs; 0 picks
-	// enough levels that the product fan-out covers the runtime's workers
-	// (capped at 3). Ignored when no task runtime is active. Each DAG level
-	// runs at most the runtime's worker count of products at once. A level
-	// whose last two levels fuse as one node (fused2, on a kernel that
-	// writes four destinations from registers) runs that node instead of a
-	// DAG: its one kernel call threads on the runtime and holds no
-	// Strassen temporaries, so a DAG level only runs above levels whose
-	// children still recurse.
-	SchedLevels int
 	// Tracer, if non-nil, receives one TraceEvent per recursion decision
 	// (base-case, schedule level, peel/pad action, fixup). A Tracer that
 	// also implements SpanTracer additionally receives timed, parented
 	// BeginSpan/EndSpan brackets around every node (see internal/obs for
-	// the standard collector). Implementations must be concurrency-safe
-	// when Sched is set.
+	// the standard collector). The events of one call come from its
+	// calling goroutine; implementations shared by concurrent calls must
+	// be concurrency-safe.
 	Tracer Tracer
 }
 
@@ -327,4 +321,15 @@ func (cfg *Config) kernel() blas.Kernel {
 		return kernel.Default()
 	}
 	return cfg.Kernel
+}
+
+// schedCores returns the worker count of the runtime a call would execute
+// on (0 when no task runtime is configured); PlanFor consults it so the
+// "<kernel>@<cores>" calibration rows and the threaded kernel calls see
+// the same figure the engine does.
+func (cfg *Config) schedCores() int {
+	if cfg.Sched == nil {
+		return 0
+	}
+	return cfg.Sched.Workers()
 }

@@ -29,13 +29,9 @@ package strassen
 // materialized level over seven fused children: the same leaves and
 // multiplications (the upper level's additions become the 1969 form's,
 // all inside packing and write-out), and no Strassen temporaries where
-// that level held two or three. On a task runtime it also takes the place
-// of a DAG level over fused children and its six temporaries: a fused
-// level hands all its records to the kernel in one call, which pipelines
-// their (record, jc, pc) steps over the workers (kernel/tasks.go). One
-// fused level keeps the DAG above it: in a DAG level's place its 1969
-// records would change the bits of every runtime configuration on the
-// tiles that fuse one level (the Compat rows of testdata/golden.txt).
+// that level held two or three. On a task runtime a fused level hands all
+// its records to the kernel in one call, which pipelines their (record,
+// jc, pc) steps over the workers (kernel/tasks.go).
 // On the scalar and NEON tiles, which scatter extra destinations from a
 // buffer, two fused levels measured slower than that materialized level
 // (EXPERIMENTS.md), so their limit keeps one.

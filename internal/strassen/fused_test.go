@@ -422,12 +422,12 @@ func TestFusedNoTemporaries(t *testing.T) {
 // TestFusedTwoLevels: where the kernel writes four destinations natively,
 // a level whose grandchildren are base cases runs as one fused2 node (49
 // fused products) that PlanFor and the trace count as two levels, with no
-// Strassen workspace — on a 2-worker runtime too, where it takes the place
-// of the DAG level and its one kernel call threads; above it a
-// materialized level, or a DAG level whose children still recurse, runs
-// as before; on a kernel that fuses one level, the DAG level keeps its
-// children's single fused level below it; FusedOff and pinned schedules
-// never fuse; and the results stay within the error band of the oracle.
+// Strassen workspace — on a 2-worker runtime too, where its one kernel
+// call threads; above it a materialized level runs as before; on a kernel
+// that fuses one level, a materialized level keeps its children's single
+// fused level below it, with or without a runtime; FusedOff and pinned
+// schedules never fuse; and the results stay within the error band of the
+// oracle.
 // The default configuration runs square_b0's 1024³ this way on the AVX2
 // tile.
 func TestFusedTwoLevels(t *testing.T) {
@@ -449,8 +449,8 @@ func TestFusedTwoLevels(t *testing.T) {
 		{64, FusedOn, ScheduleAuto, nil, "depth≤1: fused2=1", 49, 2, false},
 		{128, FusedOn, ScheduleAuto, nil, "depth≤2: fused2=7 strassen1=1", 343, 3, false},
 		{64, FusedOn, ScheduleAuto, w2, "depth≤1: fused2=1", 49, 2, false},
-		{128, FusedOn, ScheduleAuto, w2, "depth≤2: fused2=7 parallel=1", 343, 3, false},
-		{64, FusedOn, ScheduleAuto, w2, "depth≤1: fused1=7 parallel=1", 49, 2, true},
+		{128, FusedOn, ScheduleAuto, w2, "depth≤2: fused2=7 strassen1=1", 343, 3, false},
+		{64, FusedOn, ScheduleAuto, w2, "depth≤1: fused1=7 strassen1=1", 49, 2, true},
 		{64, FusedOff, ScheduleAuto, nil, "depth≤2: base=49 strassen1=8", 0, 2, false},
 		{64, FusedOn, ScheduleStrassen1, nil, "depth≤2: base=49 strassen1=8", 0, 2, false},
 	}
@@ -464,7 +464,7 @@ func TestFusedTwoLevels(t *testing.T) {
 		tr, ct := memtrack.New(), NewCountTracer()
 		cfg := &Config{Kernel: kern, Criterion: Simple{Tau: 16}, Fused: tc.mode, Schedule: tc.sch, Tracer: ct, Tracker: tr}
 		if tc.rt != nil {
-			cfg.Sched, cfg.SchedLevels = tc.rt, 1
+			cfg.Sched = tc.rt
 		}
 		a := matrix.NewRandom(tc.n, tc.n, rng)
 		b := matrix.NewRandom(tc.n, tc.n, rng)
@@ -476,7 +476,7 @@ func TestFusedTwoLevels(t *testing.T) {
 			t.Errorf("%s: trace %q with %d fused calls, want %q with %d", what, got, pk.FusedCounters(), tc.trace, tc.calls)
 		}
 		plan := PlanFor(cfg, tc.n, tc.n, tc.n, true)
-		if plan.Depth != tc.depth || (tc.rt == nil && plan.Words != tr.Peak()) {
+		if plan.Depth != tc.depth || plan.Words != tr.Peak() {
 			t.Errorf("%s: plan depth %d words %d, want depth %d and the measured peak %d", what, plan.Depth, plan.Words, tc.depth, tr.Peak())
 		}
 		if tc.trace == "depth≤1: fused2=1" && tr.Peak() != 0 {

@@ -87,8 +87,8 @@ func paddedCopy(m *matrix.Dense, rp, cp int) *matrix.Dense {
 // hook leaves where the last level is not fusable; on a kernel that fuses
 // two levels the last two fuse as one, see twoLevel), each dimension
 // g^(levels+1)·q short by s, base cases of τ = q, and a sequential call
-// (workers 0) or a runtime of 1 or 2 workers, whose top level runs as a
-// task DAG.
+// (workers 0) or a runtime of 1 or 2 workers, which runs the levels the
+// sequential call runs.
 type padCase struct {
 	kern, levels int
 	path         string
@@ -122,22 +122,19 @@ func (pc padCase) String() string {
 
 // twoLevel reports whether the case's last two levels fuse as one node
 // (fused2) at depth levels−1: on the default path, where the kernel writes
-// four destinations natively — on a runtime too, where a fused2 top level
-// takes the place of the DAG level.
+// four destinations natively.
 func (pc padCase) twoLevel(pk *kernel.Packed) bool {
 	return pc.path == algo.DefaultName && pk.FusedDestLimit() >= 4 && pc.levels > 0
 }
 
 // peels reports whether the case's top level must peel: on the default
-// path at β = 0 a sequential call's top level is STRASSEN1 unless it is
-// the two-level fused node, and STRASSEN1 fails (b) where its C blocks
-// overhang in m or n — C21 ← C22 − C11 − C21 needs the column C22 lacks,
-// C12 ← C12 + C21 the row C21 lacks. (A DAG top level writes its products
-// to temporaries, so its STRASSEN1 children's C blocks overhang only where
-// their own shape is odd, which the shortfalls below avoid.) Everything
-// else the oracle runs pads virtually at every level.
+// path at β = 0 the top level is STRASSEN1 unless it is the two-level
+// fused node, and STRASSEN1 fails (b) where its C blocks overhang in m or
+// n — C21 ← C22 − C11 − C21 needs the column C22 lacks, C12 ← C12 + C21
+// the row C21 lacks. Everything else the oracle runs pads virtually at
+// every level.
 func (pc padCase) peels(pk *kernel.Packed) bool {
-	return pc.levels > 0 && pc.path == algo.DefaultName && pc.beta == 0 && pc.workers == 0 && (pc.s[0] > 0 || pc.s[2] > 0) &&
+	return pc.levels > 0 && pc.path == algo.DefaultName && pc.beta == 0 && (pc.s[0] > 0 || pc.s[2] > 0) &&
 		!(pc.twoLevel(pk) && pc.levels == 1)
 }
 
@@ -206,12 +203,10 @@ func checkPad(t *testing.T, pc padCase) {
 		}
 		return
 	}
-	// The last level is fused unless the kernel cannot fuse the table or
-	// it is the top level of a runtime call (a DAG level over hook leaves).
+	// The last level is fused unless the kernel cannot fuse the table.
 	// Where the last two fuse as one, the fused node sits a level higher
-	// and no node starts at the last depth. The top level of a runtime call
-	// is a DAG level unless it is that node.
-	lastFused := fusable(pk, pc.path) && (pc.workers == 0 || pc.levels > 0)
+	// and no node starts at the last depth.
+	lastFused := fusable(pk, pc.path)
 	fusedAt, fusedName := pc.levels, "fused1"
 	if pc.twoLevel(pk) {
 		fusedAt, fusedName = pc.levels-1, "fused2"
@@ -225,8 +220,7 @@ func checkPad(t *testing.T, pc padCase) {
 			continue
 		}
 		fused := act == fusedName
-		if act == "" || act == "peel" || act == "base" || fused != (d == fusedAt && lastFused) ||
-			(d == 0 && pc.workers > 0 && !topFused) != (act == "parallel") {
+		if act == "" || act == "peel" || act == "base" || fused != (d == fusedAt && lastFused) {
 			t.Fatalf("%s: depth %d runs %q (levels %v)", pc, d, act, levels)
 		}
 	}
@@ -372,8 +366,7 @@ func TestFusedPadMatchesRealPadding(t *testing.T) {
 // workers). Where the SIMD tile fuses the default path's last two levels
 // as one node, the trees also run a level deeper, so that two
 // materialized levels still run above it (one level runs none above it:
-// the fused node is the top, on a runtime in place of the DAG level, and
-// a runtime's DAG level runs at two and three). Two levels of a wider table
+// the fused node is the top). Two levels of a wider table
 // run thousands of tiny leaves, so those cases take one shortfall, β and
 // transpose pair.
 func TestMaterializedPadMatchesRealPadding(t *testing.T) {

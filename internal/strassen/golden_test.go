@@ -21,11 +21,10 @@ import (
 
 // goldenPath holds one line per configuration of goldenLines: the
 // configuration key, the SHA-256 of C's bits after the multiply, the
-// plan's Words, KernelWords and Depth, and the measured memtrack peak.
-// On a multi-worker runtime a one-level tree's peak is the DAG level's
-// buffers, drawn up front, and is recorded like any other; a deeper tree
-// runs children concurrently, how many of them overlap depends on timing,
-// and the line records "-" while the test asserts peak ≤ Plan.Words.
+// plan's Words, KernelWords and Depth, and the measured memtrack peak,
+// which equals Words on every line. A runtime line's hash, Words and Depth
+// equal its sequential twin's; its KernelWords may exceed them (a threaded
+// kernel call draws one more B̃ panel).
 const goldenPath = "testdata/golden.txt"
 
 // goldenLines runs every configuration of the golden sweep and returns
@@ -34,6 +33,7 @@ const goldenPath = "testdata/golden.txt"
 // (α, β) cover β = 0, general β and β = 1; the default path runs every
 // Schedule × OddStrategy, and every built-in table runs once; fusion is
 // on or off; execution is sequential, a 1-worker or a 2-worker runtime.
+// It fails t where a line breaks the invariants goldenPath states.
 func goldenLines(t *testing.T) []string {
 	w1 := sched.New(1, 1)
 	w2 := sched.New(2, 1)
@@ -81,6 +81,7 @@ func goldenLines(t *testing.T) []string {
 				for _, ab := range coeffs {
 					for _, pc := range paths {
 						for _, fm := range []FusedMode{FusedOn, FusedOff} {
+							var seq string // the sequential run's hash, Words and Depth
 							for _, rc := range runtimes {
 								cfg := &Config{
 									Kernel:    kc.make(),
@@ -92,7 +93,6 @@ func goldenLines(t *testing.T) []string {
 								}
 								if rc.rt != nil {
 									cfg.Sched = rc.rt
-									cfg.SchedLevels = 2
 								}
 								plan := PlanFor(cfg, m, n, k, ab[1] == 0)
 								tr := memtrack.New()
@@ -103,19 +103,19 @@ func goldenLines(t *testing.T) []string {
 								if live := tr.Live(); live != 0 {
 									t.Fatalf("%s: %d workspace words leaked", pc.name, live)
 								}
-								peak := fmt.Sprint(tr.Peak())
-								if rc.rt != nil && rc.rt.Workers() > 1 && plan.Depth > 1 {
-									if tr.Peak() > plan.Words {
-										t.Errorf("%s %s: peak %d > plan words %d", pc.name, rc.name, tr.Peak(), plan.Words)
-									}
-									peak = "-"
-								} else if tr.Peak() != plan.Words {
-									t.Errorf("%s %s: peak %d != plan words %d", pc.name, rc.name, tr.Peak(), plan.Words)
-								}
 								key := fmt.Sprintf("%s/tau=%d/%dx%dx%d/a=%g/b=%g/%s/fused=%v/%s",
 									kc.name, tau, m, k, n, ab[0], ab[1], pc.name, fm, rc.name)
-								lines = append(lines, fmt.Sprintf("%s %s %d %d %d %s",
-									key, bitsHash(c), plan.Words, plan.KernelWords, plan.Depth, peak))
+								if tr.Peak() != plan.Words {
+									t.Errorf("%s: peak %d != plan words %d", key, tr.Peak(), plan.Words)
+								}
+								twin := fmt.Sprintf("%s %d %d", bitsHash(c), plan.Words, plan.Depth)
+								if rc.rt == nil {
+									seq = twin
+								} else if twin != seq {
+									t.Errorf("%s: hash, words and depth %s; sequential %s", key, twin, seq)
+								}
+								lines = append(lines, fmt.Sprintf("%s %s %d %d %d %d",
+									key, bitsHash(c), plan.Words, plan.KernelWords, plan.Depth, tr.Peak()))
 							}
 						}
 					}

@@ -1,8 +1,10 @@
 package strassen
 
 // The one interpreter: runs a level program on an exactly grid-divisible
-// problem. Each lin op is one call of the elementwise kernel matrix.Lin,
-// bracketed by the phase of its destination (A and B blocks:
+// problem, its ops in order on the calling goroutine, on every runtime.
+// Each lin op is one pass of the elementwise kernel matrix.Lin — on a
+// multi-worker runtime one task per column band of its destination
+// (engine.lin) —, bracketed by the phase of its destination (A and B blocks:
 // strassen.addsub, the stage (1)/(2) operand sums; C blocks:
 // strassen.quadrant, the stage (4) combinations); each mul op re-enters
 // engine.mul one level deeper, so the cutoff criterion and peeling apply
@@ -77,16 +79,16 @@ func (f *frame) view(s slot) matrix.View {
 // exec runs one level program on c ← alpha·a·b + beta·c; its products
 // recurse at depth+1. Temporaries are drawn from the tracker up front, in
 // declaration order, and returned in reverse, so the arena peak is the
-// level's declared words plus its worst child (lanes children on a DAG
-// level). They are drawn without zeroing: every program writes a
-// temporary in full before it reads it (the poison build tag checks).
+// level's declared words plus its worst child. They are drawn without
+// zeroing: every program writes a temporary in full before it reads it
+// (the poison build tag checks).
 func (e *engine) exec(p *program, c *matrix.Dense, a, b matrix.View, alpha, beta float64, depth int) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if p.fold != nil {
 		w := e.allocMat(m, n)
 		defer e.freeMat(w)
 		e.exec(p.fold, w, a, b, alpha, 0, depth)
-		e.lin(phQ, c, matrix.Term{G: 1, X: matrix.ViewOf(w).Slice(0, 0, c.Rows, c.Cols)}, matrix.Term{G: beta, Dst: true})
+		e.lin(e.sub, phQ, c, matrix.Term{G: 1, X: matrix.ViewOf(w).Slice(0, 0, c.Rows, c.Cols)}, matrix.Term{G: beta, Dst: true})
 		return
 	}
 	bl := p.blocks(m, k, n, extentOf(c, a, b))
@@ -110,10 +112,6 @@ func (e *engine) exec(p *program, c *matrix.Dense, a, b matrix.View, alpha, beta
 			e.tracker.Free(f.tmp[i])
 		}
 	}()
-	if p.tasks != nil {
-		e.runTasks(p, f, alpha, beta, depth+1)
-		return
-	}
 	for i := range p.ops {
 		e.step(&p.ops[i], f, alpha, beta, depth+1)
 	}
@@ -150,12 +148,15 @@ func (e *engine) step(o *op, f *frame, alpha, beta float64, depth int) {
 	if o.dst.shape == shapeC {
 		id = phQ
 	}
-	e.lin(id, dst, ts...)
+	e.lin(e.sub, id, dst, ts...)
 }
 
-// lin runs matrix.Lin under a phase bracket charged by the cost rule above.
-// dst ← 1·dst runs nothing and is not charged.
-func (e *engine) lin(id phase.ID, dst *matrix.Dense, ts ...matrix.Term) {
+// lin runs matrix.Lin under a phase bracket charged by the cost rule
+// above; dst ← 1·dst runs nothing and is not charged. On a submitter of
+// w > 1 workers and a dst of at least w columns the pass runs as w tasks,
+// one per column band of dst (linBands); otherwise it runs inline. Lin is
+// elementwise, so the bands write the bits one call does.
+func (e *engine) lin(sub sched.Submitter, id phase.ID, dst *matrix.Dense, ts ...matrix.Term) {
 	if len(ts) == 1 && ts[0].Dst && ts[0].G == 1 {
 		return
 	}
@@ -174,41 +175,45 @@ func (e *engine) lin(id phase.ID, dst *matrix.Dense, ts ...matrix.Term) {
 	}
 	n := int64(dst.Rows) * int64(dst.Cols)
 	s := e.prof.Begin(id)
-	matrix.Lin(dst, ts...)
+	if w := linBands(sub, dst.Rows, dst.Cols); w > 0 {
+		e.linTasks(sub, w, dst, ts)
+	} else {
+		matrix.Lin(dst, ts...)
+	}
 	s.End(flops*n, 8*(reads+1)*n)
 }
 
-// runTasks runs a DAG program on the engine's task runtime. The program
-// was compiled for the engine's lanes (compileDAG), so the edges that
-// order its lanes' buffer reuse also cap the products in flight at lanes:
-// the workspace bound the plan charges — own + lanes·child — is
-// structural rather than a scheduling accident. Formation and write-back
-// tasks share the engine (they touch only the profiler and their own
-// slots); product tasks recurse on an engine bound to the executing
-// worker.
-func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) {
-	d := sched.NewDAG()
-	nodes := make([]*sched.Node, len(p.tasks))
-	for i, tk := range p.tasks {
-		ops := p.ops[tk.first:tk.last]
-		deps := make([]*sched.Node, len(tk.deps))
-		for j, dep := range tk.deps {
-			deps[j] = nodes[dep]
-		}
-		nodes[i] = d.Add(func(w *sched.Worker) {
-			eng := e
-			if ops[0].mul {
-				eng = e.taskEngine(w)
-			}
-			for j := range ops {
-				eng.step(&ops[j], f, alpha, beta, depth)
-			}
-		}, deps...)
+// linBands is the number of column bands a pass over an r×c destination
+// splits into on sub: one per worker, or 0 (the pass runs inline) with no
+// submitter, one worker, no rows or fewer columns than workers.
+func linBands(sub sched.Submitter, r, c int) int {
+	if sub == nil || r == 0 {
+		return 0
 	}
-	// On cancellation the DAG drains without running remaining bodies; the
-	// partially written C is discarded by the caller (dgefmm surfaces the
-	// context error), and the deferred frees keep the arena balanced.
-	_ = e.sub.Run(e.runCtx(), d)
+	if w := sub.Workers(); w > 1 && c >= w {
+		return w
+	}
+	return 0
+}
+
+// linTasks runs matrix.Lin(dst, ts...) as w tasks on sub: band i writes
+// columns [i·c/w, (i+1)·c/w) of dst's c from the same columns of every
+// source. A canceled call skips the bands not yet started.
+func (e *engine) linTasks(sub sched.Submitter, w int, dst *matrix.Dense, ts []matrix.Term) {
+	d := sched.NewDAG()
+	for i := range w {
+		lo, hi := i*dst.Cols/w, (i+1)*dst.Cols/w
+		band := dst.Slice(0, lo, dst.Rows, hi-lo)
+		bt := make([]matrix.Term, len(ts))
+		for j, t := range ts {
+			bt[j] = t
+			if !t.Dst {
+				bt[j].X = t.X.Slice(0, lo, dst.Rows, hi-lo)
+			}
+		}
+		d.Add(func(*sched.Worker) { matrix.Lin(band, bt...) })
+	}
+	_ = sub.Run(e.runCtx(), d)
 }
 
 // fusedLevel streams a fused level's records through the kernel's hooks
@@ -219,7 +224,7 @@ func (e *engine) runTasks(p *program, f *frame, alpha, beta float64, depth int) 
 // kernel runs it over each row band of the blocks before the band's first
 // write — at the head of each band's task chain on a multi-worker
 // runtime, over all rows up front otherwise — and the bits are the same
-// either way.
+// either way. The pass runs inline: it may already run inside a task.
 func (e *engine) fusedLevel(p *program, f *frame, alpha, beta float64) {
 	fc := fusedCalls.Get().(*fusedCall)
 	defer fc.release()
@@ -261,12 +266,12 @@ func (e *engine) fusedLevel(p *program, f *frame, alpha, beta float64) {
 	// when the band is every row.
 	pre := func(lo, hi int) {
 		if lo == 0 && hi >= f.mq {
-			e.lin(phQ, f.c, matrix.Term{G: beta, Dst: true})
+			e.lin(nil, phQ, f.c, matrix.Term{G: beta, Dst: true})
 			return
 		}
 		for i := 0; i < f.c.Rows; i += f.mq {
 			if r0, r1 := i+lo, min(i+hi, f.c.Rows); r0 < r1 {
-				e.lin(phQ, f.c.Slice(r0, 0, r1-r0, f.c.Cols), matrix.Term{G: beta, Dst: true})
+				e.lin(nil, phQ, f.c.Slice(r0, 0, r1-r0, f.c.Cols), matrix.Term{G: beta, Dst: true})
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package strassen
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/memtrack"
+	"repro/internal/sched"
 )
 
 // These tests verify the paper's Section 3.2 / Table 1 memory claims by
@@ -185,6 +187,43 @@ func TestWorkspaceBoundCoversMeasuredPeaks(t *testing.T) {
 	}
 	if got, want := WorkspaceBound(ScheduleAuto, 96, 96, 96, false), int64(96*96); got != want {
 		t.Errorf("β≠0 square bound = %d, want m² = %d", got, want)
+	}
+}
+
+// TestWorkspaceBoundCoversRuntimeCalls: a call on a 2-worker task runtime
+// runs the programs of the call without one, so on a three-level peeling
+// tree the plan stays within the Table 1 bound and the measured peak
+// equals the plan to the word, for every schedule and β class.
+func TestWorkspaceBoundCoversRuntimeCalls(t *testing.T) {
+	skipIfAlgoPinned(t)
+	w2 := sched.New(2, 1)
+	defer w2.Close()
+	for _, schedule := range []Schedule{ScheduleAuto, ScheduleStrassen1, ScheduleStrassen2} {
+		for _, dims := range [][3]int{{64, 64, 64}, {67, 61, 71}} {
+			m, k, n := dims[0], dims[1], dims[2]
+			for _, beta := range []float64{0, 0.5} {
+				rng := rand.New(rand.NewSource(int64(m*31 + k*7 + n)))
+				tr := memtrack.New()
+				cfg := &Config{Kernel: blas.NaiveKernel{}, Criterion: Always{}, MaxDepth: 3,
+					Schedule: schedule, Odd: OddPeel, Sched: w2}
+				plan := PlanFor(cfg, m, n, k, beta == 0)
+				cfg.Tracker = tr
+				a := matrix.NewRandom(m, k, rng)
+				b := matrix.NewRandom(k, n, rng)
+				c := matrix.NewRandom(m, n, rng)
+				DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
+				what := fmt.Sprintf("sched=%v dims=%v beta=%g", schedule, dims, beta)
+				if plan.Depth != 3 {
+					t.Fatalf("%s: plan depth %d, want a three-level tree", what, plan.Depth)
+				}
+				if bound := WorkspaceBound(schedule, m, k, n, beta == 0); plan.Words > bound {
+					t.Errorf("%s: plan words %d exceed WorkspaceBound %d", what, plan.Words, bound)
+				}
+				if tr.Peak() != plan.Words || tr.Live() != 0 {
+					t.Errorf("%s: measured peak %d (%d live), plan words %d", what, tr.Peak(), tr.Live(), plan.Words)
+				}
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/memtrack"
+	"repro/internal/sched"
 )
 
 func TestParallelMatchesSequential(t *testing.T) {
@@ -22,11 +23,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			c2 := c1.Clone()
 
 			seq := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}}
-			par := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: rt4, SchedLevels: 2}
+			par := &Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: rt4}
 			DGEFMM(seq, blas.NoTrans, blas.NoTrans, m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, beta, c1.Data, c1.Stride)
 			DGEFMM(par, blas.NoTrans, blas.NoTrans, m, n, k, 1.5, a.Data, a.Stride, b.Data, b.Stride, beta, c2.Data, c2.Stride)
-			if d := matrix.MaxAbsDiff(c1, c2); d > tol(k) {
-				t.Fatalf("dims=%v β=%v: parallel differs from sequential by %g", dims, beta, d)
+			if !c1.Equal(c2) {
+				t.Fatalf("dims=%v β=%v: parallel differs from sequential by %g", dims, beta, matrix.MaxAbsDiff(c1, c2))
 			}
 		}
 	}
@@ -35,7 +36,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelCorrectAgainstReference(t *testing.T) {
 	_, rt4 := testRuntimes()
 	rng := rand.New(rand.NewSource(402))
-	cfg := &Config{Kernel: &blas.BlockedKernel{}, Criterion: Simple{Tau: 16}, Sched: rt4, SchedLevels: 3}
+	cfg := &Config{Kernel: &blas.BlockedKernel{}, Criterion: Simple{Tau: 16}, Sched: rt4}
 	for _, dims := range [][3]int{{96, 96, 96}, {67, 81, 75}} {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := matrix.NewRandom(m, k, rng)
@@ -51,13 +52,10 @@ func TestParallelCorrectAgainstReference(t *testing.T) {
 
 func TestParallelTrackerBalanced(t *testing.T) {
 	skipIfAlgoPinned(t)
-	// The shared tracker must see every parallel worker's allocation and
-	// end balanced, at the workspace PlanFor derives for a DAG level: its
-	// lanes' buffers at m/2, plus one β=0 child subtree per product in
-	// flight. How many children overlap depends on the worker count and on
-	// timing, so the peak is pinned at both ends: it equals the plan on a
-	// 1-worker runtime (children strictly one after another, exactly what
-	// that run measures) and never exceeds the plan on a 4-worker runtime.
+	// The shared tracker must see every allocation of a runtime call and
+	// end balanced, at the workspace PlanFor derives — the sequential
+	// call's, on one worker and on four: the products run one after
+	// another on every runtime, so the peak is structural.
 	rng := rand.New(rand.NewSource(403))
 	m := 64
 	a := matrix.NewRandom(m, m, rng)
@@ -73,15 +71,15 @@ func TestParallelTrackerBalanced(t *testing.T) {
 		return tr.Peak()
 	}
 	w1, w4 := testRuntimes()
-	serial := Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: w1, SchedLevels: 1}
-	lower := PlanFor(&serial, m, m, m, true).Words
-	if got := run(serial); got != lower {
-		t.Fatalf("one-lane peak %d, planned %d", got, lower)
-	}
-	four := Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: w4, SchedLevels: 1}
-	upper := PlanFor(&four, m, m, m, true).Words
-	if peak := run(four); peak < lower || peak > upper {
-		t.Errorf("peak %d outside the planned range [%d, %d]", peak, lower, upper)
+	want := PlanFor(&Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}}, m, m, m, true).Words
+	for _, rt := range []*sched.Runtime{w1, w4} {
+		cfg := Config{Kernel: blas.NaiveKernel{}, Criterion: Simple{Tau: 8}, Sched: rt}
+		if planned := PlanFor(&cfg, m, m, m, true).Words; planned != want {
+			t.Fatalf("workers=%d: planned %d words, sequential plan %d", rt.Workers(), planned, want)
+		}
+		if peak := run(cfg); peak != want {
+			t.Errorf("workers=%d: peak %d, planned %d", rt.Workers(), peak, want)
+		}
 	}
 }
 

@@ -10,9 +10,10 @@ package strassen
 // The workspace figures are derived, not mirrored: PlanFor walks the
 // engine's own decision functions (policy) and reads each level's
 // workspace off the program that level runs — its declared temporaries
-// (STRASSEN1's R1/R2, STRASSEN2's R1/R2/R3 of Figure 1, a table's S/T/P,
-// a DAG level's per-lane A, B and P buffers), the fold buffer of
-// STRASSEN1 with β ≠ 0, plus the padded copies of the padding strategies.
+// (STRASSEN1's R1/R2, STRASSEN2's R1/R2/R3 of Figure 1, a table's S/T/P),
+// the fold buffer of STRASSEN1 with β ≠ 0, plus the padded copies of the
+// padding strategies. A task runtime changes none of it: a call on one
+// runs the programs it runs without, in the same order.
 // Plan.Words therefore equals the measured memtrack peak (memory_test.go
 // asserts equality), while WorkspaceBound gives the closed-form Table 1
 // bound the measurements sit under.
@@ -30,8 +31,9 @@ package strassen
 //     the paper's 2m² square bound.
 //
 // The bound covers the peeling odd-dimension strategy (whose fixups
-// allocate nothing); the padding and parallel schedules trade extra
-// workspace for their benefits and are bounded by Plan.Words instead.
+// allocate nothing), on a task runtime as without one; the padding
+// strategies trade extra workspace for their benefits and are bounded by
+// Plan.Words instead.
 func WorkspaceBound(sched Schedule, m, k, n int, betaZero bool) int64 {
 	mx := k
 	if n > mx {
@@ -74,8 +76,8 @@ type Plan struct {
 	Words int64
 	// KernelWords is the peak packing workspace, in float64 words, the
 	// base-case kernel draws from its own arena while serving this shape:
-	// the worst leaf's requirement, times the number of concurrent leaves
-	// under the parallel schedule. Zero when the kernel keeps no accounted
+	// the worst kernel call's requirement (on a task runtime, a threaded
+	// call's, see leafSizer). Zero when the kernel keeps no accounted
 	// workspace (naive, vector, blocked).
 	KernelWords int64
 	// TopSchedule is the schedule the top level resolves to (auto resolved
@@ -144,7 +146,7 @@ func resolveSchedule(sched Schedule, betaZero bool) Schedule {
 }
 
 // planKey memoizes simulated subproblems. Depth participates because
-// MaxDepth and SchedLevels make behavior depth-dependent, the extent
+// MaxDepth makes behavior depth-dependent, the extent
 // because it decides whether an odd level pads virtually or peels.
 type planKey struct {
 	m, k, n  int
@@ -231,12 +233,8 @@ func (s *planSim) sim(m, k, n int, betaZero bool, depth int, x extent) simResult
 // grid-divisible problem or one padding virtually, and the recursion
 // levels it runs (two for the two-level fused form): a fused level draws
 // only the kernel's panels of one call of its records at the (rounded-up)
-// block shape; any other
-// needs its declared temporaries plus its worst child — or, on a DAG
-// level, lanes concurrent children, each of which can be inside a kernel
-// leaf at once. A DAG level's temporaries are its lanes' buffers
-// (compileDAG), so own is the peak live set, not one buffer per operand
-// and product.
+// block shape; any other needs its declared temporaries plus its worst
+// child, since its children run one after another.
 func (s *planSim) level(m, k, n int, betaZero bool, depth int, x extent) simResult {
 	p := s.levelProgram(m, k, n, betaZero, depth)
 	s.plan.Depth = max(s.plan.Depth, depth+p.levels())
@@ -256,10 +254,6 @@ func (s *planSim) level(m, k, n int, betaZero bool, depth int, x extent) simResu
 			worst.words = max(worst.words, child.words)
 			worst.kernel = max(worst.kernel, child.kernel)
 		}
-	}
-	if p.tasks != nil {
-		conc := int64(s.dagLanes(p.products()))
-		return simResult{words: own + conc*worst.words, kernel: conc * worst.kernel}
 	}
 	return simResult{words: own + worst.words, kernel: worst.kernel}
 }

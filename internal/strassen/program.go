@@ -2,8 +2,8 @@ package strassen
 
 // A Strassen level as data. Every level the recursion can apply — the
 // paper's STRASSEN1 and STRASSEN2 schedules (Section 3.2, Figure 1), the
-// 1969 construction, any verified ⟨M,K,N⟩ coefficient table, its task-DAG
-// form and its fused form — is a program: a name (the trace action), the
+// 1969 construction, any verified ⟨M,K,N⟩ coefficient table and its fused
+// form — is a program: a name (the trace action), the
 // level's block grid, declared temporaries, and a straight-line list of
 // two op kinds over block and temporary slots, in the style of the
 // Strassen–Winograd schedules of Boyer, Dumas, Pernet and Zhou (arXiv
@@ -12,13 +12,12 @@ package strassen
 //	lin  X ← Σ γᵢ·Yᵢ          γ ∈ {±1, a constant, the call's β}
 //	mul  Z ← ±α·X·Y + β′·Z    β′ ∈ {0, 1, β}; X·Y recurses
 //
-// One interpreter (interp.go) runs every program; the workspace plan, the
-// task DAG and the fused records are derived from the same data. Programs
+// One interpreter (interp.go) runs every program; the workspace plan and
+// the fused records are derived from the same data. Programs
 // are built once (the literals at init, table compilations cached per
 // table) and are immutable afterwards.
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/algo"
@@ -103,16 +102,8 @@ func (o *op) reads() []slot {
 	return out
 }
 
-// task is one node of a DAG program: the consecutive ops ops[first:last]
-// that write one slot, and the earlier tasks it must follow.
-type task struct {
-	first, last int
-	deps        []int
-}
-
 // program is one Strassen level. Exactly one of ops, fold and recs
-// describes the work: ops run in order (or as tasks, when tasks is
-// non-nil); fold runs its program into an m×n temporary W, then
+// describes the work: ops run in order; fold runs its program into an m×n temporary W, then
 // C ← W + β·C; recs stream through the kernel's fused hooks.
 type program struct {
 	name    string
@@ -121,7 +112,6 @@ type program struct {
 	// sized for the largest.
 	temps [][]shape
 	ops   []op
-	tasks []task
 	fold  *program
 	recs  []fusedRecord
 	// cReads lists every read of a C block the program wrote earlier,
@@ -164,17 +154,6 @@ func (p *program) levels() int {
 		return 2
 	}
 	return 1
-}
-
-// products returns the number of mul ops (the level's fan-out).
-func (p *program) products() int {
-	r := 0
-	for i := range p.ops {
-		if p.ops[i].mul {
-			r++
-		}
-	}
-	return r
 }
 
 // words is the level's own workspace on an (m, k, n) problem: every
@@ -353,177 +332,9 @@ func compileTable(t *algo.Table, name string) *program {
 	return p.build()
 }
 
-// compileDAG compiles a coefficient table into the task-DAG program of a
-// level that runs lanes products at once. Product r forms its operands and
-// its product in lane r mod lanes, then accumulates P_r into every C block
-// its W column names, scaling each C block by β just before its first
-// product — so every C block sees the sequential program's op order (β,
-// then ascending r) and both produce the same bits. Each operand and
-// product starts as its own temporary; allocTemps then gives each lane
-// its own A, B and P buffers, reused product after product, and
-// deriveTasks orders the reuse (a lane's next product waits until its
-// previous one is written back), which caps the products in flight at
-// lanes and the level's workspace at lanes sets of buffers.
-func compileDAG(t *algo.Table, lanes int) *program {
-	p := &program{name: "parallel", m: t.M, k: t.K, n: t.N}
-	var laneOf []int
-	newTemp := func(s shape, lane int) slot {
-		p.temps = append(p.temps, []shape{s})
-		laneOf = append(laneOf, lane)
-		return tmp(len(p.temps)-1, s)
-	}
-	scaled := make([]bool, t.M*t.N)
-	for r := 0; r < t.R; r++ {
-		lane := r % lanes
-		at, bt := t.ATerms(r), t.BTerms(r)
-		x, y := slot{shape: shapeA, idx: at[0].Block}, slot{shape: shapeB, idx: bt[0].Block}
-		if needsTemp(at) {
-			x = p.operand(newTemp(shapeA, lane), shapeA, at)
-		}
-		if needsTemp(bt) {
-			y = p.operand(newTemp(shapeB, lane), shapeB, bt)
-		}
-		prod := newTemp(shapeC, lane)
-		p.ops = append(p.ops, mulOp(prod, x, y, acc0))
-		for l := range scaled {
-			if g := t.W[l][r]; g != 0 {
-				cb := slot{shape: shapeC, idx: l}
-				if !scaled[l] {
-					p.ops = append(p.ops, lin(cb, betaTimes(cb)))
-					scaled[l] = true
-				}
-				p.ops = append(p.ops, lin(cb, plus(cb), times(g, prod)))
-			}
-		}
-	}
-	p.allocTemps(laneOf)
-	p.tasks = deriveTasks(p.ops)
-	return p.build()
-}
-
-// allocTemps register-allocates a program's temporaries: each declared
-// temporary lives from the op that first writes it to the op that last
-// touches it, and takes a free buffer of its shape from its class (the
-// lane that computes it), or a new one when none is free. Afterwards the
-// program declares only those buffers.
-func (p *program) allocTemps(class []int) {
-	last := make([]int, len(p.temps))
-	for i := range p.ops {
-		o := &p.ops[i]
-		for _, s := range append(o.reads(), o.dst) {
-			if s.temp {
-				last[s.idx] = i
-			}
-		}
-	}
-	type pool struct {
-		class int
-		shape shape
-	}
-	free := map[pool][]int{}
-	phys := make([]int, len(p.temps))
-	for i := range phys {
-		phys[i] = -1
-	}
-	var temps [][]shape
-	at := func(s slot) slot {
-		if s.temp {
-			s.idx = phys[s.idx]
-		}
-		return s
-	}
-	for i := range p.ops {
-		o := &p.ops[i]
-		touched := append(o.reads(), o.dst)
-		if v := o.dst.idx; o.dst.temp && phys[v] < 0 {
-			key := pool{class[v], o.dst.shape}
-			if list := free[key]; len(list) > 0 {
-				phys[v], free[key] = list[len(list)-1], list[:len(list)-1]
-			} else {
-				phys[v] = len(temps)
-				temps = append(temps, p.temps[v])
-			}
-		}
-		o.dst, o.x, o.y = at(o.dst), at(o.x), at(o.y)
-		for j := range o.terms {
-			o.terms[j].src = at(o.terms[j].src)
-		}
-		for _, s := range touched {
-			if s.temp && last[s.idx] == i && phys[s.idx] >= 0 {
-				key := pool{class[s.idx], s.shape}
-				free[key] = append(free[key], phys[s.idx])
-				phys[s.idx] = -1
-			}
-		}
-	}
-	p.temps = temps
-}
-
-// aliases reports whether two slots share storage: the same temporary
-// buffer (whatever its view shape), or overlapping blocks of one matrix.
-func aliases(a, b slot) bool {
-	if a.temp || b.temp {
-		return a.temp && b.temp && a.idx == b.idx
-	}
-	return a.shape == b.shape && (a.idx == b.idx || a.idx == wholeC || b.idx == wholeC)
-}
-
-// deriveTasks groups consecutive ops that write one slot into one task
-// and derives each task's dependencies from the ops' read and write sets:
-// a task follows every earlier task holding an op it conflicts with.
-func deriveTasks(ops []op) []task {
-	var tasks []task
-	for i := range ops {
-		n := len(tasks)
-		if n == 0 || ops[tasks[n-1].first].dst != ops[i].dst {
-			tasks = append(tasks, task{first: i})
-			n++
-		}
-		cur := &tasks[n-1]
-		cur.last = i + 1
-		for j, prev := range tasks[:n-1] {
-			for u := prev.first; u < prev.last && !slices.Contains(cur.deps, j); u++ {
-				if conflict(&ops[u], &ops[i]) {
-					cur.deps = append(cur.deps, j)
-				}
-			}
-		}
-	}
-	return tasks
-}
-
-// conflict reports whether op v must follow op u: v reads what u writes,
-// or v writes what u reads or writes.
-func conflict(u, v *op) bool {
-	for _, r := range v.reads() {
-		if aliases(u.dst, r) {
-			return true
-		}
-	}
-	for _, s := range append(u.reads(), u.dst) {
-		if aliases(s, v.dst) {
-			return true
-		}
-	}
-	return false
-}
-
-// tablePrograms holds the programs compiled from one table; DAG programs
-// are compiled per lane count on first use.
+// tablePrograms holds the programs compiled from one table.
 type tablePrograms struct {
-	tbl        *algo.Table
 	seq, fused *program
-	dags       sync.Map // lanes → *program
-}
-
-// dag returns the table's DAG program for a level running lanes products
-// at once.
-func (tp *tablePrograms) dag(lanes int) *program {
-	if p, ok := tp.dags.Load(lanes); ok {
-		return p.(*program)
-	}
-	p, _ := tp.dags.LoadOrStore(lanes, compileDAG(tp.tbl, lanes))
-	return p.(*program)
 }
 
 var compiled sync.Map // *algo.Table → *tablePrograms
@@ -535,7 +346,6 @@ func programsFor(t *algo.Table) *tablePrograms {
 		return p.(*tablePrograms)
 	}
 	p := &tablePrograms{
-		tbl:   t,
 		seq:   compileTable(t, "table"),
 		fused: &program{name: "fused1", m: t.M, k: t.K, n: t.N, recs: tableFusedRecords(t)},
 	}

@@ -20,7 +20,9 @@ import (
 // signedZeroPath pins C's bits on operands with zero blocks, where the
 // golden sweep's random operands never produce an exact zero in C: one
 // line per kernel, zero pattern, shape and (α, β), holding the SHA-256
-// over that group's every path × fusion mode × runtime, in order.
+// over that group's every path × fusion mode, in order. Each configuration
+// also runs on a 1-worker and a 2-worker runtime, whose bits must equal
+// the sequential run's.
 const signedZeroPath = "testdata/signed_zero.txt"
 
 // zeroPatterns zero whole row or column blocks of A and B, so the matching
@@ -67,8 +69,8 @@ func zeroSign(neg bool) float64 {
 }
 
 // signedZeroLines runs the signed-zero sweep and returns its lines in a
-// fixed order.
-func signedZeroLines() []string {
+// fixed order; it fails t where a runtime changes a configuration's bits.
+func signedZeroLines(t *testing.T) []string {
 	w1 := sched.New(1, 1)
 	w2 := sched.New(2, 1)
 	defer w1.Close()
@@ -132,6 +134,7 @@ func signedZeroLines() []string {
 					h := sha256.New()
 					for _, pc := range paths {
 						for _, fm := range []FusedMode{FusedOn, FusedOff} {
+							var seq string
 							for _, rt := range runtimes {
 								cfg := &Config{
 									Kernel:    kc.make(),
@@ -143,12 +146,17 @@ func signedZeroLines() []string {
 								}
 								if rt != nil {
 									cfg.Sched = rt
-									cfg.SchedLevels = 2
 								}
 								c := c0.Clone()
 								DGEFMM(cfg, blas.NoTrans, blas.NoTrans, m, n, k, ab[0],
 									a.Data, a.Stride, b.Data, b.Stride, ab[1], c.Data, c.Stride)
-								h.Write([]byte(bitsHash(c)))
+								if rt == nil {
+									seq = bitsHash(c)
+									h.Write([]byte(seq))
+								} else if bitsHash(c) != seq {
+									t.Errorf("%s/%s/%dx%dx%d/a=%g/b=%g %+v fused=%v: %d workers changed the bits",
+										kc.name, zp.name, m, k, n, ab[0], ab[1], pc, fm, rt.Workers())
+								}
 							}
 						}
 					}
@@ -186,7 +194,7 @@ func TestSignedZeroOutputs(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	got := signedZeroLines()
+	got := signedZeroLines(t)
 	if len(got) != len(want) {
 		t.Fatalf("sweep has %d groups, %s %d", len(got), signedZeroPath, len(want))
 	}

@@ -24,9 +24,9 @@ func DGEFMM(cfg *Config, transA, transB blas.Transpose, m, n, k int, alpha float
 }
 
 // DGEFMMCtx is DGEFMM with mid-execution cancellation: the recursion polls
-// ctx between products (and the task DAG drains its remaining bodies), so
-// an expired deadline stops a running multiply instead of only gating
-// admission. On a non-nil error C holds a partial result the caller must
+// ctx between products (and a pass threaded on a runtime skips its
+// remaining tasks), so an expired deadline stops a running multiply
+// instead of only gating admission. On a non-nil error C holds a partial result the caller must
 // discard; A and B are never written.
 func DGEFMMCtx(ctx context.Context, cfg *Config, transA, transB blas.Transpose, m, n, k int, alpha float64,
 	a []float64, lda int, b []float64, ldb int, beta float64,
@@ -36,7 +36,7 @@ func DGEFMMCtx(ctx context.Context, cfg *Config, transA, transB blas.Transpose, 
 
 // DGEFMMTask is DGEFMMCtx for callers already running inside a sched task:
 // sub must be the *sched.Worker the task body received (or an external
-// *sched.Runtime), and the call's DAG levels and threaded leaves submit
+// *sched.Runtime), and the call's threaded passes and kernel calls submit
 // through it — nesting by helping on the worker's own deque rather than
 // blocking the pool from outside, which is how internal/batch routes calls
 // through one shared core budget without deadlock.
@@ -195,21 +195,21 @@ type engine struct {
 	kern    blas.Kernel
 	tracker *memtrack.Tracker
 	// sub is the task runtime this call submits to (nil for a purely
-	// sequential call): an external *sched.Runtime at the top, or the
-	// executing *sched.Worker inside a product task so nested DAGs help on
-	// the worker's own deque. ctx, when non-nil, is polled between
-	// products for mid-execution cancellation. See taskdag.go.
+	// sequential call): an external *sched.Runtime, or the *sched.Worker
+	// of the task a DGEFMMTask call runs in, so its tasks help on the
+	// worker's own deque. The recursion itself runs on the calling
+	// goroutine; the lin passes (engine.lin) and the kernel calls (baseGemm,
+	// fusedLevel) thread on sub. ctx, when non-nil, is polled between
+	// products for mid-execution cancellation.
 	sub    sched.Submitter
 	ctx    context.Context
 	tracer Tracer
 	// spans is tracer narrowed to SpanTracer (nil when the tracer does not
-	// record spans); curSpan is the innermost open span on this engine's
-	// goroutine — worker engines copy it, so spans opened inside a parallel
-	// product are parented under the "parallel" node that spawned them.
+	// record spans); curSpan is the innermost open span.
 	spans   SpanTracer
 	curSpan int64
-	// prof is the process-wide phase profiler captured once per DGEFMM call
-	// (nil when attribution is off). Worker engines copy it by value.
+	// prof is the process-wide phase profiler captured once per DGEFMM
+	// call (nil when attribution is off).
 	prof *phase.Profiler
 }
 
@@ -230,11 +230,6 @@ type policy struct {
 	// fused (Config.fusedHooks), nil otherwise; fused levels stream
 	// through it. See fused.go.
 	fk fusedKernel
-	// dagLevels is the number of top recursion levels that run as task
-	// DAGs (0 without a task runtime); lanes caps the products in flight
-	// per DAG level.
-	dagLevels int
-	lanes     int
 }
 
 // policy resolves a Config into the recursion's decision inputs for an
@@ -253,7 +248,6 @@ func (cfg *Config) policy(m, k, n, cores int) policy {
 	if p.crit == nil {
 		p.row = Hybrid(calibrated(cfg.kernel().Name(), algoName, p.fk != nil, cores))
 	}
-	p.lanes, p.dagLevels, _ = cfg.schedParams(p.table().R)
 	return p
 }
 
@@ -296,13 +290,8 @@ func (p *policy) criterion(m, k, n int) bool {
 //   - on the default path, the two-level fused form when the kernel fuses
 //     levels (fk), the children would recurse once more, their children
 //     would be base cases and the composed records fit the kernel's native
-//     limits — also on a level that would otherwise run as a task DAG: the
-//     node's one kernel call threads its steps on the runtime itself (a
-//     fused node clips its blocks to the matrices whatever the odd
-//     strategy, so the shape need not divide by 4);
-//   - the task DAG on the top dagLevels levels, which therefore runs only
-//     above nodes whose children still recurse (one fused level never
-//     pre-empts it);
+//     limits (a fused node clips its blocks to the matrices whatever the
+//     odd strategy, so the shape need not divide by 4);
 //   - the fused form when levels may run fused, the children would be base
 //     cases and the table fits the hooks (the default path fuses
 //     Strassen's 1969 construction, whose operands have at most two terms,
@@ -312,7 +301,8 @@ func (p *policy) criterion(m, k, n int) bool {
 //
 // A program runs on a shape the grid does not divide only when it pads
 // virtually (virtual.go); otherwise it gets the divisible core from
-// peeling or padding.
+// peeling or padding. A task runtime changes none of this: it threads a
+// level's passes and kernel calls, not its program.
 func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 	leafChildren := false
 	if p.fk != nil {
@@ -323,10 +313,6 @@ func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 			!p.recurse(ceilDiv(mq, gm), ceilDiv(kq, gk), ceilDiv(nq, gn), depth+2) {
 			return fused2
 		}
-	}
-	if depth < p.dagLevels {
-		t := p.table()
-		return programsFor(t).dag(p.dagLanes(t.R))
 	}
 	if leafChildren {
 		ft := p.tbl
@@ -354,14 +340,6 @@ func (p *policy) levelProgram(m, k, n int, betaZero bool, depth int) *program {
 
 // ceilDiv is ⌈x/d⌉ for positive d.
 func ceilDiv(x, d int) int { return (x + d - 1) / d }
-
-// dagLanes is the in-flight product cap of a DAG level with r products.
-func (p *policy) dagLanes(r int) int {
-	if p.lanes < 1 || p.lanes > r {
-		return r
-	}
-	return p.lanes
-}
 
 // mul computes c ← alpha*a*b + beta*c where a is m×k and b is k×n (both as
 // logical, possibly transposed, views). It applies the cutoff criterion,
@@ -490,11 +468,10 @@ func (e *engine) peelMul(c *matrix.Dense, a, b matrix.View, alpha, beta float64,
 }
 
 // baseGemm performs the standard-algorithm multiplication below the cutoff.
-// With a multi-worker task runtime attached, a leaf on a kernel that
-// supports it threads its rows through the runtime (see
-// kernel.MulAddTasks): the adapter still routes through blas.DgemmKernel
-// so argument validation and the beta pass stay identical to the
-// sequential leaf.
+// On a task runtime, a leaf on a kernel that supports it threads its rows
+// through the runtime (see kernel.MulAddTasks, which runs inline on one
+// worker): the adapter still routes through blas.DgemmKernel so argument
+// validation and the beta pass stay identical to the sequential leaf.
 func (e *engine) baseGemm(c *matrix.Dense, a, b matrix.View, alpha, beta float64) {
 	ta, tb := blas.NoTrans, blas.NoTrans
 	if a.Trans {
@@ -504,7 +481,7 @@ func (e *engine) baseGemm(c *matrix.Dense, a, b matrix.View, alpha, beta float64
 		tb = blas.Trans
 	}
 	kern := e.kern
-	if tk, ok := kern.(taskLeafKernel); ok && e.sub != nil && e.sub.Workers() > 1 {
+	if tk, ok := kern.(taskLeafKernel); ok && e.sub != nil {
 		kern = taskKernel{tk, e.sub}
 	}
 	blas.DgemmKernel(kern, ta, tb, c.Rows, c.Cols, a.Cols, alpha,
@@ -567,6 +544,20 @@ func rowVec(v matrix.View, i int) ([]float64, int) {
 		return v.Data[i:], v.Stride
 	}
 	return v.Data[i*v.Stride:], 1
+}
+
+// runCtx is the context the engine's threaded passes run under.
+func (e *engine) runCtx() context.Context {
+	if e.ctx != nil {
+		return e.ctx
+	}
+	return context.Background()
+}
+
+// canceled reports whether the call's context has expired; the recursion
+// polls it at every mul entry so cancellation lands between products.
+func (e *engine) canceled() bool {
+	return e.ctx != nil && e.ctx.Err() != nil
 }
 
 // allocMat takes an r×c scratch matrix from the tracker.

@@ -19,8 +19,7 @@ type TraceEvent struct {
 	M, K, N int
 	// Action identifies the node kind: "base" (cutoff reached, DGEMM ran),
 	// a level program's name — "strassen1", "strassen2", "original",
-	// "table", "parallel" (task DAG), "fused1" or "fused2" (two levels
-	// fused as one node) —, "peel", "peel-first",
+	// "table", "fused1" or "fused2" (two levels fused as one node) —, "peel", "peel-first",
 	// "pad-dynamic", "pad-static" (odd handling), or "fixup-ger",
 	// "fixup-col", "fixup-row", "fixup-gemm-k/n/m" (peeling repairs). A
 	// level node on a shape the grid does not divide, or below such a
@@ -41,8 +40,9 @@ func (e TraceEvent) Deepest() int {
 	return e.Depth
 }
 
-// Tracer receives recursion events. Implementations must be safe for
-// concurrent use when the parallel schedule is enabled.
+// Tracer receives recursion events. The events of one call come from its
+// calling goroutine; implementations shared by concurrent calls must be
+// safe for concurrent use.
 type Tracer interface {
 	// Event is called once per recursion decision.
 	Event(TraceEvent)
@@ -59,9 +59,9 @@ type Tracer interface {
 // IDs are assigned by the implementation; 0 is reserved for "no parent"
 // (the top-level call) and negative IDs mean "dropped" — the engine passes
 // them back as parents unchanged, so an implementation that sheds load can
-// drop whole subtrees by returning a negative ID. Implementations must be
-// safe for concurrent use when the parallel schedule is enabled; Begin/End
-// pairs for one node always run on the same goroutine.
+// drop whole subtrees by returning a negative ID. Implementations shared
+// by concurrent calls must be safe for concurrent use; Begin/End pairs for
+// one node always run on the same goroutine.
 type SpanTracer interface {
 	Tracer
 	// BeginSpan opens a span for the event under the given parent span ID

@@ -108,11 +108,11 @@ func TestTraceParallelEvents(t *testing.T) {
 	_, rt4 := testRuntimes()
 	cfg := &Config{Kernel: blas.NaiveKernel{}, Criterion: Always{}, MaxDepth: 1, Sched: rt4}
 	tr := tracedRun(t, 32, 32, 32, cfg)
-	if tr.Count("parallel") != 1 {
-		t.Fatalf("want a parallel schedule event: %s", tr)
+	if tr.Count("strassen1") != 1 {
+		t.Fatalf("want the level the sequential call runs: %s", tr)
 	}
 	if tr.Count("base") != 7 {
-		t.Fatalf("want 7 concurrent base products: %s", tr)
+		t.Fatalf("want 7 base products: %s", tr)
 	}
 }
 

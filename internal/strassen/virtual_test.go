@@ -40,8 +40,6 @@ func TestVirtualPadEligibility(t *testing.T) {
 		"strassen1 fold": {algo.DefaultName, strassen1General, false, "k"},
 		"strassen2":      {algo.DefaultName, strassen2, false, always},
 		"original":       {algo.DefaultName, original, false, always},
-		"parallel/1":     {algo.DefaultName, programsFor(algo.Default()).dag(1), true, always},
-		"parallel/2":     {algo.DefaultName, programsFor(algo.Default()).dag(2), true, always},
 	}
 	for _, name := range AlgoNames() {
 		tbl, _ := algo.ByName(name)
@@ -72,31 +70,14 @@ func TestVirtualPadEligibility(t *testing.T) {
 			t.Errorf("kernel %s fused=%v pads virtually without hooks", cfg.Kernel.Name(), cfg.Fused)
 		}
 	}
-
-	// (c): a DAG level's β = 0 products are materialized STRASSEN1 levels
-	// (τ = 4 on a 32-wide level). The DAG writes each product into a whole
-	// temporary, so a child whose own shape is even stores all of its C and
-	// accepts its overhanging A block; one odd in m does not, and the DAG
-	// level peels.
-	cfg := &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: 4}, Fused: FusedOn}
-	for _, tc := range []struct {
-		m    int
-		pads bool
-	}{{31, true}, {29, false}} {
-		pol := cfg.policy(tc.m, 32, 32, 0)
-		pol.dagLevels, pol.lanes = 1, 2
-		if got := pol.padsVirtually(tc.m, 32, 32, false, 0, full(tc.m, 32, 32)); got != tc.pads {
-			t.Errorf("DAG level on %d×32×32 over STRASSEN1 children pads virtually: %v, want %v", tc.m, got, tc.pads)
-		}
-	}
 }
 
 // TestNonFiniteOddShapes: ±Inf and NaN in A, B and C, with every other
 // entry finite and moderate so nothing overflows. On even and odd shapes,
 // through the peel path, virtually padded fused levels (one, and two fused
 // as one node) and materialized levels, the default kernel's sequential
-// SIMD tile and a 2-worker DAG, every entry DGEMM makes non-finite is non-finite in
-// DGEFMM too. DGEFMM may make further entries NaN (Inf − Inf in its sums,
+// SIMD tile and a 2-worker runtime, every entry DGEMM makes non-finite is
+// non-finite in DGEFMM too. DGEFMM may make further entries NaN (Inf − Inf in its sums,
 // 0·Inf against virtual padding's zeros), never fewer: an entry of A or B
 // reaches every C entry DGEMM multiplies it into through some product,
 // and a product with a non-finite operand entry is non-finite in that
@@ -123,12 +104,13 @@ func TestNonFiniteOddShapes(t *testing.T) {
 		{"materialized-pad", func(m int) *Config {
 			return &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn}
 		}, "strassen2", "peel"},
-		// Three levels, so that the DAG still runs on a kernel that fuses
-		// the last two as one node.
-		{"dag-w2", func(m int) *Config {
+		// Three levels on a 2-worker runtime, so that a materialized level,
+		// its passes threaded by column bands, runs above a kernel that
+		// fuses the last two as one node.
+		{"materialized-w2", func(m int) *Config {
 			return &Config{Kernel: &kernel.Packed{Mode: kernel.ModeSIMD, MC: 16, KC: 12, NC: 16},
-				Criterion: Simple{Tau: (m + 7) / 8}, Fused: FusedOn, Sched: w2, SchedLevels: 1}
-		}, "parallel", "parallel"},
+				Criterion: Simple{Tau: (m + 7) / 8}, Fused: FusedOn, Sched: w2}
+		}, "strassen2", "peel"},
 		// The default kernel on the sequential path: its SIMD tile where
 		// the host has one, through the fused packers and write-out.
 		{"default-kernel", func(m int) *Config {
@@ -148,32 +130,25 @@ func TestNonFiniteOddShapes(t *testing.T) {
 	configs = append(configs, config{"two-level-fused", func(m int) *Config {
 		return &Config{Kernel: two, Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn}
 	}, wantTwo[0], wantTwo[1]})
-	// The same node on a 2-worker runtime takes the place of the DAG level,
-	// its kernel call threading over small blocks; a kernel that fuses one
-	// level runs the DAG over fused children.
-	wantTwoW2 := "fused2"
+	// The same node on a 2-worker runtime, its kernel call threading over
+	// small blocks; a kernel that fuses one level runs a materialized level
+	// over fused children, as without the runtime.
+	wantTwoW2 := wantTwo
 	if (&kernel.Packed{Mode: kernel.ModeSIMD}).FusedDestLimit() < 4 {
-		wantTwoW2 = "parallel"
+		wantTwoW2 = [2]string{"strassen2", "peel"}
 	}
 	configs = append(configs, config{"two-level-fused-w2", func(m int) *Config {
 		return &Config{Kernel: &kernel.Packed{Mode: kernel.ModeSIMD, MC: 16, KC: 12, NC: 16},
-			Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn, Sched: w2, SchedLevels: 1}
-	}, wantTwoW2, wantTwoW2})
-	// Every built-in table, recursing two levels deep, forms its multi-term
-	// operands in one lin op each. The default table, winograd, compiles to
-	// a program only on DAG levels; the others run their sequential one.
-	for _, name := range []string{"323", "classic", "333", "424", "winograd"} {
+			Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn, Sched: w2}
+	}, wantTwoW2[0], wantTwoW2[1]})
+	// Every non-default built-in table, recursing two levels deep, forms
+	// its multi-term operands in one lin op each.
+	for _, name := range []string{"323", "classic", "333", "424"} {
 		tbl, _ := algo.ByName(name)
 		g := tbl.M * tbl.M
-		cc := config{name: "table-" + name, want: "table", wantZero: "table", cfg: func(m int) *Config {
+		configs = append(configs, config{name: "table-" + name, want: "table", wantZero: "table", cfg: func(m int) *Config {
 			return &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: (m + g - 1) / g}, Algo: name, Fused: FusedOn}
-		}}
-		if name == algo.DefaultName {
-			cc.want, cc.wantZero, cc.cfg = "parallel", "parallel", func(m int) *Config {
-				return &Config{Kernel: &kernel.Packed{Compat: true}, Criterion: Simple{Tau: (m + 3) / 4}, Fused: FusedOn, Sched: w2, SchedLevels: 2}
-			}
-		}
-		configs = append(configs, cc)
+		}})
 	}
 	seed := int64(0)
 	for _, dims := range [][3]int{{40, 40, 40}, {39, 39, 39}, {41, 35, 37}} {
