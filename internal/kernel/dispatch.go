@@ -62,11 +62,13 @@ type microImpl struct {
 	// speed, bit-identical to the Go loops they replace: a row past a
 	// term's count reads as +0.0 through the same arithmetic. packAN forms
 	// columns [0, cols) of the ⌈max h/mr⌉ mr-row panels; packBN forms rows
-	// [0, ⌈max h/4⌉·4) of panels nr-column panels. Panels are depth words
-	// deep, and the caller keeps the formed rows inside the block. Nil
-	// means packAFused/packBFused run the Go loops.
+	// [0, p.rows) of panels nr-column panels from the block's column at
+	// storage offset off (a plan is set up once per block, and its panels
+	// are packed a few at a time). Panels are depth words deep, and the
+	// caller keeps the formed rows inside the block. Nil means
+	// packAFused/packBFused run the Go loops.
 	packAN func(dst []float64, ts packTerms, ld, cols, depth int)
-	packBN func(dst []float64, ts packTerms, ld, panels, depth int)
+	packBN func(dst []float64, p bnPlan, off, ld, panels, depth int)
 }
 
 // scalarImpl is the portable tile: the unrolled 4×4 register kernel that

@@ -11,7 +11,7 @@ package kernel
 // blocks and every product feeds at most four.
 //
 // FusedMulAdd runs the exact NC/KC/MC loop nest of MulAdd over the same
-// arena-drawn packed panels (LeafWorkspace is unchanged), but:
+// arena-drawn packing buffers (the same LeafWorkspace), but:
 //
 //   - the packers form Ã ← Σᵢ γᵢ·op(Aᵢ) (and B̃ likewise) on the fly from
 //     up to four strided source panels sharing one leading dimension and
@@ -185,9 +185,10 @@ func (k *Packed) FusedDestLimit() int {
 // past its extent, and d is written only inside its extent. The caller
 // pre-applies beta; write-out is pure accumulation. The combination runs
 // inside the packing and the C update — no operand or product temporaries
-// beyond the same two packed panels MulAdd draws (LeafWorkspace of the
-// block shape m×n×k, whatever the extents). It runs on the calling
-// goroutine; FusedMulAddTasks takes a list of products and a submitter.
+// beyond the packing buffers MulAdd draws (LeafWorkspace of the block
+// shape m×n×k, whatever the extents: the Ã panel and a B̃ sliver or
+// panel). It runs on the calling goroutine; FusedMulAddTasks takes a list
+// of products and a submitter.
 func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []Dest) {
 	l := k.newLeaf(m, n, kk, alpha)
 	l.fused, l.one = true, Product{A: a, B: b, Dests: dests}
@@ -327,35 +328,105 @@ func packAFused(mi *microImpl, dst []float64, op Operand, ic, pc, mb, kb int) {
 // operand Σⱼ δⱼ·op(Bⱼ) into dst as nr-column micro-panels; the fused
 // counterpart of packB with the same term-order rounding as packAFused.
 func packBFused(mi *microImpl, dst []float64, op Operand, pc, jc, kb, nb int) {
+	f := newFusedB(mi, op, pc, jc, kb, nb)
+	f.pack(dst, 0, nb)
+}
+
+// fusedB is the kb×nb block with top-left (pc, jc) of a fused B̃ operand,
+// set up for packing once — the rows and columns every term stores and
+// the assembly's term plan — so that pack can form it a few nr-column
+// slivers at a time at the cost of the packing alone.
+type fusedB struct {
+	mi               *microImpl
+	op               Operand
+	pc, jc, kb       int
+	rowsAll, colsAll int
+	// plain: one unscaled term stores the whole block, which packB copies.
+	plain bool
+	// The ISA forms rows [0, bn.rows) of the leading asmPanels slivers,
+	// which every term stores in full; the Go loops form the rest.
+	asmPanels int
+	bn        bnPlan
+}
+
+// newFusedB sets up the block for pack.
+func newFusedB(mi *microImpl, op Operand, pc, jc, kb, nb int) fusedB {
+	f := fusedB{mi: mi, op: op, pc: pc, jc: jc, kb: kb}
+	f.rowsAll, f.colsAll = stored(op.Terms, pc, jc, kb, nb)
+	asm := !op.Trans && len(op.Terms) <= 4 && mi.packBN != nil
+	f.plain = !asm && len(op.Terms) == 1 && op.Terms[0].Coeff == 1 && f.rowsAll == kb && f.colsAll == nb
+	// The ISA covers the rows some term stores in whole 4-row steps inside
+	// the block, reading the rows a term lacks as zero.
+	if asm && f.colsAll >= mi.nr {
+		if ts, rows := asmTerms(op, jc*op.Ld+pc, pc, kb, 4, kb&^3); rows > 0 {
+			f.bn = planBN(ts, rows)
+			f.asmPanels = f.colsAll / mi.nr
+		}
+	}
+	return f
+}
+
+// bnParts is how many masked 4-row steps a bnPlan holds. The blocks of a
+// Strassen level differ by at most one stored row between terms, which
+// needs one; rows past the last step a plan holds go to the Go loops.
+const bnParts = 2
+
+// bnPlan is a fused B̃ block as the assembly packer takes it, set up once
+// per block: its terms, each term's row count capped at rows; the rows
+// [0, full) every term stores, in whole 4-row steps; and one mask per
+// 4-row step of [full, rows), whose lanes [4t, 4t+4) select the step's
+// rows term t stores.
+type bnPlan struct {
+	packTerms
+	full, rows int
+	mask       [bnParts][16]int64
+}
+
+// planBN builds the plan that forms rows [0, rows) of ts, or fewer when
+// the terms' row counts spread over more than bnParts masked steps.
+func planBN(ts packTerms, rows int) bnPlan {
+	lo, _ := ts.span()
+	p := bnPlan{full: lo &^ 3}
+	p.rows = min(rows, p.full+4*bnParts)
+	for t := range ts.n {
+		ts.h[t] = min(ts.h[t], p.rows)
+	}
+	p.packTerms = ts
+	for i, s := 0, p.full; s < p.rows; i, s = i+1, s+4 {
+		for t := range ts.n {
+			for l := range min(max(ts.h[t]-s, 0), 4) {
+				p.mask[i][4*t+l] = -1
+			}
+		}
+	}
+	return p
+}
+
+// pack forms columns [lo, hi) of the block into dst, which holds the
+// sliver at column lo at its start: lo is a multiple of nr, and hi one
+// too or nb.
+func (f *fusedB) pack(dst []float64, lo, hi int) {
+	mi, op, kb := f.mi, f.op, f.kb
 	nr := mi.nr
 	if nr < 1 || kb < 1 {
 		return
 	}
-	rowsAll, colsAll := stored(op.Terms, pc, jc, kb, nb)
-	ldb := op.Ld
-	asm := !op.Trans && len(op.Terms) <= 4 && mi.packBN != nil
-	if !asm && len(op.Terms) == 1 && op.Terms[0].Coeff == 1 && rowsAll == kb && colsAll == nb {
-		packB(nr, dst, op.Terms[0].Data, ldb, op.Trans, pc, jc, kb, nb)
+	pc, jc, ldb := f.pc, f.jc, op.Ld
+	if f.plain {
+		packB(nr, dst, op.Terms[0].Data, ldb, op.Trans, pc, jc+lo, kb, hi-lo)
 		return
 	}
-	// The ISA forms rows [0, kb4) of every full micro-panel every term
-	// stores, kb4 covering the rows some term stores in whole 4-row steps
-	// inside the block and reading the rows a term lacks as zero; the loop
-	// below forms the rest.
-	asmPanels, kb4 := 0, 0
-	if asm && colsAll >= nr {
-		var ts packTerms
-		if ts, kb4 = asmTerms(op, jc*ldb+pc, pc, kb, 4, kb&^3); kb4 > 0 {
-			asmPanels = colsAll / nr
-			mi.packBN(dst, ts, ldb, asmPanels, kb)
-		}
+	if p0, p1 := lo/nr, min(f.asmPanels, (hi+nr-1)/nr); p1 > p0 {
+		mi.packBN(dst, f.bn, lo*ldb, ldb, p1-p0, kb)
 	}
-	for jp := 0; jp < nb; jp += nr {
-		cols := nb - jp
+	kb4 := f.bn.rows
+	rowsAll, colsAll := f.rowsAll, f.colsAll
+	for jp := lo; jp < hi; jp += nr {
+		cols := hi - jp
 		if cols > nr {
 			cols = nr
 		}
-		base := (jp / nr) * (nr * kb)
+		base := ((jp - lo) / nr) * (nr * kb)
 		// Every term stores rows [0, whole) of the panel's columns.
 		whole := 0
 		if jp+cols <= colsAll {
@@ -363,44 +434,44 @@ func packBFused(mi *microImpl, dst []float64, op Operand, pc, jc, kb, nb int) {
 		}
 		if !op.Trans {
 			// op(B)(l, j) = B(pc+l, jc+j): column j of the block is a
-			// contiguous run of each term's storage column jc+j. The panel
-			// buffer is allocated at ncE×kcE with ncE rounded up to whole
-			// nr-wide panels (effBlocks), so the strided stores d[l·nr] are
-			// in bounds even for the last ragged panel. The two-term fast
+			// contiguous run of each term's storage column jc+j. Every
+			// B̃ buffer holds whole nr-wide slivers of kb·nr words (effBlocks
+			// rounds ncE up to them), so the strided stores d[l·nr] are in
+			// bounds even for the last ragged sliver. The two-term fast
 			// path makes one combined pass over the strided destination
 			// where assign-then-accumulate would make two (the pack is
 			// bandwidth-bound — see the fused_pack phase in obsreport).
-			lo := 0
-			if jp/nr < asmPanels {
-				lo = kb4
+			from := 0
+			if jp/nr < f.asmPanels {
+				from = kb4
 			}
 			for s := 0; s < cols; s++ {
 				col := (jc+jp+s)*ldb + pc
 				d := dst[base+s:]
-				if hi := max(lo, whole); hi < kb {
-					formRun(d[hi*nr:], nr, kb-hi, op.Terms, col+hi, true, jc+jp+s, pc+hi)
+				if to := max(from, whole); to < kb {
+					formRun(d[to*nr:], nr, kb-to, op.Terms, col+to, true, jc+jp+s, pc+to)
 				}
-				if lo >= whole {
+				if from >= whole {
 					continue
 				}
 				if len(op.Terms) == 2 {
 					x := op.Terms[0].Data[col : col+whole]
 					y := op.Terms[1].Data[col : col+whole]
 					g0, g1 := op.Terms[0].Coeff, op.Terms[1].Coeff
-					for l := lo; l < whole; l++ {
+					for l := from; l < whole; l++ {
 						d[l*nr] = float64(g0*x[l]) + float64(g1*y[l])
 					}
 					continue
 				}
 				t0 := op.Terms[0]
 				x := t0.Data[col : col+whole]
-				for l := lo; l < whole; l++ {
+				for l := from; l < whole; l++ {
 					d[l*nr] = t0.Coeff * x[l]
 				}
 				for _, t := range op.Terms[1:] {
 					x := t.Data[col : col+whole]
 					g := t.Coeff
-					for l := lo; l < whole; l++ {
+					for l := from; l < whole; l++ {
 						d[l*nr] += float64(g * x[l])
 					}
 				}
@@ -547,8 +618,9 @@ func formRun(d []float64, inc, n int, terms []Term, off int, down bool, cross, l
 // exact capture of the accumulators, ragged tiles included) and each
 // destination's valid elements are scattered with the tile's own
 // rounding: FMA(ad, acc, c) on the SIMD tiles, c + ad·acc on the scalar
-// tile.
-func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, jc, mb, nb, kb int, alpha float64) (fullTiles, edgeTiles int64) {
+// tile. The buffer is tb's, drawn the first time a sweep of the call
+// needs one.
+func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, jc, mb, nb, kb int, alpha float64, tb *tileBuf) (fullTiles, edgeTiles int64) {
 	if len(dests) == 1 {
 		d := dests[0]
 		mv, nv := within(d.Rows, ic, mb), within(d.Cols, jc, nb)
@@ -566,7 +638,6 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 		nv = max(nv, within(d.Cols, jc, nb))
 	}
 	native := mi.multi != nil && len(dests) <= 4
-	var buf [SIMDTileMR * SIMDTileNR]float64
 	for jp := 0; jp < nv; jp += nr {
 		cols := nv - jp
 		if cols > nr {
@@ -595,7 +666,8 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 			} else {
 				edgeTiles++
 			}
-			buf = negZeroTile
+			buf := tb.get()
+			*buf = negZeroTile
 			mi.full(ap, bp, buf[:], mr, kb, 1)
 			for _, d := range dests {
 				dr, dc := within(d.Rows, ic+ip, rows), within(d.Cols, jc+jp, cols)
@@ -621,6 +693,22 @@ func macroKernelFused(mi *microImpl, apack, bpack []float64, dests []Dest, ic, j
 		}
 	}
 	return fullTiles, edgeTiles
+}
+
+// tileBuf is a call's register-tile buffer for the fused write-out's
+// captured tiles. It is allocated on first use and reused by every later
+// sweep of the band that holds it: the tile writes it through a function
+// value, so a buffer declared per sweep would be a heap allocation each.
+type tileBuf struct {
+	p *[SIMDTileMR * SIMDTileNR]float64
+}
+
+// get returns the buffer, allocating it on first use.
+func (t *tileBuf) get() *[SIMDTileMR * SIMDTileNR]float64 {
+	if t.p == nil {
+		t.p = new([SIMDTileMR * SIMDTileNR]float64)
+	}
+	return t.p
 }
 
 // columnDests lists the destinations of the column of tiles, nr columns

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -84,6 +85,21 @@ func runFusedCase(t *testing.T, k *Packed, tc fusedCase, rng *rand.Rand, exact b
 		got[i] = Dest{Data: append([]float64(nil), c0s[i]...), Ld: ldc, Coeff: g, Rows: m, Cols: n}
 	}
 	k.FusedMulAdd(m, n, kk, tc.alpha, aOp, bOp, got)
+	outs := make([][]float64, len(got))
+	for i := range got {
+		outs[i] = got[i].Data
+	}
+	what := fmt.Sprintf("ta=%v tb=%v m=%d n=%d k=%d aT=%v bT=%v", tc.ta, tc.tb, m, n, kk, tc.aCoeffs, tc.bCoeffs)
+	onLayouts(t, what, k, m, n, kk, outs, func(tk *Packed) [][]float64 {
+		ds := make([]Dest, len(got))
+		out := make([][]float64, len(got))
+		for i, d := range got {
+			out[i] = append([]float64(nil), c0s[i]...)
+			ds[i] = Dest{Data: out[i], Ld: d.Ld, Coeff: d.Coeff, Rows: d.Rows, Cols: d.Cols}
+		}
+		tk.FusedMulAdd(m, n, kk, tc.alpha, aOp, bOp, ds)
+		return out
+	})
 
 	refA := combineTerms(aOp.Terms, lda*ac)
 	refB := combineTerms(bOp.Terms, ldb*bc)
@@ -344,13 +360,13 @@ func TestFusedCounters(t *testing.T) {
 // reference over shape, transposes, term/destination counts, ±1 sign
 // patterns, blocking and dispatch mode. CI runs a 10s smoke.
 func FuzzFused(f *testing.F) {
-	f.Add(uint8(8), uint8(4), uint8(16), false, false, uint8(0x1b), uint8(2), int64(1), uint8(0))
-	f.Add(uint8(9), uint8(5), uint8(3), true, false, uint8(0x42), uint8(1), int64(2), uint8(1))
-	f.Add(uint8(16), uint8(8), uint8(32), false, true, uint8(0xff), uint8(4), int64(3), uint8(2))
-	f.Add(uint8(1), uint8(1), uint8(1), true, true, uint8(0x00), uint8(3), int64(4), uint8(3))
-	f.Add(uint8(33), uint8(17), uint8(40), false, false, uint8(0x7c), uint8(2), int64(5), uint8(4))
+	f.Add(uint8(8), uint8(4), uint8(16), false, false, uint8(0x1b), uint8(2), int64(1), uint8(0), uint8(0))
+	f.Add(uint8(9), uint8(5), uint8(3), true, false, uint8(0x42), uint8(1), int64(2), uint8(1), uint8(1))
+	f.Add(uint8(16), uint8(8), uint8(32), false, true, uint8(0xff), uint8(4), int64(3), uint8(2), uint8(0))
+	f.Add(uint8(1), uint8(1), uint8(1), true, true, uint8(0x00), uint8(3), int64(4), uint8(3), uint8(1))
+	f.Add(uint8(33), uint8(17), uint8(40), false, false, uint8(0x7c), uint8(2), int64(5), uint8(4), uint8(2))
 
-	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, ta, tb bool, signBits, destBits uint8, seed int64, blk uint8) {
+	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, ta, tb bool, signBits, destBits uint8, seed int64, blk, mc uint8) {
 		m, n, kk := int(m8%48)+1, int(n8%48)+1, int(k8%48)+1
 		var k *Packed
 		switch blk % 5 {
@@ -403,6 +419,23 @@ func FuzzFused(f *testing.F) {
 			dests[i] = Dest{Data: append([]float64(nil), c0s[i]...), Ld: ldc, Coeff: sign(uint8(seed) >> i & 1), Rows: m, Cols: n}
 		}
 		k.FusedMulAdd(m, n, kk, alpha, aOp, bOp, dests)
+		// The B̃ layout: MC drawn from one register panel up to every row
+		// (one sliver kept) moves no bit.
+		outs := make([][]float64, nD)
+		for i := range dests {
+			outs[i] = dests[i].Data
+		}
+		what := fmt.Sprintf("m=%d n=%d k=%d ta=%v tb=%v nA=%d nB=%d nD=%d blk=%d", m, n, kk, ta, tb, nA, nB, nD, blk%5)
+		onLayout(t, what, drawMC(k, m, mc), m, n, kk, outs, func(tk *Packed) [][]float64 {
+			ds := make([]Dest, nD)
+			out := make([][]float64, nD)
+			for i, d := range dests {
+				out[i] = append([]float64(nil), c0s[i]...)
+				ds[i] = Dest{Data: out[i], Ld: d.Ld, Coeff: d.Coeff, Rows: d.Rows, Cols: d.Cols}
+			}
+			tk.FusedMulAdd(m, n, kk, alpha, aOp, bOp, ds)
+			return out
+		})
 
 		refA := combineTerms(aOp.Terms, lda*ac)
 		refB := combineTerms(bOp.Terms, ldb*bc)

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,15 +14,15 @@ import (
 // from the seed). CI runs a short smoke (-fuzz with a deadline); the nightly
 // workflow runs longer sessions.
 func FuzzKernel(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint8(1), false, false, 1.0, 1.0, int64(1), uint8(0))
-	f.Add(uint8(4), uint8(4), uint8(4), false, false, 1.0, 0.0, int64(2), uint8(1))
-	f.Add(uint8(5), uint8(3), uint8(7), true, false, -0.5, 1.0, int64(3), uint8(2))
-	f.Add(uint8(9), uint8(9), uint8(9), false, true, 2.0, -1.0, int64(4), uint8(3))
-	f.Add(uint8(17), uint8(33), uint8(25), true, true, 1.5, 0.5, int64(5), uint8(0))
-	f.Add(uint8(64), uint8(64), uint8(64), false, false, 1.0, 1.0, int64(6), uint8(3))
-	f.Add(uint8(31), uint8(1), uint8(63), true, false, 3.0, 0.0, int64(7), uint8(2))
+	f.Add(uint8(1), uint8(1), uint8(1), false, false, 1.0, 1.0, int64(1), uint8(0), uint8(0))
+	f.Add(uint8(4), uint8(4), uint8(4), false, false, 1.0, 0.0, int64(2), uint8(1), uint8(1))
+	f.Add(uint8(5), uint8(3), uint8(7), true, false, -0.5, 1.0, int64(3), uint8(2), uint8(0))
+	f.Add(uint8(9), uint8(9), uint8(9), false, true, 2.0, -1.0, int64(4), uint8(3), uint8(1))
+	f.Add(uint8(17), uint8(33), uint8(25), true, true, 1.5, 0.5, int64(5), uint8(0), uint8(2))
+	f.Add(uint8(64), uint8(64), uint8(64), false, false, 1.0, 1.0, int64(6), uint8(3), uint8(5))
+	f.Add(uint8(31), uint8(1), uint8(63), true, false, 3.0, 0.0, int64(7), uint8(2), uint8(3))
 
-	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, ta, tb bool, alpha, beta float64, seed int64, blk uint8) {
+	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, ta, tb bool, alpha, beta float64, seed int64, blk, mc uint8) {
 		m, n, kk := int(m8%80)+1, int(n8%80)+1, int(k8%80)+1
 		if math.IsNaN(alpha) || math.IsInf(alpha, 0) || math.IsNaN(beta) || math.IsInf(beta, 0) {
 			t.Skip()
@@ -85,5 +86,23 @@ func FuzzKernel(f *testing.F) {
 					m, n, kk, ta, tb, alpha, beta, blk%6, d, i)
 			}
 		}
+		// The B̃ layout: MC drawn from one register panel up to every row
+		// (one sliver kept) moves no bit.
+		if alpha != 0 {
+			tk := drawMC(k, m, mc)
+			what := fmt.Sprintf("m=%d n=%d k=%d ta=%v tb=%v blk=%d", m, n, kk, ta, tb, blk%6)
+			onLayout(t, what, tk, m, n, kk, [][]float64{got}, func(tk *Packed) [][]float64 {
+				c := append([]float64(nil), c0...)
+				blas.DgemmKernel(tk, transOf(ta), transOf(tb), m, n, kk, alpha, a, ar, b, br, beta, c, m)
+				return [][]float64{c}
+			})
+		}
 	})
+}
+
+// drawMC is k with its MC drawn by sel: one to all of an m-row call's
+// register panels per MC block.
+func drawMC(k *Packed, m int, sel uint8) *Packed {
+	mr := k.impl().mr
+	return withMC(k, mr*(1+int(sel)%((m+mr-1)/mr)))
 }

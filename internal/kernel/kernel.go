@@ -19,12 +19,15 @@
 // Packing buffers are drawn from an internal/memtrack arena, so workspace
 // stays measurable and bounded the same way the Strassen temporaries are
 // (Boyer et al., arXiv:0707.2347 motivate keeping scratch inside the
-// accounted budget): LeafWorkspace gives the closed-form words per call
-// (CallWorkspace adds the second B̃ panel of a threaded multi-step call)
-// and tests assert the measured arena peak equals it. The arena's free list
-// makes the steady state allocation-free, and because every MulAdd draws
-// its own buffers, a single *Packed is safe for concurrent use — unlike
-// blas.BlockedKernel, whose packing buffers are per-instance state.
+// accounted budget): LeafWorkspace gives the closed-form words per
+// sequential call — the Ã panel and, as the nest packs B̃ a sliver at a
+// time, one KC×NR sliver when the rows fit one MC block or the KC×NC panel
+// the later blocks read again; CallWorkspace gives a threaded call's, whose
+// bands share whole B̃ panels — and tests assert the measured arena peak
+// equals it. The arena's free list makes the steady state
+// allocation-free, and because every MulAdd draws its own buffers, a
+// single *Packed is safe for concurrent use — unlike blas.BlockedKernel,
+// whose packing buffers are per-instance state.
 package kernel
 
 import (
@@ -181,17 +184,19 @@ func (k *Packed) effBlocks(mi *microImpl, m, n, kk int) (mcE, kcE, ncE int) {
 }
 
 // LeafWorkspace returns the exact packing workspace, in float64 words, one
-// MulAdd of the given logical shape draws from the arena: the Ã panel plus
-// the B̃ panel at the clamped blocking (which follows the active tile's
-// panel shapes — an 8-row SIMD Ã panel rounds m up to 8, not 4). A
-// sequential call, or a threaded call of one (jc, pc) step, draws exactly
-// this; see CallWorkspace for the rest.
+// MulAdd of the given logical shape draws from the arena: the Ã panel at
+// the clamped blocking (which follows the active tile's panel shapes — an
+// 8-row SIMD Ã panel rounds m up to 8, not 4) plus the B̃ the sequential
+// nest keeps (seqBCols): one KC×NR sliver when the rows fit one MC block,
+// the KC×NC panel otherwise. Every sequential call draws exactly this,
+// plain or fused; see CallWorkspace for threaded calls.
 func (k *Packed) LeafWorkspace(m, n, kk int) int64 {
 	if m <= 0 || n <= 0 || kk <= 0 {
 		return 0
 	}
-	mcE, kcE, ncE := k.effBlocks(k.impl(), m, n, kk)
-	return int64(mcE)*int64(kcE) + int64(kcE)*int64(ncE)
+	mi := k.impl()
+	mcE, kcE, ncE := k.effBlocks(mi, m, n, kk)
+	return int64(mcE)*int64(kcE) + int64(kcE)*int64(seqBCols(m, mcE, mi.nr, ncE))
 }
 
 // MulAdd implements blas.Kernel: C ← C + alpha·op(A)·op(B) on column-major

@@ -175,6 +175,11 @@ func TestCompatBitwise(t *testing.T) {
 							ta, tb, s, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 					}
 				}
+				onLayouts(t, fmt.Sprintf("compat ta=%v tb=%v %v", ta, tb, s), packed, m, n, kk, [][]float64{got}, func(k *Packed) [][]float64 {
+					c := append([]float64(nil), c0...)
+					blas.DgemmKernel(k, ta, tb, m, n, kk, 1.5, a, ar, b, br, 1, c, m)
+					return [][]float64{c}
+				})
 			}
 		}
 	}
@@ -201,6 +206,56 @@ func TestLeafWorkspaceExact(t *testing.T) {
 		if tr.Live() != 0 {
 			t.Errorf("%v: %d words leaked", s, tr.Live())
 		}
+	}
+}
+
+// layoutTwins returns two kernels with k's tile and KC and NC — so every
+// C element sees the same packed words, tiles and summation order as on
+// k — whose MC splits an m-row call's rows into several MC blocks, where
+// the sequential nest keeps the whole B̃ panel, and fits them in one,
+// where it keeps one sliver. Rows of one register panel fit one block
+// either way.
+func layoutTwins(k *Packed, m int) [2]*Packed {
+	mr := k.impl().mr
+	return [2]*Packed{withMC(k, mr), withMC(k, roundUpMul(m, mr))}
+}
+
+// withMC is a kernel with k's tile, KC and NC, and the given MC.
+func withMC(k *Packed, mc int) *Packed {
+	_, kc, nc := k.blocks(k.impl())
+	mode := k.Mode
+	if k.Compat {
+		mode = ModeScalar
+	}
+	return &Packed{Mode: mode, MC: mc, KC: kc, NC: nc}
+}
+
+// onLayouts runs call, an m×n×kk call that returns its outputs, on both
+// of k's layoutTwins (onLayout).
+func onLayouts(t *testing.T, what string, k *Packed, m, n, kk int, want [][]float64, call func(*Packed) [][]float64) {
+	t.Helper()
+	for _, tk := range layoutTwins(k, m) {
+		onLayout(t, what, tk, m, n, kk, want, call)
+	}
+}
+
+// onLayout runs call on tk with its own arena and fails t unless every
+// output word equals want's bit for bit and the arena peaks at exactly
+// LeafWorkspace.
+func onLayout(t *testing.T, what string, tk *Packed, m, n, kk int, want [][]float64, call func(*Packed) [][]float64) {
+	t.Helper()
+	arena := memtrack.New()
+	tk.SetArena(arena)
+	got := call(tk)
+	for d := range want {
+		for j, w := range want[d] {
+			if g := got[d][j]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s, MC=%d: output %d word %d is %x, want %x", what, tk.MC, d, j, math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+	}
+	if peak, lw := arena.Peak(), tk.LeafWorkspace(m, n, kk); peak != lw {
+		t.Fatalf("%s, MC=%d: arena peak %d, LeafWorkspace %d", what, tk.MC, peak, lw)
 	}
 }
 

@@ -59,36 +59,33 @@ func avx2PackAN(dst []float64, ts packTerms, ld, cols, depth int) {
 }
 
 // avx2PackBN implements microImpl.packBN: the 4-row steps every term
-// stores in full go to packBNAVX2, each later one to packBNPartAVX2.
-func avx2PackBN(dst []float64, ts packTerms, ld, panels, depth int) {
+// stores in full go to packBNAVX2, each later one to packBNPartAVX2 with
+// the plan's mask.
+func avx2PackBN(dst []float64, p bnPlan, off, ld, panels, depth int) {
 	const nr = SIMDTileNR
-	lo, hi := ts.span()
-	rows := (hi + 3) &^ 3
-	if panels <= 0 || rows == 0 {
+	if panels <= 0 || p.rows == 0 {
 		return
 	}
-	dst = dst[:(panels-1)*nr*depth+nr*rows]
+	dst = dst[:(panels-1)*nr*depth+nr*p.rows]
 	last := (panels*nr - 1) * ld // offset of the last column
-	var p [4]*float64
-	full := lo &^ 3
-	if full > 0 {
-		for t := range p {
-			p[t] = &dst[0]
-			if t < ts.n {
-				p[t] = &ts.x[t][:last+full][0]
+	var x [4]*float64
+	if p.full > 0 {
+		for t := range x {
+			x[t] = &dst[0]
+			if t < p.n {
+				x[t] = &p.x[t][off : off+last+p.full][0]
 			}
 		}
-		packBNAVX2(&dst[0], p[0], p[1], p[2], p[3], ld, panels, full, depth, ts.n, &ts.g)
+		packBNAVX2(&dst[0], x[0], x[1], x[2], x[3], ld, panels, p.full, depth, p.n, &p.g)
 	}
-	for s := full; s < rows; s += 4 {
-		var mask [16]int64
-		for t := range p {
-			p[t] = &dst[0]
-			if t < ts.n {
-				p[t] = masked(ts.x[t], mask[4*t:4*t+4], s, ts.h[t]-s, last, &dst[0])
+	for i, s := 0, p.full; s < p.rows; i, s = i+1, s+4 {
+		for t := range x {
+			x[t] = &dst[0]
+			if t < p.n && p.h[t] > s {
+				x[t] = &p.x[t][off+s : off+s+last+min(p.h[t]-s, 4)][0]
 			}
 		}
-		packBNPartAVX2(&dst[nr*s], p[0], p[1], p[2], p[3], ld, panels, depth, ts.n, &ts.g, &mask)
+		packBNPartAVX2(&dst[nr*s], x[0], x[1], x[2], x[3], ld, panels, depth, p.n, &p.g, &p.mask[i])
 	}
 }
 

@@ -19,12 +19,20 @@ package kernel
 // of step s and for band t of step s−1 (its Ã slice and its rows of C);
 // the packing of step s waits for every band of step s−2, the last reader
 // of its buffer. Step 0's B̃ is packed by the calling goroutine before the
-// DAG starts, so a one-step call draws exactly LeafWorkspace; a call of
-// more steps draws one more B̃ panel (CallWorkspace). Each band's chain
-// starts with the call's pre pass over its rows of C (a fused level's β),
-// so no serial pass over C precedes the bands. A sequential call is the
-// same nest with one band, every row packed an MC block at a time into the
-// whole buffer, run inline over one B̃ buffer.
+// DAG starts, so a one-step call draws the Ã buffer and one KC×NC B̃ panel;
+// a call of more steps draws a second B̃ panel (CallWorkspace). Each
+// band's chain starts with the call's pre pass over its rows of C (a fused
+// level's β), so no serial pass over C precedes the bands.
+//
+// A sequential call is the same nest with one band, every row packed an
+// MC block at a time into the whole Ã buffer, run inline. It packs each
+// NR-column B̃ sliver just before the first block's sweep reads it, and
+// keeps only what a later block reads again: the whole KC×NC panel when
+// the rows span several MC blocks, one KC×NR sliver when they fit one —
+// every fused Strassen node's records and every leaf below the MC block.
+// Its draw is LeafWorkspace (seqBCols). GotoBLAS and BLIS pack a whole
+// panel to spread its cost over the row blocks; one block has nothing to
+// spread it over, and the sliver stays in L1 for its sweep.
 //
 // Band edges fall on register-tile edges, packing a share of slivers forms
 // the words packing the whole panel does, and each band takes its steps in
@@ -90,6 +98,7 @@ type leaf struct {
 	m, n, kk int
 	alpha    float64
 	prof     *phase.Profiler
+	epoch    time.Time // the call's start, when profiling (clock)
 
 	ta, tb        bool
 	a, b, c       []float64
@@ -106,19 +115,31 @@ type leaf struct {
 // newLeaf resolves the blocking of an m×n×kk call.
 func (k *Packed) newLeaf(m, n, kk int, alpha float64) leaf {
 	l := leaf{k: k, mi: k.impl(), m: m, n: n, kk: kk, alpha: alpha, prof: phase.Active()}
+	if l.prof != nil {
+		l.epoch = time.Now()
+	}
 	l.mcE, l.kcE, l.ncE = k.effBlocks(l.mi, m, n, kk)
 	return l
 }
 
-// bandAcct is one band's phase attribution and counters. The sweeps fold
-// as fused ones; a plain call has one destination, so they carry no
-// write-out share. packFlops and packBytes are a fused call's packing
-// arithmetic and traffic, which depend on each product's term counts.
+// clock is the time since the call began in nanoseconds. It reads the
+// monotonic clock alone, where time.Now reads the wall clock too: a
+// profiled sequential call reads it twice per B̃ sliver.
+func (l *leaf) clock() int64 {
+	return int64(time.Since(l.epoch))
+}
+
+// bandAcct is one band's phase attribution and counters, and the tile
+// buffer of its fused sweeps. The sweeps fold as fused ones; a plain call
+// has one destination, so they carry no write-out share. packFlops and
+// packBytes are a fused call's packing arithmetic and traffic, which
+// depend on each product's term counts.
 type bandAcct struct {
 	fusedAcct
 	packANS, packBNS        int64
 	packedA, packedB, tiles int64
 	packFlops, packBytes    int64
+	tile                    tileBuf
 }
 
 // step is one (product, jc, pc) step of the nest: product rec, columns
@@ -167,25 +188,36 @@ func (k *Packed) bands(mi *microImpl, sub sched.Submitter, m, n, kk int) []rowBa
 	return rowBands(m, mcE, mi.mr, sub.Workers())
 }
 
-// runSeq executes the call inline, over one B̃ buffer, and credits it to
-// the kernel. It keeps the leaf and its products on the caller's stack.
+// runSeq executes the call inline, packing B̃ as its sweeps first read
+// it (band), and credits it to the kernel. It keeps the leaf and its
+// products on the caller's stack.
 func (l *leaf) runSeq() {
 	ar := l.k.Arena()
 	apack := ar.AllocUninit(l.mcE * l.kcE)
-	bpack := ar.AllocUninit(l.kcE * l.ncE)
+	bpack := ar.AllocUninit(l.kcE * seqBCols(l.m, l.mcE, l.mi.nr, l.ncE))
 	if l.pre != nil {
 		l.pre(0, l.m)
 	}
 	var acct bandAcct
 	whole := rowBand{hi: l.m, h: l.mcE}
 	for s := range l.steps() {
-		st := l.step(s)
-		l.packB(&acct, bpack, st, 0, st.nb)
-		l.band(&acct, whole, apack, bpack, st)
+		l.band(&acct, whole, apack, bpack, l.step(s), true)
 	}
 	ar.Free(bpack)
 	ar.Free(apack)
 	l.finish(acct)
+}
+
+// seqBCols is how many columns of a step's B̃ the sequential nest keeps
+// for a call of m rows at the effective blocking mcE×ncE: one nr-column
+// sliver when the rows fit one MC block, so that each sliver is packed
+// just before the one sweep that reads it; the whole panel otherwise, for
+// every later block to sweep again.
+func seqBCols(m, mcE, nr, ncE int) int {
+	if m <= mcE {
+		return nr
+	}
+	return ncE
 }
 
 // pipeline is a threaded call's shared state: a heap copy of the leaf, so
@@ -249,7 +281,7 @@ func (l *leaf) runBands(sub sched.Submitter, bands []rowBand) {
 				if first && p.pre != nil {
 					p.pre(bd.lo, bd.hi)
 				}
-				p.band(acct, bd, ap, buf, st)
+				p.band(acct, bd, ap, buf, st, false)
 			}, deps...)
 		}
 	}
@@ -284,22 +316,39 @@ func (p *pipeline) packShare(buf []float64, st step, lo, hi int) {
 // packB forms columns [lo, hi) of step st's B̃ — whole NR-column slivers,
 // hi clipped to the panel — into their place in bpack.
 func (l *leaf) packB(acct *bandAcct, bpack []float64, st step, lo, hi int) {
-	var t0 time.Time
+	var t0 int64
 	if l.prof != nil {
-		t0 = time.Now()
+		t0 = l.clock()
 	}
-	dst, jc, nb := bpack[lo*st.kb:], st.jc+lo, hi-lo
+	f := l.stepB(st)
+	l.packSlivers(acct, st, &f, bpack[lo*st.kb:], lo, hi)
+	if l.prof != nil {
+		acct.packBNS += l.clock() - t0
+	}
+}
+
+// stepB sets up step st's B̃ for packing once, so that the sequential
+// nest can form it a sliver at a time: a fused product's B operand. A
+// plain call's B needs no setup.
+func (l *leaf) stepB(st step) (f fusedB) {
 	if l.fused {
-		op := l.product(st.rec).B
-		packBFused(l.mi, dst, op, st.pc, jc, st.kb, nb)
-		acct.packTerms(len(op.Terms), int64(st.kb)*int64(nb))
+		f = newFusedB(l.mi, l.product(st.rec).B, st.pc, st.jc, st.kb, st.nb)
+	}
+	return f
+}
+
+// packSlivers forms columns [lo, hi) of step st's B̃, set up as f, into
+// dst, which holds the sliver at column lo at its start, and counts the
+// words.
+func (l *leaf) packSlivers(acct *bandAcct, st step, f *fusedB, dst []float64, lo, hi int) {
+	words := int64(st.kb) * int64(hi-lo)
+	if l.fused {
+		f.pack(dst, lo, hi)
+		acct.packTerms(len(f.op.Terms), words)
 	} else {
-		packB(l.mi.nr, dst, l.b, l.ldb, l.tb, st.pc, jc, st.kb, nb)
+		packB(l.mi.nr, dst, l.b, l.ldb, l.tb, st.pc, st.jc+lo, st.kb, hi-lo)
 	}
-	if l.prof != nil {
-		acct.packBNS += int64(time.Since(t0))
-	}
-	acct.packedB += int64(st.kb) * int64(nb)
+	acct.packedB += words
 }
 
 // packTerms counts the arithmetic and traffic of words packed words of a
@@ -312,41 +361,79 @@ func (a *bandAcct) packTerms(terms int, words int64) {
 
 // band packs band bd's rows of step st into apack, bd.h rows at a time,
 // and sweeps each block against B̃ into C (every destination of the
-// product when fused).
-func (l *leaf) band(acct *bandAcct, bd rowBand, apack, bpack []float64, st step) {
+// product when fused). With packB (the sequential nest, whose one band
+// covers every row) it also packs B̃: each nr-column sliver just before
+// the first block's sweep reads it, into its place in bpack when a later
+// block sweeps the panel again, over the one sliver bpack holds when the
+// band is one block (seqBCols). Each sliver's packing is timed apart from
+// its sweep.
+func (l *leaf) band(acct *bandAcct, bd rowBand, apack, bpack []float64, st step, packB bool) {
 	mi := l.mi
-	var t0 time.Time
+	var pr *Product
+	if l.fused {
+		pr = l.product(st.rec)
+	}
+	var f fusedB
+	if packB {
+		f = l.stepB(st)
+	}
+	keep := bd.hi-bd.lo > bd.h
+	var t0 int64
 	for ic := bd.lo; ic < bd.hi; ic += bd.h {
 		mb := min(bd.hi-ic, bd.h)
 		if l.prof != nil {
-			t0 = time.Now()
+			t0 = l.clock()
 		}
-		var pr *Product
-		if l.fused {
-			pr = l.product(st.rec)
+		if pr != nil {
 			packAFused(mi, apack, pr.A, ic, st.pc, mb, st.kb)
 			acct.packTerms(len(pr.A.Terms), int64(mb)*int64(st.kb))
 		} else {
 			packA(mi.mr, apack, l.a, l.lda, l.ta, ic, st.pc, mb, st.kb)
 		}
 		if l.prof != nil {
-			acct.packANS += int64(time.Since(t0))
-			t0 = time.Now()
+			t1 := l.clock()
+			acct.packANS += t1 - t0
+			t0 = t1
 		}
 		acct.packedA += int64(mb) * int64(st.kb)
-		var ft, et int64
-		nd := 1
-		if pr != nil {
-			ft, et = macroKernelFused(mi, apack, bpack, pr.Dests, ic, st.jc, mb, st.nb, st.kb, l.alpha)
-			nd = len(pr.Dests)
-		} else {
-			ft, et = macroKernel(mi, apack, bpack, l.c, l.ldc, ic, st.jc, mb, st.nb, st.kb, l.alpha)
+		if !packB || ic > bd.lo {
+			l.sweep(acct, pr, apack, bpack, ic, st.jc, mb, st.nb, st.kb, &t0)
+			continue
 		}
-		if l.prof != nil {
-			acct.macro(mi, int64(time.Since(t0)), mb, st.nb, st.kb, ft, et, nd)
+		for jp := 0; jp < st.nb; jp += mi.nr {
+			cols, dst := min(mi.nr, st.nb-jp), bpack
+			if keep {
+				dst = bpack[jp*st.kb:]
+			}
+			l.packSlivers(acct, st, &f, dst, jp, jp+cols)
+			if l.prof != nil {
+				t1 := l.clock()
+				acct.packBNS += t1 - t0
+				t0 = t1
+			}
+			l.sweep(acct, pr, apack, dst, ic, st.jc+jp, mb, cols, st.kb, &t0)
 		}
-		acct.tiles += ft + et
 	}
+}
+
+// sweep runs the macro kernel over the mb×nb block at (ic, jc) of C, or
+// of every destination of pr, and folds it into acct: when profiling, as
+// the clock's advance since *t0, which it moves to the sweep's end.
+func (l *leaf) sweep(acct *bandAcct, pr *Product, apack, bpack []float64, ic, jc, mb, nb, kb int, t0 *int64) {
+	var ft, et int64
+	nd := 1
+	if pr != nil {
+		ft, et = macroKernelFused(l.mi, apack, bpack, pr.Dests, ic, jc, mb, nb, kb, l.alpha, &acct.tile)
+		nd = len(pr.Dests)
+	} else {
+		ft, et = macroKernel(l.mi, apack, bpack, l.c, l.ldc, ic, jc, mb, nb, kb, l.alpha)
+	}
+	if l.prof != nil {
+		t1 := l.clock()
+		acct.macro(l.mi, t1-*t0, mb, nb, kb, ft, et, nd)
+		*t0 = t1
+	}
+	acct.tiles += ft + et
 }
 
 // finish folds one band's attribution into the profiler and its packed
@@ -453,20 +540,24 @@ func (p *Product) live() bool {
 // CallWorkspace returns the exact packing workspace, in float64 words, one
 // MulAddTasks (products = 1) or FusedMulAddTasks call of products products
 // of the logical shape m×n×kk draws from the arena on a submitter of
-// workers workers (0 without one): LeafWorkspace, plus a second B̃ panel
-// when the call's rows split into bands and it has more than one step —
-// the buffer the next step's B̃ packs into while the bands sweep this
-// one's. strassen.PlanFor folds the maximum over a plan's calls into
+// workers workers (0 without one): LeafWorkspace when the call runs
+// sequentially; when its rows split into bands, the Ã panel the bands
+// share plus one KC×NC B̃ panel, or two when the call has more than one
+// step — the buffer the next step's B̃ packs into while the bands sweep
+// this one's. strassen.PlanFor folds the maximum over a plan's calls into
 // Plan.KernelWords.
 func (k *Packed) CallWorkspace(workers, products, m, n, kk int) int64 {
-	w := k.LeafWorkspace(m, n, kk)
-	if w == 0 || products < 1 {
+	if m <= 0 || n <= 0 || kk <= 0 || products < 1 {
 		return 0
 	}
 	mi := k.impl()
 	mcE, kcE, ncE := k.effBlocks(mi, m, n, kk)
-	if bandCount(m, mcE, mi.mr, workers) >= 2 && stepCount(products, n, kk, kcE, ncE) > 1 {
-		w += int64(kcE) * int64(ncE)
+	if bandCount(m, mcE, mi.mr, workers) < 2 {
+		return k.LeafWorkspace(m, n, kk)
 	}
-	return w
+	panels := int64(1)
+	if stepCount(products, n, kk, kcE, ncE) > 1 {
+		panels = 2
+	}
+	return int64(mcE)*int64(kcE) + panels*int64(kcE)*int64(ncE)
 }

@@ -143,8 +143,10 @@ func TestRowBands(t *testing.T) {
 // TestMulAddTasksWorkspaceExact: the bands share the sequential nest's Ã
 // buffer, so a threaded call's arena peak is exactly CallWorkspace, for
 // plain and fused leaves, whether the rows fill one MC block or several:
-// LeafWorkspace plus the second B̃ panel of the pipeline on these
-// multi-panel shapes, LeafWorkspace on a one-panel one.
+// the Ã panel plus one KC×NC B̃ panel, and the pipeline's second B̃ panel
+// on these multi-panel shapes. It is not LeafWorkspace: a sequential call
+// whose rows fit one MC block keeps a single B̃ sliver, but the bands all
+// sweep the whole panel.
 func TestMulAddTasksWorkspaceExact(t *testing.T) {
 	rt := sched.New(4, 9)
 	defer rt.Close()
@@ -165,18 +167,82 @@ func TestMulAddTasksWorkspaceExact(t *testing.T) {
 			} else {
 				k.MulAddTasks(rt, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, c, m)
 			}
-			want, panel := k.LeafWorkspace(m, n, kk), int64(0)
-			if _, kcE, ncE := k.effBlocks(k.impl(), m, n, kk); (n+ncE-1)/ncE*((kk+kcE-1)/kcE) > 1 {
-				panel = int64(kcE * ncE)
+			mcE, kcE, ncE := k.effBlocks(k.impl(), m, n, kk)
+			want := int64(mcE*kcE + kcE*ncE)
+			if (n+ncE-1)/ncE*((kk+kcE-1)/kcE) > 1 {
+				want += int64(kcE * ncE)
 			}
-			if got := k.CallWorkspace(rt.Workers(), 1, m, n, kk); got != want+panel {
-				t.Errorf("%v: CallWorkspace %d, want LeafWorkspace %d + %d", dims, got, want, panel)
+			if got := k.CallWorkspace(rt.Workers(), 1, m, n, kk); got != want {
+				t.Errorf("%v: CallWorkspace %d, want %d", dims, got, want)
 			}
-			if peak := arena.Peak(); peak != want+panel {
-				t.Errorf("%v fused=%v: arena peak %d, CallWorkspace %d", dims, fused, peak, want+panel)
+			if peak := arena.Peak(); peak != want {
+				t.Errorf("%v fused=%v: arena peak %d, CallWorkspace %d", dims, fused, peak, want)
 			}
 			if live := arena.Live(); live != 0 {
 				t.Fatalf("%v fused=%v: %d arena words leaked", dims, fused, live)
+			}
+		}
+	}
+}
+
+// TestBitsIndependentOfBLayout: the sequential nest keeps one B̃ sliver
+// when a call's rows fit one MC block and the whole KC×NC panel
+// otherwise, and either way every C element sees the same packed words,
+// tiles and summation order. Each call runs with MC below m and with
+// MC ≥ m (onLayouts) and must give the same bits, each arena peaking at
+// LeafWorkspace: plain calls in all four transposes, and fused calls of
+// 1–4-term operands into 1–4 destinations, transposed or not, with whole
+// extents and with terms and destinations clipped short of the block, as
+// a virtually padded level's are — on the scalar and the SIMD tiles, over
+// several KC and NC panels.
+func TestBitsIndependentOfBLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(506))
+	for _, mode := range []Mode{ModeScalar, ModeSIMD} {
+		k := &Packed{Mode: mode, KC: 12, NC: 16}
+		for _, dims := range [][3]int{{37, 45, 29}, {64, 33, 40}, {9, 70, 13}} {
+			m, n, kk := dims[0], dims[1], dims[2]
+			for _, ta := range transposes {
+				for _, tb := range transposes {
+					ar, ac := opDims(ta.IsTrans(), m, kk)
+					br, bc := opDims(tb.IsTrans(), kk, n)
+					a, b, c0 := fill(rng, ar, ac, ar), fill(rng, br, bc, br), fill(rng, m, n, m)
+					want := append([]float64(nil), c0...)
+					k.MulAdd(ta, tb, m, n, kk, 1.5, a, ar, b, br, want, m)
+					onLayouts(t, fmt.Sprintf("mode=%v %v ta=%v tb=%v plain", mode, dims, ta, tb), k, m, n, kk, [][]float64{want}, func(tk *Packed) [][]float64 {
+						c := append([]float64(nil), c0...)
+						tk.MulAdd(ta, tb, m, n, kk, 1.5, a, ar, b, br, c, m)
+						return [][]float64{c}
+					})
+				}
+			}
+			for _, trans := range []bool{false, true} {
+				for _, clip := range []int{0, 1, 3} {
+					for terms := 1; terms <= 4; terms++ {
+						ar, ac := opDims(trans, m, kk)
+						br, bc := opDims(trans, kk, n)
+						p := Product{A: Operand{Ld: ar, Trans: trans}, B: Operand{Ld: br, Trans: trans}}
+						for i := range terms {
+							p.A.Terms = append(p.A.Terms, Term{Data: fill(rng, ar, ac, ar), Coeff: float64(1 - 2*(i%2)), Rows: m - i*clip, Cols: kk - i*clip})
+							p.B.Terms = append(p.B.Terms, Term{Data: fill(rng, br, bc, br), Coeff: float64(2*(i%2) - 1), Rows: kk - i*clip, Cols: n - i*clip})
+						}
+						c0 := make([][]float64, 5-terms)
+						for d := range c0 {
+							c0[d] = fill(rng, m, n, m)
+						}
+						run := func(tk *Packed) [][]float64 {
+							out := make([][]float64, len(c0))
+							ds := make([]Dest, len(c0))
+							for d := range c0 {
+								out[d] = append([]float64(nil), c0[d]...)
+								ds[d] = Dest{Data: out[d], Ld: m, Coeff: float64(1 - 2*(d%2)), Rows: m - d*clip, Cols: n - d*clip}
+							}
+							tk.FusedMulAdd(m, n, kk, -0.5, p.A, p.B, ds)
+							return out
+						}
+						what := fmt.Sprintf("mode=%v %v trans=%v clip=%d terms=%d fused", mode, dims, trans, clip, terms)
+						onLayouts(t, what, k, m, n, kk, run(k), run)
+					}
+				}
 			}
 		}
 	}
@@ -251,8 +317,8 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 // operand and 1–4 of a shared pool of destinations (so several records
 // accumulate into each), with clipped terms and clipped, ragged
 // destinations, both transposes and β ∈ {0, ¼, 1}; the pre pass covers
-// every row once, and the arena peak is CallWorkspace: LeafWorkspace plus
-// the second B̃ panel. A plain multi-panel MulAddTasks call runs through
+// every row once, and the arena peak is CallWorkspace: the Ã panel and
+// two B̃ panels. A plain multi-panel MulAddTasks call runs through
 // the same pipeline and matches MulAdd.
 func TestFusedMulAddTasksPipeline(t *testing.T) {
 	rt2, rt3 := sched.New(2, 11), sched.New(3, 12)
@@ -348,8 +414,8 @@ func TestFusedMulAddTasksPipeline(t *testing.T) {
 									}
 								}
 							}
-							_, kcE, ncE := tk.effBlocks(tk.impl(), m, n, kk)
-							if w, peak := tk.LeafWorkspace(m, n, kk)+int64(kcE*ncE), arena.Peak(); peak != w || tk.CallWorkspace(rt.Workers(), records, m, n, kk) != w {
+							mcE, kcE, ncE := tk.effBlocks(tk.impl(), m, n, kk)
+							if w, peak := int64(mcE*kcE+2*kcE*ncE), arena.Peak(); peak != w || tk.CallWorkspace(rt.Workers(), records, m, n, kk) != w {
 								t.Fatalf("%s: arena peak %d, CallWorkspace %d, want %d", what, peak, tk.CallWorkspace(rt.Workers(), records, m, n, kk), w)
 							}
 							if fc := tk.FusedCounters(); fc != records {

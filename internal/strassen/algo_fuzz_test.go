@@ -8,6 +8,7 @@ import (
 	"repro/internal/algo"
 	"repro/internal/blas"
 	"repro/internal/matrix"
+	"repro/internal/sched"
 )
 
 // deriveTable builds a random valid coefficient table by applying
@@ -85,15 +86,18 @@ func deriveTable(base *algo.Table, xform int64) (*algo.Table, error) {
 // multiplying random operands through the generic executor must match the
 // naive oracle within the table's Growth-scaled Higham bound. A transform
 // that fails algo.New's re-verification, or a verified table that
-// multiplies wrongly, is a found bug in the checker or the executor.
+// multiplies wrongly, is a found bug in the checker or the executor. A
+// workers input of 1–3 runs the call again on a task runtime of that many
+// workers, where each lin pass of a table level runs as one task per
+// column band, and requires the bits of the call without a runtime.
 func FuzzAlgoTable(f *testing.F) {
-	f.Add(int64(1), byte(0), int64(7), byte(12), byte(12), byte(12), 1.0, 0.0)
-	f.Add(int64(2), byte(1), int64(99), byte(9), byte(5), byte(13), 1.5, 0.5)
-	f.Add(int64(3), byte(2), int64(3), byte(18), byte(8), byte(18), -2.0, 1.0)
-	f.Add(int64(4), byte(3), int64(42), byte(27), byte(27), byte(27), 0.25, -1.0)
-	f.Add(int64(5), byte(4), int64(1234), byte(17), byte(4), byte(33), 1.0, 2.0)
+	f.Add(int64(1), byte(0), int64(7), byte(12), byte(12), byte(12), 1.0, 0.0, byte(0))
+	f.Add(int64(2), byte(1), int64(99), byte(9), byte(5), byte(13), 1.5, 0.5, byte(2))
+	f.Add(int64(3), byte(2), int64(3), byte(18), byte(8), byte(18), -2.0, 1.0, byte(3))
+	f.Add(int64(4), byte(3), int64(42), byte(27), byte(27), byte(27), 0.25, -1.0, byte(1))
+	f.Add(int64(5), byte(4), int64(1234), byte(17), byte(4), byte(33), 1.0, 2.0, byte(2))
 	tables := algo.Tables()
-	f.Fuzz(func(t *testing.T, seed int64, tb byte, xform int64, mb, kb, nb byte, alpha, beta float64) {
+	f.Fuzz(func(t *testing.T, seed int64, tb byte, xform int64, mb, kb, nb byte, alpha, beta float64, workers byte) {
 		base := tables[int(tb)%len(tables)]
 		tbl, err := deriveTable(base, xform)
 		if err != nil {
@@ -112,10 +116,24 @@ func FuzzAlgoTable(f *testing.F) {
 		a := matrix.NewRandom(m, k, rng)
 		b := matrix.NewRandom(k, n, rng)
 		c := matrix.NewRandom(m, n, rng)
+		c0 := c.Clone()
 		want := refMul(blas.NoTrans, blas.NoTrans, alpha, a, b, beta, c)
 
 		e := &engine{policy: policy{crit: Simple{Tau: 4}, tbl: tbl}, kern: blas.NaiveKernel{}}
 		e.mul(c, matrix.ViewOf(a), matrix.ViewOf(b), alpha, beta, 0)
+		if w := int(workers % 4); w > 0 {
+			rt := sched.New(w, seed)
+			defer rt.Close()
+			cw := c0.Clone()
+			ew := &engine{policy: e.policy, kern: e.kern, sub: rt}
+			ew.mul(cw, matrix.ViewOf(a), matrix.ViewOf(b), alpha, beta, 0)
+			for i := range cw.Data {
+				if math.Float64bits(cw.Data[i]) != math.Float64bits(c.Data[i]) {
+					t.Fatalf("table %s⊳%d m=%d k=%d n=%d α=%g β=%g: word %d is %v on %d workers, %v without a runtime",
+						base.Name, xform, m, k, n, alpha, beta, i, cw.Data[i], w, c.Data[i])
+				}
+			}
+		}
 
 		// Higham-style bound: the table's growth factor compounds per
 		// recursion level; scale the base tolerance by it, with headroom

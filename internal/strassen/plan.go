@@ -124,11 +124,12 @@ func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 // leafSizer is the structural interface a kernel implements to report its
 // per-call workspace (internal/kernel's Packed does): the exact words one
 // call of products products of the given logical shape draws from the
-// kernel's arena on a runtime of workers workers — the sequential leaf's
-// two panels, which a threaded call's row bands share, plus a second B̃
-// panel when a threaded call has more than one (product, jc, pc) step
-// (MulAddTasks, FusedMulAddTasks). Kept structural so the strassen package
-// does not choose a kernel implementation for its callers.
+// kernel's arena on a runtime of workers workers — a sequential call's Ã
+// panel and the B̃ sliver or panel it keeps; a threaded call's Ã panel,
+// which its row bands share, and one KC×NC B̃ panel, or two when it has
+// more than one (product, jc, pc) step (MulAddTasks, FusedMulAddTasks).
+// Kept structural so the strassen package does not choose a kernel
+// implementation for its callers.
 type leafSizer interface {
 	CallWorkspace(workers, products, m, n, k int) int64
 }

@@ -136,8 +136,9 @@ func TestPlanKernelWordsMatchMeasuredArenaPeak(t *testing.T) {
 
 // TestPlanKernelWordsFused2Runtimes: a two-level fused node is one kernel
 // call of 49 products. On a 1-worker runtime it runs inline and draws
-// LeafWorkspace of its blocks; on 2 and 3 workers its steps run as the
-// kernel's pipeline, which draws one more B̃ panel. Either way the measured
+// LeafWorkspace of its blocks — the Ã panel and one B̃ sliver, since each
+// block's rows fit one MC block; on 2 and 3 workers its steps run as the
+// kernel's pipeline, which draws two KC×NC B̃ panels. Either way the measured
 // arena peak equals the plan's KernelWords, with no Strassen temporaries,
 // on even shapes and on odd ones whose blocks are clipped.
 func TestPlanKernelWordsFused2Runtimes(t *testing.T) {
@@ -164,7 +165,7 @@ func TestPlanKernelWordsFused2Runtimes(t *testing.T) {
 				}
 				want := pk.LeafWorkspace(16, 16, 16)
 				if workers > 1 {
-					want += 12 * 16 // the pipeline's second B̃ panel, KC×NC
+					want = 16*12 + 2*12*16 // Ã, MC×KC, and two KC×NC B̃ panels
 				}
 				if peak := arena.Peak(); peak != plan.KernelWords || peak != want {
 					t.Errorf("workers=%d m=%d β=%g: kernel arena peak %d, plan KernelWords %d, want %d",
