@@ -153,12 +153,12 @@ func main() {
 		fmt.Printf("  current defaults: τ=%d τm=%d τk=%d τn=%d\n", cur.Tau, cur.TauM, cur.TauK, cur.TauN)
 
 		// The -cores sweep re-measures the square crossover with both arms
-		// on a c-worker runtime — DGEMM with its leaf threaded by row bands
-		// against one level whose passes thread by column bands and whose
-		// seven leaves thread by row bands — because τ is a function of the
-		// worker count: the level's O(n²) passes and its smaller leaves
-		// scale differently from one large leaf, so the crossover moves
-		// with c. A kernel whose leaves cannot thread fails the sweep.
+		// on a c-worker runtime — DGEMM with its leaf threaded by column
+		// bands against one level whose passes and seven leaves thread by
+		// column bands — because τ is a function of the worker count: the
+		// level's O(n²) passes and its smaller leaves scale differently
+		// from one large leaf, so the crossover moves with c. A kernel
+		// whose leaves cannot thread fails the sweep.
 		// Rows install under "<kernel>@<cores>"; the rectangular parameters
 		// are carried over from the sequential sweep above (the thin-
 		// dimension crossovers are kernel-bound, not schedule-bound).

@@ -258,7 +258,7 @@ func fuzzOracle(transA, transB Transpose, alpha float64, a, b *Matrix, beta floa
 // the Brent/Higham forward-error bound of the naive triple-loop oracle.
 // A workers input of 1–3 runs the call on a task runtime of that many
 // workers — the lin passes threaded by column bands, the threaded leaves
-// and the fused levels' step pipeline — and requires the bits the call
+// and the fused levels' kernel task DAGs — and requires the bits the call
 // produces without a runtime.
 // The seed corpus in testdata/fuzz/FuzzDGEFMM pins odd sizes, transposes,
 // β ≠ 0, both kernels and multi-worker runtimes.

@@ -67,9 +67,9 @@ func SetConfigHook(fn func(*strassen.Config)) { configHook = fn }
 
 // timePair measures DGEMM and one-level DGEFMM on an m×k × k×n problem and
 // returns the two per-call times in seconds. With a runtime rt both arms
-// run on it: DGEMM as a DGEFMM base case, whose leaf threads by row bands,
-// and the level with its lin passes threaded by column bands and its
-// products' leaves by row bands.
+// run on it: DGEMM as a DGEFMM base case, whose leaf threads by column
+// bands of B̃ slivers, and the level with its lin passes and its products'
+// leaves threaded by column bands.
 func timePair(kern blas.Kernel, fused strassen.FusedMode, rt *sched.Runtime, m, k, n int, alpha, beta float64, rng *rand.Rand) (tGemm, tOneLevel float64) {
 	a := matrix.NewRandom(m, k, rng)
 	b := matrix.NewRandom(k, n, rng)

@@ -114,8 +114,8 @@ func AblationPeeling(w io.Writer, sc Scale) []AblationRow {
 }
 
 // AblationParallel compares the sequential engine with the same calls on
-// 2- and 4-worker task runtimes, which thread each level's passes by
-// column bands and its leaves by row bands — the Section 5 parallelism
+// 2- and 4-worker task runtimes, which thread each level's passes and its
+// leaves by column bands — the Section 5 parallelism
 // item. On a single-CPU host the interest is overhead, not speedup.
 func AblationParallel(w io.Writer, sc Scale) []AblationRow {
 	kern := kernelOf("blocked")

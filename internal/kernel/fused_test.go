@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/memtrack"
+	"repro/internal/sched"
 )
 
 // The fused differential contract (fused.go): FusedMulAdd must equal
@@ -360,13 +361,17 @@ func TestFusedCounters(t *testing.T) {
 // reference over shape, transposes, term/destination counts, ±1 sign
 // patterns, blocking and dispatch mode. CI runs a 10s smoke.
 func FuzzFused(f *testing.F) {
-	f.Add(uint8(8), uint8(4), uint8(16), false, false, uint8(0x1b), uint8(2), int64(1), uint8(0), uint8(0))
-	f.Add(uint8(9), uint8(5), uint8(3), true, false, uint8(0x42), uint8(1), int64(2), uint8(1), uint8(1))
-	f.Add(uint8(16), uint8(8), uint8(32), false, true, uint8(0xff), uint8(4), int64(3), uint8(2), uint8(0))
-	f.Add(uint8(1), uint8(1), uint8(1), true, true, uint8(0x00), uint8(3), int64(4), uint8(3), uint8(1))
-	f.Add(uint8(33), uint8(17), uint8(40), false, false, uint8(0x7c), uint8(2), int64(5), uint8(4), uint8(2))
+	f.Add(uint8(8), uint8(4), uint8(16), false, false, uint8(0x1b), uint8(2), int64(1), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(9), uint8(5), uint8(3), true, false, uint8(0x42), uint8(1), int64(2), uint8(1), uint8(1), uint8(0))
+	f.Add(uint8(16), uint8(8), uint8(32), false, true, uint8(0xff), uint8(4), int64(3), uint8(2), uint8(0), uint8(0))
+	f.Add(uint8(1), uint8(1), uint8(1), true, true, uint8(0x00), uint8(3), int64(4), uint8(3), uint8(1), uint8(0))
+	f.Add(uint8(33), uint8(17), uint8(40), false, false, uint8(0x7c), uint8(2), int64(5), uint8(4), uint8(2), uint8(0))
+	f.Add(uint8(37), uint8(29), uint8(20), false, false, uint8(0x5a), uint8(3), int64(6), uint8(2), uint8(0), uint8(1))
+	f.Add(uint8(40), uint8(45), uint8(19), true, false, uint8(0x3f), uint8(2), int64(7), uint8(4), uint8(1), uint8(2))
+	f.Add(uint8(47), uint8(13), uint8(33), false, true, uint8(0xa5), uint8(1), int64(8), uint8(0), uint8(5), uint8(3))
+	f.Add(uint8(9), uint8(47), uint8(8), true, true, uint8(0x0f), uint8(0), int64(9), uint8(3), uint8(0), uint8(2))
 
-	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, ta, tb bool, signBits, destBits uint8, seed int64, blk, mc uint8) {
+	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, ta, tb bool, signBits, destBits uint8, seed int64, blk, mc, workers uint8) {
 		m, n, kk := int(m8%48)+1, int(n8%48)+1, int(k8%48)+1
 		var k *Packed
 		switch blk % 5 {
@@ -436,6 +441,23 @@ func FuzzFused(f *testing.F) {
 			tk.FusedMulAdd(m, n, kk, alpha, aOp, bOp, ds)
 			return out
 		})
+		// The threaded nest: the same bits as the sequential one, with the
+		// arena peaking at CallWorkspace.
+		if w := int(workers % 4); w > 0 {
+			rt := sched.New(w, seed)
+			defer rt.Close()
+			tk := drawMC(k, m, mc)
+			onRun(t, fmt.Sprintf("%s workers=%d", what, w), tk, tk.CallWorkspace(w, 1, m, n, kk), outs, func(tk *Packed) [][]float64 {
+				ds := make([]Dest, nD)
+				out := make([][]float64, nD)
+				for i, d := range dests {
+					out[i] = append([]float64(nil), c0s[i]...)
+					ds[i] = Dest{Data: out[i], Ld: d.Ld, Coeff: d.Coeff, Rows: d.Rows, Cols: d.Cols}
+				}
+				tk.FusedMulAddTasks(rt, m, n, kk, alpha, []Product{{A: aOp, B: bOp, Dests: ds}}, nil)
+				return out
+			})
+		}
 
 		refA := combineTerms(aOp.Terms, lda*ac)
 		refB := combineTerms(bOp.Terms, ldb*bc)

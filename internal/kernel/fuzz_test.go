@@ -7,22 +7,28 @@ import (
 	"testing"
 
 	"repro/internal/blas"
+	"repro/internal/sched"
 )
 
 // FuzzKernel differential-fuzzes the packed kernel against the naive oracle
 // over shape, transposes, scaling, blocking, and matrix content (generated
-// from the seed). CI runs a short smoke (-fuzz with a deadline); the nightly
-// workflow runs longer sessions.
+// from the seed), and the threaded nest against the sequential one on a
+// runtime of workers%4 workers. CI runs a short smoke (-fuzz with a
+// deadline); the nightly workflow runs longer sessions.
 func FuzzKernel(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint8(1), false, false, 1.0, 1.0, int64(1), uint8(0), uint8(0))
-	f.Add(uint8(4), uint8(4), uint8(4), false, false, 1.0, 0.0, int64(2), uint8(1), uint8(1))
-	f.Add(uint8(5), uint8(3), uint8(7), true, false, -0.5, 1.0, int64(3), uint8(2), uint8(0))
-	f.Add(uint8(9), uint8(9), uint8(9), false, true, 2.0, -1.0, int64(4), uint8(3), uint8(1))
-	f.Add(uint8(17), uint8(33), uint8(25), true, true, 1.5, 0.5, int64(5), uint8(0), uint8(2))
-	f.Add(uint8(64), uint8(64), uint8(64), false, false, 1.0, 1.0, int64(6), uint8(3), uint8(5))
-	f.Add(uint8(31), uint8(1), uint8(63), true, false, 3.0, 0.0, int64(7), uint8(2), uint8(3))
+	f.Add(uint8(1), uint8(1), uint8(1), false, false, 1.0, 1.0, int64(1), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(4), uint8(4), uint8(4), false, false, 1.0, 0.0, int64(2), uint8(1), uint8(1), uint8(0))
+	f.Add(uint8(5), uint8(3), uint8(7), true, false, -0.5, 1.0, int64(3), uint8(2), uint8(0), uint8(0))
+	f.Add(uint8(9), uint8(9), uint8(9), false, true, 2.0, -1.0, int64(4), uint8(3), uint8(1), uint8(0))
+	f.Add(uint8(17), uint8(33), uint8(25), true, true, 1.5, 0.5, int64(5), uint8(0), uint8(2), uint8(0))
+	f.Add(uint8(64), uint8(64), uint8(64), false, false, 1.0, 1.0, int64(6), uint8(3), uint8(5), uint8(0))
+	f.Add(uint8(31), uint8(1), uint8(63), true, false, 3.0, 0.0, int64(7), uint8(2), uint8(3), uint8(0))
+	f.Add(uint8(37), uint8(29), uint8(20), false, false, 1.0, 0.5, int64(8), uint8(2), uint8(0), uint8(1))
+	f.Add(uint8(40), uint8(45), uint8(19), true, false, -2.0, 1.0, int64(9), uint8(3), uint8(1), uint8(2))
+	f.Add(uint8(70), uint8(13), uint8(33), false, true, 0.5, 0.0, int64(10), uint8(5), uint8(9), uint8(3))
+	f.Add(uint8(9), uint8(79), uint8(8), true, true, 1.0, -1.0, int64(11), uint8(0), uint8(4), uint8(2))
 
-	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, ta, tb bool, alpha, beta float64, seed int64, blk, mc uint8) {
+	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, ta, tb bool, alpha, beta float64, seed int64, blk, mc, workers uint8) {
 		m, n, kk := int(m8%80)+1, int(n8%80)+1, int(k8%80)+1
 		if math.IsNaN(alpha) || math.IsInf(alpha, 0) || math.IsNaN(beta) || math.IsInf(beta, 0) {
 			t.Skip()
@@ -94,6 +100,21 @@ func FuzzKernel(f *testing.F) {
 			onLayout(t, what, tk, m, n, kk, [][]float64{got}, func(tk *Packed) [][]float64 {
 				c := append([]float64(nil), c0...)
 				blas.DgemmKernel(tk, transOf(ta), transOf(tb), m, n, kk, alpha, a, ar, b, br, beta, c, m)
+				return [][]float64{c}
+			})
+		}
+		// The threaded nest: the same bits as the sequential one, and the
+		// arena peaks at CallWorkspace.
+		if w := int(workers % 4); w > 0 && alpha != 0 {
+			rt := sched.New(w, seed)
+			defer rt.Close()
+			tk := drawMC(k, m, mc)
+			want := append([]float64(nil), c0...)
+			tk.MulAdd(transOf(ta), transOf(tb), m, n, kk, alpha, a, ar, b, br, want, m)
+			what := fmt.Sprintf("m=%d n=%d k=%d ta=%v tb=%v blk=%d workers=%d", m, n, kk, ta, tb, blk%6, w)
+			onRun(t, what, tk, tk.CallWorkspace(w, 1, m, n, kk), [][]float64{want}, func(tk *Packed) [][]float64 {
+				c := append([]float64(nil), c0...)
+				tk.MulAddTasks(rt, transOf(ta), transOf(tb), m, n, kk, alpha, a, ar, b, br, c, m)
 				return [][]float64{c}
 			})
 		}

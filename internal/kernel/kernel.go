@@ -22,9 +22,10 @@
 // accounted budget): LeafWorkspace gives the closed-form words per
 // sequential call — the Ã panel and, as the nest packs B̃ a sliver at a
 // time, one KC×NR sliver when the rows fit one MC block or the KC×NC panel
-// the later blocks read again; CallWorkspace gives a threaded call's, whose
-// bands share whole B̃ panels — and tests assert the measured arena peak
-// equals it. The arena's free list makes the steady state
+// the later blocks read again; CallWorkspace gives a threaded call's, which
+// adds a second Ã buffer and whose column bands each keep a sliver or
+// share the panel — and tests assert
+// the measured arena peak equals it. The arena's free list makes the steady state
 // allocation-free, and because every MulAdd draws its own buffers, a
 // single *Packed is safe for concurrent use — unlike blas.BlockedKernel,
 // whose packing buffers are per-instance state.
@@ -187,16 +188,12 @@ func (k *Packed) effBlocks(mi *microImpl, m, n, kk int) (mcE, kcE, ncE int) {
 // MulAdd of the given logical shape draws from the arena: the Ã panel at
 // the clamped blocking (which follows the active tile's panel shapes — an
 // 8-row SIMD Ã panel rounds m up to 8, not 4) plus the B̃ the sequential
-// nest keeps (seqBCols): one KC×NR sliver when the rows fit one MC block,
+// nest keeps (bCols): one KC×NR sliver when the rows fit one MC block,
 // the KC×NC panel otherwise. Every sequential call draws exactly this,
-// plain or fused; see CallWorkspace for threaded calls.
+// plain or fused; a threaded call draws CallWorkspace, which packs Ã into
+// two buffers by turns and keeps a sliver per column band.
 func (k *Packed) LeafWorkspace(m, n, kk int) int64 {
-	if m <= 0 || n <= 0 || kk <= 0 {
-		return 0
-	}
-	mi := k.impl()
-	mcE, kcE, ncE := k.effBlocks(mi, m, n, kk)
-	return int64(mcE)*int64(kcE) + int64(kcE)*int64(seqBCols(m, mcE, mi.nr, ncE))
+	return k.CallWorkspace(0, 1, m, n, kk)
 }
 
 // MulAdd implements blas.Kernel: C ← C + alpha·op(A)·op(B) on column-major

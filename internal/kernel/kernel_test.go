@@ -239,10 +239,16 @@ func onLayouts(t *testing.T, what string, k *Packed, m, n, kk int, want [][]floa
 	}
 }
 
-// onLayout runs call on tk with its own arena and fails t unless every
-// output word equals want's bit for bit and the arena peaks at exactly
-// LeafWorkspace.
+// onLayout runs call on tk (onRun) and requires the arena to peak at
+// exactly LeafWorkspace.
 func onLayout(t *testing.T, what string, tk *Packed, m, n, kk int, want [][]float64, call func(*Packed) [][]float64) {
+	t.Helper()
+	onRun(t, what, tk, tk.LeafWorkspace(m, n, kk), want, call)
+}
+
+// onRun runs call on tk with its own arena and fails t unless every output
+// word equals want's bit for bit and the arena peaks at exactly peak.
+func onRun(t *testing.T, what string, tk *Packed, peak int64, want [][]float64, call func(*Packed) [][]float64) {
 	t.Helper()
 	arena := memtrack.New()
 	tk.SetArena(arena)
@@ -254,8 +260,8 @@ func onLayout(t *testing.T, what string, tk *Packed, m, n, kk int, want [][]floa
 			}
 		}
 	}
-	if peak, lw := arena.Peak(), tk.LeafWorkspace(m, n, kk); peak != lw {
-		t.Fatalf("%s, MC=%d: arena peak %d, LeafWorkspace %d", what, tk.MC, peak, lw)
+	if p := arena.Peak(); p != peak {
+		t.Fatalf("%s, MC=%d: arena peak %d, want %d", what, tk.MC, p, peak)
 	}
 }
 

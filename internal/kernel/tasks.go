@@ -3,89 +3,80 @@ package kernel
 // The packed loop nest, shared by MulAdd and FusedMulAdd and by their
 // threaded forms. A call is a list of steps: for each product (a plain
 // call is one product; a fused Strassen level hands the kernel all of its
-// records at once), for each (jc, pc) panel, one B̃ panel and a sweep of
-// every row of C against it. The threading point follows the BLIS analysis
-// (Huang et al., arXiv:1605.01078, §parallelization): the jc/pc loops
-// carry the B̃ panel and the KC-accumulation order, so the ic loop — whose
-// iterations write disjoint row bands of C and share B̃ read-only — is
-// where parallelism is free of synchronization on C.
+// records at once), for each (jc, pc) panel, a KC×NC slice of B̃ swept
+// against every MC-row block of Ã. Each NR-column B̃ sliver is packed just
+// before the first block's sweep reads it, and the nest keeps only what a
+// later block reads again: one KC×NR sliver when the rows fit one MC
+// block — every fused Strassen node's records and every leaf below the MC
+// block — the whole KC×NC panel when they span several (bCols). GotoBLAS
+// and BLIS pack a whole panel to spread its cost over the row blocks; one
+// block has nothing to spread it over, and the sliver stays in L1 for its
+// sweep. A sequential call runs the nest inline and draws LeafWorkspace.
 //
-// A threaded call splits the rows into MR-aligned bands, and the bands
-// share the one MC×KC Ã budget of the sequential nest: each packs its rows
-// a slice of that buffer at a time. The steps run as one task DAG, a
-// pipeline over two B̃ buffers: while the bands of step s sweep one buffer,
-// the B̃ of step s+1 is packed into the other by tasks that each take a
-// share of its NR-column slivers. Band t of step s waits for the packing
-// of step s and for band t of step s−1 (its Ã slice and its rows of C);
-// the packing of step s waits for every band of step s−2, the last reader
-// of its buffer. Step 0's B̃ is packed by the calling goroutine before the
-// DAG starts, so a one-step call draws the Ã buffer and one KC×NC B̃ panel;
-// a call of more steps draws a second B̃ panel (CallWorkspace). Each
-// band's chain starts with the call's pre pass over its rows of C (a fused
-// level's β), so no serial pass over C precedes the bands.
+// A threaded call threads the jr loop over B̃ slivers, as BLIS does
+// (Huang et al., arXiv:1605.01078, §parallelization), not the ic loop over
+// rows: each step's slivers are dealt to column bands, one per worker, and
+// each band packs its own slivers just before it sweeps them — the
+// sequential nest restricted to the band's columns — into its own KC×NR
+// sliver, or into its slivers' place in the one shared KC×NC panel when
+// the rows span several blocks. Column bands write disjoint columns of C,
+// so they need no synchronization on C. Each Ã block is packed once by
+// share tasks, each an equal, MR-aligned share of the block's register
+// panels, into one of two MC×KC buffers by turns, so that the next block's
+// Ã is packed while this one's is swept. The blocks of all steps, in
+// order, run as one task DAG whose edges are: every Ã share of block g
+// waits for every sweep of block g−2, the last readers of its buffer;
+// band t's sweep of block g waits for every Ã share of block g and for
+// band t's sweep of block g−1 (its sliver buffer, its account and its
+// columns of C: steps over the same columns deal them alike, so each
+// column of C is written by one band's chain in step order); and when the
+// bands share the panel, the first block of a step
+// also waits for every sweep of the last step, whose bands may have dealt
+// the panel's slivers differently. A band that finishes early packs the
+// next block's Ã instead of waiting at a barrier. The call's pre pass (a
+// fused level's β) runs in the first block's Ã shares over a row
+// partition of C, so no serial pass over C precedes them. The draw is
+// CallWorkspace: a call of a single block packs one Ã buffer.
 //
-// A sequential call is the same nest with one band, every row packed an
-// MC block at a time into the whole Ã buffer, run inline. It packs each
-// NR-column B̃ sliver just before the first block's sweep reads it, and
-// keeps only what a later block reads again: the whole KC×NC panel when
-// the rows span several MC blocks, one KC×NR sliver when they fit one —
-// every fused Strassen node's records and every leaf below the MC block.
-// Its draw is LeafWorkspace (seqBCols). GotoBLAS and BLIS pack a whole
-// panel to spread its cost over the row blocks; one block has nothing to
-// spread it over, and the sliver stays in L1 for its sweep.
-//
-// Band edges fall on register-tile edges, packing a share of slivers forms
-// the words packing the whole panel does, and each band takes its steps in
-// order, so every C element sees the same packed words, the same tile and
-// the same summation and product order whatever the split: results are
-// bit-for-bit identical across worker counts.
+// Band and share edges fall on register-tile edges, packing a share of
+// slivers or panels forms the words packing the whole block does, and the
+// steps run in order, so every C element sees the same packed words, the
+// same tile and the same summation and product order whatever the split:
+// results are bit-for-bit identical across worker counts.
 
 import (
 	"context"
-	"sync"
-	"time"
 
 	"repro/internal/blas"
 	"repro/internal/phase"
 	"repro/internal/sched"
 )
 
-// rowBand is one task's share of a threaded call: rows [lo, hi), packed h
-// rows at a time into the Ã buffer's rows [off, off+h).
-type rowBand struct{ lo, hi, h, off int }
-
-// bandCount is how many row bands a call of m rows splits into on threads
-// workers with an mcE-row Ã buffer: one per worker, at most one per
-// register panel of the rows and of the buffer. Below two the call runs
-// sequentially.
-func bandCount(m, mcE, mr, threads int) int {
-	return min(threads, (m+mr-1)/mr, mcE/mr)
+// bandCount is how many column bands a call of m rows whose steps are at
+// most ncE columns wide splits into on threads workers: one per worker, at
+// most one per NR-column sliver of its widest step. A call whose rows are
+// one register panel is not split: each band's sweep would be one MR-row
+// strip, and each band past the first would draw a sliver for it. Below
+// two bands the call runs sequentially.
+func bandCount(m, ncE, mr, nr, threads int) int {
+	if m <= mr {
+		return 1
+	}
+	return min(threads, ncE/nr)
 }
 
-// rowBands splits m rows into bandCount MR-aligned bands whose Ã slices
-// partition the mcE-row Ã buffer (nil when fewer than two bands result).
-// Band t takes an equal share of the m rows' register panels and of the
-// buffer's.
-func rowBands(m, mcE, mr, threads int) []rowBand {
-	t := bandCount(m, mcE, mr, threads)
-	if t < 2 {
-		return nil
-	}
-	panels, bufPanels := (m+mr-1)/mr, mcE/mr
-	out := make([]rowBand, t)
-	for i := range out {
-		p0, p1 := i*panels/t, (i+1)*panels/t
-		s0, s1 := i*bufPanels/t, (i+1)*bufPanels/t
-		out[i] = rowBand{lo: p0 * mr, hi: min(p1*mr, m), h: min(p1-p0, s1-s0) * mr, off: s0 * mr}
-	}
-	return out
+// share is part i of n items dealt in whole units of unit (the last one
+// may be ragged) to parts parts: [lo, hi), each part an equal count of
+// units. With parts at most the unit count, no part is empty.
+func share(i, parts, n, unit int) (lo, hi int) {
+	units := (n + unit - 1) / unit
+	return i * units / parts * unit, min((i+1)*units/parts*unit, n)
 }
 
-// stepCount is the number of (product, jc, pc) steps of a call of
-// products products of logical width n and depth kk at the effective
-// blocking kcE×ncE.
-func stepCount(products, n, kk, kcE, ncE int) int {
-	return products * ((n + ncE - 1) / ncE) * ((kk + kcE - 1) / kcE)
+// parts is how many parts, at most most, n items in units of unit are
+// dealt to (share): no more than there are units, so that none is empty.
+func parts(most, n, unit int) int {
+	return min(most, (n+unit-1)/unit)
 }
 
 // leaf is one call of the packed loop nest: MulAdd's operands, or the
@@ -98,7 +89,6 @@ type leaf struct {
 	m, n, kk int
 	alpha    float64
 	prof     *phase.Profiler
-	epoch    time.Time // the call's start, when profiling (clock)
 
 	ta, tb        bool
 	a, b, c       []float64
@@ -115,18 +105,8 @@ type leaf struct {
 // newLeaf resolves the blocking of an m×n×kk call.
 func (k *Packed) newLeaf(m, n, kk int, alpha float64) leaf {
 	l := leaf{k: k, mi: k.impl(), m: m, n: n, kk: kk, alpha: alpha, prof: phase.Active()}
-	if l.prof != nil {
-		l.epoch = time.Now()
-	}
 	l.mcE, l.kcE, l.ncE = k.effBlocks(l.mi, m, n, kk)
 	return l
-}
-
-// clock is the time since the call began in nanoseconds. It reads the
-// monotonic clock alone, where time.Now reads the wall clock too: a
-// profiled sequential call reads it twice per B̃ sliver.
-func (l *leaf) clock() int64 {
-	return int64(time.Since(l.epoch))
 }
 
 // bandAcct is one band's phase attribution and counters, and the tile
@@ -151,6 +131,13 @@ func (l *leaf) steps() int {
 	return stepCount(max(len(l.prods), 1), l.n, l.kk, l.kcE, l.ncE)
 }
 
+// stepCount is the number of (product, jc, pc) steps of a call of
+// products products of logical width n and depth kk at the effective
+// blocking kcE×ncE.
+func stepCount(products, n, kk, kcE, ncE int) int {
+	return products * ((n + ncE - 1) / ncE) * ((kk + kcE - 1) / kcE)
+}
+
 // product is a fused call's product r.
 func (l *leaf) product(r int) *Product {
 	if l.prods == nil {
@@ -168,168 +155,176 @@ func (l *leaf) step(s int) step {
 	return step{rec: r, jc: jc, pc: pc, nb: min(l.n-jc, l.ncE), kb: min(l.kk-pc, l.kcE)}
 }
 
-// run executes the call: as a task pipeline over sub's workers when its
-// rows split into bands, inline otherwise.
+// run executes the call: as a task DAG over sub's workers when its
+// columns split into bands, inline otherwise.
 func (l *leaf) run(sub sched.Submitter) {
-	if bands := l.k.bands(l.mi, sub, l.m, l.n, l.kk); bands != nil {
+	if bands := l.bands(sub); bands > 1 {
 		l.runBands(sub, bands)
 		return
 	}
 	l.runSeq()
 }
 
-// bands resolves the band split of a call, or nil when it runs
-// sequentially: no submitter, one worker, or one register panel.
-func (k *Packed) bands(mi *microImpl, sub sched.Submitter, m, n, kk int) []rowBand {
+// bands is how many column bands the call splits into on sub (bandCount):
+// 0 without a submitter, below two when it runs sequentially.
+func (l *leaf) bands(sub sched.Submitter) int {
 	if sub == nil {
-		return nil
+		return 0
 	}
-	mcE, _, _ := k.effBlocks(mi, m, n, kk)
-	return rowBands(m, mcE, mi.mr, sub.Workers())
+	return bandCount(l.m, l.ncE, l.mi.mr, l.mi.nr, sub.Workers())
 }
 
 // runSeq executes the call inline, packing B̃ as its sweeps first read
-// it (band), and credits it to the kernel. It keeps the leaf and its
+// it (sweepCols), and credits it to the kernel. It keeps the leaf and its
 // products on the caller's stack.
 func (l *leaf) runSeq() {
 	ar := l.k.Arena()
 	apack := ar.AllocUninit(l.mcE * l.kcE)
-	bpack := ar.AllocUninit(l.kcE * seqBCols(l.m, l.mcE, l.mi.nr, l.ncE))
+	defer ar.Free(apack)
+	bpack := ar.AllocUninit(l.kcE * bCols(l.m, l.mcE, l.mi.nr, l.ncE, 1))
+	defer ar.Free(bpack)
 	if l.pre != nil {
 		l.pre(0, l.m)
 	}
 	var acct bandAcct
-	whole := rowBand{hi: l.m, h: l.mcE}
 	for s := range l.steps() {
-		l.band(&acct, whole, apack, bpack, l.step(s), true)
+		st := l.step(s)
+		for ic := 0; ic < l.m; ic += l.mcE {
+			mb := min(l.m-ic, l.mcE)
+			l.packRows(&acct, apack, st, ic, 0, mb)
+			l.sweepCols(&acct, apack, bpack, st, ic, mb, 0, st.nb)
+		}
 	}
-	ar.Free(bpack)
-	ar.Free(apack)
 	l.finish(acct)
 }
 
-// seqBCols is how many columns of a step's B̃ the sequential nest keeps
-// for a call of m rows at the effective blocking mcE×ncE: one nr-column
-// sliver when the rows fit one MC block, so that each sliver is packed
-// just before the one sweep that reads it; the whole panel otherwise, for
-// every later block to sweep again.
-func seqBCols(m, mcE, nr, ncE int) int {
+// bCols is how many columns of a step's B̃ a call of m rows at the
+// effective blocking mcE×ncE keeps on bands column bands: one nr-column
+// sliver per band when the rows fit one MC block, so that each sliver is
+// packed just before the one sweep that reads it; the whole panel
+// otherwise, for every later block to sweep again, each band forming its
+// own slivers of it.
+func bCols(m, mcE, nr, ncE, bands int) int {
 	if m <= mcE {
-		return nr
+		return bands * nr
 	}
 	return ncE
 }
 
 // pipeline is a threaded call's shared state: a heap copy of the leaf, so
 // a sequential call's stays on its caller's stack, and the accounts the
-// tasks fill. Band t's tasks run in a chain and own accts[t]; packing
-// tasks of different steps may overlap, so they fold into packs under mu.
+// tasks fill, one per chain of tasks the DAG's edges order: column band
+// t's sweeps, and Ã share j's of the blocks packed into either buffer.
 type pipeline struct {
 	leaf
 	accts []bandAcct
-	mu    sync.Mutex
-	packs bandAcct
 }
 
 // runBands executes the call as one task DAG on sub (see the file
-// comment) and credits it to the kernel.
-func (l *leaf) runBands(sub sched.Submitter, bands []rowBand) {
+// comment) and credits it to the kernel. The buffers go back to the arena
+// once the DAG has drained, also when a task panicked.
+func (l *leaf) runBands(sub sched.Submitter, bands int) {
 	ar := l.k.Arena()
-	steps := l.steps()
-	apack := ar.AllocUninit(l.mcE * l.kcE)
-	var bpack [2][]float64
-	for i := range min(steps, 2) {
-		bpack[i] = ar.AllocUninit(l.kcE * l.ncE)
-	}
-	p := &pipeline{leaf: *l, accts: make([]bandAcct, len(bands))}
-	st0 := l.step(0)
-	p.packB(&p.packs, bpack[0], st0, 0, st0.nb)
+	mr, nr := l.mi.mr, l.mi.nr
+	aw := l.mcE * l.kcE
+	apack := ar.AllocUninit(aBufs(l.steps(), l.m, l.mcE) * aw)
+	defer ar.Free(apack)
+	bpack := ar.AllocUninit(l.kcE * bCols(l.m, l.mcE, nr, l.ncE, bands))
+	defer ar.Free(bpack)
+	sliver := l.kcE * nr
+	keep := l.m > l.mcE
+	// accts[t] is column band t's, accts[(1+q)·bands+j] Ã share j's of the
+	// blocks packed into buffer q.
+	p := &pipeline{leaf: *l, accts: make([]bandAcct, 3*bands)}
 
-	// The band nodes of step s are nodes[s%3]: those of steps s−1 and s−2
-	// are the other two.
 	d := sched.NewDAG()
-	var nodes [3][]*sched.Node
-	for i := range nodes {
-		nodes[i] = make([]*sched.Node, len(bands))
-	}
-	var packs, deps []*sched.Node
-	nr := l.mi.nr
-	for s := range steps {
-		st, buf := l.step(s), bpack[s%2]
-		cur, last, before := nodes[s%3], nodes[(s+2)%3], nodes[(s+1)%3]
-		packs = packs[:0]
-		if s > 0 {
-			if s < 2 {
-				before = nil
+	var shares, deps []*sched.Node
+	var sweeps [2][]*sched.Node // of the last two blocks, by buffer
+	chain := make([]*sched.Node, bands)
+	g := 0
+	for s := range l.steps() {
+		st := l.step(s)
+		nb := parts(bands, st.nb, nr)
+		for ic := 0; ic < l.m; ic, g = ic+l.mcE, g+1 {
+			mb := min(l.m-ic, l.mcE)
+			na := parts(bands, mb, mr)
+			q := g % 2
+			abuf := apack[q*aw : (q+1)*aw]
+			shares = shares[:0]
+			for j := range na {
+				lo, hi := share(j, na, mb, mr)
+				acct := &p.accts[(1+q)*bands+j]
+				pre := g == 0 && p.pre != nil
+				plo, phi := share(j, na, l.m, mr)
+				shares = append(shares, d.Add(func(*sched.Worker) {
+					if pre {
+						p.pre(plo, phi)
+					}
+					p.packRows(acct, abuf, st, ic, lo, hi)
+				}, sweeps[q]...))
 			}
-			slivers := (st.nb + nr - 1) / nr
-			shares := min(len(bands), slivers)
-			for j := range shares {
-				lo, hi := j*slivers/shares*nr, min((j+1)*slivers/shares*nr, st.nb)
-				packs = append(packs, d.Add(func(*sched.Worker) { p.packShare(buf, st, lo, hi) }, before...))
-			}
-		}
-		for t, bd := range bands {
-			ap := apack[bd.off*l.kcE : (bd.off+bd.h)*l.kcE]
-			acct := &p.accts[t]
-			deps = append(deps[:0], packs...)
-			first := s == 0
-			if !first {
-				deps = append(deps, last[t])
-			}
-			cur[t] = d.Add(func(*sched.Worker) {
-				if first && p.pre != nil {
-					p.pre(bd.lo, bd.hi)
+			prev := sweeps[1-q]
+			sweeps[q] = sweeps[q][:0]
+			for t := range nb {
+				lo, hi := share(t, nb, st.nb, nr)
+				acct, buf := &p.accts[t], bpack
+				if !keep {
+					buf = bpack[t*sliver : (t+1)*sliver]
 				}
-				p.band(acct, bd, ap, buf, st, false)
-			}, deps...)
+				deps = append(deps[:0], shares...)
+				if chain[t] != nil {
+					deps = append(deps, chain[t])
+				}
+				if keep && ic == 0 {
+					// The step's bands may deal the shared panel's slivers
+					// apart from the last step's, which sweep them still.
+					deps = append(deps, prev...)
+				}
+				chain[t] = d.Add(func(*sched.Worker) {
+					p.sweepCols(acct, abuf, buf, st, ic, mb, lo, hi)
+				}, deps...)
+				sweeps[q] = append(sweeps[q], chain[t])
+			}
 		}
 	}
 	_ = sub.Run(context.Background(), d)
-
-	for i := min(steps, 2) - 1; i >= 0; i-- {
-		ar.Free(bpack[i])
-	}
-	ar.Free(apack)
-	a0 := &p.accts[0]
-	a0.packBNS += p.packs.packBNS
-	a0.packedB += p.packs.packedB
-	a0.packFlops += p.packs.packFlops
-	a0.packBytes += p.packs.packBytes
 	for _, a := range p.accts {
 		l.finish(a)
 	}
 }
 
-// packShare packs columns [lo, hi) of step st's B̃ into buf as one task.
-func (p *pipeline) packShare(buf []float64, st step, lo, hi int) {
-	var a bandAcct
-	p.packB(&a, buf, st, lo, hi)
-	p.mu.Lock()
-	p.packs.packBNS += a.packBNS
-	p.packs.packedB += a.packedB
-	p.packs.packFlops += a.packFlops
-	p.packs.packBytes += a.packBytes
-	p.mu.Unlock()
+// aBufs is how many Ã buffers a threaded call of steps steps of m rows at
+// MC block mcE packs into: two, so that one block's Ã is packed while the
+// last one's is swept, or one when the call has a single block.
+func aBufs(steps, m, mcE int) int {
+	return min(2, steps*((m+mcE-1)/mcE))
 }
 
-// packB forms columns [lo, hi) of step st's B̃ — whole NR-column slivers,
-// hi clipped to the panel — into their place in bpack.
-func (l *leaf) packB(acct *bandAcct, bpack []float64, st step, lo, hi int) {
+// packRows packs rows [lo, hi) — whole register panels, hi clipped to the
+// block — of the mb-row block at row ic of step st's Ã into their place in
+// apack.
+func (l *leaf) packRows(acct *bandAcct, apack []float64, st step, ic, lo, hi int) {
 	var t0 int64
 	if l.prof != nil {
-		t0 = l.clock()
+		t0 = phase.Now()
 	}
-	f := l.stepB(st)
-	l.packSlivers(acct, st, &f, bpack[lo*st.kb:], lo, hi)
+	dst, rows := apack[lo*st.kb:], hi-lo
+	if l.fused {
+		pr := l.product(st.rec)
+		packAFused(l.mi, dst, pr.A, ic+lo, st.pc, rows, st.kb)
+		acct.packTerms(len(pr.A.Terms), int64(rows)*int64(st.kb))
+	} else {
+		packA(l.mi.mr, dst, l.a, l.lda, l.ta, ic+lo, st.pc, rows, st.kb)
+	}
 	if l.prof != nil {
-		acct.packBNS += l.clock() - t0
+		acct.packANS += phase.Now() - t0
 	}
+	acct.packedA += int64(rows) * int64(st.kb)
 }
 
-// stepB sets up step st's B̃ for packing once, so that the sequential
-// nest can form it a sliver at a time: a fused product's B operand. A
-// plain call's B needs no setup.
+// stepB sets up step st's B̃ for packing once, so that a sweep can form
+// it a sliver at a time: a fused product's B operand. A plain call's B
+// needs no setup.
 func (l *leaf) stepB(st step) (f fusedB) {
 	if l.fused {
 		f = newFusedB(l.mi, l.product(st.rec).B, st.pc, st.jc, st.kb, st.nb)
@@ -359,60 +354,41 @@ func (a *bandAcct) packTerms(terms int, words int64) {
 	a.packBytes += int64(terms+1) * 8 * words
 }
 
-// band packs band bd's rows of step st into apack, bd.h rows at a time,
-// and sweeps each block against B̃ into C (every destination of the
-// product when fused). With packB (the sequential nest, whose one band
-// covers every row) it also packs B̃: each nr-column sliver just before
-// the first block's sweep reads it, into its place in bpack when a later
-// block sweeps the panel again, over the one sliver bpack holds when the
-// band is one block (seqBCols). Each sliver's packing is timed apart from
-// its sweep.
-func (l *leaf) band(acct *bandAcct, bd rowBand, apack, bpack []float64, st step, packB bool) {
-	mi := l.mi
+// sweepCols sweeps columns [lo, hi) of step st — whole NR-column
+// slivers, hi clipped to the step — against the mb-row Ã block at row ic
+// in apack, into C (every destination of the product when fused). The
+// first block's sweep packs each sliver just before it reads it: into its
+// place in bpack when later blocks sweep the panel again, over the one
+// sliver bpack holds when the rows are one block (bCols). A later block
+// sweeps the packed slivers in one pass. Each sliver's packing is timed
+// apart from its sweep.
+func (l *leaf) sweepCols(acct *bandAcct, apack, bpack []float64, st step, ic, mb, lo, hi int) {
 	var pr *Product
 	if l.fused {
 		pr = l.product(st.rec)
 	}
-	var f fusedB
-	if packB {
-		f = l.stepB(st)
-	}
-	keep := bd.hi-bd.lo > bd.h
 	var t0 int64
-	for ic := bd.lo; ic < bd.hi; ic += bd.h {
-		mb := min(bd.hi-ic, bd.h)
-		if l.prof != nil {
-			t0 = l.clock()
+	if l.prof != nil {
+		t0 = phase.Now()
+	}
+	if ic > 0 {
+		l.sweep(acct, pr, apack, bpack[lo*st.kb:], ic, st.jc+lo, mb, hi-lo, st.kb, &t0)
+		return
+	}
+	keep := l.m > l.mcE
+	f := l.stepB(st)
+	for jp := lo; jp < hi; jp += l.mi.nr {
+		cols, dst := min(l.mi.nr, hi-jp), bpack
+		if keep {
+			dst = bpack[jp*st.kb:]
 		}
-		if pr != nil {
-			packAFused(mi, apack, pr.A, ic, st.pc, mb, st.kb)
-			acct.packTerms(len(pr.A.Terms), int64(mb)*int64(st.kb))
-		} else {
-			packA(mi.mr, apack, l.a, l.lda, l.ta, ic, st.pc, mb, st.kb)
-		}
+		l.packSlivers(acct, st, &f, dst, jp, jp+cols)
 		if l.prof != nil {
-			t1 := l.clock()
-			acct.packANS += t1 - t0
+			t1 := phase.Now()
+			acct.packBNS += t1 - t0
 			t0 = t1
 		}
-		acct.packedA += int64(mb) * int64(st.kb)
-		if !packB || ic > bd.lo {
-			l.sweep(acct, pr, apack, bpack, ic, st.jc, mb, st.nb, st.kb, &t0)
-			continue
-		}
-		for jp := 0; jp < st.nb; jp += mi.nr {
-			cols, dst := min(mi.nr, st.nb-jp), bpack
-			if keep {
-				dst = bpack[jp*st.kb:]
-			}
-			l.packSlivers(acct, st, &f, dst, jp, jp+cols)
-			if l.prof != nil {
-				t1 := l.clock()
-				acct.packBNS += t1 - t0
-				t0 = t1
-			}
-			l.sweep(acct, pr, apack, dst, ic, st.jc+jp, mb, cols, st.kb, &t0)
-		}
+		l.sweep(acct, pr, apack, dst, ic, st.jc+jp, mb, cols, st.kb, &t0)
 	}
 }
 
@@ -429,7 +405,7 @@ func (l *leaf) sweep(acct *bandAcct, pr *Product, apack, bpack []float64, ic, jc
 		ft, et = macroKernel(l.mi, apack, bpack, l.c, l.ldc, ic, jc, mb, nb, kb, l.alpha)
 	}
 	if l.prof != nil {
-		t1 := l.clock()
+		t1 := phase.Now()
 		acct.macro(l.mi, t1-*t0, mb, nb, kb, ft, et, nd)
 		*t0 = t1
 	}
@@ -453,20 +429,20 @@ func (l *leaf) finish(a bandAcct) {
 	l.k.countTiles(l.mi, a.tiles)
 }
 
-// MulAddTasks is MulAdd with the rows split into bands over all of sub's
-// workers, executed as scheduler tasks: the one-product case of the
-// pipeline in the file comment. Every band packs its own rows into its
-// slice of the Ã buffer, and the results are bit-for-bit MulAdd's. The
-// arena draw is CallWorkspace: LeafWorkspace, plus one B̃ panel when the
-// call threads and has more than one (jc, pc) panel.
+// MulAddTasks is MulAdd with the columns split into bands over all of
+// sub's workers, executed as scheduler tasks: the one-product case of the
+// DAG in the file comment. Every band packs and sweeps its own B̃ slivers,
+// the Ã blocks are packed by share tasks, and the results are bit-for-bit
+// MulAdd's. The arena draw is CallWorkspace: LeafWorkspace, plus one
+// KC×NR sliver per band past the first when the rows fit one MC block.
 //
 // sub may be an external *sched.Runtime or the *sched.Worker handle of a
-// running task — bands then go to the worker's own deque, the worker
+// running task — the tasks then go to the worker's own deque, the worker
 // executes them itself and idle workers steal, which is what lets a
 // multiply that runs inside a task (strassen.DGEFMMTask, the batch pool)
-// thread its leaves without blocking the pool. With
-// a nil submitter, fewer than two bands, or a single-worker runtime, it
-// runs as MulAdd.
+// thread its leaves without blocking the pool. With a nil submitter, a
+// single-worker runtime, or a call of one NR-column sliver, it runs as
+// MulAdd. A panic in a task reaches the caller once the DAG has drained.
 func (k *Packed) MulAddTasks(sub sched.Submitter, transA, transB blas.Transpose, m, n, kk int, alpha float64,
 	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if m <= 0 || n <= 0 || kk <= 0 || alpha == 0 {
@@ -482,17 +458,17 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, transA, transB blas.Transpose,
 // FusedMulAddTasks runs FusedMulAdd for every product of prods, in order,
 // as one call of the loop nest: a fused Strassen level hands the kernel
 // all of its records at once. All products share the logical shape m×n×kk
-// and alpha. pre, when non-nil, runs once over every row band [lo, hi) of
-// [0, m) before the band's first write — with the bands of a threaded call
-// at the head of each band's task chain, inline over [0, m) otherwise; a
+// and alpha. pre, when non-nil, runs once over every row range [lo, hi) of
+// a partition of [0, m) before any write to those rows — in the Ã share
+// tasks of a threaded call's first block, inline over [0, m) otherwise; a
 // Strassen level applies β to those rows of every C block there. A
 // product with no A or B terms or no destinations contributes nothing.
 //
 // On a multi-worker submitter the steps of all products run as one task
-// pipeline (see the file comment); every destination element is
-// bit-for-bit what per-product FusedMulAdd calls in the same order
-// produce, and the arena draw is CallWorkspace of the product count. It
-// runs inline in the cases MulAddTasks runs as MulAdd.
+// DAG (see the file comment); every destination element is bit-for-bit
+// what per-product FusedMulAdd calls in the same order produce, and the
+// arena draw is CallWorkspace. It runs inline in the cases MulAddTasks
+// runs as MulAdd.
 func (k *Packed) FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float64, prods []Product, pre func(lo, hi int)) {
 	l, ok := k.fusedLeaf(m, n, kk, alpha, prods, pre)
 	if !ok {
@@ -540,24 +516,21 @@ func (p *Product) live() bool {
 // CallWorkspace returns the exact packing workspace, in float64 words, one
 // MulAddTasks (products = 1) or FusedMulAddTasks call of products products
 // of the logical shape m×n×kk draws from the arena on a submitter of
-// workers workers (0 without one): LeafWorkspace when the call runs
-// sequentially; when its rows split into bands, the Ã panel the bands
-// share plus one KC×NC B̃ panel, or two when the call has more than one
-// step — the buffer the next step's B̃ packs into while the bands sweep
-// this one's. strassen.PlanFor folds the maximum over a plan's calls into
-// Plan.KernelWords.
+// workers workers (0 without one). A sequential call draws LeafWorkspace.
+// A threaded call draws its Ã buffers (aBufs: two MC×KC buffers, one for
+// a call of a single block) and the B̃ its column bands keep (bCols): one
+// KC×NR sliver per band when the rows fit one MC block, the one KC×NC
+// panel they share otherwise. strassen.PlanFor folds the maximum over a
+// plan's calls into Plan.KernelWords.
 func (k *Packed) CallWorkspace(workers, products, m, n, kk int) int64 {
 	if m <= 0 || n <= 0 || kk <= 0 || products < 1 {
 		return 0
 	}
 	mi := k.impl()
 	mcE, kcE, ncE := k.effBlocks(mi, m, n, kk)
-	if bandCount(m, mcE, mi.mr, workers) < 2 {
-		return k.LeafWorkspace(m, n, kk)
+	bands, abufs := bandCount(m, ncE, mi.mr, mi.nr, workers), 1
+	if bands > 1 {
+		abufs = aBufs(stepCount(products, n, kk, kcE, ncE), m, mcE)
 	}
-	panels := int64(1)
-	if stepCount(products, n, kk, kcE, ncE) > 1 {
-		panels = 2
-	}
-	return int64(mcE)*int64(kcE) + panels*int64(kcE)*int64(ncE)
+	return int64(abufs*mcE)*int64(kcE) + int64(kcE)*int64(bCols(m, mcE, mi.nr, ncE, max(bands, 1)))
 }

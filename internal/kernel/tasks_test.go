@@ -12,12 +12,11 @@ import (
 )
 
 // TestMulAddTasksBitIdentical pins the threading contract of MulAddTasks:
-// band boundaries fall on register-tile edges and KC panels retire in
-// order, so the result is bit-for-bit MulAdd's — for every transpose case,
-// across shapes that exercise edge blocks, bands spanning several Ã
-// slices, and a single MC block split into bands. The band count follows
-// the runtime's worker count, so the 2-worker runtime caps the split below
-// the four Ã slices the scalar nest's buffer holds.
+// column bands and Ã shares fall on register-tile edges and KC panels
+// retire in order, so the result is bit-for-bit MulAdd's — for every
+// transpose case, across shapes that exercise edge blocks, bands sharing
+// the B̃ panel of several MC blocks, a single MC block, and steps of fewer
+// slivers than the 4-worker runtime has workers.
 func TestMulAddTasksBitIdentical(t *testing.T) {
 	rt2, rt4 := sched.New(2, 1), sched.New(4, 1)
 	defer rt2.Close()
@@ -42,7 +41,8 @@ func TestMulAddTasksBitIdentical(t *testing.T) {
 					c0 := randSlice(rng, m*n)
 					c1 := append([]float64(nil), c0...)
 
-					// Small blocks force several Ã slices per band even at these sizes.
+					// Small blocks force several MC blocks and KC and NC panels
+					// even at these sizes.
 					k1 := &Packed{MC: 16, KC: 12, NC: 20, Mode: mode}
 					k2 := &Packed{MC: 16, KC: 12, NC: 20, Mode: mode}
 					k1.MulAdd(ta, tb, m, n, kk, 1.25, a, rowsA, b, rowsB, c1, m)
@@ -63,30 +63,31 @@ func TestMulAddTasksBitIdentical(t *testing.T) {
 }
 
 // TestMulAddTasksDegradesToMulAdd pins the fallback cases: a nil
-// submitter, a single-worker runtime and a leaf of one register panel run
-// the plain nest (still correct); one MC block splits into bands and
-// matches bit for bit.
+// submitter, a single-worker runtime, a call of one NR-column sliver and
+// one of one register panel of rows run the plain nest (still correct);
+// one MC block splits into column bands and matches bit for bit.
 func TestMulAddTasksDegradesToMulAdd(t *testing.T) {
 	rt, rt1 := sched.New(2, 3), sched.New(1, 3)
 	defer rt.Close()
 	defer rt1.Close()
 	rng := rand.New(rand.NewSource(502))
 	cases := []struct {
-		name    string
-		m, mc   int
-		sub     sched.Submitter
-		threads bool
+		name     string
+		m, n, mc int
+		sub      sched.Submitter
+		threads  bool
 	}{
-		{"nil submitter", 24, 16, nil, false},
-		{"one worker", 24, 16, rt1, false},
-		// m ≤ MR leaves one register panel: nothing to split.
-		{"one panel", 3, 64, rt, false},
-		// MC ≥ m is one MC block, which splits into MR-aligned bands.
-		{"one MC block", 24, 64, rt, true},
+		{"nil submitter", 24, 20, 16, nil, false},
+		{"one worker", 24, 20, 16, rt1, false},
+		// n ≤ NR leaves one sliver: nothing to split.
+		{"one sliver", 24, NR, 16, rt, false},
+		// m ≤ MR is one register panel: each band would sweep one strip.
+		{"one panel", 3, 20, 64, rt, false},
+		{"one MC block", 24, 20, 64, rt, true},
 	}
-	n, kk := 20, 16
+	kk := 16
 	for _, tc := range cases {
-		m := tc.m
+		m, n := tc.m, tc.n
 		a := randSlice(rng, m*kk)
 		b := randSlice(rng, kk*n)
 		want := randSlice(rng, m*n)
@@ -94,7 +95,8 @@ func TestMulAddTasksDegradesToMulAdd(t *testing.T) {
 		seq := &Packed{MC: tc.mc, KC: 12, NC: 20}
 		seq.MulAdd(blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, want, m)
 		tk := &Packed{MC: tc.mc, KC: 12, NC: 20}
-		if threads := tk.bands(tk.impl(), tc.sub, m, n, kk) != nil; threads != tc.threads {
+		l := tk.newLeaf(m, n, kk, 1)
+		if threads := l.bands(tc.sub) > 1; threads != tc.threads {
 			t.Fatalf("%s: threaded = %v, want %v", tc.name, threads, tc.threads)
 		}
 		tk.MulAddTasks(tc.sub, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, got, m)
@@ -106,33 +108,23 @@ func TestMulAddTasksDegradesToMulAdd(t *testing.T) {
 	}
 }
 
-// TestRowBands: bands are MR-aligned, cover the rows in order without
-// overlap, and their Ã slices are disjoint parts of the mcE-row buffer,
-// each at least one register panel tall and no taller than its band.
-func TestRowBands(t *testing.T) {
-	for _, mr := range []int{4, 8} {
-		for _, mcE := range []int{mr, 2 * mr, 3 * mr, 16 * mr, 32 * mr} {
-			for m := 1; m <= 5*mcE; m += 3 {
-				for threads := 1; threads <= 6; threads++ {
-					bands := rowBands(m, mcE, mr, threads)
-					if bands == nil {
-						if min(threads, (m+mr-1)/mr, mcE/mr) >= 2 {
-							t.Fatalf("mr=%d mcE=%d m=%d threads=%d: no bands", mr, mcE, m, threads)
+// TestColumnBands: a threaded call deals every NR-column sliver of every
+// step to exactly one of at most workers bands, none empty and each a
+// contiguous run of whole slivers; every Ã block's register panels go to
+// share tasks on MR edges, each panel to exactly one share; and the pre
+// pass's row partition covers every row once. Steps are ragged (a last
+// sliver narrower than NR, a last NC panel narrower than the rest) and
+// some have fewer slivers than workers.
+func TestColumnBands(t *testing.T) {
+	for _, tile := range [][2]int{{4, 4}, {8, 4}} {
+		mr, nr := tile[0], tile[1]
+		for _, mcE := range []int{mr, 3 * mr, 16 * mr} {
+			for _, nc := range []int{nr, 2 * nr, 5 * nr, 64 * nr} {
+				for _, n := range []int{1, nr - 1, nr + 1, 3*nr + 2, nc, nc + 1, 2*nc + nr - 1} {
+					for _, m := range []int{1, mr - 1, mr + 1, mcE, mcE + 1, 3*mcE + 2} {
+						for workers := 1; workers <= 6; workers++ {
+							checkSplit(t, m, n, mr, nr, mcE, min(nc, (n+nr-1)/nr*nr), workers)
 						}
-						continue
-					}
-					lo, off := 0, 0
-					for i, b := range bands {
-						if b.lo != lo || b.lo%mr != 0 || b.hi <= b.lo || b.off < off ||
-							b.h < mr || b.h%mr != 0 || b.h > (b.hi-b.lo+mr-1)/mr*mr {
-							t.Fatalf("mr=%d mcE=%d m=%d threads=%d: band %d = %+v after row %d, slice %d",
-								mr, mcE, m, threads, i, b, lo, off)
-						}
-						lo, off = b.hi, b.off+b.h
-					}
-					if lo != m || off > mcE || len(bands) > threads {
-						t.Fatalf("mr=%d mcE=%d m=%d threads=%d: %d bands end at row %d, slice %d",
-							mr, mcE, m, threads, len(bands), lo, off)
 					}
 				}
 			}
@@ -140,46 +132,103 @@ func TestRowBands(t *testing.T) {
 	}
 }
 
-// TestMulAddTasksWorkspaceExact: the bands share the sequential nest's Ã
-// buffer, so a threaded call's arena peak is exactly CallWorkspace, for
-// plain and fused leaves, whether the rows fill one MC block or several:
-// the Ã panel plus one KC×NC B̃ panel, and the pipeline's second B̃ panel
-// on these multi-panel shapes. It is not LeafWorkspace: a sequential call
-// whose rows fit one MC block keeps a single B̃ sliver, but the bands all
-// sweep the whole panel.
+// checkSplit checks the column bands, Ã shares and pre partition of an
+// m×n call at the effective blocking mcE×ncE on workers workers.
+func checkSplit(t *testing.T, m, n, mr, nr, mcE, ncE, workers int) {
+	t.Helper()
+	what := fmt.Sprintf("m=%d n=%d mr=%d nr=%d mcE=%d ncE=%d workers=%d", m, n, mr, nr, mcE, ncE, workers)
+	bands := bandCount(m, ncE, mr, nr, workers)
+	if bands < 1 || bands > workers || bands > ncE/nr || (m <= mr && bands > 1) {
+		t.Fatalf("%s: %d bands", what, bands)
+	}
+	if bands < 2 {
+		return
+	}
+	// Each step covers ncE columns but the last, whose may be ragged.
+	for jc := 0; jc < n; jc += ncE {
+		nb := min(n-jc, ncE)
+		cover(t, fmt.Sprintf("%s step at %d", what, jc), nb, nr, parts(bands, nb, nr))
+	}
+	for ic := 0; ic < m; ic += mcE {
+		mb := min(m-ic, mcE)
+		na := parts(bands, mb, mr)
+		if na > bands {
+			t.Fatalf("%s: block at %d packed by %d shares", what, ic, na)
+		}
+		cover(t, fmt.Sprintf("%s Ã block at %d", what, ic), mb, mr, na)
+		if ic == 0 {
+			cover(t, what+" pre", m, mr, na)
+		}
+	}
+}
+
+// cover fails t unless the na shares of n items in units of unit cover
+// each item once, each share a non-empty run of whole units.
+func cover(t *testing.T, what string, n, unit, na int) {
+	t.Helper()
+	seen := make([]int, n)
+	for j := range na {
+		lo, hi := share(j, na, n, unit)
+		if lo >= hi || lo%unit != 0 || (hi%unit != 0 && hi != n) {
+			t.Fatalf("%s: share %d = [%d, %d)", what, j, lo, hi)
+		}
+		for i := lo; i < hi; i++ {
+			seen[i]++
+		}
+	}
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("%s: item %d covered %d times", what, i, c)
+		}
+	}
+}
+
+// TestMulAddTasksWorkspaceExact: a threaded call's arena peak is exactly
+// CallWorkspace, for plain and fused leaves on 2–4 workers: two Ã buffers,
+// or one for a call of a single block, and when the rows fit one MC block
+// one KC×NR sliver per column band, when they span several the one KC×NC
+// panel the bands share. A call of one register panel of rows runs
+// sequentially and draws LeafWorkspace.
 func TestMulAddTasksWorkspaceExact(t *testing.T) {
-	rt := sched.New(4, 9)
-	defer rt.Close()
 	rng := rand.New(rand.NewSource(503))
-	for _, dims := range [][3]int{{96, 64, 48}, {40, 30, 20}, {130, 70, 90}, {40, 20, 12}} {
-		m, n, kk := dims[0], dims[1], dims[2]
-		for _, fused := range []bool{false, true} {
-			k := &Packed{MC: 48, KC: 12, NC: 20}
-			arena := memtrack.New()
-			k.SetArena(arena)
-			a := randSlice(rng, m*kk)
-			b := randSlice(rng, kk*n)
-			c := make([]float64, m*n)
-			if fused {
-				aOp := Operand{Ld: m, Terms: []Term{{Data: a, Coeff: 1, Rows: m, Cols: kk}}}
-				bOp := Operand{Ld: kk, Terms: []Term{{Data: b, Coeff: -1, Rows: kk, Cols: n}}}
-				k.FusedMulAddTasks(rt, m, n, kk, 1, []Product{{A: aOp, B: bOp, Dests: []Dest{{Data: c, Ld: m, Coeff: 1, Rows: m, Cols: n}}}}, nil)
-			} else {
-				k.MulAddTasks(rt, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, c, m)
-			}
-			mcE, kcE, ncE := k.effBlocks(k.impl(), m, n, kk)
-			want := int64(mcE*kcE + kcE*ncE)
-			if (n+ncE-1)/ncE*((kk+kcE-1)/kcE) > 1 {
-				want += int64(kcE * ncE)
-			}
-			if got := k.CallWorkspace(rt.Workers(), 1, m, n, kk); got != want {
-				t.Errorf("%v: CallWorkspace %d, want %d", dims, got, want)
-			}
-			if peak := arena.Peak(); peak != want {
-				t.Errorf("%v fused=%v: arena peak %d, CallWorkspace %d", dims, fused, peak, want)
-			}
-			if live := arena.Live(); live != 0 {
-				t.Fatalf("%v fused=%v: %d arena words leaked", dims, fused, live)
+	for _, workers := range []int{2, 3, 4} {
+		rt := sched.New(workers, 9)
+		defer rt.Close()
+		for _, dims := range [][3]int{{96, 64, 48}, {40, 30, 20}, {130, 70, 90}, {40, 20, 12}, {3, 9, 7}} {
+			m, n, kk := dims[0], dims[1], dims[2]
+			for _, fused := range []bool{false, true} {
+				k := &Packed{MC: 48, KC: 12, NC: 20}
+				arena := memtrack.New()
+				k.SetArena(arena)
+				a := randSlice(rng, m*kk)
+				b := randSlice(rng, kk*n)
+				c := make([]float64, m*n)
+				if fused {
+					aOp := Operand{Ld: m, Terms: []Term{{Data: a, Coeff: 1, Rows: m, Cols: kk}}}
+					bOp := Operand{Ld: kk, Terms: []Term{{Data: b, Coeff: -1, Rows: kk, Cols: n}}}
+					k.FusedMulAddTasks(rt, m, n, kk, 1, []Product{{A: aOp, B: bOp, Dests: []Dest{{Data: c, Ld: m, Coeff: 1, Rows: m, Cols: n}}}}, nil)
+				} else {
+					k.MulAddTasks(rt, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, c, m)
+				}
+				mi := k.impl()
+				mcE, kcE, ncE := k.effBlocks(mi, m, n, kk)
+				blocks := (m + mcE - 1) / mcE * ((n + ncE - 1) / ncE) * ((kk + kcE - 1) / kcE)
+				want := int64(min(blocks, 2)*mcE*kcE + kcE*ncE)
+				switch {
+				case m <= mi.mr:
+					want = k.LeafWorkspace(m, n, kk)
+				case m <= mcE:
+					want = int64(min(blocks, 2)*mcE*kcE + min(workers, ncE/mi.nr)*kcE*mi.nr)
+				}
+				if got := k.CallWorkspace(workers, 1, m, n, kk); got != want {
+					t.Errorf("workers=%d %v: CallWorkspace %d, want %d", workers, dims, got, want)
+				}
+				if peak := arena.Peak(); peak != want {
+					t.Errorf("workers=%d %v fused=%v: arena peak %d, CallWorkspace %d", workers, dims, fused, peak, want)
+				}
+				if live := arena.Live(); live != 0 {
+					t.Fatalf("workers=%d %v fused=%v: %d arena words leaked", workers, dims, fused, live)
+				}
 			}
 		}
 	}
@@ -317,9 +366,10 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 // operand and 1–4 of a shared pool of destinations (so several records
 // accumulate into each), with clipped terms and clipped, ragged
 // destinations, both transposes and β ∈ {0, ¼, 1}; the pre pass covers
-// every row once, and the arena peak is CallWorkspace: the Ã panel and
-// two B̃ panels. A plain multi-panel MulAddTasks call runs through
-// the same pipeline and matches MulAdd.
+// every row once, and the arena peak is CallWorkspace: two Ã buffers and
+// the one KC×NC panel the column bands share, since the rows span several
+// MC blocks. A plain multi-panel MulAddTasks call runs through the same
+// DAG and matches MulAdd.
 func TestFusedMulAddTasksPipeline(t *testing.T) {
 	rt2, rt3 := sched.New(2, 11), sched.New(3, 12)
 	defer rt2.Close()
@@ -415,7 +465,7 @@ func TestFusedMulAddTasksPipeline(t *testing.T) {
 								}
 							}
 							mcE, kcE, ncE := tk.effBlocks(tk.impl(), m, n, kk)
-							if w, peak := int64(mcE*kcE+2*kcE*ncE), arena.Peak(); peak != w || tk.CallWorkspace(rt.Workers(), records, m, n, kk) != w {
+							if w, peak := int64(2*mcE*kcE+kcE*ncE), arena.Peak(); peak != w || tk.CallWorkspace(rt.Workers(), records, m, n, kk) != w {
 								t.Fatalf("%s: arena peak %d, CallWorkspace %d, want %d", what, peak, tk.CallWorkspace(rt.Workers(), records, m, n, kk), w)
 							}
 							if fc := tk.FusedCounters(); fc != records {
@@ -436,6 +486,80 @@ func TestFusedMulAddTasksPipeline(t *testing.T) {
 					if math.Float64bits(got[i]) != math.Float64bits(w) {
 						t.Fatalf("mode=%v %v workers=%d: plain c[%d] = %v (pipeline) vs %v (MulAdd)", mode, dims, rt.Workers(), i, got[i], w)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestTasksPanicReachesCaller: a panic inside a threaded FusedMulAddTasks
+// call — in an Ã share task (the pre pass runs there) or in a column
+// band's sweep (a destination one column short) — reaches the caller once
+// the DAG has drained, on 2- and 4-worker runtimes, and leaves no arena
+// words live; the runtime then runs a fresh call to the sequential bits.
+func TestTasksPanicReachesCaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(507))
+	const m, n, kk, records = 40, 36, 30, 3
+	a, b := fill(rng, m, kk, m), fill(rng, kk, n, kk)
+	c0 := fill(rng, m, n, m)
+	prods := func(c []float64, short int) []Product {
+		out := make([]Product, records)
+		for r := range out {
+			out[r] = Product{
+				A:     Operand{Ld: m, Terms: []Term{{Data: a, Coeff: float64(r + 1), Rows: m, Cols: kk}}},
+				B:     Operand{Ld: kk, Terms: []Term{{Data: b, Coeff: -1, Rows: kk, Cols: n}}},
+				Dests: []Dest{{Data: c, Ld: m, Coeff: 1, Rows: m, Cols: n}},
+			}
+		}
+		if short >= 0 {
+			out[short].Dests[0].Data = c[: m*(n-1) : m*(n-1)]
+		}
+		return out
+	}
+	want := append([]float64(nil), c0...)
+	seq := &Packed{Mode: ModeScalar, MC: 16, KC: 12, NC: 16}
+	for _, p := range prods(want, -1) {
+		seq.FusedMulAdd(m, n, kk, 0.5, p.A, p.B, p.Dests)
+	}
+	for _, workers := range []int{2, 4} {
+		rt := sched.New(workers, 13)
+		defer rt.Close()
+		cases := []struct {
+			name  string
+			short int
+			pre   func(lo, hi int)
+		}{
+			{"Ã share", -1, func(lo, hi int) {
+				if lo > 0 {
+					panic("pre")
+				}
+			}},
+			{"sweep", 1, nil},
+		}
+		for _, tc := range cases {
+			what := fmt.Sprintf("workers=%d %s", workers, tc.name)
+			tk := &Packed{Mode: ModeScalar, MC: 16, KC: 12, NC: 16}
+			arena := memtrack.New()
+			tk.SetArena(arena)
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				tk.FusedMulAddTasks(rt, m, n, kk, 0.5, prods(append([]float64(nil), c0...), tc.short), tc.pre)
+				return nil
+			}()
+			if got == nil {
+				t.Fatalf("%s: the panic did not reach the caller", what)
+			}
+			if tc.pre != nil && got != "pre" {
+				t.Fatalf("%s: recovered %v, want the task's own value", what, got)
+			}
+			if live := arena.Live(); live != 0 {
+				t.Fatalf("%s: %d arena words live after the panic", what, live)
+			}
+			c := append([]float64(nil), c0...)
+			tk.FusedMulAddTasks(rt, m, n, kk, 0.5, prods(c, -1), nil)
+			for i, w := range want {
+				if math.Float64bits(c[i]) != math.Float64bits(w) {
+					t.Fatalf("%s: after the panic c[%d] = %v, want %v", what, i, c[i], w)
 				}
 			}
 		}

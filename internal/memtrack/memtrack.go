@@ -9,7 +9,6 @@ package memtrack
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/phase"
 )
@@ -46,9 +45,9 @@ func (t *Tracker) Alloc(n int) []float64 {
 		return make([]float64, n)
 	}
 	if prof := phase.Active(); prof != nil {
-		t0 := time.Now()
+		t0 := phase.Now()
 		s := t.alloc(n, true)
-		prof.Add(phase.ArenaDraw, int64(time.Since(t0)), 0, int64(n)*8)
+		prof.Add(phase.ArenaDraw, phase.Now()-t0, 0, int64(n)*8)
 		return s
 	}
 	return t.alloc(n, true)
@@ -70,9 +69,9 @@ func (t *Tracker) AllocUninit(n int) []float64 {
 		return Poison(make([]float64, n))
 	}
 	if prof := phase.Active(); prof != nil {
-		t0 := time.Now()
+		t0 := phase.Now()
 		s := t.alloc(n, false)
-		prof.Add(phase.ArenaDraw, int64(time.Since(t0)), 0, int64(n)*8)
+		prof.Add(phase.ArenaDraw, phase.Now()-t0, 0, int64(n)*8)
 		return s
 	}
 	return t.alloc(n, false)

@@ -162,7 +162,7 @@ func (p *Profiler) Add(id ID, ns, flops, bytes int64) {
 type Sample struct {
 	p     *Profiler
 	id    ID
-	start time.Time
+	start int64 // Now at Begin
 }
 
 // Begin opens a timed bracket for the phase. On a nil Profiler it returns
@@ -171,7 +171,7 @@ func (p *Profiler) Begin(id ID) Sample {
 	if p == nil {
 		return Sample{}
 	}
-	return Sample{p: p, id: id, start: time.Now()}
+	return Sample{p: p, id: id, start: Now()}
 }
 
 // End closes the bracket, attributing the elapsed wall time plus the
@@ -180,7 +180,18 @@ func (s Sample) End(flops, bytes int64) {
 	if s.p == nil {
 		return
 	}
-	s.p.Add(s.id, time.Since(s.start).Nanoseconds(), flops, bytes)
+	s.p.Add(s.id, Now()-s.start, flops, bytes)
+}
+
+// epoch is the origin of Now.
+var epoch = time.Now()
+
+// Now is the monotonic time in nanoseconds since the package was
+// initialized. It reads the monotonic clock alone, where time.Now reads
+// the wall clock too and costs half as much again: spans timed this way
+// are differences of Now.
+func Now() int64 {
+	return int64(time.Since(epoch))
 }
 
 // Stat is one phase's accumulated totals.

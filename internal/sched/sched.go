@@ -1,8 +1,8 @@
 // Package sched is the multi-core task runtime underneath DGEFMM: a
 // work-stealing fork-join scheduler in the Cilk/TBB mold, on which the
 // Strassen engine threads each level's lin passes by column bands, the
-// packed kernel threads its calls' rows (a fused level's records as one
-// step pipeline), and the batch pool submits its calls.
+// packed kernel threads its calls by B̃ slivers (a fused level's records as
+// one task DAG), and the batch pool submits its calls.
 //
 // The runtime is the one parallel path in the repository: a multiply runs
 // on more than one core only when its caller hands a *Runtime to
@@ -34,7 +34,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/phase"
 )
@@ -223,12 +222,12 @@ func (w *Worker) Run(ctx context.Context, d *DAG) error {
 			continue
 		}
 		sm := phase.Active().Begin(phase.SchedIdle)
-		t0 := time.Now()
+		t0 := phase.Now()
 		select {
 		case <-d.doneCh:
 		case <-w.rt.wake:
 		}
-		w.rt.idleNS.Add(time.Since(t0).Nanoseconds())
+		w.rt.idleNS.Add(phase.Now() - t0)
 		sm.End(0, 0)
 		w.rt.idle.Add(-1)
 	}
@@ -408,16 +407,16 @@ func (rt *Runtime) loop(w *Worker) {
 			continue
 		}
 		sm := phase.Active().Begin(phase.SchedIdle)
-		t0 := time.Now()
+		t0 := phase.Now()
 		select {
 		case <-rt.wake:
 		case <-rt.closed:
-			rt.idleNS.Add(time.Since(t0).Nanoseconds())
+			rt.idleNS.Add(phase.Now() - t0)
 			sm.End(0, 0)
 			rt.idle.Add(-1)
 			return
 		}
-		rt.idleNS.Add(time.Since(t0).Nanoseconds())
+		rt.idleNS.Add(phase.Now() - t0)
 		sm.End(0, 0)
 		rt.idle.Add(-1)
 	}

@@ -139,10 +139,10 @@ type Config struct {
 	// programs, in the same order, as without it; each materialized
 	// level's lin passes split into one task per column band of their
 	// destination, and the packed kernel's calls — leaves and fused levels
-	// — thread by row bands, a fused level's records as one pipeline of
-	// (record, jc, pc) steps. So the result's bits and the Strassen
-	// workspace are those of the call without a runtime, on every worker
-	// count. Multiple Configs may share one runtime — tasks from
+	// — thread by column bands of B̃ slivers, a fused level's records as
+	// one task DAG of (record, jc, pc) steps. So the result's bits and the
+	// Strassen workspace are those of the call without a runtime, on every
+	// worker count. Multiple Configs may share one runtime — tasks from
 	// concurrent calls interleave under a single core budget.
 	Sched *sched.Runtime
 	// Tracer, if non-nil, receives one TraceEvent per recursion decision

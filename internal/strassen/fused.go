@@ -164,7 +164,8 @@ func (cfg *Config) fusedHooks() fusedKernel {
 // fusedKernel is the structural hook interface a kernel implements to serve
 // fused Strassen levels (internal/kernel's Packed does): one call runs a
 // level's whole record list, threaded on a multi-worker runtime, with the
-// level's β pass at the head of each row band (pre); FusedDestLimit is how
+// level's β pass run over a row partition before the first write (pre),
+// in the kernel's first Ã share tasks when threaded; FusedDestLimit is how
 // many destinations its write-out serves natively (which only gates
 // tableFusable, and so whether two levels fuse). Kept structural like
 // leafSizer so the strassen package does not choose a kernel

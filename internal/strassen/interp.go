@@ -221,10 +221,11 @@ func (e *engine) linTasks(sub sched.Submitter, w int, dst *matrix.Dense, ts []ma
 // stored parts of their blocks — a block overhanging the matrices carries
 // its shorter extent, and the kernel reads the rest as +0.0 and writes
 // none of it. No Strassen temporaries. β is the call's pre pass: the
-// kernel runs it over each row band of the blocks before the band's first
-// write — at the head of each band's task chain on a multi-worker
-// runtime, over all rows up front otherwise — and the bits are the same
-// either way. The pass runs inline: it may already run inside a task.
+// kernel runs it over each part of a row partition of the blocks before
+// any write to those rows — in the first Ã block's share tasks on a
+// multi-worker runtime, over all rows up front otherwise — and the bits
+// are the same either way. The pass runs inline: it may already run
+// inside a task.
 func (e *engine) fusedLevel(p *program, f *frame, alpha, beta float64) {
 	fc := fusedCalls.Get().(*fusedCall)
 	defer fc.release()

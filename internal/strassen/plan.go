@@ -125,9 +125,11 @@ func PlanFor(cfg *Config, m, n, k int, betaZero bool) *Plan {
 // per-call workspace (internal/kernel's Packed does): the exact words one
 // call of products products of the given logical shape draws from the
 // kernel's arena on a runtime of workers workers — a sequential call's Ã
-// panel and the B̃ sliver or panel it keeps; a threaded call's Ã panel,
-// which its row bands share, and one KC×NC B̃ panel, or two when it has
-// more than one (product, jc, pc) step (MulAddTasks, FusedMulAddTasks).
+// panel and the B̃ sliver or panel it keeps; a threaded call's two Ã
+// buffers (one for a call of a single block), which its Ã share tasks
+// fill by turns, and one KC×NR B̃ sliver per column band, or the one KC×NC
+// panel its bands share when the rows span several MC blocks
+// (MulAddTasks, FusedMulAddTasks).
 // Kept structural so the strassen package does not choose a kernel
 // implementation for its callers.
 type leafSizer interface {

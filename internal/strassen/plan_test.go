@@ -138,9 +138,11 @@ func TestPlanKernelWordsMatchMeasuredArenaPeak(t *testing.T) {
 // call of 49 products. On a 1-worker runtime it runs inline and draws
 // LeafWorkspace of its blocks — the Ã panel and one B̃ sliver, since each
 // block's rows fit one MC block; on 2 and 3 workers its steps run as the
-// kernel's pipeline, which draws two KC×NC B̃ panels. Either way the measured
-// arena peak equals the plan's KernelWords, with no Strassen temporaries,
-// on even shapes and on odd ones whose blocks are clipped.
+// kernel's task DAG, which packs Ã into two buffers by turns and whose
+// column bands keep one KC×NR sliver each. Either
+// way the measured arena peak equals the plan's KernelWords, with no
+// Strassen temporaries, on even shapes and on odd ones whose blocks are
+// clipped.
 func TestPlanKernelWordsFused2Runtimes(t *testing.T) {
 	skipIfAlgoPinned(t)
 	rng := rand.New(rand.NewSource(44))
@@ -165,7 +167,9 @@ func TestPlanKernelWordsFused2Runtimes(t *testing.T) {
 				}
 				want := pk.LeafWorkspace(16, 16, 16)
 				if workers > 1 {
-					want = 16*12 + 2*12*16 // Ã, MC×KC, and two KC×NC B̃ panels
+					// Two MC×KC Ã buffers and a KC×NR B̃ sliver per band:
+					// one band per worker, as a 16-column block holds four.
+					want = int64(2*16*12 + workers*12*kernel.NR)
 				}
 				if peak := arena.Peak(); peak != plan.KernelWords || peak != want {
 					t.Errorf("workers=%d m=%d β=%g: kernel arena peak %d, plan KernelWords %d, want %d",

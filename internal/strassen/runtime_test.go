@@ -108,7 +108,7 @@ func TestSchedBitForBitAcrossWorkerCounts(t *testing.T) {
 	for _, dims := range [][3]int{{64, 64, 64}, {65, 33, 97}} {
 		check(fmt.Sprint("dims=", dims), dims[0], dims[1], dims[2], Params{Tau: 16, TauM: 8, TauK: 8, TauN: 8}.Hybrid())
 	}
-	// Leaves split into row bands on the 4-worker runtime: plain 48³
+	// Leaves split into column bands on the 4-worker runtime: plain 48³
 	// leaves under a materialized level (n = 96), and fused 48³ records
 	// under one (n = 192).
 	for _, m := range []int{96, 192} {
