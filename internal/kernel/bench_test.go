@@ -43,6 +43,41 @@ func BenchmarkPackedCompat512(b *testing.B) {
 	benchMulAdd(b, &Packed{Compat: true}, 512)
 }
 
+// BenchmarkMulAddShapes times MulAdd on the default kernel at serve_mix's
+// request shapes (m×k×n: 64³, 96³, 128×96×64 and 192³ with Bᵀ) and at
+// 1024³, the DGEMM arm of the matrix workloads. Each call is one product
+// of the packed nest, one unit term per operand. SetBytes is the
+// call's 2·m·n·k FLOPs, so MB/s reads as MFLOP/s.
+func BenchmarkMulAddShapes(b *testing.B) {
+	for _, s := range []struct {
+		name    string
+		m, k, n int
+		transB  bool
+	}{
+		{"64", 64, 64, 64, false},
+		{"96", 96, 96, 96, false},
+		{"128x96x64", 128, 96, 64, false},
+		{"192Bt", 192, 192, 192, true},
+		{"1024", 1024, 1024, 1024, false},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(12))
+			x, y, c := fill(rng, s.m, s.k, s.m), fill(rng, s.k, s.n, s.k), make([]float64, s.m*s.n)
+			tb, ldb := blas.NoTrans, s.k
+			if s.transB {
+				tb, ldb = blas.Trans, s.n
+				y = fill(rng, s.n, s.k, s.n)
+			}
+			k := &Packed{}
+			b.SetBytes(int64(2 * s.m * s.n * s.k))
+			b.ResetTimer()
+			for range b.N {
+				k.MulAdd(blas.NoTrans, tb, s.m, s.n, s.k, 1, x, s.m, y, ldb, c, s.m)
+			}
+		})
+	}
+}
+
 // BenchmarkFusedPack times the fused packers on one 256×256 block of 1- to
 // 4-term operands at leading dimensions 256–1024, on the auto-dispatched
 // tile's panel geometry. The clipped rows give every term past the first

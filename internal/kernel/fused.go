@@ -1,17 +1,21 @@
 package kernel
 
-// Operand-fused packing and multi-destination write-out: the kernel-side
-// half of the fused Strassen path (Huang et al., "Implementing Strassen's
-// Algorithm with BLIS", arXiv:1605.01078). A Strassen level's add/sub
-// linear combinations are folded into the two places the operands are
-// touched anyway — Ã/B̃ packing reads and the micro-kernel's C update — so
-// each level costs almost no extra memory traffic instead of a full set of
-// materialized S/T/M temporaries. Two levels of the 1969 construction fold
-// the same way ("two-level ABC"): every operand is a sum of at most four
-// blocks and every product feeds at most four.
+// Products: operand-combining packing and multi-destination write-out,
+// which every call of the packed nest runs (Huang et al., "Implementing
+// Strassen's Algorithm with BLIS", arXiv:1605.01078, generalize BLIS's
+// packing routine the same way, the plain pack being its one-term case).
+// A Strassen level's add/sub linear combinations are folded into the two
+// places the operands are touched anyway — Ã/B̃ packing reads and the
+// micro-kernel's C update — so each level costs almost no extra memory
+// traffic instead of a full set of materialized S/T/M temporaries. Two
+// levels of the 1969 construction fold the same way ("two-level ABC"):
+// every operand is a sum of at most four blocks and every product feeds
+// at most four. A plain multiply is the product of one unit term per
+// operand into one unit destination, which the packers copy (packA/packB,
+// or the ISA's packers) and the write-out sends to the plain sweep.
 //
-// FusedMulAdd runs the exact NC/KC/MC loop nest of MulAdd over the same
-// arena-drawn packing buffers (the same LeafWorkspace), but:
+// The nest (tasks.go) runs a product over its arena-drawn packing
+// buffers (LeafWorkspace sequentially), and:
 //
 //   - the packers form Ã ← Σᵢ γᵢ·op(Aᵢ) (and B̃ likewise) on the fly from
 //     up to four strided source panels sharing one leading dimension and
@@ -51,11 +55,7 @@ package kernel
 // kernel of the same tile on the materialized operands bit for bit per
 // destination (see fused_test.go).
 
-import (
-	"math"
-
-	"repro/internal/phase"
-)
+import "math"
 
 // Term is one source panel of a fused operand: a matrix (sharing the
 // enclosing Operand's leading dimension and transpose), its ±1
@@ -154,13 +154,6 @@ type tileDest struct {
 	alpha float64
 }
 
-// FusedCounters reports how many fused products the kernel has served:
-// one per FusedMulAdd call, one per product of a FusedMulAddTasks call.
-// Packed words from fused calls fold into the regular packing counters.
-func (k *Packed) FusedCounters() (fusedMulAdds int64) {
-	return k.fusedMulAdds.Load()
-}
-
 // FusedDestLimit reports how many destinations FusedMulAdd writes from the
 // active tile's registers: 4 where the ISA has the multi-destination tile
 // (AVX2, which also forms operands of up to four terms in assembly), so
@@ -183,20 +176,17 @@ func (k *Packed) FusedDestLimit() int {
 //
 // where the fused operand is m×k (a) and k×n (b), each term read as zero
 // past its extent, and d is written only inside its extent. The caller
-// pre-applies beta; write-out is pure accumulation. The combination runs
-// inside the packing and the C update — no operand or product temporaries
-// beyond the packing buffers MulAdd draws (LeafWorkspace of the block
-// shape m×n×k, whatever the extents: the Ã panel and a B̃ sliver or
-// panel). It runs on the calling goroutine; FusedMulAddTasks takes a list
-// of products and a submitter.
+// pre-applies beta; write-out is pure accumulation. It is the one-product
+// FusedMulAddTasks call on the calling goroutine: the same loop nest
+// MulAdd runs, whose packing forms the combination and whose C update
+// writes every destination, with no operand or product temporaries beyond
+// its packing buffers (LeafWorkspace of the block shape m×n×k, whatever
+// the extents: the Ã panel and a B̃ sliver or panel).
 func (k *Packed) FusedMulAdd(m, n, kk int, alpha float64, a, b Operand, dests []Dest) {
-	l := k.newLeaf(m, n, kk, alpha)
-	l.fused, l.one = true, Product{A: a, B: b, Dests: dests}
-	if m <= 0 || n <= 0 || kk <= 0 || alpha == 0 || !l.one.live() {
-		return
-	}
-	l.runSeq()
-	k.fusedMulAdds.Add(1)
+	s := singles.Get().(*single)
+	defer s.release()
+	s.prod[0] = Product{A: a, B: b, Dests: dests}
+	k.FusedMulAddTasks(nil, m, n, kk, alpha, s.prod[:], nil)
 }
 
 // packAFused packs the mb×kb block with top-left (ic, pc) of the fused
@@ -735,47 +725,4 @@ func columnDests(dests []Dest, i, j, n, mr, nr int, alpha float64) (ds [4]tileDe
 		rows = 0
 	}
 	return ds, nd, rows
-}
-
-// fusedAcct is phaseAcct's counterpart for FusedMulAdd: fused packing
-// replaces the pack_a/pack_b phases, the sweep still splits micro/fringe
-// by tile count, and the extra destinations' accumulation traffic is
-// carved out into the fused write-out phase (so KernelMicro stays
-// comparable to the unfused kernel's).
-type fusedAcct struct {
-	sweepAcct
-	packNS                 int64
-	writeNS                int64
-	writeFlops, writeBytes int64
-}
-
-// macro folds one fused sweep over an mb×nb×kb block with nd destinations.
-func (a *fusedAcct) macro(mi *microImpl, ns int64, mb, nb, kb int, ft, et int64, nd int) {
-	if nd > 1 {
-		// Each extra destination costs one multiply-add per product element
-		// per sweep and one C read+write (16 bytes) per element; its time
-		// share is apportioned by FLOPs against the sweep's own.
-		e := int64(nd - 1)
-		total := 2 * int64(mb) * int64(nb) * int64(kb)
-		wFlops := e * 2 * int64(mb) * int64(nb)
-		wBytes := e * 16 * int64(mb) * int64(nb)
-		wNS := ns * wFlops / (total + wFlops)
-		a.writeFlops += wFlops
-		a.writeBytes += wBytes
-		a.writeNS += wNS
-		ns -= wNS
-	}
-	a.sweepAcct.macro(mi, ns, mb, nb, kb, ft, et)
-}
-
-// flush records the call's totals, with the fused packing's FLOPs and
-// bytes: (terms−1) adds per packed word, and (terms+1)·8 bytes (every
-// term read once, the packed word written), summed over the call's
-// products (bandAcct.packTerms).
-func (a *fusedAcct) flush(p *phase.Profiler, packFlops, packBytes int64) {
-	p.Add(phase.KernelFusedPack, a.packNS, packFlops, packBytes)
-	a.sweepAcct.flush(p)
-	if a.writeFlops > 0 || a.writeNS > 0 {
-		p.Add(phase.KernelFusedWriteout, a.writeNS, a.writeFlops, a.writeBytes)
-	}
 }

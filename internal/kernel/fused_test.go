@@ -327,13 +327,13 @@ func TestFusedDegenerateArgs(t *testing.T) {
 	if !math.IsNaN(c[0]) || c[1] != 1 || c[2] != 2 || !math.IsInf(c[3], 1) {
 		t.Fatalf("degenerate FusedMulAdd touched C: %v", c)
 	}
-	if k.FusedCounters() != 0 {
-		t.Fatalf("degenerate calls counted: %d", k.FusedCounters())
+	if products, _, _ := k.Counters(); products != 0 {
+		t.Fatalf("degenerate calls counted: %d", products)
 	}
 }
 
-// TestFusedCounters: served fused calls increment the fused counter and
-// fold their packed words into the regular packing counters.
+// TestFusedCounters: served fused calls count one product each, as a
+// MulAdd does, and fold their packed words into the packing counters.
 func TestFusedCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	k := &Packed{Mode: ModeScalar}
@@ -345,14 +345,15 @@ func TestFusedCounters(t *testing.T) {
 	dests := []Dest{{Data: make([]float64, m*n), Ld: m, Coeff: 1, Rows: m, Cols: n}}
 	k.FusedMulAdd(m, n, kk, 1, aOp, bOp, dests)
 	k.FusedMulAdd(m, n, kk, 1, aOp, bOp, dests)
-	if got := k.FusedCounters(); got != 2 {
-		t.Fatalf("FusedCounters() = %d, want 2", got)
+	k.MulAdd(blas.NoTrans, blas.NoTrans, m, n, kk, 1, aOp.Terms[0].Data, m, bOp.Terms[0].Data, kk, dests[0].Data, m)
+	products, pa, pb := k.Counters()
+	if products != 3 {
+		t.Fatalf("Counters() products = %d, want 3", products)
 	}
-	_, pa, pb := k.Counters()
-	if wantA := int64(2 * m * kk); pa != wantA {
+	if wantA := int64(3 * m * kk); pa != wantA {
 		t.Errorf("packed A words = %d, want %d", pa, wantA)
 	}
-	if wantB := int64(2 * kk * n); pb != wantB {
+	if wantB := int64(3 * kk * n); pb != wantB {
 		t.Errorf("packed B words = %d, want %d", pb, wantB)
 	}
 }

@@ -9,6 +9,15 @@
 // register kernel that also serves the ragged edge tiles over that
 // padding, covering alpha and all four transpose combinations.
 //
+// There is one loop nest (tasks.go), and it runs products: a product's
+// operands are linear combinations of strided terms and it updates one or
+// more destinations (fused.go). A plain multiply (MulAdd) is the product
+// of one coefficient-1 term per operand into one coefficient-1
+// destination; a fused Strassen level (FusedMulAddTasks) is a list of
+// products whose packing forms the level's operand sums and whose
+// write-out updates every C block a product feeds, after Huang et al.'s
+// ABC Strassen, which generalizes BLIS's packing routine the same way.
+//
 // The register tile is dispatched at runtime (see dispatch.go): hosts with
 // AVX2+FMA (amd64) or AdvSIMD (arm64) run a hand-written 8×4 assembly tile
 // — Goto & van de Geijn's point that the micro-kernel is where the vector
@@ -24,8 +33,7 @@
 // time, one KC×NR sliver when the rows fit one MC block or the KC×NC panel
 // the later blocks read again; CallWorkspace gives a threaded call's, which
 // adds a second Ã buffer and whose column bands each keep a sliver or
-// share the panel — and tests assert
-// the measured arena peak equals it. The arena's free list makes the steady state
+// share the panel — and tests assert the measured arena peak equals it. The arena's free list makes the steady state
 // allocation-free, and because every MulAdd draws its own buffers, a
 // single *Packed is safe for concurrent use — unlike blas.BlockedKernel,
 // whose packing buffers are per-instance state.
@@ -74,12 +82,11 @@ type Packed struct {
 	mu    sync.Mutex
 	arena *memtrack.Tracker
 
-	mulAdds      atomic.Int64
-	fusedMulAdds atomic.Int64
-	packAWords   atomic.Int64
-	packBWords   atomic.Int64
-	simdTiles    atomic.Int64
-	scalarTiles  atomic.Int64
+	products    atomic.Int64
+	packAWords  atomic.Int64
+	packBWords  atomic.Int64
+	simdTiles   atomic.Int64
+	scalarTiles atomic.Int64
 }
 
 // Name implements blas.Kernel. A Packed whose inner loop dispatches to a
@@ -118,10 +125,12 @@ func (k *Packed) SetArena(t *memtrack.Tracker) {
 	k.mu.Unlock()
 }
 
-// Counters reports cumulative work counters: MulAdd calls and the words
-// packed into Ã and B̃ panels. internal/obs snapshots them per kernel.
-func (k *Packed) Counters() (mulAdds, packAWords, packBWords int64) {
-	return k.mulAdds.Load(), k.packAWords.Load(), k.packBWords.Load()
+// Counters reports cumulative work counters: the products the loop nest
+// has run — one per MulAdd or FusedMulAdd call, one per live product of a
+// FusedMulAddTasks call — and the words packed into Ã and B̃ panels.
+// internal/obs snapshots them per kernel.
+func (k *Packed) Counters() (products, packAWords, packBWords int64) {
+	return k.products.Load(), k.packAWords.Load(), k.packBWords.Load()
 }
 
 // TileCounters reports how many register-tile invocations ran on the SIMD
@@ -199,7 +208,9 @@ func (k *Packed) LeafWorkspace(m, n, kk int) int64 {
 // MulAdd implements blas.Kernel: C ← C + alpha·op(A)·op(B) on column-major
 // storage, op(A) m×k, op(B) k×n. The caller (blas.DgemmKernel) has already
 // validated arguments and applied beta. It runs the packed loop nest
-// (tasks.go) on the calling goroutine.
+// (tasks.go) on the calling goroutine as one product: each operand one
+// coefficient-1 term at its full extent, C its one coefficient-1
+// destination.
 func (k *Packed) MulAdd(transA, transB blas.Transpose, m, n, kk int, alpha float64,
 	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	k.MulAddTasks(nil, transA, transB, m, n, kk, alpha, a, lda, b, ldb, c, ldc)

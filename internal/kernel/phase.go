@@ -45,16 +45,74 @@ func (a *sweepAcct) flush(p *phase.Profiler) {
 	}
 }
 
-// phaseAcct is one MulAdd's attribution: the packing phases plus its sweeps.
-type phaseAcct struct {
+// callAcct is one band's attribution of a call of the packed nest: its
+// sweeps, its packing and its extra destinations' write-out. Packing is
+// charged by the operand it forms, whoever called: a single
+// unit-coefficient term is a plain copy (kernel.pack_a / kernel.pack_b: no
+// FLOPs, 16 bytes per word, one read and one write), a combination of
+// terms is kernel.fused_pack ((terms−1) adds per word and (terms+1)·8
+// bytes: every term read once, the word written).
+type callAcct struct {
 	sweepAcct
-	packANS, packBNS int64
+	packANS, packBNS, fusedNS       int64
+	copiedA, copiedB                int64
+	fusedFlops, fusedBytes          int64
+	writeNS, writeFlops, writeBytes int64
 }
 
-// flush records the call's totals. Packing performs no FLOPs; its traffic
-// is one read plus one write per packed word (16 bytes).
-func (a *phaseAcct) flush(p *phase.Profiler, packedA, packedB int64) {
-	p.Add(phase.KernelPackA, a.packANS, 0, packedA*16)
-	p.Add(phase.KernelPackB, a.packBNS, 0, packedB*16)
-	a.sweepAcct.flush(p)
+// pack folds ns nanoseconds spent packing words words of op, an Ã operand
+// when a is set.
+func (c *callAcct) pack(op *Operand, a bool, words, ns int64) {
+	switch {
+	case len(op.Terms) > 1 || op.Terms[0].Coeff != 1:
+		t := int64(len(op.Terms))
+		c.fusedNS += ns
+		c.fusedFlops += (t - 1) * words
+		c.fusedBytes += (t + 1) * 8 * words
+	case a:
+		c.packANS += ns
+		c.copiedA += words
+	default:
+		c.packBNS += ns
+		c.copiedB += words
+	}
+}
+
+// macro folds one sweep over an mb×nb×kb block with nd destinations.
+// The first destination's update is the sweep's own; each extra one
+// costs one multiply-add per product element per sweep and one C read and
+// write (16 bytes) per element, carved out into kernel.fused_writeout
+// with a time share apportioned by FLOPs against the sweep's (so
+// kernel.micro stays comparable across destination counts).
+func (c *callAcct) macro(mi *microImpl, ns int64, mb, nb, kb int, ft, et int64, nd int) {
+	if nd > 1 {
+		e := int64(nd - 1)
+		total := 2 * int64(mb) * int64(nb) * int64(kb)
+		wFlops := e * 2 * int64(mb) * int64(nb)
+		wBytes := e * 16 * int64(mb) * int64(nb)
+		wNS := ns * wFlops / (total + wFlops)
+		c.writeFlops += wFlops
+		c.writeBytes += wBytes
+		c.writeNS += wNS
+		ns -= wNS
+	}
+	c.sweepAcct.macro(mi, ns, mb, nb, kb, ft, et)
+}
+
+// flush records the band's totals; a packing phase it did no work in is
+// left out.
+func (c *callAcct) flush(p *phase.Profiler) {
+	if c.copiedA > 0 {
+		p.Add(phase.KernelPackA, c.packANS, 0, 16*c.copiedA)
+	}
+	if c.copiedB > 0 {
+		p.Add(phase.KernelPackB, c.packBNS, 0, 16*c.copiedB)
+	}
+	if c.fusedBytes > 0 {
+		p.Add(phase.KernelFusedPack, c.fusedNS, c.fusedFlops, c.fusedBytes)
+	}
+	c.sweepAcct.flush(p)
+	if c.writeFlops > 0 || c.writeNS > 0 {
+		p.Add(phase.KernelFusedWriteout, c.writeNS, c.writeFlops, c.writeBytes)
+	}
 }

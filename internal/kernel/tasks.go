@@ -1,14 +1,19 @@
 package kernel
 
-// The packed loop nest, shared by MulAdd and FusedMulAdd and by their
-// threaded forms. A call is a list of steps: for each product (a plain
-// call is one product; a fused Strassen level hands the kernel all of its
-// records at once), for each (jc, pc) panel, a KC×NC slice of B̃ swept
-// against every MC-row block of Ã. Each NR-column B̃ sliver is packed just
-// before the first block's sweep reads it, and the nest keeps only what a
-// later block reads again: one KC×NR sliver when the rows fit one MC
-// block — every fused Strassen node's records and every leaf below the MC
-// block — the whole KC×NC panel when they span several (bCols). GotoBLAS
+// The packed loop nest: the one loop every call of the kernel runs. A
+// call is a list of products (Product: a combination of terms per operand
+// and a list of destinations); MulAdd and FusedMulAdd are the one-product
+// call, MulAdd's operands each one coefficient-1 term at its full extent
+// and C its one coefficient-1 destination, and a fused Strassen level
+// hands the kernel all of its records at once. The products' packers form
+// each Ã/B̃ word from the terms, a single unit term as a plain copy, and
+// the write-out updates every destination (fused.go). The call is a list
+// of steps: for each product, for each (jc, pc) panel, a KC×NC slice of
+// B̃ swept against every MC-row block of Ã. Each NR-column B̃ sliver is
+// packed just before the first block's sweep reads it, and the nest keeps
+// only what a later block reads again: one KC×NR sliver when the rows fit
+// one MC block — every fused Strassen node's records and every leaf below
+// the MC block — the whole KC×NC panel when they span several (bCols). GotoBLAS
 // and BLIS pack a whole panel to spread its cost over the row blocks; one
 // block has nothing to spread it over, and the sliver stays in L1 for its
 // sweep. A sequential call runs the nest inline and draws LeafWorkspace.
@@ -46,6 +51,7 @@ package kernel
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/blas"
 	"repro/internal/phase"
@@ -79,10 +85,8 @@ func parts(most, n, unit int) int {
 	return min(most, (n+unit-1)/unit)
 }
 
-// leaf is one call of the packed loop nest: MulAdd's operands, or the
-// products of a fused call when fused is set — prods, or the one product
-// of a FusedMulAdd call (one, held by value so that the call keeps nothing
-// of its own on the heap).
+// leaf is one call of the packed loop nest: its live products, all of
+// the logical shape m×n×kk, and its pre pass.
 type leaf struct {
 	k        *Packed
 	mi       *microImpl
@@ -90,13 +94,7 @@ type leaf struct {
 	alpha    float64
 	prof     *phase.Profiler
 
-	ta, tb        bool
-	a, b, c       []float64
-	lda, ldb, ldc int
-
-	fused bool
 	prods []Product
-	one   Product
 	pre   func(lo, hi int)
 
 	mcE, kcE, ncE int
@@ -110,15 +108,10 @@ func (k *Packed) newLeaf(m, n, kk int, alpha float64) leaf {
 }
 
 // bandAcct is one band's phase attribution and counters, and the tile
-// buffer of its fused sweeps. The sweeps fold as fused ones; a plain call
-// has one destination, so they carry no write-out share. packFlops and
-// packBytes are a fused call's packing arithmetic and traffic, which
-// depend on each product's term counts.
+// buffer of its sweeps' buffered write-out.
 type bandAcct struct {
-	fusedAcct
-	packANS, packBNS        int64
+	callAcct
 	packedA, packedB, tiles int64
-	packFlops, packBytes    int64
 	tile                    tileBuf
 }
 
@@ -128,7 +121,7 @@ type step struct{ rec, jc, pc, nb, kb int }
 
 // steps is the call's step count.
 func (l *leaf) steps() int {
-	return stepCount(max(len(l.prods), 1), l.n, l.kk, l.kcE, l.ncE)
+	return stepCount(len(l.prods), l.n, l.kk, l.kcE, l.ncE)
 }
 
 // stepCount is the number of (product, jc, pc) steps of a call of
@@ -136,14 +129,6 @@ func (l *leaf) steps() int {
 // blocking kcE×ncE.
 func stepCount(products, n, kk, kcE, ncE int) int {
 	return products * ((n + ncE - 1) / ncE) * ((kk + kcE - 1) / kcE)
-}
-
-// product is a fused call's product r.
-func (l *leaf) product(r int) *Product {
-	if l.prods == nil {
-		return &l.one
-	}
-	return &l.prods[r]
 }
 
 // step returns step s: the products in order, each product's panels in
@@ -308,65 +293,26 @@ func (l *leaf) packRows(acct *bandAcct, apack []float64, st step, ic, lo, hi int
 	if l.prof != nil {
 		t0 = phase.Now()
 	}
-	dst, rows := apack[lo*st.kb:], hi-lo
-	if l.fused {
-		pr := l.product(st.rec)
-		packAFused(l.mi, dst, pr.A, ic+lo, st.pc, rows, st.kb)
-		acct.packTerms(len(pr.A.Terms), int64(rows)*int64(st.kb))
-	} else {
-		packA(l.mi.mr, dst, l.a, l.lda, l.ta, ic+lo, st.pc, rows, st.kb)
-	}
+	op := &l.prods[st.rec].A
+	rows := hi - lo
+	packAFused(l.mi, apack[lo*st.kb:], *op, ic+lo, st.pc, rows, st.kb)
+	words := int64(rows) * int64(st.kb)
 	if l.prof != nil {
-		acct.packANS += phase.Now() - t0
+		acct.pack(op, true, words, phase.Now()-t0)
 	}
-	acct.packedA += int64(rows) * int64(st.kb)
-}
-
-// stepB sets up step st's B̃ for packing once, so that a sweep can form
-// it a sliver at a time: a fused product's B operand. A plain call's B
-// needs no setup.
-func (l *leaf) stepB(st step) (f fusedB) {
-	if l.fused {
-		f = newFusedB(l.mi, l.product(st.rec).B, st.pc, st.jc, st.kb, st.nb)
-	}
-	return f
-}
-
-// packSlivers forms columns [lo, hi) of step st's B̃, set up as f, into
-// dst, which holds the sliver at column lo at its start, and counts the
-// words.
-func (l *leaf) packSlivers(acct *bandAcct, st step, f *fusedB, dst []float64, lo, hi int) {
-	words := int64(st.kb) * int64(hi-lo)
-	if l.fused {
-		f.pack(dst, lo, hi)
-		acct.packTerms(len(f.op.Terms), words)
-	} else {
-		packB(l.mi.nr, dst, l.b, l.ldb, l.tb, st.pc, st.jc+lo, st.kb, hi-lo)
-	}
-	acct.packedB += words
-}
-
-// packTerms counts the arithmetic and traffic of words packed words of a
-// fused operand of terms terms: terms−1 adds per word, and (terms+1)·8
-// bytes (every term read once, the word written).
-func (a *bandAcct) packTerms(terms int, words int64) {
-	a.packFlops += int64(terms-1) * words
-	a.packBytes += int64(terms+1) * 8 * words
+	acct.packedA += words
 }
 
 // sweepCols sweeps columns [lo, hi) of step st — whole NR-column
 // slivers, hi clipped to the step — against the mb-row Ã block at row ic
-// in apack, into C (every destination of the product when fused). The
-// first block's sweep packs each sliver just before it reads it: into its
+// in apack, into every destination of the step's product. The first
+// block's sweep packs each sliver just before it reads it: into its
 // place in bpack when later blocks sweep the panel again, over the one
 // sliver bpack holds when the rows are one block (bCols). A later block
 // sweeps the packed slivers in one pass. Each sliver's packing is timed
 // apart from its sweep.
 func (l *leaf) sweepCols(acct *bandAcct, apack, bpack []float64, st step, ic, mb, lo, hi int) {
-	var pr *Product
-	if l.fused {
-		pr = l.product(st.rec)
-	}
+	pr := &l.prods[st.rec]
 	var t0 int64
 	if l.prof != nil {
 		t0 = phase.Now()
@@ -376,37 +322,32 @@ func (l *leaf) sweepCols(acct *bandAcct, apack, bpack []float64, st step, ic, mb
 		return
 	}
 	keep := l.m > l.mcE
-	f := l.stepB(st)
+	f := newFusedB(l.mi, pr.B, st.pc, st.jc, st.kb, st.nb)
 	for jp := lo; jp < hi; jp += l.mi.nr {
 		cols, dst := min(l.mi.nr, hi-jp), bpack
 		if keep {
 			dst = bpack[jp*st.kb:]
 		}
-		l.packSlivers(acct, st, &f, dst, jp, jp+cols)
+		f.pack(dst, jp, jp+cols)
+		words := int64(st.kb) * int64(cols)
 		if l.prof != nil {
 			t1 := phase.Now()
-			acct.packBNS += t1 - t0
+			acct.pack(&pr.B, false, words, t1-t0)
 			t0 = t1
 		}
+		acct.packedB += words
 		l.sweep(acct, pr, apack, dst, ic, st.jc+jp, mb, cols, st.kb, &t0)
 	}
 }
 
-// sweep runs the macro kernel over the mb×nb block at (ic, jc) of C, or
-// of every destination of pr, and folds it into acct: when profiling, as
-// the clock's advance since *t0, which it moves to the sweep's end.
+// sweep runs the macro kernel over the mb×nb block at (ic, jc) of every
+// destination of pr and folds it into acct: when profiling, as the
+// clock's advance since *t0, which it moves to the sweep's end.
 func (l *leaf) sweep(acct *bandAcct, pr *Product, apack, bpack []float64, ic, jc, mb, nb, kb int, t0 *int64) {
-	var ft, et int64
-	nd := 1
-	if pr != nil {
-		ft, et = macroKernelFused(l.mi, apack, bpack, pr.Dests, ic, jc, mb, nb, kb, l.alpha, &acct.tile)
-		nd = len(pr.Dests)
-	} else {
-		ft, et = macroKernel(l.mi, apack, bpack, l.c, l.ldc, ic, jc, mb, nb, kb, l.alpha)
-	}
+	ft, et := macroKernelFused(l.mi, apack, bpack, pr.Dests, ic, jc, mb, nb, kb, l.alpha, &acct.tile)
 	if l.prof != nil {
 		t1 := phase.Now()
-		acct.macro(l.mi, t1-*t0, mb, nb, kb, ft, et, nd)
+		acct.macro(l.mi, t1-*t0, mb, nb, kb, ft, et, len(pr.Dests))
 		*t0 = t1
 	}
 	acct.tiles += ft + et
@@ -415,14 +356,8 @@ func (l *leaf) sweep(acct *bandAcct, pr *Product, apack, bpack []float64, ic, jc
 // finish folds one band's attribution into the profiler and its packed
 // words and tiles into the kernel's counters.
 func (l *leaf) finish(a bandAcct) {
-	switch {
-	case l.prof == nil:
-	case l.fused:
-		a.packNS = a.packANS + a.packBNS
-		a.fusedAcct.flush(l.prof, a.packFlops, a.packBytes)
-	default:
-		pa := phaseAcct{sweepAcct: a.sweepAcct, packANS: a.packANS, packBNS: a.packBNS}
-		pa.flush(l.prof, a.packedA, a.packedB)
+	if l.prof != nil {
+		a.flush(l.prof)
 	}
 	l.k.packAWords.Add(a.packedA)
 	l.k.packBWords.Add(a.packedB)
@@ -430,11 +365,13 @@ func (l *leaf) finish(a bandAcct) {
 }
 
 // MulAddTasks is MulAdd with the columns split into bands over all of
-// sub's workers, executed as scheduler tasks: the one-product case of the
-// DAG in the file comment. Every band packs and sweeps its own B̃ slivers,
-// the Ã blocks are packed by share tasks, and the results are bit-for-bit
-// MulAdd's. The arena draw is CallWorkspace: LeafWorkspace, plus one
-// KC×NR sliver per band past the first when the rows fit one MC block.
+// sub's workers, executed as scheduler tasks: the one-product call of the
+// nest, its operands one coefficient-1 term each at their full extents
+// and C one coefficient-1 destination. Every band packs and sweeps its
+// own B̃ slivers, the Ã blocks are packed by share tasks, and the results
+// are bit-for-bit MulAdd's. The arena draw is CallWorkspace: LeafWorkspace,
+// plus one KC×NR sliver per band past the first when the rows fit one MC
+// block.
 //
 // sub may be an external *sched.Runtime or the *sched.Worker handle of a
 // running task — the tasks then go to the worker's own deque, the worker
@@ -445,24 +382,49 @@ func (l *leaf) finish(a bandAcct) {
 // MulAdd. A panic in a task reaches the caller once the DAG has drained.
 func (k *Packed) MulAddTasks(sub sched.Submitter, transA, transB blas.Transpose, m, n, kk int, alpha float64,
 	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if m <= 0 || n <= 0 || kk <= 0 || alpha == 0 {
-		return
+	s := singles.Get().(*single)
+	defer s.release()
+	s.a[0] = Term{Data: a, Coeff: 1, Rows: m, Cols: kk}
+	s.b[0] = Term{Data: b, Coeff: 1, Rows: kk, Cols: n}
+	s.c[0] = Dest{Data: c, Ld: ldc, Coeff: 1, Rows: m, Cols: n}
+	s.prod[0] = Product{
+		A:     Operand{Terms: s.a[:], Ld: lda, Trans: transA.IsTrans()},
+		B:     Operand{Terms: s.b[:], Ld: ldb, Trans: transB.IsTrans()},
+		Dests: s.c[:],
 	}
-	l := k.newLeaf(m, n, kk, alpha)
-	l.ta, l.tb = transA.IsTrans(), transB.IsTrans()
-	l.a, l.b, l.c, l.lda, l.ldb, l.ldc = a, b, c, lda, ldb, ldc
-	l.run(sub)
-	k.mulAdds.Add(1)
+	k.FusedMulAddTasks(sub, m, n, kk, alpha, s.prod[:], nil)
 }
 
-// FusedMulAddTasks runs FusedMulAdd for every product of prods, in order,
-// as one call of the loop nest: a fused Strassen level hands the kernel
-// all of its records at once. All products share the logical shape m×n×kk
-// and alpha. pre, when non-nil, runs once over every row range [lo, hi) of
-// a partition of [0, m) before any write to those rows — in the Ã share
+// single is the storage of a one-product call: the product, and MulAdd's
+// terms and destination. A threaded call hands its products to tasks, so
+// storage on the caller's stack would escape to the heap on every call;
+// calls take it from singles instead, and the steady state allocates
+// nothing.
+type single struct {
+	prod [1]Product
+	a, b [1]Term
+	c    [1]Dest
+}
+
+var singles = sync.Pool{New: func() any { return new(single) }}
+
+// release drops the call's references to its matrices and returns s to
+// the pool.
+func (s *single) release() {
+	*s = single{}
+	singles.Put(s)
+}
+
+// FusedMulAddTasks runs every product of prods, in order, as one call of
+// the loop nest: each adds alpha·Ã·B̃ into every one of its destinations
+// (FusedMulAdd), and a fused Strassen level hands the kernel all of its
+// records at once. All products share the logical shape m×n×kk and alpha.
+// pre, when non-nil, runs once over every row range [lo, hi) of a
+// partition of [0, m) before any write to those rows — in the Ã share
 // tasks of a threaded call's first block, inline over [0, m) otherwise; a
-// Strassen level applies β to those rows of every C block there. A
-// product with no A or B terms or no destinations contributes nothing.
+// Strassen level or leaf applies β to those rows of C there. A product
+// with no A or B terms or no destinations contributes nothing. Every live
+// product counts once in Counters.
 //
 // On a multi-worker submitter the steps of all products run as one task
 // DAG (see the file comment); every destination element is bit-for-bit
@@ -470,18 +432,6 @@ func (k *Packed) MulAddTasks(sub sched.Submitter, transA, transB blas.Transpose,
 // arena draw is CallWorkspace. It runs inline in the cases MulAddTasks
 // runs as MulAdd.
 func (k *Packed) FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float64, prods []Product, pre func(lo, hi int)) {
-	l, ok := k.fusedLeaf(m, n, kk, alpha, prods, pre)
-	if !ok {
-		return
-	}
-	l.run(sub)
-	k.fusedMulAdds.Add(int64(len(l.prods)))
-}
-
-// fusedLeaf resolves a fused call, dropping products that contribute
-// nothing. It reports false, after running pre over all m rows, when
-// nothing is left to multiply.
-func (k *Packed) fusedLeaf(m, n, kk int, alpha float64, prods []Product, pre func(lo, hi int)) (leaf, bool) {
 	live := 0
 	for _, p := range prods {
 		if p.live() {
@@ -492,7 +442,7 @@ func (k *Packed) fusedLeaf(m, n, kk int, alpha float64, prods []Product, pre fun
 		if pre != nil && m > 0 {
 			pre(0, m)
 		}
-		return leaf{}, false
+		return
 	}
 	if live < len(prods) {
 		kept := make([]Product, 0, live)
@@ -504,8 +454,9 @@ func (k *Packed) fusedLeaf(m, n, kk int, alpha float64, prods []Product, pre fun
 		prods = kept
 	}
 	l := k.newLeaf(m, n, kk, alpha)
-	l.fused, l.prods, l.pre = true, prods, pre
-	return l, true
+	l.prods, l.pre = prods, pre
+	l.run(sub)
+	k.products.Add(int64(live))
 }
 
 // live reports whether the product contributes to its destinations.

@@ -468,7 +468,7 @@ func TestFusedMulAddTasksPipeline(t *testing.T) {
 							if w, peak := int64(2*mcE*kcE+kcE*ncE), arena.Peak(); peak != w || tk.CallWorkspace(rt.Workers(), records, m, n, kk) != w {
 								t.Fatalf("%s: arena peak %d, CallWorkspace %d, want %d", what, peak, tk.CallWorkspace(rt.Workers(), records, m, n, kk), w)
 							}
-							if fc := tk.FusedCounters(); fc != records {
+							if fc, _, _ := tk.Counters(); fc != records {
 								t.Fatalf("%s: %d fused products counted, want %d", what, fc, records)
 							}
 						}

@@ -49,12 +49,14 @@ type Collector struct {
 }
 
 // packedKernel is the structural interface internal/kernel's Packed
-// satisfies: cumulative work counters plus a private packing arena. Kept
-// structural so the collector observes any future kernel with the same
-// shape without an import.
+// satisfies: cumulative work counters plus a private packing arena. Its
+// one loop nest runs products — a plain multiply is one, a fused Strassen
+// level one per record — so the product count covers every call the
+// kernel served, fused or not. Kept structural so the collector observes
+// any future kernel with the same shape without an import.
 type packedKernel interface {
 	blas.Kernel
-	Counters() (mulAdds, packAWords, packBWords int64)
+	Counters() (products, packAWords, packBWords int64)
 	Arena() *memtrack.Tracker
 }
 
@@ -216,31 +218,23 @@ type tileCountersKernel interface {
 	TileCounters() (simd, scalar int64)
 }
 
-// fusedCountersKernel is the optional structural interface for kernels
-// serving the fused Winograd hooks. A multiply routed through the fused
-// driver shows mul_adds == 0 with fused_mul_adds > 0 — without this
-// counter such a snapshot would look like the kernel never ran.
-type fusedCountersKernel interface {
-	FusedCounters() (fusedMulAdds int64)
-}
-
 // PackedStats is one observed packed kernel's work and arena accounting.
 // Arena is the kernel's private packing-buffer arena, reported apart from
 // Snapshot.Memory: the Strassen temporaries' accounting stays directly
 // comparable to the paper's Table 1 while the packing workspace is bounded
 // by strassen.Plan.KernelWords instead. ISA and the tile counters record
 // which micro-kernel actually ran, so a report from a fallback host is
-// distinguishable from a SIMD host's.
+// distinguishable from a SIMD host's. MulAdds counts the products the
+// kernel ran (packedKernel).
 type PackedStats struct {
-	Name         string         `json:"name"`
-	ISA          string         `json:"isa,omitempty"`
-	MulAdds      int64          `json:"mul_adds"`
-	FusedMulAdds int64          `json:"fused_mul_adds,omitempty"`
-	PackAWords   int64          `json:"pack_a_words"`
-	PackBWords   int64          `json:"pack_b_words"`
-	SIMDTiles    int64          `json:"simd_tiles,omitempty"`
-	ScalarTiles  int64          `json:"scalar_tiles,omitempty"`
-	Arena        memtrack.Stats `json:"arena"`
+	Name        string         `json:"name"`
+	ISA         string         `json:"isa,omitempty"`
+	MulAdds     int64          `json:"mul_adds"`
+	PackAWords  int64          `json:"pack_a_words"`
+	PackBWords  int64          `json:"pack_b_words"`
+	SIMDTiles   int64          `json:"simd_tiles,omitempty"`
+	ScalarTiles int64          `json:"scalar_tiles,omitempty"`
+	Arena       memtrack.Stats `json:"arena"`
 }
 
 // SpanStats summarizes the recorded span forest.
@@ -300,9 +294,6 @@ func (c *Collector) Snapshot() Snapshot {
 		if tk, ok := k.(tileCountersKernel); ok {
 			ps.SIMDTiles, ps.ScalarTiles = tk.TileCounters()
 		}
-		if fk, ok := k.(fusedCountersKernel); ok {
-			ps.FusedMulAdds = fk.FusedCounters()
-		}
 		s.Packed = append(s.Packed, ps)
 	}
 	for _, rt := range scheds {
@@ -329,16 +320,14 @@ func (c *Collector) Snapshot() Snapshot {
 	c.Registry.Gauge("mem.allocs").Set(s.Memory.Allocs)
 	c.Registry.Gauge("mem.reused").Set(s.Memory.Reused)
 	if len(s.Packed) > 0 {
-		var ma, fma, pw, arenaPeak, simdTiles, scalarTiles int64
+		var ma, pw, arenaPeak, simdTiles, scalarTiles int64
 		for _, ps := range s.Packed {
 			ma += ps.MulAdds
-			fma += ps.FusedMulAdds
 			pw += ps.PackAWords + ps.PackBWords
 			arenaPeak += ps.Arena.Peak
 			simdTiles += ps.SIMDTiles
 			scalarTiles += ps.ScalarTiles
 		}
-		c.Registry.Gauge("kernel.packed.fused_mul_adds").Set(fma)
 		c.Registry.Gauge("kernel.packed.mul_adds").Set(ma)
 		c.Registry.Gauge("kernel.packed.pack_words").Set(pw)
 		c.Registry.Gauge("kernel.packed.arena_peak_words").Set(arenaPeak)

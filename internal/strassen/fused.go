@@ -157,19 +157,28 @@ func (cfg *Config) fusedHooks() fusedKernel {
 	if cfg.fusedMode() == FusedOff || cfg.Schedule != ScheduleAuto {
 		return nil
 	}
+	return cfg.leafHooks()
+}
+
+// leafHooks returns the kernel's hooks whatever the fused mode and
+// schedule, nil when it has none: every base case runs through them.
+func (cfg *Config) leafHooks() fusedKernel {
 	fk, _ := cfg.kernel().(fusedKernel)
 	return fk
 }
 
-// fusedKernel is the structural hook interface a kernel implements to serve
-// fused Strassen levels (internal/kernel's Packed does): one call runs a
-// level's whole record list, threaded on a multi-worker runtime, with the
-// level's β pass run over a row partition before the first write (pre),
-// in the kernel's first Ã share tasks when threaded; FusedDestLimit is how
-// many destinations its write-out serves natively (which only gates
-// tableFusable, and so whether two levels fuse). Kept structural like
-// leafSizer so the strassen package does not choose a kernel
-// implementation for its callers.
+// fusedKernel is the structural product-hook interface a kernel
+// implements to run products (internal/kernel's Packed does): one call
+// runs a list of products — a fused level's whole record list, or a base
+// case's one product (baseGemm) —, threaded on a multi-worker runtime,
+// with the β pass run over a row partition before the first write (pre),
+// in the kernel's first Ã share tasks when threaded. Every base case on
+// such a kernel goes through it, whether or not levels fuse (the engine's
+// hooks); policy.fk holds it only where levels may fuse.
+// FusedDestLimit is how many destinations its write-out serves natively
+// (which only gates tableFusable, and so whether two levels fuse). Kept
+// structural like leafSizer so the strassen package does not choose a
+// kernel implementation for its callers.
 type fusedKernel interface {
 	FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float64, prods []kernel.Product, pre func(lo, hi int))
 	FusedDestLimit() int

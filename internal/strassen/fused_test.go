@@ -11,6 +11,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/memtrack"
+	"repro/internal/phase"
 	"repro/internal/sched"
 )
 
@@ -136,6 +137,12 @@ func requireExact(t *testing.T, what string, got, want *matrix.Dense) {
 	}
 }
 
+// products is how many products the kernel has run (Counters).
+func products(pk *kernel.Packed) int64 {
+	p, _, _ := pk.Counters()
+	return p
+}
+
 // twoLevelKernel reports a fused write-out limit of four, so two levels
 // fuse as one node on any tile: natively on the AVX2 tile, through the
 // buffered scatter elsewhere. It lets the two-level tests run on every
@@ -226,8 +233,9 @@ func fusedTestConfig(mode FusedMode) (*Config, *kernel.Packed) {
 }
 
 // TestFusedEngagementTrace: the trace shows fused1 exactly where the
-// criterion predicts — only on the last level — the kernel counts the
-// fused calls, and pinned schedules or FusedOff never engage. At β = 0
+// criterion predicts — only on the last level — the kernel counts one
+// product per fused record and per leaf, and pinned schedules or FusedOff
+// never engage. At β = 0
 // (every run here) an odd level pads virtually when the level at its
 // rounded-up shape is fused; a materialized one is STRASSEN1, which peels
 // where m or n is odd (TestVirtualPadEligibility).
@@ -245,35 +253,38 @@ func TestFusedEngagementTrace(t *testing.T) {
 		b := matrix.NewRandom(n, n, rng)
 		c := matrix.NewDense(n, n)
 		Multiply(cfg, c, blas.NoTrans, blas.NoTrans, 1, a, b, 0)
+		if got, want := products(pk), int64(7*tr.Count("fused1")+tr.Count("base")); got != want {
+			t.Errorf("n=%d fused=%v schedule=%v: kernel ran %d products, trace has %d", n, mode, sched, got, want)
+		}
 		return tr, pk
 	}
 
-	if tr, pk := run(FusedOn, ScheduleAuto, 64); tr.Count("strassen1") != 1 || tr.Count("fused1") != 7 || pk.FusedCounters() != 49 {
+	if tr, pk := run(FusedOn, ScheduleAuto, 64); tr.Count("strassen1") != 1 || tr.Count("fused1") != 7 || products(pk) != 49 {
 		t.Errorf("n=64: strassen1=%d fused1=%d kernel calls=%d, want 1/7/49",
-			tr.Count("strassen1"), tr.Count("fused1"), pk.FusedCounters())
+			tr.Count("strassen1"), tr.Count("fused1"), products(pk))
 	}
-	if tr, pk := run(FusedOn, ScheduleAuto, 32); tr.Count("fused1") != 1 || pk.FusedCounters() != 7 {
+	if tr, pk := run(FusedOn, ScheduleAuto, 32); tr.Count("fused1") != 1 || products(pk) != 7 {
 		t.Errorf("n=32: fused1 events=%d kernel calls=%d, want 1/7",
-			tr.Count("fused1"), pk.FusedCounters())
+			tr.Count("fused1"), products(pk))
 	}
 	// Auto-detection engages the same way — only assertable when the
 	// process env leaves auto in charge (see TestFusedActive).
 	if envFused() == "" {
-		if tr, pk := run(FusedAuto, ScheduleAuto, 64); tr.Count("fused1") != 7 || pk.FusedCounters() != 49 {
+		if tr, pk := run(FusedAuto, ScheduleAuto, 64); tr.Count("fused1") != 7 || products(pk) != 49 {
 			t.Errorf("n=64 auto: fused1 events=%d kernel calls=%d, want 7/49",
-				tr.Count("fused1"), pk.FusedCounters())
+				tr.Count("fused1"), products(pk))
 		}
 	}
-	if tr, pk := run(FusedOff, ScheduleAuto, 64); tr.Count("fused1") != 0 || pk.FusedCounters() != 0 {
-		t.Errorf("FusedOff engaged: events=%d calls=%d", tr.Count("fused1"), pk.FusedCounters())
+	if tr, pk := run(FusedOff, ScheduleAuto, 64); tr.Count("fused1") != 0 || tr.Count("base") != 49 || products(pk) != 49 {
+		t.Errorf("FusedOff engaged: events=%d leaves=%d products=%d", tr.Count("fused1"), tr.Count("base"), products(pk))
 	}
-	if tr, pk := run(FusedOn, ScheduleStrassen1, 64); tr.Count("fused1") != 0 || pk.FusedCounters() != 0 {
-		t.Errorf("pinned strassen1 engaged fused: events=%d calls=%d", tr.Count("fused1"), pk.FusedCounters())
+	if tr, pk := run(FusedOn, ScheduleStrassen1, 64); tr.Count("fused1") != 0 || tr.Count("base") != 49 || products(pk) != 49 {
+		t.Errorf("pinned strassen1 engaged fused: events=%d leaves=%d products=%d", tr.Count("fused1"), tr.Count("base"), products(pk))
 	}
 	// Odd sizes above a materialized level peel first, then the even core
 	// fuses.
-	if tr, pk := run(FusedOn, ScheduleAuto, 65); tr.Count("peel") == 0 || pk.FusedCounters() == 0 {
-		t.Errorf("n=65: want peel + fused, got peel=%d calls=%d", tr.Count("peel"), pk.FusedCounters())
+	if tr, _ := run(FusedOn, ScheduleAuto, 65); tr.Count("peel") == 0 || tr.Count("fused1") == 0 {
+		t.Errorf("n=65: want peel + fused, got peel=%d fused1=%d", tr.Count("peel"), tr.Count("fused1"))
 	}
 	fixups := func(tr *CountTracer) int {
 		return tr.Count("fixup-ger") + tr.Count("fixup-col") + tr.Count("fixup-row")
@@ -282,16 +293,16 @@ func TestFusedEngagementTrace(t *testing.T) {
 	// the rounded-up shape is a materialized STRASSEN1 level, which cannot
 	// pad, and it peels onto a fused 32 core, repairing the border with
 	// three fixups.
-	if tr, pk := run(FusedOn, ScheduleAuto, 33); tr.Count("peel") != 1 || tr.Count("fused1") != 1 || fixups(tr) != 3 || pk.FusedCounters() != 7 {
+	if tr, pk := run(FusedOn, ScheduleAuto, 33); tr.Count("peel") != 1 || tr.Count("fused1") != 1 || fixups(tr) != 3 || products(pk) != 7 {
 		t.Errorf("n=33 τ=16: peel=%d fused1=%d fixups=%d calls=%d, want 1/1/3/7",
-			tr.Count("peel"), tr.Count("fused1"), fixups(tr), pk.FusedCounters())
+			tr.Count("peel"), tr.Count("fused1"), fixups(tr), products(pk))
 	}
 	// n=33 at τ=17: the padded children are base cases, so the odd level
 	// runs fused on 17×17 blocks padded virtually — no peel, no fixups.
 	tau = 17
-	if tr, pk := run(FusedOn, ScheduleAuto, 33); tr.Count("fused1") != 1 || tr.Count("peel") != 0 || fixups(tr) != 0 || pk.FusedCounters() != 7 {
+	if tr, pk := run(FusedOn, ScheduleAuto, 33); tr.Count("fused1") != 1 || tr.Count("peel") != 0 || fixups(tr) != 0 || products(pk) != 7 {
 		t.Errorf("n=33 τ=17: fused1=%d peel=%d fixups=%d calls=%d, want 1/0/0/7",
-			tr.Count("fused1"), tr.Count("peel"), fixups(tr), pk.FusedCounters())
+			tr.Count("fused1"), tr.Count("peel"), fixups(tr), products(pk))
 	}
 }
 
@@ -441,7 +452,7 @@ func TestFusedTwoLevels(t *testing.T) {
 		sch   Schedule
 		rt    *sched.Runtime
 		trace string // the CountTracer summary
-		calls int64  // fused products
+		calls int64  // products the kernel ran: fused records and leaves
 		depth int
 		// oneLevel runs the scalar tile's own limit, which fuses one level.
 		oneLevel bool
@@ -451,8 +462,8 @@ func TestFusedTwoLevels(t *testing.T) {
 		{64, FusedOn, ScheduleAuto, w2, "depth≤1: fused2=1", 49, 2, false},
 		{128, FusedOn, ScheduleAuto, w2, "depth≤2: fused2=7 strassen1=1", 343, 3, false},
 		{64, FusedOn, ScheduleAuto, w2, "depth≤1: fused1=7 strassen1=1", 49, 2, true},
-		{64, FusedOff, ScheduleAuto, nil, "depth≤2: base=49 strassen1=8", 0, 2, false},
-		{64, FusedOn, ScheduleStrassen1, nil, "depth≤2: base=49 strassen1=8", 0, 2, false},
+		{64, FusedOff, ScheduleAuto, nil, "depth≤2: base=49 strassen1=8", 49, 2, false},
+		{64, FusedOn, ScheduleStrassen1, nil, "depth≤2: base=49 strassen1=8", 49, 2, false},
 	}
 	for _, tc := range cases {
 		pk := &kernel.Packed{MC: 16, KC: 12, NC: 16}
@@ -472,8 +483,8 @@ func TestFusedTwoLevels(t *testing.T) {
 		want := refMul(blas.NoTrans, blas.NoTrans, -0.5, a, b, 0, c)
 		Multiply(cfg, c, blas.NoTrans, blas.NoTrans, -0.5, a, b, 0)
 		what := fmt.Sprintf("n=%d fused=%v schedule=%v runtime=%v one-level=%v", tc.n, tc.mode, tc.sch, tc.rt != nil, tc.oneLevel)
-		if got := ct.String(); got != tc.trace || pk.FusedCounters() != tc.calls {
-			t.Errorf("%s: trace %q with %d fused calls, want %q with %d", what, got, pk.FusedCounters(), tc.trace, tc.calls)
+		if got := ct.String(); got != tc.trace || products(pk) != tc.calls {
+			t.Errorf("%s: trace %q with %d products, want %q with %d", what, got, products(pk), tc.trace, tc.calls)
 		}
 		plan := PlanFor(cfg, tc.n, tc.n, tc.n, true)
 		if plan.Depth != tc.depth || plan.Words != tr.Peak() {
@@ -497,5 +508,67 @@ func TestFusedTwoLevels(t *testing.T) {
 		if p := PlanFor(nil, 1024, 1024, 1024, true); p.Depth != 2 || p.Words != 0 {
 			t.Errorf("default 1024³ β = 0 plan: depth %d words %d, want 2 and 0", p.Depth, p.Words)
 		}
+	}
+}
+
+// TestFused2PackAttribution: a fused2 node charges each operand's packing
+// by its terms — the 8 of its 98 operands that are one unit term to
+// kernel.pack_a / kernel.pack_b (16 bytes per word), the rest to
+// kernel.fused_pack ((terms+1)·8 bytes and terms−1 adds per word) — and
+// the bytes equal the kernel's packed-word counters exactly.
+func TestFused2PackAttribution(t *testing.T) {
+	skipIfAlgoPinned(t)
+	if !phase.Enabled {
+		t.Skip("phase accounting compiled out (-tags phaseoff)")
+	}
+	var oneA, oneB, termsA, termsB, addsA, addsB int64
+	for _, r := range fused2.recs {
+		if len(r.a) == 1 && r.a[0].g == 1 {
+			oneA++
+		} else {
+			termsA += int64(len(r.a) + 1)
+			addsA += int64(len(r.a) - 1)
+		}
+		if len(r.b) == 1 && r.b[0].g == 1 {
+			oneB++
+		} else {
+			termsB += int64(len(r.b) + 1)
+			addsB += int64(len(r.b) - 1)
+		}
+	}
+	if oneA+oneB != 8 || len(fused2.recs) != 49 {
+		t.Fatalf("fused2 has %d records with %d one-term operands, want 49 and 8", len(fused2.recs), oneA+oneB)
+	}
+	rng := rand.New(rand.NewSource(83))
+	n := 64
+	pk := &kernel.Packed{}
+	ct := NewCountTracer()
+	cfg := &Config{Kernel: twoLevelKernel{pk}, Criterion: Simple{Tau: 16}, Fused: FusedOn, Tracer: ct}
+	a := matrix.NewRandom(n, n, rng)
+	b := matrix.NewRandom(n, n, rng)
+	c := matrix.NewDense(n, n)
+	prof := &phase.Profiler{}
+	prev := phase.SetActive(prof)
+	Multiply(cfg, c, blas.NoTrans, blas.NoTrans, 1, a, b, 0)
+	phase.SetActive(prev)
+	if ct.String() != "depth≤1: fused2=1" {
+		t.Fatalf("trace %s, want one fused2 node", ct)
+	}
+	// Every record has the same block shape, so each packs the same words.
+	_, pa, pb := pk.Counters()
+	wa, wb := pa/49, pb/49
+	if wa*49 != pa || wb*49 != pb {
+		t.Fatalf("packed words %d / %d are not 49 equal shares", pa, pb)
+	}
+	snap := prof.Snapshot()
+	pA, pB, fp := snap[phase.KernelPackA], snap[phase.KernelPackB], snap[phase.KernelFusedPack]
+	if pA.Bytes != 16*oneA*wa || pB.Bytes != 16*oneB*wb || pA.Flops != 0 || pB.Flops != 0 {
+		t.Errorf("pack_a %d B, pack_b %d B, want %d and %d", pA.Bytes, pB.Bytes, 16*oneA*wa, 16*oneB*wb)
+	}
+	if want := 8 * (termsA*wa + termsB*wb); fp.Bytes != want || fp.Flops != addsA*wa+addsB*wb {
+		t.Errorf("fused_pack %d B %d FLOPs, want %d B %d FLOPs", fp.Bytes, fp.Flops, want, addsA*wa+addsB*wb)
+	}
+	if words := pA.Bytes/16 + pB.Bytes/16 + (49-oneA)*wa + (49-oneB)*wb; words != pa+pb {
+		t.Errorf("attributed words %d, packed %d", words, pa+pb)
 	}
 }

@@ -1,9 +1,6 @@
 package strassen
 
-import (
-	"repro/internal/blas"
-	"repro/internal/matrix"
-)
+import "repro/internal/matrix"
 
 // peelFirstMul is the alternate peeling technique of the paper's Section 5
 // future work ("investigate alternate peeling techniques"): instead of
@@ -14,6 +11,9 @@ import (
 //	C22 block: A22·B22 (Strassen) + a21·b12 (DGER, k odd)
 //	first column of C (n odd): full rows of op(A) times B's first column
 //	first row of C (m odd): op(A)'s first row times the whole of op(B)
+//
+// The fixups are peelMul's (fixupGer, fixupCol, fixupRow): traced and
+// charged to strassen.peel alike.
 //
 // Whether first- or last-peeling wins depends on which border lands on
 // cache-aligned storage; BenchmarkAblationPeeling measures the difference.
@@ -32,18 +32,17 @@ func (e *engine) peelFirstMul(c *matrix.Dense, a, b matrix.View, alpha, beta flo
 		y, incY := rowVec(b, 0)
 		x, incX = offsetVec(x, incX, ms)
 		y, incY = offsetVec(y, incY, ns)
-		blas.Dger(m-ms, n-ns, alpha, x, incX, y, incY, coreC.Data, coreC.Stride)
+		e.fixupGer(depth, m, k, n, coreC, alpha, x, incX, y, incY)
 	}
 	if ns == 1 {
 		// First column of C, rows ms..m: alpha * op(A)[ms:, :] · B[:, 0].
-		aBot := a.Slice(ms, 0, m-ms, k)
 		x, incX := colVec(b, 0)
-		e.gemvN(aBot, alpha, x, incX, beta, c.Data[ms:], 1)
+		e.fixupCol(depth, m, k, n, a.Slice(ms, 0, m-ms, k), alpha, x, incX, beta, c.Data[ms:])
 	}
 	if ms == 1 {
 		// First row of C, all n columns: alpha * op(A)[0, :] · op(B).
 		x, incX := rowVec(a, 0)
-		e.gemvT(b, alpha, x, incX, beta, c.Data[0:], c.Stride)
+		e.fixupRow(depth, m, k, n, b, alpha, x, incX, beta, c.Data, c.Stride)
 	}
 }
 

@@ -167,3 +167,57 @@ func TestProfilerDoesNotPerturbResults(t *testing.T) {
 		t.Fatal("profiler installed but kernel.micro saw no samples")
 	}
 }
+
+// eventRecorder keeps every trace event of a call.
+type eventRecorder struct{ events []strassen.TraceEvent }
+
+func (r *eventRecorder) Event(e strassen.TraceEvent) { r.events = append(r.events, e) }
+
+// Peeling's fixups are charged to strassen.peel under either peeling
+// strategy: on odd shapes the phase's FLOPs equal, summed over the fixups
+// the trace lists, 2·me·ne for a DGER, 2·me·k for a column DGEMV and
+// 2·k·n for a row DGEMV, where (m, k, n) is the peeled level's shape and
+// me×ne its even core.
+func TestPeelPhaseCounts(t *testing.T) {
+	if sel := (&strassen.Config{}).AlgoSelection(); sel != "default" {
+		t.Skipf("DGEFMM_ALGO pins %q; this test peels on the ⟨2,2,2⟩ grid", sel)
+	}
+	if !phase.Enabled {
+		t.Skip("phase accounting compiled out (-tags phaseoff)")
+	}
+	for _, odd := range []strassen.OddStrategy{strassen.OddPeel, strassen.OddPeelFirst} {
+		for _, dims := range [][3]int{{67, 45, 53}, {33, 33, 33}, {64, 65, 64}, {70, 64, 71}} {
+			m, k, n := dims[0], dims[1], dims[2]
+			rng := rand.New(rand.NewSource(13))
+			a := matrix.NewRandom(m, k, rng)
+			b := matrix.NewRandom(k, n, rng)
+			c := matrix.NewRandom(m, n, rng)
+			rec := &eventRecorder{}
+			cfg := &strassen.Config{Criterion: strassen.Simple{Tau: 16}, Odd: odd, Fused: strassen.FusedOff, Tracer: rec}
+			prof := &phase.Profiler{}
+			prev := phase.SetActive(prof)
+			strassen.Multiply(cfg, c, blas.NoTrans, blas.NoTrans, 1.5, a, b, 0.5)
+			phase.SetActive(prev)
+			var want int64
+			fixups := 0
+			for _, e := range rec.events {
+				me, ne := int64(e.M&^1), int64(e.N&^1)
+				switch e.Action {
+				case "fixup-ger":
+					want += 2 * me * ne
+				case "fixup-col":
+					want += 2 * me * int64(e.K)
+				case "fixup-row":
+					want += 2 * int64(e.K) * int64(e.N)
+				default:
+					continue
+				}
+				fixups++
+			}
+			got := prof.Snapshot()[phase.StrassenPeel].Flops
+			if fixups == 0 || got == 0 || got != want {
+				t.Errorf("%v (%d,%d,%d): strassen.peel %d FLOPs over %d traced fixups, want %d (and some)", odd, m, k, n, got, fixups, want)
+			}
+		}
+	}
+}

@@ -404,16 +404,29 @@ func TestSchedLeavesDrawFromCallArena(t *testing.T) {
 	}
 }
 
-// bandPanicKernel threads each leaf as one task per column band of C on
-// the runtime it is handed, and fails in its nth band.
+// bandPanicKernel threads each leaf's product as one task per column band
+// of C on the runtime it is handed, and fails in its nth band. It serves
+// leaves only — one coefficient-1 term per operand and one destination,
+// full extents — so the test runs it with FusedOff.
 type bandPanicKernel struct {
 	blas.NaiveKernel
 	calls *atomic.Int64
 	nth   int64
 }
 
-func (k bandPanicKernel) MulAddTasks(sub sched.Submitter, transA, transB blas.Transpose, m, n, kk int, alpha float64,
-	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+func (bandPanicKernel) FusedDestLimit() int { return 2 }
+
+func (k bandPanicKernel) FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float64, prods []kernel.Product, pre func(lo, hi int)) {
+	pre(0, m)
+	p := prods[0]
+	ta, tb := blas.NoTrans, blas.NoTrans
+	if p.A.Trans {
+		ta = blas.Trans
+	}
+	if p.B.Trans {
+		tb = blas.Trans
+	}
+	a, b, c := p.A.Terms[0].Data, p.B.Terms[0].Data, p.Dests[0]
 	d := sched.NewDAG()
 	w := sub.Workers()
 	for i := range w {
@@ -421,15 +434,15 @@ func (k bandPanicKernel) MulAddTasks(sub sched.Submitter, transA, transB blas.Tr
 		if lo == hi {
 			continue
 		}
-		off := lo * ldb
-		if transB.IsTrans() {
+		off := lo * p.B.Ld
+		if p.B.Trans {
 			off = lo
 		}
 		d.Add(func(*sched.Worker) {
 			if k.calls.Add(1) == k.nth {
 				panic("leaf kernel failure")
 			}
-			k.NaiveKernel.MulAdd(transA, transB, m, hi-lo, kk, alpha, a, lda, b[off:], ldb, c[lo*ldc:], ldc)
+			k.NaiveKernel.MulAdd(ta, tb, m, hi-lo, kk, alpha, a, p.A.Ld, b[off:], p.B.Ld, c.Data[lo*c.Ld:], c.Ld)
 		})
 	}
 	_ = sub.Run(context.Background(), d)
@@ -448,7 +461,7 @@ func TestDGEFMMTaskPanicReachesCaller(t *testing.T) {
 	for _, rt := range []*sched.Runtime{w1, w4} {
 		tr := memtrack.New()
 		cfg := &Config{Kernel: bandPanicKernel{calls: new(atomic.Int64), nth: 5},
-			Criterion: Simple{Tau: 8}, Sched: rt, Tracker: tr}
+			Criterion: Simple{Tau: 8}, Fused: FusedOff, Sched: rt, Tracker: tr}
 		c := matrix.NewDense(m, m)
 		got := func() (v any) {
 			defer func() { v = recover() }()

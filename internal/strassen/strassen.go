@@ -2,10 +2,12 @@ package strassen
 
 import (
 	"context"
+	"sync"
 	"unsafe"
 
 	"repro/internal/algo"
 	"repro/internal/blas"
+	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/memtrack"
 	"repro/internal/phase"
@@ -82,6 +84,7 @@ func dgefmm(ctx context.Context, outer sched.Submitter, cfg *Config, transA, tra
 	e := &engine{
 		policy:  cfg.policy(m, k, n, cores),
 		kern:    cfg.kernel(),
+		hooks:   cfg.leafHooks(),
 		tracker: cfg.Tracker,
 		sub:     sub,
 		tracer:  cfg.Tracer,
@@ -192,7 +195,11 @@ func Multiply(cfg *Config, c *matrix.Dense, transA, transB blas.Transpose,
 // engine carries the resolved configuration through the recursion.
 type engine struct {
 	policy
-	kern    blas.Kernel
+	kern blas.Kernel
+	// hooks is the kernel's product hooks whether or not levels fuse (nil
+	// on a kernel without them): every base case enters the kernel
+	// through them (baseGemm).
+	hooks   fusedKernel
 	tracker *memtrack.Tracker
 	// sub is the task runtime this call submits to (nil for a purely
 	// sequential call): an external *sched.Runtime, or the *sched.Worker
@@ -226,9 +233,10 @@ type policy struct {
 	// tbl is the coefficient table driving a non-default recursion (nil on
 	// the default ⟨2,2,2⟩ path, where the paper's schedules run).
 	tbl *algo.Table
-	// fk is the kernel's fused hook interface when eligible levels run
-	// fused (Config.fusedHooks), nil otherwise; fused levels stream
-	// through it. See fused.go.
+	// fk is the kernel's hook interface when eligible levels run fused
+	// (Config.fusedHooks), nil otherwise: it decides which levels fuse
+	// and pad virtually, and fused levels stream through it. Base cases
+	// take the engine's hooks whatever it holds. See fused.go.
 	fk fusedKernel
 }
 
@@ -361,11 +369,7 @@ func (e *engine) mul(c *matrix.Dense, a, b matrix.View, alpha, beta float64, dep
 	over := x != full(m, k, n)
 	if !e.recurse(m, k, n, depth) {
 		done := e.trace(depth, m, k, n, "base")
-		if over {
-			e.hookLeaf(c, a, b, alpha, beta)
-		} else {
-			e.baseGemm(c, a, b, alpha, beta)
-		}
+		e.baseGemm(c, a, b, alpha, beta)
 		done()
 		return
 	}
@@ -425,13 +429,9 @@ func (e *engine) peelMul(c *matrix.Dense, a, b matrix.View, alpha, beta float64,
 	if k-ke == 1 {
 		// C11 ← C11 + alpha * a12 * b21 : rank-one update with A's peeled
 		// column and B's peeled row.
-		done := e.trace(depth, m, k, n, "fixup-ger")
-		s := e.prof.Begin(phase.StrassenPeel)
 		x, incX := colVec(a, ke)
 		y, incY := rowVec(b, ke)
-		blas.Dger(me, ne, alpha, x, incX, y, incY, coreC.Data, coreC.Stride)
-		s.End(2*int64(me)*int64(ne), 8*(int64(me)+int64(ne)+2*int64(me)*int64(ne)))
-		done()
+		e.fixupGer(depth, m, k, n, coreC, alpha, x, incX, y, incY)
 	} else if k != ke {
 		done := e.trace(depth, m, k, n, "fixup-gemm-k")
 		e.baseGemm(coreC, a.Slice(0, ke, me, k-ke), b.Slice(ke, 0, k-ke, ne), alpha, 1)
@@ -440,12 +440,8 @@ func (e *engine) peelMul(c *matrix.Dense, a, b matrix.View, alpha, beta float64,
 	if n-ne == 1 {
 		// c12 ← alpha * [A11 a12]·[b12; b22] + beta*c12 : the full first me
 		// rows of op(A) (all k columns) times B's peeled column.
-		done := e.trace(depth, m, k, n, "fixup-col")
-		s := e.prof.Begin(phase.StrassenPeel)
 		x, incX := colVec(b, ne)
-		e.gemvN(a.Slice(0, 0, me, k), alpha, x, incX, beta, c.Data[ne*c.Stride:], 1)
-		s.End(2*int64(me)*int64(k), 8*(int64(me)*int64(k)+int64(k)+2*int64(me)))
-		done()
+		e.fixupCol(depth, m, k, n, a.Slice(0, 0, me, k), alpha, x, incX, beta, c.Data[ne*c.Stride:])
 	} else if n != ne {
 		done := e.trace(depth, m, k, n, "fixup-gemm-n")
 		e.baseGemm(c.Slice(0, ne, me, n-ne), a.Slice(0, 0, me, k), b.Slice(0, ne, k, n-ne), alpha, beta)
@@ -454,12 +450,8 @@ func (e *engine) peelMul(c *matrix.Dense, a, b matrix.View, alpha, beta float64,
 	if m-me == 1 {
 		// [c21 c22] ← alpha * [a21 a22]·B + beta*row : op(A)'s peeled row
 		// times the whole of op(B), covering the bottom-right corner too.
-		done := e.trace(depth, m, k, n, "fixup-row")
-		s := e.prof.Begin(phase.StrassenPeel)
 		x, incX := rowVec(a, me)
-		e.gemvT(b, alpha, x, incX, beta, c.Data[me:], c.Stride)
-		s.End(2*int64(k)*int64(n), 8*(int64(k)*int64(n)+int64(k)+2*int64(n)))
-		done()
+		e.fixupRow(depth, m, k, n, b, alpha, x, incX, beta, c.Data[me:], c.Stride)
 	} else if m != me {
 		done := e.trace(depth, m, k, n, "fixup-gemm-m")
 		e.baseGemm(c.Slice(me, 0, m-me, n), a.Slice(me, 0, m-me, k), b.Slice(0, 0, k, n), alpha, beta)
@@ -467,46 +459,115 @@ func (e *engine) peelMul(c *matrix.Dense, a, b matrix.View, alpha, beta float64,
 	}
 }
 
-// baseGemm performs the standard-algorithm multiplication below the cutoff.
-// On a task runtime, a leaf on a kernel that supports it threads its rows
-// through the runtime (see kernel.MulAddTasks, which runs inline on one
-// worker): the adapter still routes through blas.DgemmKernel so argument
-// validation and the beta pass stay identical to the sequential leaf.
+// The peel fixups of remainders of one (peelMul, peelFirstMul) are the
+// paper's DGER and two DGEMVs. Each is traced as its own event at the
+// peeled level's depth and shape, and charged to strassen.peel with its
+// FLOPs and its traffic: the vectors and the matrix read once, the
+// updated elements read and written.
+
+// fixupGer is the rank-one fixup core ← core + alpha·x·yᵀ.
+func (e *engine) fixupGer(depth, m, k, n int, core *matrix.Dense, alpha float64, x []float64, incX int, y []float64, incY int) {
+	done := e.trace(depth, m, k, n, "fixup-ger")
+	s := e.prof.Begin(phase.StrassenPeel)
+	r, c := int64(core.Rows), int64(core.Cols)
+	blas.Dger(core.Rows, core.Cols, alpha, x, incX, y, incY, core.Data, core.Stride)
+	s.End(2*r*c, 8*(r+c+2*r*c))
+	done()
+}
+
+// fixupCol is the column fixup y ← alpha·v·x + beta·y: v's rows of one
+// column of C, contiguous from y[0].
+func (e *engine) fixupCol(depth, m, k, n int, v matrix.View, alpha float64, x []float64, incX int, beta float64, y []float64) {
+	done := e.trace(depth, m, k, n, "fixup-col")
+	s := e.prof.Begin(phase.StrassenPeel)
+	r, c := int64(v.Rows), int64(v.Cols)
+	e.gemvN(v, alpha, x, incX, beta, y, 1)
+	s.End(2*r*c, 8*(r*c+c+2*r))
+	done()
+}
+
+// fixupRow is the row fixup y ← alpha·vᵀ·x + beta·y: v's columns of one
+// row of C, y[0], y[incY], ….
+func (e *engine) fixupRow(depth, m, k, n int, v matrix.View, alpha float64, x []float64, incX int, beta float64, y []float64, incY int) {
+	done := e.trace(depth, m, k, n, "fixup-row")
+	s := e.prof.Begin(phase.StrassenPeel)
+	r, c := int64(v.Rows), int64(v.Cols)
+	e.gemvT(v, alpha, x, incX, beta, y, incY)
+	s.End(2*r*c, 8*(r*c+r+2*c))
+	done()
+}
+
+// baseGemm performs the standard-algorithm multiplication below the
+// cutoff, and every peel fixup that is a GEMM. On a kernel with the
+// product hooks (e.hooks) it is one FusedMulAddTasks call of one product:
+// a coefficient-1 term per operand and one coefficient-1 destination, each
+// with its stored extent, so a leaf whose operands overhang the matrices
+// below a virtually padded level reads the overhang as +0.0 and writes
+// none of it — the same loop nest, and the same bits, as MulAdd on
+// zero-padded copies. β is the call's pre pass, an unattributed
+// matrix.Lin over each row range of C before the kernel writes it (in the
+// first Ã block's share tasks when the call threads on the engine's
+// runtime). A kernel without the hooks runs blas.DgemmKernel.
 func (e *engine) baseGemm(c *matrix.Dense, a, b matrix.View, alpha, beta float64) {
-	ta, tb := blas.NoTrans, blas.NoTrans
-	if a.Trans {
-		ta = blas.Trans
+	if e.hooks == nil {
+		ta, tb := blas.NoTrans, blas.NoTrans
+		if a.Trans {
+			ta = blas.Trans
+		}
+		if b.Trans {
+			tb = blas.Trans
+		}
+		blas.DgemmKernel(e.kern, ta, tb, c.Rows, c.Cols, a.Cols, alpha,
+			a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
+		return
 	}
-	if b.Trans {
-		tb = blas.Trans
+	lc := leafCalls.Get().(*leafCall)
+	defer lc.release()
+	lc.at[0], lc.bt[0] = kernelTerm(a, 1), kernelTerm(b, 1)
+	lc.dt[0] = kernel.Dest{Data: c.Data, Ld: c.Stride, Coeff: 1, Rows: c.Rows, Cols: c.Cols}
+	lc.prod[0] = kernel.Product{
+		A:     kernel.Operand{Terms: lc.at[:], Ld: a.Stride, Trans: a.Trans},
+		B:     kernel.Operand{Terms: lc.bt[:], Ld: b.Stride, Trans: b.Trans},
+		Dests: lc.dt[:],
 	}
-	kern := e.kern
-	if tk, ok := kern.(taskLeafKernel); ok && e.sub != nil {
-		kern = taskKernel{tk, e.sub}
-	}
-	blas.DgemmKernel(kern, ta, tb, c.Rows, c.Cols, a.Cols, alpha,
-		a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
+	lc.c, lc.beta = *c, beta
+	e.hooks.FusedMulAddTasks(e.sub, a.Rows, b.Cols, a.Cols, alpha, lc.prod[:], lc.pre)
 }
 
-// taskLeafKernel is the structural interface of a kernel whose leaf loop
-// nest can run as scheduler tasks (kernel.Packed implements it).
-type taskLeafKernel interface {
-	blas.Kernel
-	MulAddTasks(sub sched.Submitter, transA, transB blas.Transpose, m, n, k int, alpha float64,
-		a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
+// leafCall is one base case as the kernel takes it: the product, its
+// terms and destination, and C and β for its pre pass, bound once to pre.
+// Leaves reuse them through leafCalls, so a leaf costs no garbage.
+type leafCall struct {
+	prod   [1]kernel.Product
+	at, bt [1]kernel.Term
+	dt     [1]kernel.Dest
+	c      matrix.Dense
+	beta   float64
+	pre    func(lo, hi int)
 }
 
-// taskKernel adapts a taskLeafKernel so its MulAdd threads through the
-// engine's submitter, over all of its workers; embedding forwards every
-// other Kernel method.
-type taskKernel struct {
-	taskLeafKernel
-	sub sched.Submitter
+var leafCalls = sync.Pool{New: func() any {
+	lc := new(leafCall)
+	lc.pre = lc.scale
+	return lc
+}}
+
+// scale applies β to rows [lo, hi) of C, clipped to the rows C stores.
+// The rows are a Dense on the stack: Slice would return one on the heap.
+func (lc *leafCall) scale(lo, hi int) {
+	c := &lc.c
+	if hi = min(hi, c.Rows); lo < hi {
+		rows := matrix.Dense{Rows: hi - lo, Cols: c.Cols, Stride: c.Stride, Data: c.Data[lo:]}
+		matrix.Lin(&rows, matrix.Term{G: lc.beta, Dst: true})
+	}
 }
 
-func (t taskKernel) MulAdd(transA, transB blas.Transpose, m, n, k int, alpha float64,
-	a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	t.MulAddTasks(t.sub, transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+// release drops the leaf's references to its matrices and returns lc to
+// the pool.
+func (lc *leafCall) release() {
+	pre := lc.pre
+	*lc = leafCall{pre: pre}
+	leafCalls.Put(lc)
 }
 
 // gemvN computes y ← alpha*V*x + beta*y for a logical view V (y has V.Rows

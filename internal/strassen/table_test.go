@@ -75,9 +75,9 @@ func TestAlgoOracleExhaustive(t *testing.T) {
 }
 
 // TestTableFusedDifferential exercises the generalized fused driver: each
-// table whose term structure fits the kernel's fan-out limit must engage
-// FusedMulAdd at the deepest level and still match the oracle, on both
-// grid-divisible and fringe shapes.
+// table whose term structure fits the kernel's fan-out limit must run a
+// fused level (the trace shows fused1) at the deepest level and still
+// match the oracle, on both grid-divisible and fringe shapes.
 func TestTableFusedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, tbl := range algo.Tables() {
@@ -99,7 +99,8 @@ func TestTableFusedDifferential(t *testing.T) {
 			}
 			for _, dims := range shapes {
 				m, k, n := dims[0], dims[1], dims[2]
-				before := pk.FusedCounters()
+				ct := NewCountTracer()
+				cfg.Tracer = ct
 				a := matrix.NewRandom(m, k, rng)
 				b := matrix.NewRandom(k, n, rng)
 				c := matrix.NewRandom(m, n, rng)
@@ -110,7 +111,7 @@ func TestTableFusedDifferential(t *testing.T) {
 				if d := matrix.MaxAbsDiff(got, want); d > tol(k) {
 					t.Fatalf("(%d,%d,%d): maxdiff %g", m, k, n, d)
 				}
-				if pk.FusedCounters() == before {
+				if ct.Count("fused1") == 0 {
 					t.Fatalf("(%d,%d,%d): fused driver never engaged", m, k, n)
 				}
 			}

@@ -12,8 +12,9 @@ package strassen
 // level's program never needs a value it does not store. padsVirtually
 // derives that from the program:
 //
-//	(a) the kernel has fused hooks, so a base case whose operands
-//	    overhang runs through FusedMulAdd with clipped terms (hookLeaf);
+//	(a) levels may fuse, so the kernel has the product hooks, through
+//	    which a base case whose operands overhang runs with clipped
+//	    terms (baseGemm);
 //	(b) no op reads a C block the program wrote earlier into a
 //	    destination that stores more than that block (the value the
 //	    destination needs would be in the block's unstored overhang);
@@ -21,10 +22,7 @@ package strassen
 //	    subproblem that accepts one: a base case under (a), a fused
 //	    level, or a level that itself passes (a)–(c).
 
-import (
-	"repro/internal/kernel"
-	"repro/internal/matrix"
-)
+import "repro/internal/matrix"
 
 // extent is what a subproblem's operands store of their logical shapes:
 // A stores ar×ac of its m×k, B br×bc of k×n and C cr×cc of m×n, each from
@@ -158,20 +156,4 @@ func (p *policy) accepts(m, k, n int, betaZero bool, depth int, x extent) bool {
 		return p.fk != nil
 	}
 	return p.padsVirtually(m, k, n, betaZero, depth, x)
-}
-
-// hookLeaf is the base case on operands that overhang: c ← alpha·a·b +
-// beta·c through the fused hooks with one term per operand and one
-// destination, each carrying its stored extent — the same packed loop
-// nest, and the same bits, as MulAdd on zero-padded copies.
-func (e *engine) hookLeaf(c *matrix.Dense, a, b matrix.View, alpha, beta float64) {
-	matrix.Lin(c, matrix.Term{G: beta, Dst: true})
-	at := [1]kernel.Term{kernelTerm(a, 1)}
-	bt := [1]kernel.Term{kernelTerm(b, 1)}
-	dt := [1]kernel.Dest{{Data: c.Data, Ld: c.Stride, Coeff: 1, Rows: c.Rows, Cols: c.Cols}}
-	e.fk.FusedMulAddTasks(e.sub, a.Rows, b.Cols, a.Cols, alpha, []kernel.Product{{
-		A:     kernel.Operand{Terms: at[:], Ld: a.Stride, Trans: a.Trans},
-		B:     kernel.Operand{Terms: bt[:], Ld: b.Stride, Trans: b.Trans},
-		Dests: dt[:],
-	}}, nil)
 }
