@@ -360,19 +360,23 @@ func TestFusedCounters(t *testing.T) {
 
 // FuzzFused differential-fuzzes FusedMulAdd against the materialized
 // reference over shape, transposes, term/destination counts, ±1 sign
-// patterns, blocking and dispatch mode. CI runs a 10s smoke.
+// patterns, blocking and dispatch mode, and FusedMulAddTasks at β, its
+// call split into 1–3 products over the same destinations, against β
+// applied once to each destination and then the β = 1 call, on 0–3
+// workers. CI runs a 10s smoke.
 func FuzzFused(f *testing.F) {
-	f.Add(uint8(8), uint8(4), uint8(16), false, false, uint8(0x1b), uint8(2), int64(1), uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(9), uint8(5), uint8(3), true, false, uint8(0x42), uint8(1), int64(2), uint8(1), uint8(1), uint8(0))
-	f.Add(uint8(16), uint8(8), uint8(32), false, true, uint8(0xff), uint8(4), int64(3), uint8(2), uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(1), uint8(1), true, true, uint8(0x00), uint8(3), int64(4), uint8(3), uint8(1), uint8(0))
-	f.Add(uint8(33), uint8(17), uint8(40), false, false, uint8(0x7c), uint8(2), int64(5), uint8(4), uint8(2), uint8(0))
-	f.Add(uint8(37), uint8(29), uint8(20), false, false, uint8(0x5a), uint8(3), int64(6), uint8(2), uint8(0), uint8(1))
-	f.Add(uint8(40), uint8(45), uint8(19), true, false, uint8(0x3f), uint8(2), int64(7), uint8(4), uint8(1), uint8(2))
-	f.Add(uint8(47), uint8(13), uint8(33), false, true, uint8(0xa5), uint8(1), int64(8), uint8(0), uint8(5), uint8(3))
-	f.Add(uint8(9), uint8(47), uint8(8), true, true, uint8(0x0f), uint8(0), int64(9), uint8(3), uint8(0), uint8(2))
+	f.Add(uint8(8), uint8(4), uint8(16), false, false, uint8(0x1b), uint8(2), int64(1), uint8(0), uint8(0), uint8(0), 0.0, uint8(0))
+	f.Add(uint8(9), uint8(5), uint8(3), true, false, uint8(0x42), uint8(1), int64(2), uint8(1), uint8(1), uint8(0), 0.25, uint8(1))
+	f.Add(uint8(16), uint8(8), uint8(32), false, true, uint8(0xff), uint8(4), int64(3), uint8(2), uint8(0), uint8(0), -1.0, uint8(2))
+	f.Add(uint8(1), uint8(1), uint8(1), true, true, uint8(0x00), uint8(3), int64(4), uint8(3), uint8(1), uint8(0), 1.0, uint8(1))
+	f.Add(uint8(33), uint8(17), uint8(40), false, false, uint8(0x7c), uint8(2), int64(5), uint8(4), uint8(2), uint8(0), 2.5, uint8(2))
+	f.Add(uint8(37), uint8(29), uint8(20), false, false, uint8(0x5a), uint8(3), int64(6), uint8(2), uint8(0), uint8(1), 0.0, uint8(2))
+	f.Add(uint8(40), uint8(45), uint8(19), true, false, uint8(0x3f), uint8(2), int64(7), uint8(4), uint8(1), uint8(2), 0.0, uint8(1))
+	f.Add(uint8(47), uint8(13), uint8(33), false, true, uint8(0xa5), uint8(1), int64(8), uint8(0), uint8(5), uint8(3), 0.75, uint8(2))
+	f.Add(uint8(9), uint8(47), uint8(8), true, true, uint8(0x0f), uint8(0), int64(9), uint8(3), uint8(0), uint8(2), -0.5, uint8(0))
+	f.Add(uint8(44), uint8(40), uint8(36), false, false, uint8(0x3c), uint8(3), int64(10), uint8(4), uint8(0), uint8(3), 0.0, uint8(2))
 
-	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, ta, tb bool, signBits, destBits uint8, seed int64, blk, mc, workers uint8) {
+	f.Fuzz(func(t *testing.T, m8, n8, k8 uint8, ta, tb bool, signBits, destBits uint8, seed int64, blk, mc, workers uint8, beta float64, split uint8) {
 		m, n, kk := int(m8%48)+1, int(n8%48)+1, int(k8%48)+1
 		var k *Packed
 		switch blk % 5 {
@@ -455,8 +459,70 @@ func FuzzFused(f *testing.F) {
 					out[i] = append([]float64(nil), c0s[i]...)
 					ds[i] = Dest{Data: out[i], Ld: d.Ld, Coeff: d.Coeff, Rows: d.Rows, Cols: d.Cols}
 				}
-				tk.FusedMulAddTasks(rt, m, n, kk, alpha, []Product{{A: aOp, B: bOp, Dests: ds}}, nil)
+				tk.FusedMulAddTasks(rt, m, n, kk, alpha, 1, []Product{{A: aOp, B: bOp, Dests: ds}})
 				return out
+			})
+		}
+
+		// β and a split call: products 1–3 each list a random subset of
+		// the destinations (maybe none), so each destination is first
+		// written by whichever lists it first; at β = 0 the destinations
+		// start as NaN.
+		if !math.IsNaN(beta) && !math.IsInf(beta, 0) {
+			parts := int(split%3) + 1
+			lists := make([][]int, parts)
+			on := make([]bool, nD)
+			live := 0
+			for p := range lists {
+				for i := range nD {
+					if rng.Intn(2) == 0 {
+						lists[p] = append(lists[p], i)
+						on[i] = true
+					}
+				}
+				if len(lists[p]) > 0 {
+					live++
+				}
+			}
+			bind := func(cs [][]float64) []Product {
+				ps := make([]Product, parts)
+				for p, l := range lists {
+					ps[p] = Product{A: aOp, B: bOp}
+					for _, i := range l {
+						ps[p].Dests = append(ps[p].Dests, Dest{Data: cs[i], Ld: ldc, Coeff: dests[i].Coeff, Rows: m, Cols: n})
+					}
+				}
+				return ps
+			}
+			start := func() [][]float64 {
+				cs := make([][]float64, nD)
+				for i := range cs {
+					cs[i] = append([]float64(nil), c0s[i]...)
+					if beta == 0 {
+						cs[i] = nanSlice(len(cs[i]))
+					}
+				}
+				return cs
+			}
+			want := start()
+			for i, c := range want {
+				if on[i] {
+					scaleRef(c, ldc, m, n, beta)
+				}
+			}
+			k.FusedMulAddTasks(nil, m, n, kk, alpha, 1, bind(want))
+			w := int(workers % 4)
+			var sub sched.Submitter
+			if w > 0 {
+				rt := sched.New(w, seed)
+				defer rt.Close()
+				sub = rt
+			}
+			tk := drawMC(k, m, mc)
+			onRun(t, fmt.Sprintf("%s β=%g parts=%d workers=%d", what, beta, parts, w), tk, tk.CallWorkspace(w, live, m, n, kk), want, func(tk *Packed) [][]float64 {
+				got := start()
+				tk.FusedMulAddTasks(sub, m, n, kk, alpha, beta, bind(got))
+				return got
 			})
 		}
 

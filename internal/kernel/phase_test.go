@@ -42,7 +42,7 @@ func TestPackAttribution(t *testing.T) {
 			if plain {
 				k.MulAddTasks(sub, blas.NoTrans, blas.NoTrans, m, n, kk, 1, a, m, b, kk, c, m)
 			} else {
-				k.FusedMulAddTasks(sub, m, n, kk, 1, []Product{{A: aOp, B: bOp, Dests: dests}}, nil)
+				k.FusedMulAddTasks(sub, m, n, kk, 1, 1, []Product{{A: aOp, B: bOp, Dests: dests}})
 			}
 			phase.SetActive(prev)
 			snap := prof.Snapshot()

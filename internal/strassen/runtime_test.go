@@ -279,7 +279,7 @@ func TestBandedLin(t *testing.T) {
 				run := func(sub sched.Submitter) (*matrix.Dense, phase.Stat) {
 					e := &engine{sub: sub, prof: &phase.Profiler{}}
 					d := d0.Clone()
-					e.lin(sub, phAS, d, ts...)
+					e.lin(phAS, d, ts...)
 					return d, e.prof.Snapshot()[phAS]
 				}
 				want, wantStat := run(nil)
@@ -416,9 +416,10 @@ type bandPanicKernel struct {
 
 func (bandPanicKernel) FusedDestLimit() int { return 2 }
 
-func (k bandPanicKernel) FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha float64, prods []kernel.Product, pre func(lo, hi int)) {
-	pre(0, m)
+func (k bandPanicKernel) FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alpha, beta float64, prods []kernel.Product) {
 	p := prods[0]
+	a, b, c := p.A.Terms[0].Data, p.B.Terms[0].Data, p.Dests[0]
+	matrix.Lin(&matrix.Dense{Rows: c.Rows, Cols: c.Cols, Stride: c.Ld, Data: c.Data}, matrix.Term{G: beta, Dst: true})
 	ta, tb := blas.NoTrans, blas.NoTrans
 	if p.A.Trans {
 		ta = blas.Trans
@@ -426,7 +427,6 @@ func (k bandPanicKernel) FusedMulAddTasks(sub sched.Submitter, m, n, kk int, alp
 	if p.B.Trans {
 		tb = blas.Trans
 	}
-	a, b, c := p.A.Terms[0].Data, p.B.Terms[0].Data, p.Dests[0]
 	d := sched.NewDAG()
 	w := sub.Workers()
 	for i := range w {
